@@ -78,12 +78,14 @@ let instr_key (i : instr) : int =
   | Ilabel _ -> k "label"
   | Itrap m -> k ("trap", m)
 
-let rebuild_lines ~(reference : ifunc) (f : ifunc) : unit =
+(* [f] with a line table aligned against [reference]; a fresh record,
+   never a write into [f], which a memo may share between units *)
+let rebuild_lines ~(reference : ifunc) (f : ifunc) : ifunc =
   let ref_lines = reference.code_lines in
   let m = min (Array.length reference.code) (Array.length ref_lines) in
   let n = Array.length f.code in
   (* quadratic DP: skip degenerate and absurdly large inputs *)
-  if m = 0 || n = 0 || n * m > 4_000_000 then ()
+  if m = 0 || n = 0 || n * m > 4_000_000 then f
   else begin
     let a = Array.map instr_key f.code in
     let b = Array.init m (fun j -> instr_key reference.code.(j)) in
@@ -117,26 +119,65 @@ let rebuild_lines ~(reference : ifunc) (f : ifunc) : unit =
       lines.(!i) <- !cur;
       incr i
     done;
-    f.code_lines <- lines
+    { f with code_lines = lines }
   end
 
-(* restore every stripped table in [u] from the unoptimized unit [u0] *)
-let restore_lines (u0 : unit_) (u : unit_) : unit_ =
-  List.iter
-    (fun (n, f) ->
-      if Array.length f.code_lines = 0 then
-        match List.assoc_opt n u0.funcs with
-        | Some reference -> rebuild_lines ~reference f
-        | None -> ())
-    u.funcs;
-  u
+(* --- the per-function memo ---
 
-let compile (profile : Policy.profile) (tp : Minic.Tast.tprogram) : unit_ =
+   The two stages above are pure functions of one function's data and
+   dominate a compile.  A caller that compiles many near-identical
+   programs (a reducer's candidates differ in one statement of one
+   function) supplies a memo, and every function it did not change is
+   served from it.  The key is the exact [Marshal [No_sharing]] bytes of
+   the stage's inputs, not a hash of them, so a hit can only return the
+   output computed for an identical input.  Memo values are shared
+   between units, profiles and domains, which is why no stage writes
+   into an [ifunc]. *)
+
+type memo = { find_or_compute : string -> (unit -> ifunc) -> ifunc }
+
+type memo_key =
+  | Passes of Policy.opt_flags * ifunc
+  | Lines of ifunc * instr array * int array
+      (* optimized function, reference code, reference lines *)
+
+let memoized (memo : memo option) (key : memo_key) (compute : unit -> ifunc) :
+    ifunc =
+  match memo with
+  | None -> compute ()
+  | Some m ->
+    m.find_or_compute (Marshal.to_string key [ Marshal.No_sharing ]) compute
+
+let func_passes ?memo flags f =
+  memoized memo (Passes (flags, f)) (fun () -> apply_func_passes flags f)
+
+(* restore every stripped table in [u] from the unoptimized unit [u0] *)
+let restore_lines ?memo (u0 : unit_) (u : unit_) : unit_ =
+  let restore (n, f) =
+    if Array.length f.code_lines > 0 then (n, f)
+    else
+      match List.assoc_opt n u0.funcs with
+      | Some reference ->
+        ( n,
+          memoized memo
+            (Lines (f, reference.code, reference.code_lines))
+            (fun () -> rebuild_lines ~reference f) )
+      | None -> (n, f)
+  in
+  { u with funcs = List.map restore u.funcs }
+
+(* [?memo] changes the cost of a compile, never its result: without one
+   every stage recomputes, which is the reference the memoized path is
+   tested against. *)
+let compile ?memo (profile : Policy.profile) (tp : Minic.Tast.tprogram) : unit_ =
   let u0 = Lower.lower_program profile tp in
   let flags = profile.Policy.flags in
+  (* with no pass enabled nothing runs and no line table is stripped:
+     a memo would only store copies of the lowering *)
+  let memo = if flags = Policy.no_opt then None else memo in
   (* first round of local optimization *)
   let u1 =
-    { u0 with funcs = List.map (fun (n, f) -> (n, apply_func_passes flags f)) u0.funcs }
+    { u0 with funcs = List.map (fun (n, f) -> (n, func_passes ?memo flags f)) u0.funcs }
   in
   (* inlining, then a local round to clean the inlined bodies; a second
      inline+cleanup round resolves call chains (an inlined body may itself
@@ -147,13 +188,13 @@ let compile (profile : Policy.profile) (tp : Minic.Tast.tprogram) : unit_ =
       { u' with
         funcs =
           List.map
-            (fun (n, f) -> (n, strip_lines (apply_func_passes flags f)))
+            (fun (n, f) -> (n, strip_lines (func_passes ?memo flags f)))
             u'.funcs;
       }
     in
-    restore_lines u0 (round (round u1))
+    restore_lines ?memo u0 (round (round u1))
   end
-  else restore_lines u0 u1
+  else restore_lines ?memo u0 u1
 
 let compile_source (profile : Policy.profile) (src : string) :
     (unit_, string) result =

@@ -5,9 +5,8 @@
    one representative per signature class and share the observation.
 
    The signature covers:
-   - the full code, slots and globals of every function (with float
-     immediates serialized by their IEEE bits, since ["%g"] printing can
-     collapse distinct values, and cast widths spelled out);
+   - the name, arity, register count, slot sizes and full code of every
+     function, and the globals, as one exact [Marshal] serialization;
    - only the *behaviorally relevant* part of the runtime policy:
      [uninit_reg] matters only if some register may be read before it is
      written (decided by a must-init dataflow analysis), and the memory
@@ -127,64 +126,35 @@ let touches_memory (u : Ir.unit_) : bool =
 
 (* --- serialization --- *)
 
-(* [Ir.string_of_instr] is almost injective; patch up the cases where it
-   is not: float immediates print with "%g" (lossy), cast widths are
-   omitted for i2f/f2i/p2i, and neg omits its csem marker. *)
+(* The behaviour-relevant projection of a unit, marshalled without
+   sharing: structurally equal projections give equal bytes and, since
+   [Marshal] is injective on values of one type, unequal projections give
+   unequal bytes.  Float immediates go out as their IEEE bits and every
+   constructor argument (cast widths, csem markers) is kept, so no field
+   of the code can be conflated with another. *)
+type projection = {
+  funcs : (string * int * int * int array * Ir.instr array) list;
+      (* name, nparams, nregs, slot sizes, code *)
+  globals : Ir.iglobal list;
+}
 
-let float_bits_of_operand = function
-  | Ir.ImmF f -> [ Int64.bits_of_float f ]
-  | Ir.Reg _ | Ir.ImmI _ | Ir.Nullptr -> []
-
-let float_bits_of_instr ins =
-  let op = float_bits_of_operand in
-  match ins with
-  | Ir.Iconst (_, o) | Ir.Imov (_, o) | Ir.Ineg (_, _, _, o)
-  | Ir.Inot (_, _, o) | Ir.Ifneg (_, o) | Ir.Icast (_, _, o)
-  | Ir.Iload (_, o) | Ir.Ibr (o, _, _) | Ir.Iret (Some o) ->
-      op o
-  | Ir.Ibin (_, _, _, _, a, b) | Ir.Ifbin (_, _, a, b)
-  | Ir.Icmp (_, _, _, a, b) | Ir.Ifcmp (_, _, a, b) | Ir.Ipcmp (_, _, a, b)
-  | Ir.Ipadd (_, a, b) | Ir.Ipdiff (_, a, b) | Ir.Istore (a, b) ->
-      op a @ op b
-  | Ir.Ifma (_, a, b, c) -> op a @ op b @ op c
-  | Ir.Icall (_, _, args) | Ir.Ibuiltin (_, _, args) ->
-      List.concat_map op args
-  | Ir.Iprint items -> List.concat_map op (Ir.fmt_operands items)
-  | Ir.Ilea _ | Ir.Ijmp _ | Ir.Iret None | Ir.Ilabel _ | Ir.Itrap _ -> []
-
-let add_instr buf ins =
-  Buffer.add_string buf (Ir.string_of_instr ins);
-  (match ins with
-  | Ir.Icast ((Ir.I2F w | Ir.F2I w | Ir.P2I w), _, _) ->
-      Buffer.add_string buf (" #w" ^ Ir.string_of_width w)
-  | Ir.Ineg (_, sem, _, _) ->
-      Buffer.add_string buf
-        (match sem with Ir.Csigned -> " #s" | Ir.Cwrap -> " #w")
-  | _ -> ());
-  List.iter
-    (fun bits ->
-      Buffer.add_string buf (" #f" ^ Int64.to_string bits))
-    (float_bits_of_instr ins);
-  Buffer.add_char buf '\n'
+let projection (u : Ir.unit_) : projection =
+  {
+    funcs =
+      List.map
+        (fun (name, (f : Ir.ifunc)) ->
+          ( name,
+            f.Ir.nparams,
+            f.Ir.nregs,
+            Array.map (fun (s : Ir.frame_slot) -> s.Ir.slot_size) f.Ir.slots,
+            f.Ir.code ))
+        u.Ir.funcs;
+    globals = u.Ir.globals;
+  }
 
 let signature (u : Ir.unit_) : string =
   let buf = Buffer.create 2048 in
-  List.iter
-    (fun (name, f) ->
-      Buffer.add_string buf
-        (Printf.sprintf "func %s p%d r%d\n" name f.Ir.nparams f.Ir.nregs);
-      Array.iter
-        (fun (s : Ir.frame_slot) ->
-          Buffer.add_string buf (Printf.sprintf "slot %d\n" s.Ir.slot_size))
-        f.Ir.slots;
-      Array.iter (add_instr buf) f.Ir.code)
-    u.Ir.funcs;
-  List.iter
-    (fun (g : Ir.iglobal) ->
-      Buffer.add_string buf
-        (Printf.sprintf "global %s %d [%s]\n" g.Ir.g_name g.Ir.g_size
-           (String.concat "," (List.map Int64.to_string g.Ir.g_init))))
-    u.Ir.globals;
+  Buffer.add_string buf (Marshal.to_string (projection u) [ Marshal.No_sharing ]);
   if touches_memory u then begin
     Buffer.add_string buf "mem ";
     Buffer.add_string buf (Policy.memory_runtime_signature u.Ir.runtime);

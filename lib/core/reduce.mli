@@ -64,6 +64,11 @@ val count_stmts : Minic.Ast.program -> int
 (** Statements in pre-order, nested blocks included (the program-size
     metric of {!stats}). *)
 
+val candidates : Minic.Ast.program -> Minic.Ast.program Seq.t
+(** Every one-step simplification of a program, lazily, in the order
+    program reduction tries them: function drops, global drops, then
+    per-statement rewrites.  Candidates need not typecheck. *)
+
 val reduce :
   ?max_checks:int ->
   ?program:Minic.Ast.program ->

@@ -34,10 +34,17 @@
    evicted from the cache and re-linked later gets the same id and its
    stored observations stay valid.
 
+   Below the unit cache sits the function memo ({!Pipeline.memo}): a
+   unit-cache miss still re-runs lowering, but the per-function pass
+   stacks and line-table rebuilds of every function the program shares
+   with an earlier compile are served from it.  Its keys are the exact
+   serialized stage inputs, so it needs no collision argument at all.
+
    Bounded memory: each cache is an {!Lru} bounded in bytes; the
-   [cache_mb] budget is split 25% units / 25% images / 50% observations.
-   [cache_mb = 0] disables caching entirely — every stage recomputes,
-   which is the reference behaviour cross-validation compares against. *)
+   [cache_mb] budget is split 12.5% units / 12.5% function memo / 25%
+   images / 50% observations.  [cache_mb = 0] disables caching entirely —
+   every stage recomputes and no memo is consulted, which is the
+   reference behaviour cross-validation compares against. *)
 
 open Cdcompiler
 
@@ -59,6 +66,7 @@ type disk_stats = Diskcache.stats = {
 
 type stats = {
   units : cache_stats;
+  funcs : cache_stats;   (* the per-function compile memo *)
   images : cache_stats;
   observations : cache_stats;
   budget_bytes : int;
@@ -144,6 +152,8 @@ type t = {
   caching : bool;
   budget_bytes : int;
   unit_cache : (ikey, Ir.unit_) Lru.t;
+  func_cache : (string, Ir.ifunc) Lru.t;  (* behind [memo] *)
+  memo : Pipeline.memo option;  (* None when caching is disabled *)
   image_cache : (ikey, linked) Lru.t;
   obs_cache : (int * int * string, exec_obs) Lru.t;
   ids : (ikey, int) Hashtbl.t;  (* interned image ids, never evicted *)
@@ -172,14 +182,33 @@ let timed_key t (serialize : unit -> string) : key =
 let prog_key (tp : Minic.Tast.tprogram) : key =
   key_of_string (Marshal.to_string tp [])
 
+(* a memo entry holds its key bytes besides the function *)
+let func_weight (key : string) (f : Ir.ifunc) : int =
+  String.length key + 160
+  + (Array.length f.Ir.code * 120)
+  + (Array.length f.Ir.slots * 48)
+  + (Array.length f.Ir.code_lines * 8)
+
 let create ?(cache_mb = 128) ?disk_dir ?(disk_mb = 512) () : t =
   let cache_mb = max 0 cache_mb in
   let budget_bytes = cache_mb * 1024 * 1024 in
   let caching = cache_mb > 0 in
+  let func_cache = Lru.create ~budget_bytes:(budget_bytes / 8) in
   {
     caching;
     budget_bytes;
-    unit_cache = Lru.create ~budget_bytes:(budget_bytes / 4);
+    unit_cache = Lru.create ~budget_bytes:(budget_bytes / 8);
+    func_cache;
+    memo =
+      (if caching then
+         Some
+           {
+             Pipeline.find_or_compute =
+               (fun key compute ->
+                 Lru.find_or_compute func_cache key ~weight:(func_weight key)
+                   compute);
+           }
+       else None);
     image_cache = Lru.create ~budget_bytes:(budget_bytes / 4);
     obs_cache = Lru.create ~budget_bytes:(budget_bytes / 2);
     ids = Hashtbl.create 64;
@@ -272,7 +301,7 @@ let compile_keyed t (pkey : key) (profile : Policy.profile)
           match from_disk with
           | Some u -> u
           | None ->
-              let u = Pipeline.compile profile tp in
+              let u = Pipeline.compile ?memo:t.memo profile tp in
               (match t.disk with
               | Some d -> Diskcache.put d ~kind:unit_disk_kind dkey u
               | None -> ());
@@ -481,6 +510,7 @@ let run_traced (_t : t) (l : linked) ~(observer : Cdvm.Observer.t)
 let stats t =
   {
     units = Lru.stats t.unit_cache;
+    funcs = Lru.stats t.func_cache;
     images = Lru.stats t.image_cache;
     observations = Lru.stats t.obs_cache;
     budget_bytes = t.budget_bytes;
@@ -492,6 +522,7 @@ let stats t =
 
 let reset_stats t =
   Lru.reset_stats t.unit_cache;
+  Lru.reset_stats t.func_cache;
   Lru.reset_stats t.image_cache;
   Lru.reset_stats t.obs_cache;
   Atomic.set t.key_calls 0;
@@ -523,10 +554,10 @@ let stats_to_string (s : stats) : string =
             (float_of_int d.disk_bytes /. 1024.)
     in
     Printf.sprintf
-      "engine session caches (budget %d MiB):\n%s%s%s%s  key time: %d keys \
+      "engine session caches (budget %d MiB):\n%s%s%s%s%s  key time: %d keys \
        in %.4fs\n"
       (s.budget_bytes / (1024 * 1024))
-      (line "units" s.units) (line "images" s.images)
+      (line "units" s.units) (line "func memo" s.funcs) (line "images" s.images)
       (line "observations" s.observations)
       disk_line s.key_calls s.key_seconds
 
@@ -550,9 +581,10 @@ let stats_to_json (s : stats) : string =
           d.disk_hits d.disk_misses d.disk_stores d.disk_bytes d.disk_entries
   in
   Printf.sprintf
-    "{\"caching\": %b, \"budget_bytes\": %d, \"units\": %s, \"images\": %s, \
-     \"observations\": %s, \"disk\": %s, \"key_calls\": %d, \
+    "{\"caching\": %b, \"budget_bytes\": %d, \"units\": %s, \"funcs\": %s, \
+     \"images\": %s, \"observations\": %s, \"disk\": %s, \"key_calls\": %d, \
      \"key_seconds\": %.6f}"
-    s.caching s.budget_bytes (cache_to_json s.units) (cache_to_json s.images)
+    s.caching s.budget_bytes (cache_to_json s.units) (cache_to_json s.funcs)
+    (cache_to_json s.images)
     (cache_to_json s.observations)
     disk s.key_calls s.key_seconds

@@ -1,10 +1,14 @@
 (** An engine session: the compile → link → observe pipeline behind
     content-addressed caches (see DESIGN.md §10 and §12).
 
-    A session owns three bounded LRU caches:
+    A session owns four bounded LRU caches:
     - a {b compiled-unit cache} keyed by (program content hash, profile
       name) — a typed program is compiled at most once per profile per
       session;
+    - a {b function memo} ({!Cdcompiler.Pipeline.memo}) behind it, keyed
+      by the exact serialized inputs of the per-function pass stack and
+      line-table rebuild — a unit-cache miss re-runs those stages only
+      for the functions that differ from an earlier compile;
     - a {b linked-image cache} keyed by the same (program, profile)
       identity when the unit came out of {!compile} (no re-serialization
       at link time), or by the unit's own content hash otherwise;
@@ -53,6 +57,7 @@ type disk_stats = Diskcache.stats = {
 
 type stats = {
   units : cache_stats;
+  funcs : cache_stats;  (** the per-function compile memo *)
   images : cache_stats;
   observations : cache_stats;
   budget_bytes : int;
@@ -77,8 +82,9 @@ type t
 
 val create : ?cache_mb:int -> ?disk_dir:string -> ?disk_mb:int -> unit -> t
 (** [create ()] makes a session with a [cache_mb] MiB budget (default
-    128), split 25% units / 25% images / 50% observations, each side
-    evicted least-recently-used.  [cache_mb = 0] disables caching.
+    128), split 12.5% units / 12.5% function memo / 25% images / 50%
+    observations, each side evicted least-recently-used.  [cache_mb = 0]
+    disables caching, the function memo included.
     [disk_dir] adds a persistent store (capped at [disk_mb] MiB,
     default 512) behind the unit cache and observation store. *)
 
@@ -90,7 +96,8 @@ val prog_key : Minic.Tast.tprogram -> int * int * int
 
 val compile : t -> Cdcompiler.Policy.profile -> Minic.Tast.tprogram ->
   Cdcompiler.Ir.unit_
-(** Cached {!Cdcompiler.Pipeline.compile}. *)
+(** Cached {!Cdcompiler.Pipeline.compile}; a miss compiles through the
+    session's function memo. *)
 
 val compile_profiles : ?jobs:int -> t -> Cdcompiler.Policy.profile list ->
   Minic.Tast.tprogram -> (string * Cdcompiler.Ir.unit_) list

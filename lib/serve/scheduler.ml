@@ -79,6 +79,7 @@ type t = {
   cond : Condition.t;
   queue : item Queue.t;
   mutable stopping : bool;
+  mutable paused : bool;  (* dispatch held; see [set_paused] *)
   mutable threads : Thread.t list;
   mutable next_client : int;
   mutable clients : client list;
@@ -456,7 +457,7 @@ let claim_flight t :
     [ `Stop | `Checks of (item * Proto.check_req) list | `One of item ] =
   Mutex.lock t.mutex;
   let rec wait () =
-    if not (Queue.is_empty t.queue) then begin
+    if (not (Queue.is_empty t.queue)) && ((not t.paused) || t.stopping) then begin
       let it = Queue.pop t.queue in
       if it.it_client.cl_dead then begin
         (* dropped with its client: return the credit silently *)
@@ -520,6 +521,7 @@ let create (cfg : config) : t =
       cond = Condition.create ();
       queue = Queue.create ();
       stopping = false;
+      paused = false;
       threads = [];
       next_client = 0;
       clients = [];
@@ -538,6 +540,17 @@ let create (cfg : config) : t =
 
 let session t = t.cfg.session
 let quota t = t.cfg.quota
+
+(* Hold or release dispatch.  While held, executors pop nothing, but
+   admission runs as usual: each request is still accepted against its
+   client's credits or shed [Busy].  So the admission outcome of a burst
+   does not depend on how fast an executor would have drained it.  A
+   shutdown drains held work. *)
+let set_paused t paused =
+  Mutex.lock t.mutex;
+  t.paused <- paused;
+  Condition.broadcast t.cond;
+  Mutex.unlock t.mutex
 
 let register_client t ~(respond : int -> Proto.response -> unit) : client =
   Mutex.lock t.mutex;

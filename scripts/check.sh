@@ -214,6 +214,25 @@ else
     fi
   fi
 fi
+# The compile caches, the function memo among them, must not change what
+# the reducer produces: the same reduction on a caching-disabled session
+# gives the same exit code and a byte-identical reduced input.
+red0=$(mktemp)
+set +e
+dune exec bin/compdiff_cli.exe -- reduce examples/unstable_uninit.c \
+  --input 'XYZQRS' --cache-mb 0 --out "$red0" > /dev/null 2>&1
+got0=$?
+set -e
+if [ "$got0" -ne "$got" ]; then
+  echo "FAIL reduce --cache-mb 0: exited $got0, the cached run exited $got"
+  status=1
+elif ! cmp -s "$red" "$red0"; then
+  echo "FAIL reduce --cache-mb 0: reduced input differs from the cached run"
+  status=1
+else
+  echo "ok   reduce --cache-mb 0 (exit $got0, byte-identical reduced input)"
+fi
+rm -f "$red0" "$red0.orig"
 echo "== explore smoke test"
 # Time-travel the divergence the reducer just minimized: explore must
 # record both sides at instruction granularity, pin a first diverging

@@ -110,6 +110,9 @@ let test_disabled_session_is_passthrough () =
   check_int "no unit traffic counted" 0
     (st.Engine.Session.units.Engine.Session.hits
     + st.Engine.Session.units.Engine.Session.misses);
+  check_int "the function memo is never consulted" 0
+    (st.Engine.Session.funcs.Engine.Session.hits
+    + st.Engine.Session.funcs.Engine.Session.misses);
   check_bool "stats say disabled" false st.Engine.Session.caching
 
 let test_oracle_shares_session_compiles () =
@@ -151,6 +154,119 @@ let test_oracle_replay_hits_obs_store () =
   check_bool "replay served from the store" true
     (after.Engine.Session.observations.Engine.Session.hits
     > before.Engine.Session.observations.Engine.Session.hits)
+
+(* --- the function-level compile memo ---
+
+   A memoized compile must be byte-identical to a fresh
+   [Pipeline.compile], line tables included.  Units are compared by
+   their [Marshal [No_sharing]] bytes: structural equality of every
+   field, whatever the memo shares physically. *)
+
+let unit_bytes (u : Cdcompiler.Ir.unit_) =
+  Marshal.to_string u [ Marshal.No_sharing ]
+
+let memo_matches_fresh s profile tp =
+  unit_bytes (Engine.Session.compile s profile tp)
+  = unit_bytes (Cdcompiler.Pipeline.compile profile tp)
+
+(* random UB-free programs, printed and re-parsed so that their line
+   tables are real; one small session across all cases, so the memo
+   fills, is shared between programs and evicts *)
+let prop_memo_matches_pipeline =
+  let s = Engine.Session.create ~cache_mb:8 () in
+  QCheck.Test.make
+    ~name:"memoized compiles = Pipeline.compile on random programs" ~count:25
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let src =
+        Minic.Pretty.program_to_string (Gen.Effgen.generate ~seed).Gen.Effgen.prog
+      in
+      let tp = frontend src in
+      List.for_all
+        (fun p -> memo_matches_fresh s p tp)
+        Cdcompiler.Profiles.extended_with_buggy)
+
+(* a reducer's access pattern: a chain of one-step candidates on one
+   session, where every function a candidate leaves alone is a memo hit *)
+let test_memo_reduction_chain () =
+  List.iter
+    (fun (p : Projects.Project.t) ->
+      let s = Engine.Session.create ~cache_mb:32 () in
+      let profiles = Projects.Project.profiles_for p in
+      let compiled = ref 0 in
+      let cur = ref p.Projects.Project.program in
+      for _step = 1 to 4 do
+        let typed =
+          Seq.filter_map
+            (fun c ->
+              match Minic.Typecheck.check_program_result c with
+              | Ok tp -> Some (c, tp)
+              | Error _ -> None)
+            (Compdiff.Reduce.candidates !cur)
+        in
+        let batch = List.of_seq (Seq.take 6 typed) in
+        List.iter
+          (fun (_, tp) ->
+            List.iter
+              (fun prof ->
+                incr compiled;
+                check_bool
+                  (Printf.sprintf "%s %s: memoized = fresh"
+                     p.Projects.Project.pname prof.Cdcompiler.Policy.pname)
+                  true
+                  (memo_matches_fresh s prof tp))
+              profiles)
+          batch;
+        (* step to the last candidate, as an accepted reduction would *)
+        match List.rev batch with (c, _) :: _ -> cur := c | [] -> ()
+      done;
+      check_bool "candidates were compiled" true (!compiled > 0);
+      let stats = Engine.Session.stats s in
+      let st = stats.Engine.Session.funcs in
+      check_bool
+        (p.Projects.Project.pname ^ ": unchanged functions hit the memo")
+        true
+        (st.Engine.Session.hits > st.Engine.Session.misses);
+      check_bool "memo counters in the stats JSON" true
+        (Suite_gen.contains
+           (Engine.Session.stats_to_json stats)
+           (Printf.sprintf "\"funcs\": {\"hits\": %d," st.Engine.Session.hits)))
+    (List.filteri (fun i _ -> i < 2) Projects.Registry.all)
+
+(* Two programs whose [f] optimizes to the same code from differently
+   lined source.  The pass stack's output is shared through the memo;
+   each program must still get its own line table, so the line stage's
+   key has to carry the reference lines and no stage may write into a
+   shared function. *)
+let test_memo_line_tables_not_shared () =
+  let a =
+    "int f(int x) {\n  int y = x * 8;\n  return y + 1;\n}\n\
+     int main() { print(\"%d\\n\", f(getchar())); return 0; }"
+  and b =
+    "int f(int x) {\n\n\n  int y = x * 8;\n\n  return y + 1;\n}\n\
+     int main() { print(\"%d\\n\", f(getchar())); return 0; }"
+  in
+  let s = Engine.Session.create ~cache_mb:16 () in
+  let ta = frontend a and tb = frontend b in
+  let distinct = ref 0 in
+  List.iter
+    (fun p ->
+      let ua = Engine.Session.compile s p ta in
+      let ub = Engine.Session.compile s p tb in
+      check_bool "first program = fresh compile" true
+        (unit_bytes ua = unit_bytes (Cdcompiler.Pipeline.compile p ta));
+      check_bool "second program = fresh compile" true
+        (unit_bytes ub = unit_bytes (Cdcompiler.Pipeline.compile p tb));
+      let fa = Option.get (Cdcompiler.Ir.func ua "f")
+      and fb = Option.get (Cdcompiler.Ir.func ub "f") in
+      if
+        fa.Cdcompiler.Ir.code = fb.Cdcompiler.Ir.code
+        && fa.Cdcompiler.Ir.code_lines <> fb.Cdcompiler.Ir.code_lines
+      then incr distinct)
+    Cdcompiler.Profiles.all;
+  (* the premise: same optimized code, different tables, on optimizing
+     profiles *)
+  check_bool "same code with distinct line tables" true (!distinct > 0)
 
 (* --- the persistent disk cache --- *)
 
@@ -401,6 +517,12 @@ let suites =
         tc "disabled = passthrough" test_disabled_session_is_passthrough;
         tc "oracles share compiles" test_oracle_shares_session_compiles;
         tc "oracle replay hits the store" test_oracle_replay_hits_obs_store;
+      ] );
+    ( "engine.func_memo",
+      [
+        QCheck_alcotest.to_alcotest prop_memo_matches_pipeline;
+        tc "reduction candidate chain" test_memo_reduction_chain;
+        tc "line tables are per program" test_memo_line_tables_not_shared;
       ] );
     ( "engine.diskcache",
       [

@@ -332,8 +332,21 @@ let test_multi_input_positions () =
 
 (* --- backpressure: an over-quota client is shed, others are served --- *)
 
+(* poll [cond] until it holds; fail after [timeout] seconds *)
+let wait_until ?(timeout = 60.) what cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out: %s" what;
+    Thread.delay 0.002
+  done
+
 let test_quota_backpressure () =
   let path, srv, th = start_server ~quota:1 ~executors:1 () in
+  let sched = Serve.Server.sched srv in
+  (* Dispatch is held while the burst is admitted.  Otherwise the
+     accepted check can finish, and return its credit, before the reader
+     has admitted the rest of the burst, and a second one is accepted. *)
+  Serve.Scheduler.set_paused sched true;
   let flood = Serve.Client.connect path in
   (* pipeline a burst of slow checks without reading responses: the
      first consumes the only credit, the rest must be shed Busy *)
@@ -350,6 +363,10 @@ let test_quota_backpressure () =
                ck_strip = false;
              }))
   in
+  wait_until "burst admitted" (fun () ->
+      let st = Serve.Scheduler.sched_stats sched in
+      st.Serve.Proto.sr_requests + st.Serve.Proto.sr_shed = burst);
+  Serve.Scheduler.set_paused sched false;
   (* a second client is admitted and served despite the flood *)
   let other = Serve.Client.connect path in
   (match
@@ -371,8 +388,8 @@ let test_quota_backpressure () =
   check_int "exactly one accepted" 1 !replies;
   check_int "rest shed as Busy" (burst - 1) !busy;
   (* shed requests are visible in the daemon's stats *)
-  let sched = Serve.Scheduler.sched_stats (Serve.Server.sched srv) in
-  check_int "shed counter" (burst - 1) sched.Serve.Proto.sr_shed;
+  let st = Serve.Scheduler.sched_stats sched in
+  check_int "shed counter" (burst - 1) st.Serve.Proto.sr_shed;
   Serve.Client.close flood;
   stop_server (srv, th)
 
