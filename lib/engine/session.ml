@@ -193,7 +193,11 @@ let create ?(cache_mb = 128) ?disk_dir ?(disk_mb = 512) () : t =
   let cache_mb = max 0 cache_mb in
   let budget_bytes = cache_mb * 1024 * 1024 in
   let caching = cache_mb > 0 in
-  let func_cache = Lru.create ~budget_bytes:(budget_bytes / 8) in
+  (* looked up from every pool domain for every function: striped, so
+     the domains do not queue on one mutex *)
+  let func_cache =
+    Lru.create_striped ~stripes:16 ~budget_bytes:(budget_bytes / 8)
+  in
   {
     caching;
     budget_bytes;

@@ -57,6 +57,49 @@ let test_lru_eviction_lru_order () =
     (Engine.Lru.find_opt l "b" = None);
   check_bool "newest entry survives" true (Engine.Lru.find_opt l "c" = Some "c")
 
+(* Keys the hash cannot tell apart (it reads only the first ten values
+   of a list) share a bucket: each keeps its own value, and eviction
+   takes only the oldest ones out of the shared bucket. *)
+let test_lru_bucket_collisions () =
+  let key k = List.init 20 (fun i -> if i = 19 then k else 0) in
+  check_bool "one hash" true (Hashtbl.hash (key 1) = Hashtbl.hash (key 2));
+  let l = Engine.Lru.create ~budget_bytes:30 in
+  List.iter (fun k -> Engine.Lru.put l (key k) k ~weight:10) [ 1; 2; 3 ];
+  List.iter
+    (fun k ->
+      check_bool "own value" true (Engine.Lru.find_opt l (key k) = Some k))
+    [ 1; 2; 3 ];
+  (* 40 bytes: evict down to 22, the two oldest *)
+  Engine.Lru.put l (key 4) 4 ~weight:10;
+  check_int "two entries" 2 (Engine.Lru.stats l).Engine.Lru.entries;
+  check_bool "1 evicted" true (Engine.Lru.find_opt l (key 1) = None);
+  check_bool "2 evicted" true (Engine.Lru.find_opt l (key 2) = None);
+  check_bool "3 kept" true (Engine.Lru.find_opt l (key 3) = Some 3);
+  check_bool "4 kept" true (Engine.Lru.find_opt l (key 4) = Some 4)
+
+(* a striped cache looked up from two domains at once: every lookup
+   answers with its key's value and is counted, and the stripes'
+   budgets add up to the whole *)
+let test_lru_striped_concurrent () =
+  let l = Engine.Lru.create_striped ~stripes:4 ~budget_bytes:4000 in
+  let work d () =
+    for i = 0 to 999 do
+      let k = string_of_int (((i * 7) + d) mod 500) in
+      let v =
+        Engine.Lru.find_or_compute l k ~weight:(fun _ -> 10) (fun () -> k ^ "!")
+      in
+      if v <> k ^ "!" then failwith ("wrong value for " ^ k)
+    done
+  in
+  let other = Domain.spawn (work 1) in
+  work 0 ();
+  Domain.join other;
+  let s = Engine.Lru.stats l in
+  check_int "every lookup counted" 2000 (s.Engine.Lru.hits + s.Engine.Lru.misses);
+  check_bool "evicted" true (s.Engine.Lru.evictions > 0);
+  check_bool "within budget" true (s.Engine.Lru.bytes <= 4000);
+  check_int "ten bytes an entry" (10 * s.Engine.Lru.entries) s.Engine.Lru.bytes
+
 (* --- session caches --- *)
 
 let profile0 = List.hd Cdcompiler.Profiles.all
@@ -509,6 +552,8 @@ let suites =
       [
         tc "find_or_compute" test_lru_basics;
         tc "LRU eviction order" test_lru_eviction_lru_order;
+        tc "hash collisions share a bucket" test_lru_bucket_collisions;
+        tc "striped, two domains" test_lru_striped_concurrent;
       ] );
     ( "engine.session",
       [
