@@ -14,10 +14,10 @@
    section is a bucket lookup and one key comparison.  A cache looked up
    from every pool domain at a high rate (the function memo) is also
    split into stripes ([create_striped]), each with its own mutex, table
-   and an equal share of the budget, picked by the key's hash.  Without both, the
-   memo's lookups queued on one mutex and the domains slept in the
-   kernel thousands of times a second.  Eviction is least-recently-used
-   within a stripe; one stripe (the default) is an exact LRU.
+   and an equal share of the budget, picked by the key's hash: behind
+   one mutex, such lookups queue and the domains sleep in the kernel
+   thousands of times a second.  Eviction is least-recently-used within
+   a stripe; one stripe ([create]) is an exact LRU.
 
    The hit/miss/eviction counters are [Atomic.t], not plain ints under
    the mutex: the serve daemon reads them from its stats endpoint while
