@@ -2,16 +2,18 @@
    observation at each level of the unified [Observer] interface, and
    the payoff of snapshot-accelerated seeking in the trace store.
 
-   Three throughput rows over the BENCH_vm workload, all through the
-   linked executor:
+   Three throughput rows over the BENCH_vm workload, all entered through
+   [Exec.run_linked]:
 
    - silent: the oracle's path, [Observer.silent] (the refactor's "no
      observation costs nothing" claim -- bench.sh gates this against
      BENCH_vm's linked execs/sec);
    - prints: a per-print callback, the level classic localization uses;
    - steps: full [Cdtrace] recording (every pc, register write, memory
-     write, call/return), the time-travel explorer's input.  The gate
-     is a <= 5x slowdown over silent.
+     write, call/return), the time-travel explorer's input.  It runs on
+     the tree-walking reference interpreter, so the row prices the
+     reference's dispatch plus the recorder's sink.  The gate is a
+     slowdown over silent of at most [steps_gate].
 
    Recording must never perturb execution: every recorded run's
    [Exec.result] is compared byte-for-byte against the silent run's.
@@ -29,6 +31,14 @@ let workload () =
      List.init 8 (fun i -> String.make 1 (Char.chr (40 + i))) @ [ "z"; "~" ]) ]
 
 let trials = 3
+
+(* Ceiling on steps recording over silent.  Recording runs on the
+   reference interpreter; six runs on a 2-vCPU machine measured 5.4x to
+   6.8x (the old stepped executor measured 3.5x to 4.8x), and the ratio
+   moves with the silent row's noise.  The ceiling sits about 1.2x above
+   the worst run, so a real recorder regression trips it and the
+   spread does not. *)
+let steps_gate = 8.0
 
 let time ?(trials = trials) f =
   let best = ref infinity in
@@ -137,7 +147,7 @@ let run () =
   let pr_eps = float_of_int total /. pr_time in
   let st_eps = float_of_int total /. st_time in
   let steps_slowdown = st_time /. sil_time in
-  let steps_ok = steps_slowdown <= 5.0 in
+  let steps_ok = steps_slowdown <= steps_gate in
   (* seek: one long trace, random positions, snapshots vs linear replay *)
   let seek_img, _ = List.nth images 1 in
   let tr, _ = Cdtrace.record ~fuel:2_000_000 seek_img ~impl:"bench" ~input:"z" in
@@ -169,8 +179,9 @@ let run () =
   Buffer.add_string buf
     (Printf.sprintf "  \"metric\": \"%s\",\n"
        (Overhead.json_escape
-          "execs/sec per observer level (linked executor); seek latency \
-           is microseconds per random reposition of a replay cursor"));
+          "execs/sec per observer level (silent and prints on the linked \
+           executor, steps on the reference interpreter); seek latency is \
+           microseconds per random reposition of a replay cursor"));
   Buffer.add_string buf (Printf.sprintf "  \"execs\": %d,\n" total);
   Buffer.add_string buf
     (Printf.sprintf
@@ -187,6 +198,8 @@ let run () =
        st_time st_eps);
   Buffer.add_string buf
     (Printf.sprintf "  \"steps_slowdown\": %.2f,\n" steps_slowdown);
+  Buffer.add_string buf
+    (Printf.sprintf "  \"steps_slowdown_gate\": %.1f,\n" steps_gate);
   Buffer.add_string buf
     (Printf.sprintf "  \"steps_slowdown_target_met\": %b,\n" steps_ok);
   Buffer.add_string buf
@@ -205,13 +218,13 @@ let run () =
     "Trace recorder bench (%d execs, gccx-O0 binaries):\n\
     \  silent observer:  %.0f execs/s\n\
     \  prints observer:  %.0f execs/s (%.2fx of silent, %d prints)\n\
-    \  steps recording:  %.0f execs/s (%.2fx slowdown, target <= 5x: %b)\n\
+    \  steps recording:  %.0f execs/s (%.2fx slowdown, target <= %.0fx: %b)\n\
     \  seek (%d-step trace, %d seeks): %.1f us snapshot vs %.1f us linear \
      (%.0fx)\n\
     \  recorded results byte-identical to silent: %b\n\
      wrote %s\n\n"
     total sil_eps pr_eps (pr_eps /. sil_eps) !printed st_eps steps_slowdown
-    steps_ok nsteps nseeks snap_us slow_us
+    steps_gate steps_ok nsteps nseeks snap_us slow_us
     (slow_us /. max 1e-9 snap_us)
     replay_match path;
   if not replay_match then failwith "trace bench: observer perturbed execution"

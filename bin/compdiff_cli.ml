@@ -242,22 +242,11 @@ let compile_cmd =
 (* --- run --- *)
 
 let run_cmd =
-  let reference =
-    Arg.(
-      value & flag
-      & info [ "reference" ]
-          ~doc:
-            "Use the tree-walking reference interpreter instead of the linked \
-             image executor (both are byte-identical; see vmcheck).")
-  in
-  let action file pname input fuel reference =
+  let action file pname input fuel =
     let tp = frontend_of_file file in
     let u = Cdcompiler.Pipeline.compile (profile_of_name pname) tp in
     let config = { Cdvm.Exec.default_config with Cdvm.Exec.input; fuel } in
-    let r =
-      if reference then Cdvm.Exec.run ~config u
-      else Cdvm.Exec.run_linked ~config (Cdvm.Image.link u)
-    in
+    let r = Cdvm.Exec.run_linked ~config (Cdvm.Image.link u) in
     print_string r.Cdvm.Exec.stdout;
     Printf.printf "[%s: %s, fuel used %d]\n" pname
       (Cdvm.Trap.status_to_string r.Cdvm.Exec.status)
@@ -265,7 +254,7 @@ let run_cmd =
     match r.Cdvm.Exec.status with Cdvm.Trap.Exit c -> c | _ -> 1
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile and execute a MiniC file.")
-    Term.(const action $ file_arg $ profile_arg $ input_arg $ fuel_arg $ reference)
+    Term.(const action $ file_arg $ profile_arg $ input_arg $ fuel_arg)
 
 (* --- vmcheck --- *)
 

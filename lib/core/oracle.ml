@@ -17,8 +17,9 @@
      images and stored observations across oracles;
    - binaries with equal {!Binsig.signature} form equivalence classes;
      one representative per class is linked at oracle creation and
-     executed via {!Engine.Session.run} (linked executor with a pooled
-     per-class arena), the observation fanned out to every member;
+     executed via {!Engine.Session.run_batch} (linked executor with a
+     pooled per-class arena), the observation fanned out to every
+     member;
    - the per-class runs of one fuel round go through the shared
      {!Cdutil.Pool} when [jobs > 1];
    - fuel escalation is incremental: only classes whose last observation
@@ -28,11 +29,15 @@
      any sufficient budget — finished observations (including their
      [fuel_used]) can simply be reused.
 
+   All of this lives in one escalation loop, [observe_batch]; [observe]
+   and [check] are its one-input case.
+
    [observe_naive]/[check_naive] keep the sequential, dedup-free
    reference semantics for cross-validation; they bypass the session
    entirely (tree-walking interpreter on the uncached units), so
-   comparing [check] against [check_naive] also cross-validates the
-   session's cached path against a fresh one. *)
+   comparing [check] against [check_naive] validates dedup, pooling,
+   incremental escalation, the linked executor and the session's cached
+   path against a fresh one. *)
 
 open Cdcompiler
 
@@ -207,18 +212,6 @@ let run_one t ~fuel ~input (u : Ir.unit_) : observation =
     fuel_used = r.Cdvm.Exec.fuel_used;
   }
 
-(* Observe class [ci] through the session: linked execution with the
-   handle's pooled arena, served from the observation store when the
-   session caches (the store holds raw output; normalization is this
-   oracle's concern). *)
-let run_linked_one t ~fuel ~input ci : observation =
-  let o = Engine.Session.run t.session t.class_linked.(ci) ~input ~fuel in
-  {
-    output = t.normalize o.Engine.Session.obs_stdout;
-    status = o.Engine.Session.obs_status;
-    fuel_used = o.Engine.Session.obs_fuel;
-  }
-
 (* checksum of what CompDiff compares for one observation; hashed
    incrementally so the hot path never concatenates *)
 let checksum t (o : observation) : int32 =
@@ -239,155 +232,113 @@ let observe_naive t ~(input : string) : (string * observation) list =
   in
   attempt t.base_fuel
 
-(* Deduped, pooled, incrementally escalating execution.  Produces the
-   same observation list as [observe_naive] (see the header comment). *)
-let observe t ~(input : string) : (string * observation) list =
-  Atomic.incr t.c_checks;
-  let nclasses = Array.length t.class_repr in
-  let class_obs : observation option array = Array.make nclasses None in
-  let run_round fuel (pending : int list) =
-    let run ci =
-      Atomic.incr t.c_execs;
-      (ci, run_linked_one t ~fuel ~input ci)
-    in
-    let npending = List.length pending in
-    let obs =
-      if t.jobs > 1 && npending > 1 then Cdutil.Pool.map run pending
-      else List.map run pending
-    in
-    List.iter (fun (ci, o) -> class_obs.(ci) <- Some o) obs;
-    (* accounting, relative to the naive oracle's [nbinaries] runs per
-       round: dedup covers the members beyond each representative,
-       incremental escalation covers the classes not re-run at all *)
-    let covered = List.fold_left (fun a ci -> a + t.class_size.(ci)) 0 pending in
-    ignore (Atomic.fetch_and_add t.c_dedup_saved (covered - npending));
-    ignore (Atomic.fetch_and_add t.c_escal_saved (t.nbinaries - covered))
-  in
-  let rec escalate fuel pending =
-    run_round fuel pending;
-    let hung = ref [] and hung_members = ref 0 in
-    for ci = nclasses - 1 downto 0 do
-      match class_obs.(ci) with
-      | Some o when o.status = Cdvm.Trap.Hang ->
-          hung := ci :: !hung;
-          hung_members := !hung_members + t.class_size.(ci)
-      | _ -> ()
-    done;
-    (* [hung = []]: everything terminated. [hung_members = nbinaries]:
-       an all-hang, which (as in the naive loop) is only possible in the
-       first round and counts as agreement. *)
-    if !hung = [] || !hung_members = t.nbinaries then ()
-    else if fuel >= t.max_fuel then ()
-    else escalate (fuel * 4) !hung
-  in
-  escalate t.base_fuel (List.init nclasses Fun.id);
-  List.mapi
-    (fun i (name, _) ->
-      match class_obs.(t.class_of.(i)) with
-      | Some o -> (name, o)
-      | None -> assert false)
-    t.binaries
-
-(* Batched observation of many inputs: per-class, all inputs that still
-   need the class at the current fuel level run through ONE
+(* The escalation loop: deduped, pooled, incrementally escalating
+   observation of many inputs.  Per class, all inputs that still need
+   the class at the current fuel level run through ONE
    {!Engine.Session.run_batch} (single arena acquisition, amortized
-   reset).  Escalation is level-synchronous — every input walks the same
-   base, ×4, ×16, … fuel sequence as the sequential loop, inputs just
-   drop out when their hang set stabilizes — so element [k] of the
-   result is exactly [observe t ~input:inputs.(k)], and the per-round
-   stats accounting below mirrors [observe]'s per input. *)
+   reset).  Escalation is level-synchronous — every input walks the
+   same base, ×4, ×16, … fuel sequence as [observe_naive], dropping out
+   when its hang set stabilizes — so element [k] of the result equals
+   [observe_naive t ~input:inputs.(k)].  A single check is the
+   one-input case, so the first round, which runs every class on every
+   input, takes no per-input bookkeeping. *)
 let observe_batch t ~(inputs : string array) :
     (string * observation) list array =
   let ninputs = Array.length inputs in
   ignore (Atomic.fetch_and_add t.c_checks ninputs);
   let nclasses = Array.length t.class_repr in
-  let class_obs : observation option array array =
-    Array.init ninputs (fun _ -> Array.make nclasses None)
+  let observation (r : Cdvm.Exec.result) =
+    {
+      output = t.normalize r.Cdvm.Exec.stdout;
+      status = r.Cdvm.Exec.status;
+      fuel_used = r.Cdvm.Exec.fuel_used;
+    }
   in
-  (* pending.(k): classes input k still has to run at the current level *)
-  let pending = Array.make ninputs (List.init nclasses Fun.id) in
-  if ninputs = 0 then [||]
-  else begin
-    let fuel = ref t.base_fuel in
-    let continue_ = ref true in
-    while !continue_ do
-      (* accounting, per input, identical to [observe]'s run_round *)
-      Array.iter
-        (fun pend ->
-          if pend <> [] then begin
-            let npending = List.length pend in
-            let covered =
-              List.fold_left (fun a ci -> a + t.class_size.(ci)) 0 pend
-            in
-            ignore (Atomic.fetch_and_add t.c_execs npending);
-            ignore (Atomic.fetch_and_add t.c_dedup_saved (covered - npending));
-            ignore (Atomic.fetch_and_add t.c_escal_saved (t.nbinaries - covered))
-          end)
-        pending;
-      (* transpose: which inputs does each class run this round? *)
+  (* class_obs.(ci).(k): input k's latest observation by class ci; the
+     first round fills every cell *)
+  let class_obs = Array.make nclasses [||] in
+  (* run the classes [cis] at [fuel]: class [ci] on the inputs
+     [reruns ci], or on all of them when that is [None] *)
+  let run_round fuel (reruns : int -> int array option) (cis : int list) =
+    let run_class ci =
+      let l = t.class_linked.(ci) in
+      match reruns ci with
+      | None ->
+          class_obs.(ci) <-
+            Array.map observation
+              (Engine.Session.run_batch t.session l ~inputs ~fuel)
+      | Some ks ->
+          let rs =
+            Engine.Session.run_batch t.session l
+              ~inputs:(Array.map (fun k -> inputs.(k)) ks) ~fuel
+          in
+          Array.iteri (fun j r -> class_obs.(ci).(ks.(j)) <- observation r) rs
+    in
+    if t.jobs > 1 && List.compare_length_with cis 1 > 0 then
+      ignore (Cdutil.Pool.map run_class cis)
+    else List.iter run_class cis
+  in
+  (* stats, against the naive oracle's [nbinaries] runs per input and
+     round: [execs] runs covering [covered] binaries, so dedup saved the
+     members beyond each representative and incremental escalation the
+     binaries not re-run at all *)
+  let account ~execs ~covered ~inputs =
+    ignore (Atomic.fetch_and_add t.c_execs execs);
+    ignore (Atomic.fetch_and_add t.c_dedup_saved (covered - execs));
+    ignore
+      (Atomic.fetch_and_add t.c_escal_saved ((inputs * t.nbinaries) - covered))
+  in
+  (* the classes input [k] re-runs after a round at [fuel]: its hung
+     ones, unless everything terminated, everything hung (an all-hang,
+     only possible in the first round, counts as agreement) or the fuel
+     cap is reached *)
+  let reruns_of fuel k =
+    if fuel >= t.max_fuel then []
+    else begin
+      let hung = ref [] and hung_members = ref 0 in
+      for ci = nclasses - 1 downto 0 do
+        match class_obs.(ci).(k) with
+        | { status = Cdvm.Trap.Hang; _ } ->
+            hung := ci :: !hung;
+            hung_members := !hung_members + t.class_size.(ci)
+        | _ -> ()
+      done;
+      if !hung_members = t.nbinaries then [] else !hung
+    end
+  in
+  let rec escalate fuel =
+    let pending = Array.init ninputs (reruns_of fuel) in
+    if not (Array.for_all List.is_empty pending) then begin
+      let fuel = fuel * 4 in
+      (* transpose: which inputs re-run each class? *)
       let by_class = Array.make nclasses [] in
-      Array.iteri
-        (fun k pend ->
-          List.iter (fun ci -> by_class.(ci) <- k :: by_class.(ci)) pend)
-        pending;
-      let run_class ci =
-        let ks = Array.of_list (List.rev by_class.(ci)) in
-        let batch = Array.map (fun k -> inputs.(k)) ks in
-        let obs =
-          Engine.Session.run_batch t.session t.class_linked.(ci) ~inputs:batch
-            ~fuel:!fuel
-        in
-        Array.iteri
-          (fun j o ->
-            class_obs.(ks.(j)).(ci) <-
-              Some
-                {
-                  output = t.normalize o.Engine.Session.obs_stdout;
-                  status = o.Engine.Session.obs_status;
-                  fuel_used = o.Engine.Session.obs_fuel;
-                })
-          obs;
-        ci
-      in
+      for k = ninputs - 1 downto 0 do
+        List.iter (fun ci -> by_class.(ci) <- k :: by_class.(ci)) pending.(k);
+        let pend = pending.(k) in
+        if not (List.is_empty pend) then
+          account ~execs:(List.length pend)
+            ~covered:(List.fold_left (fun a ci -> a + t.class_size.(ci)) 0 pend)
+            ~inputs:1
+      done;
       let cis =
-        List.filter (fun ci -> by_class.(ci) <> []) (List.init nclasses Fun.id)
+        List.filter
+          (fun ci -> not (List.is_empty by_class.(ci)))
+          (List.init nclasses Fun.id)
       in
-      if t.jobs > 1 && List.length cis > 1 then
-        ignore (Cdutil.Pool.map run_class cis)
-      else List.iter (fun ci -> ignore (run_class ci)) cis;
-      (* recompute each input's pending set, exactly as [escalate] does *)
-      let any = ref false in
-      Array.iteri
-        (fun k pend ->
-          if pend <> [] then begin
-            let hung = ref [] and hung_members = ref 0 in
-            for ci = nclasses - 1 downto 0 do
-              match class_obs.(k).(ci) with
-              | Some o when o.status = Cdvm.Trap.Hang ->
-                  hung := ci :: !hung;
-                  hung_members := !hung_members + t.class_size.(ci)
-              | _ -> ()
-            done;
-            if !hung = [] || !hung_members = t.nbinaries then pending.(k) <- []
-            else if !fuel >= t.max_fuel then pending.(k) <- []
-            else begin
-              pending.(k) <- !hung;
-              any := true
-            end
-          end)
-        pending;
-      if !any then fuel := !fuel * 4 else continue_ := false
-    done;
-    Array.map
-      (fun co ->
-        List.mapi
-          (fun i (name, _) ->
-            match co.(t.class_of.(i)) with
-            | Some o -> (name, o)
-            | None -> assert false)
-          t.binaries)
-      class_obs
-  end
+      run_round fuel (fun ci -> Some (Array.of_list by_class.(ci))) cis;
+      escalate fuel
+    end
+  in
+  if ninputs > 0 then begin
+    account ~execs:(ninputs * nclasses) ~covered:(ninputs * t.nbinaries)
+      ~inputs:ninputs;
+    run_round t.base_fuel (fun _ -> None) (List.init nclasses Fun.id);
+    escalate t.base_fuel
+  end;
+  Array.init ninputs (fun k ->
+      List.mapi
+        (fun i (name, _) -> (name, class_obs.(t.class_of.(i)).(k)))
+        t.binaries)
 
 let verdict_of_observations t (obs : (string * observation) list) : verdict =
   match obs with
@@ -397,14 +348,18 @@ let verdict_of_observations t (obs : (string * observation) list) : verdict =
     if List.for_all (fun (_, o) -> checksum t o = c0) rest then Agree first
     else Diverge obs
 
-let check t ~(input : string) : verdict =
-  verdict_of_observations t (observe t ~input)
-
 let check_naive t ~(input : string) : verdict =
   verdict_of_observations t (observe_naive t ~input)
 
 let check_batch t ~(inputs : string array) : verdict array =
   Array.map (verdict_of_observations t) (observe_batch t ~inputs)
+
+(* a single input is the one-input batch: one escalation loop *)
+let observe t ~(input : string) : (string * observation) list =
+  (observe_batch t ~inputs:[| input |]).(0)
+
+let check t ~(input : string) : verdict =
+  (check_batch t ~inputs:[| input |]).(0)
 
 let is_divergence = function Diverge _ -> true | Agree _ -> false
 

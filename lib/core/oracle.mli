@@ -17,7 +17,9 @@
     executed once per class, class runs go through the shared
     {!Cdutil.Pool} when [jobs > 1], and fuel escalation re-runs only the
     classes that hung, reusing finished observations (and their
-    [fuel_used]).  {!observe_naive}/{!check_naive} provide the
+    [fuel_used]).  One escalation loop, {!observe_batch}, does all of
+    this; {!observe}/{!check} are its one-input case.
+    {!observe_naive}/{!check_naive} provide the
     sequential dedup-free reference for cross-validation; both paths
     produce structurally identical results. *)
 
@@ -43,8 +45,8 @@ type stats = {
   dedup_saved : int;       (** executions avoided by binary dedup *)
   escalation_saved : int;  (** executions avoided by incremental escalation *)
 }
-(** Cumulative execution counters of one oracle ({!observe}/{!check}
-    only; the naive path is never counted).
+(** Cumulative execution counters of one oracle ({!observe_batch} and
+    everything built on it; the naive path is never counted).
     [vm_execs + dedup_saved + escalation_saved] is what the naive oracle
     would have executed for the same checks. *)
 
@@ -137,24 +139,25 @@ val checksum : t -> observation -> int32
     examination"). *)
 
 val observe : t -> input:string -> (string * observation) list
-(** Run every binary on [input] with timeout escalation (deduped,
-    pooled, incremental — observationally identical to
-    {!observe_naive}). *)
+(** Run every binary on [input] with timeout escalation: the one-input
+    {!observe_batch}, observationally identical to {!observe_naive}. *)
 
 val observe_naive : t -> input:string -> (string * observation) list
 (** The sequential reference: every binary, full re-runs on escalation. *)
 
 val observe_batch : t -> inputs:string array -> (string * observation) list array
 (** [observe_batch t ~inputs]: element [k] equals
-    [observe t ~input:inputs.(k)] (same observations, same cumulative
-    stats), but all inputs pending at one fuel level run through a
+    [observe_naive t ~input:inputs.(k)] (deduped, pooled, incremental),
+    and the stats grow by exactly what [k] separate one-input calls
+    would add.  All inputs pending at one fuel level run through a
     single batched VM session per class ({!Engine.Session.run_batch}),
     amortizing arena acquisition and reset.  Escalation is
     level-synchronous: every input follows the base, ×4, … sequence and
     drops out when its hang set stabilizes. *)
 
 val check : t -> input:string -> verdict
-(** [observe] followed by checksum comparison. *)
+(** [observe] followed by checksum comparison (the one-input
+    {!check_batch}). *)
 
 val check_naive : t -> input:string -> verdict
 (** [observe_naive] followed by checksum comparison. *)

@@ -7,7 +7,7 @@
 
      compile : typed program  -> per-profile binary   (unit cache)
      link    : binary         -> executable image     (image cache)
-     run     : image x input  -> raw observation      (observation store)
+     run     : image x inputs -> raw observations     (observation store)
 
    Cache keys are content hashes: a typed program or compiled unit is
    keyed by (length, murmur3 seed A, murmur3 seed B) of its [Marshal]
@@ -17,7 +17,7 @@
    can only substitute an identical artefact, up to the ~2^-64 residual
    collision probability of the double 32-bit hash over equal lengths.
 
-   The observation store memoizes [run] keyed by (image id, fuel,
+   The observation store memoizes [run_batch] keyed by (image id, fuel,
    input).  The VM is deterministic: a linked image run on a given input
    under a given fuel budget produces exactly one (stdout, status,
    fuel_used) triple, so replaying from the store is observationally
@@ -25,7 +25,7 @@
    - observations are stored RAW (pre-normalization); callers apply
      their own output filter on retrieval, so oracles with different
      normalizers can share a store;
-   - only plain runs go through [run].  Executions that differ in more
+   - only plain runs go through [run_batch].  Executions that differ in more
      than (image, input, fuel) — sanitizer hooks, coverage, print
      tracing — must call the VM directly ([image] exposes the linked
      image for exactly that).
@@ -74,12 +74,6 @@ type stats = {
   key_calls : int;       (* content-key computations (Marshal + hash) *)
   key_seconds : float;   (* wall time spent computing content keys *)
   disk : disk_stats option;  (* None when no --disk-cache directory *)
-}
-
-type exec_obs = {
-  obs_stdout : string;  (* raw, NOT normalized *)
-  obs_status : Cdvm.Trap.status;
-  obs_fuel : int;
 }
 
 (* content key: serialization length + two independent 32-bit hashes *)
@@ -155,7 +149,8 @@ type t = {
   func_cache : (string, Ir.ifunc) Lru.t;  (* behind [memo] *)
   memo : Pipeline.memo option;  (* None when caching is disabled *)
   image_cache : (ikey, linked) Lru.t;
-  obs_cache : (int * int * string, exec_obs) Lru.t;
+  obs_cache : (int * int * string, Cdvm.Exec.result) Lru.t;
+      (* raw, NOT normalized *)
   ids : (ikey, int) Hashtbl.t;  (* interned image ids, never evicted *)
   ids_mutex : Mutex.t;
   mutable next_id : int;
@@ -263,12 +258,19 @@ let unit_weight (u : Ir.unit_) : int =
     (512 + (List.length u.Ir.globals * 64))
     u.Ir.funcs
 
+(* An image-cache entry is a [linked] handle, which pins more than the
+   threaded ops: the source unit ([Image.unit_], about 74 bytes an
+   instruction) and, once run, a pooled arena (about 100 KB on the
+   project targets, more than the image itself).  The per-instruction
+   constant stands in for all of it, so it does not shrink with the
+   image: weighing only the ops let a 64 MiB session keep 1.8x the
+   handles, and their arenas raised the report workload's peak heap by
+   a third. *)
 let image_weight (img : Cdvm.Image.t) : int =
   Array.fold_left
     (fun acc (lf : Cdvm.Image.lfunc) ->
       acc + 256
-      + (Array.length lf.Cdvm.Image.l_code * 120)
-      + (Array.length lf.Cdvm.Image.l_ops * 140)
+      + (Array.length lf.Cdvm.Image.l_ops * 260)
       + (Array.length lf.Cdvm.Image.l_slots * 48))
     1024 img.Cdvm.Image.funcs
 
@@ -368,8 +370,8 @@ let image (l : linked) = l.image
 
 let obs_overhead_bytes = 64
 
-let obs_weight input (o : exec_obs) =
-  String.length o.obs_stdout + String.length input + obs_overhead_bytes
+let obs_weight input (o : Cdvm.Exec.result) =
+  String.length o.Cdvm.Exec.stdout + String.length input + obs_overhead_bytes
 
 (* arena pooling: exchanged out for the duration of the callback *)
 let with_arena (l : linked) (f : Cdvm.Arena.t -> 'a) : 'a =
@@ -380,20 +382,6 @@ let with_arena (l : linked) (f : Cdvm.Arena.t -> 'a) : 'a =
   in
   Fun.protect ~finally:(fun () -> Atomic.set l.arena (Some arena)) (fun () ->
       f arena)
-
-let obs_of_result (r : Cdvm.Exec.result) : exec_obs =
-  {
-    obs_stdout = r.Cdvm.Exec.stdout;
-    obs_status = r.Cdvm.Exec.status;
-    obs_fuel = r.Cdvm.Exec.fuel_used;
-  }
-
-let execute (l : linked) ~(input : string) ~(fuel : int) : exec_obs =
-  with_arena l (fun arena ->
-      obs_of_result
-        (Cdvm.Exec.run_linked
-           ~config:{ Cdvm.Exec.default_config with Cdvm.Exec.input; fuel }
-           ~arena l.image))
 
 let obs_disk_kind = "obs"
 
@@ -407,98 +395,89 @@ let disk_of t (l : linked) =
   | Some d when l.skey <> "" -> Some d
   | Some _ | None -> None
 
-let run t (l : linked) ~(input : string) ~(fuel : int) : exec_obs =
-  if not t.caching then execute l ~input ~fuel
-  else
-    let mkey = (l.image_id, fuel, input) in
-    match Lru.find_opt t.obs_cache mkey with
-    | Some o -> o
-    | None -> (
-        let disk = disk_of t l in
-        let from_disk =
-          match disk with
-          | Some d ->
-              (Diskcache.get d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input)
-                : exec_obs option)
-          | None -> None
-        in
-        match from_disk with
-        | Some o ->
-            Lru.put t.obs_cache mkey o ~weight:(obs_weight input o);
-            o
-        | None ->
-            let o = execute l ~input ~fuel in
-            Lru.put t.obs_cache mkey o ~weight:(obs_weight input o);
-            (match disk with
-            | Some d -> Diskcache.put d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input) o
-            | None -> ());
-            o)
-
-(* Batched observation: serve what the stores already hold, then run all
-   remaining inputs through ONE arena acquisition ({!Cdvm.Exec.run_batch})
-   instead of an exchange/validate/reset cycle per input.  Results are
-   positionally identical to mapping {!run} over [inputs]. *)
-let run_batch t (l : linked) ~(inputs : string array) ~(fuel : int) :
-    exec_obs array =
-  let n = Array.length inputs in
-  let config = { Cdvm.Exec.default_config with Cdvm.Exec.fuel } in
-  if not t.caching then
-    with_arena l (fun arena ->
-        Array.map obs_of_result
-          (Cdvm.Exec.run_batch ~config ~arena l.image ~inputs))
-  else begin
-    let out : exec_obs option array = Array.make n None in
-    let disk = disk_of t l in
-    let miss = ref [] in
-    for i = n - 1 downto 0 do
-      let input = inputs.(i) in
-      let mkey = (l.image_id, fuel, input) in
-      match Lru.find_opt t.obs_cache mkey with
-      | Some o -> out.(i) <- Some o
-      | None -> (
-          let from_disk =
-            match disk with
-            | Some d ->
-                (Diskcache.get d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input)
-                  : exec_obs option)
-            | None -> None
+(* the stores' observation of [input], if any; a disk hit is promoted
+   into memory *)
+let stored t (l : linked) disk ~fuel input : Cdvm.Exec.result option =
+  let mkey = (l.image_id, fuel, input) in
+  match Lru.find_opt t.obs_cache mkey with
+  | Some _ as hit -> hit
+  | None -> (
+      match disk with
+      | None -> None
+      | Some d ->
+          let o : Cdvm.Exec.result option =
+            Diskcache.get d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input)
           in
-          match from_disk with
-          | Some o ->
-              Lru.put t.obs_cache mkey o ~weight:(obs_weight input o);
-              out.(i) <- Some o
-          | None -> miss := i :: !miss)
+          Option.iter
+            (fun o -> Lru.put t.obs_cache mkey o ~weight:(obs_weight input o))
+            o;
+          o)
+
+let store t (l : linked) disk ~fuel input (o : Cdvm.Exec.result) =
+  Lru.put t.obs_cache (l.image_id, fuel, input) o ~weight:(obs_weight input o);
+  match disk with
+  | Some d -> Diskcache.put d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input) o
+  | None -> ()
+
+(* The one cached-execution path.  Element [i] is the raw observation
+   of the image on [inputs.(i)] at [fuel]: served from the stores when
+   they hold it, otherwise executed -- all misses through ONE arena
+   acquisition ({!Cdvm.Exec.run_batch}) instead of an
+   exchange/validate/reset cycle per input -- and written back.  A
+   single run is the one-input batch, so the loops below avoid
+   per-call closures. *)
+let run_batch t (l : linked) ~(inputs : string array) ~(fuel : int) :
+    Cdvm.Exec.result array =
+  let config = { Cdvm.Exec.default_config with Cdvm.Exec.fuel } in
+  let execute inputs =
+    with_arena l (fun arena ->
+        Cdvm.Exec.run_batch ~config ~arena l.image ~inputs)
+  in
+  if not t.caching then execute inputs
+  else begin
+    let n = Array.length inputs in
+    let disk = disk_of t l in
+    let out = Array.make n None and missed = ref 0 in
+    for i = 0 to n - 1 do
+      match stored t l disk ~fuel inputs.(i) with
+      | None -> incr missed
+      | hit -> out.(i) <- hit
     done;
-    (match !miss with
-    | [] -> ()
-    | miss ->
-        let idx = Array.of_list miss in
-        let to_run = Array.map (fun i -> inputs.(i)) idx in
-        let results =
-          with_arena l (fun arena ->
-              Cdvm.Exec.run_batch ~config ~arena l.image ~inputs:to_run)
-        in
-        Array.iteri
-          (fun k r ->
-            let i = idx.(k) in
-            let input = inputs.(i) in
-            let o = obs_of_result r in
-            Lru.put t.obs_cache (l.image_id, fuel, input) o
-              ~weight:(obs_weight input o);
-            (match disk with
-            | Some d ->
-                Diskcache.put d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input) o
-            | None -> ());
-            out.(i) <- Some o)
-          results);
-    Array.map Option.get out
+    if !missed = 0 then Array.map Option.get out
+    else if !missed = n then begin
+      (* nothing hit, the common case: the fresh results are the answer *)
+      let fresh = execute inputs in
+      for i = 0 to n - 1 do
+        store t l disk ~fuel inputs.(i) fresh.(i)
+      done;
+      fresh
+    end
+    else begin
+      (* the misses run in input order *)
+      let fresh =
+        execute
+          (Array.of_list
+             (List.filteri (fun i _ -> out.(i) = None) (Array.to_list inputs)))
+      in
+      let next = ref 0 in
+      Array.mapi
+        (fun i o ->
+          match o with
+          | Some o -> o
+          | None ->
+              let o = fresh.(!next) in
+              incr next;
+              store t l disk ~fuel inputs.(i) o;
+              o)
+        out
+    end
   end
 
 (* Observed execution: an observer makes the run more than a function of
    (image, input, fuel), so it must bypass the observation store — it
    always executes, whatever the caching mode.  [Steps]-level runs build
    a fresh memory inside the VM (the arena would be dead weight);
-   everything else goes through the pooled arena like [run]. *)
+   everything else goes through the pooled arena like [run_batch]. *)
 let run_traced (_t : t) (l : linked) ~(observer : Cdvm.Observer.t)
     ~(input : string) ~(fuel : int) : Cdvm.Exec.result =
   let config =

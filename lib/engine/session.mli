@@ -25,8 +25,8 @@
     stored raw (pre-normalization) and the VM is deterministic at fixed
     fuel, so a hit is observationally identical to a re-execution.
     Executions that differ in more than (image, input, fuel) — sanitizer
-    hooks, coverage, print tracing — must bypass {!run} and call the VM
-    directly on {!image}.
+    hooks, coverage, print tracing — must bypass {!run_batch} and call
+    the VM directly on {!image} (or go through {!run_traced}).
 
     When [disk_dir] is given, a persistent {!Diskcache} layers behind
     the unit cache and the observation store: in-memory misses consult
@@ -65,12 +65,6 @@ type stats = {
   key_calls : int;  (** content-key computations (Marshal + hash) *)
   key_seconds : float;  (** wall time spent computing content keys *)
   disk : disk_stats option;  (** [None] without a disk directory *)
-}
-
-type exec_obs = {
-  obs_stdout : string;  (** raw stdout, {e not} normalized *)
-  obs_status : Cdvm.Trap.status;
-  obs_fuel : int;
 }
 
 type linked
@@ -114,23 +108,23 @@ val image : linked -> Cdvm.Image.t
 (** The underlying image, for executions the observation store must not
     serve (hooks, coverage, tracing). *)
 
-val run : t -> linked -> input:string -> fuel:int -> exec_obs
-(** Observation-store-backed plain execution of a linked image (arena
-    pooled per handle; safe from any domain). *)
-
 val run_batch : t -> linked -> inputs:string array -> fuel:int ->
-  exec_obs array
-(** [run_batch t l ~inputs ~fuel]: positionally identical to mapping
-    {!run} over [inputs], but all store misses execute through a single
-    arena acquisition ({!Cdvm.Exec.run_batch}), amortizing the
-    per-execution reset. *)
+  Cdvm.Exec.result array
+(** [run_batch t l ~inputs ~fuel]: the observation-store-backed plain
+    execution of a linked image, the session's one cached-execution
+    path (a single run is a one-input batch).  Element [i] is the raw
+    observation of [inputs.(i)] at [fuel]; all store misses execute
+    through a single acquisition of the handle's pooled arena
+    ({!Cdvm.Exec.run_batch}), amortizing the per-execution reset.  Safe
+    from any domain. *)
 
 val run_traced : t -> linked -> observer:Cdvm.Observer.t -> input:string ->
   fuel:int -> Cdvm.Exec.result
 (** Observed execution of a linked image.  The observer makes the run
     more than a function of (image, input, fuel), so the observation
     store is bypassed: [run_traced] {e always} executes.  Use it for
-    trace recording and print tracing; plain runs belong in {!run}. *)
+    trace recording and print tracing; plain runs belong in
+    {!run_batch}. *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

@@ -14,11 +14,19 @@
 
    - [run] is the tree-walking *reference*: it interprets [Ir.instr]
      directly, allocating a fresh address space and register files per
-     run, resolving labels and call targets through per-run tables.
-   - [run_linked] executes a pre-resolved {!Image.t}, reusing an
-     {!Arena.t} across runs.  It exists for throughput; the reference
-     exists to check it (mirroring [Oracle.check_naive]): both must
-     produce byte-identical [(stdout, status, fuel_used)]. *)
+     run, resolving labels and call targets through per-run tables.  It
+     is also the one observable executor: a [Steps] observer is fed
+     from here, with [fi]/[pc] the source [Ir] function index (first
+     binding of a name wins, as in {!Image.index_funcs}) and pc.
+   - [run_linked] executes the threaded opstream of a pre-resolved
+     {!Image.t}, reusing an {!Arena.t} across runs (Silent and Prints
+     levels; a Steps run of an image goes to the reference on
+     [img.unit_]).  It exists for throughput; the reference exists to
+     check it (mirroring [Oracle.check_naive]): both must produce
+     byte-identical [(stdout, status, fuel_used)].  Because the reference
+     sits on the [Ir] side of {!Image.link}, that check covers the
+     linker's label/call resolution, global ids and frame layouts as
+     well as superinstruction fusion. *)
 
 open Cdcompiler
 open Ir
@@ -54,8 +62,8 @@ type result = {
   fuel_used : int;
 }
 
-(* mutable per-run state shared by all executors.  [hooks], [notify]
-   and [smem] are resolved from the observer once per run so the
+(* mutable per-run state shared by both executors.  [hooks], [notify]
+   and [sink] are resolved from the observer once per run so the
    per-instruction paths never re-match on the observation level. *)
 type state = {
   mem : Mem.t;
@@ -64,7 +72,7 @@ type state = {
   cfg : config;
   hooks : Hooks.t;
   notify : (fn:string -> string -> unit) option;
-  smem : (int -> Value.t -> unit) option;  (* Steps-level store record *)
+  sink : Observer.step_sink option;  (* Steps level only *)
   out : Buffer.t;
   mutable fuel_left : int;
   mutable in_pos : int;
@@ -82,10 +90,9 @@ let make_state ~mem ~(runtime : Policy.runtime) ~global_ids ~(cfg : config)
     cfg;
     hooks = cfg.observer.Observer.hooks;
     notify = Observer.print_cb cfg.observer;
-    smem =
+    sink =
       (match cfg.observer.Observer.level with
-      | Observer.Steps s ->
-        Some (fun addr v -> s.Observer.on_mem_write ~addr v)
+      | Observer.Steps s -> Some s
       | Observer.Silent | Observer.Prints _ -> None);
     out;
     fuel_left = cfg.fuel;
@@ -131,6 +138,7 @@ let reg_junk st fseq r =
 (* reference per-call frame *)
 type frame = {
   func : ifunc;
+  fi : int;                                (* index in [unit_.funcs] *)
   regs : Value.t array;
   rtaint : bool array;
   rwritten : bool array;
@@ -142,7 +150,8 @@ let read_reg st fr r : Value.t * bool =
   if fr.rwritten.(r) then (fr.regs.(r), fr.rtaint.(r))
   else (reg_junk st fr.fseq r, true)
 
-let write_reg fr r (v : Value.t) (taint : bool) =
+let write_reg st fr r (v : Value.t) (taint : bool) =
+  (match st.sink with Some s -> s.Observer.on_reg_write ~reg:r v | None -> ());
   fr.regs.(r) <- v;
   fr.rtaint.(r) <- taint;
   fr.rwritten.(r) <- true
@@ -269,7 +278,7 @@ let store st (p : Value.ptr) ~(ptaint : bool) (v : Value.t) (taint : bool) =
   if Value.is_null p then raise (Mem.Trapped Trap.Null_deref);
   let addr = Mem.addr_of_ptr st.mem p in
   Mem.write_abs st.mem addr v ~taint;
-  match st.smem with Some record -> record addr v | None -> ()
+  match st.sink with Some s -> s.Observer.on_mem_write ~addr v | None -> ()
 
 (* Hook-free pointer resolution for the threaded executor: when a run is
    uninstrumented ([hooks == Hooks.none]) the only observable effects of
@@ -430,29 +439,29 @@ let exec_builtin_v st (b : Image.builtin) (argv : Value.t array) : Value.t =
 
 (* ===== reference executor ===== *)
 
-(* per-run function table: name -> (ifunc, eagerly linked label map).
-   Labels use [replace] so the last duplicate wins, matching the image
-   linker. *)
-type ftab = (string, ifunc * (int, int) Hashtbl.t) Hashtbl.t
+(* per-run function table: name -> (index, ifunc, eagerly linked label
+   map).  The first binding of a name wins and labels use [replace] so
+   the last duplicate wins, both matching the image linker. *)
+type ftab = (string, int * ifunc * (int, int) Hashtbl.t) Hashtbl.t
 
 let build_ftab (u : unit_) : ftab =
   let h = Hashtbl.create 16 in
-  List.iter
-    (fun (name, f) ->
+  List.iteri
+    (fun fi (name, f) ->
       if not (Hashtbl.mem h name) then begin
         let labels = Hashtbl.create 16 in
         Array.iteri
           (fun i ins ->
             match ins with Ilabel l -> Hashtbl.replace labels l i | _ -> ())
           f.code;
-        Hashtbl.add h name (f, labels)
+        Hashtbl.add h name (fi, f, labels)
       end)
     u.funcs;
   h
 
 let rec call st (tab : ftab) (fname : string) (args : (Value.t * bool) list) :
     Value.t * bool =
-  let f, labels =
+  let fi, f, labels =
     match Hashtbl.find_opt tab fname with
     | Some fl -> fl
     | None -> invalid_arg ("Exec: unknown function " ^ fname)
@@ -464,6 +473,7 @@ let rec call st (tab : ftab) (fname : string) (args : (Value.t * bool) list) :
   let fr =
     {
       func = f;
+      fi;
       regs = Array.make (max 1 f.nregs) Value.zero;
       rtaint = Array.make (max 1 f.nregs) false;
       rwritten = Array.make (max 1 f.nregs) false;
@@ -471,8 +481,11 @@ let rec call st (tab : ftab) (fname : string) (args : (Value.t * bool) list) :
       fseq = st.frame_seq;
     }
   in
+  (* the call record precedes the argument writes, so a replayer knows
+     they land in the callee's frame *)
+  (match st.sink with Some s -> s.Observer.on_call ~fi | None -> ());
   List.iteri
-    (fun i (v, t) -> if i < f.nregs then write_reg fr i v t)
+    (fun i (v, t) -> if i < f.nregs then write_reg st fr i v t)
     args;
   (match st.cfg.coverage with
   | Some cov -> Coverage.hit cov (Coverage.block_id ~fname ~label:(-1))
@@ -480,11 +493,13 @@ let rec call st (tab : ftab) (fname : string) (args : (Value.t * bool) list) :
   let result = run_code st tab fr labels in
   Mem.pop_frame st.mem;
   st.depth <- st.depth - 1;
+  (match st.sink with Some s -> s.Observer.on_ret () | None -> ());
   result
 
 and run_code st tab fr labels : Value.t * bool =
   let code = fr.func.code in
   let n = Array.length code in
+  let sink = st.sink in
   let pc = ref 0 in
   let jump l =
     match Hashtbl.find_opt labels l with
@@ -501,6 +516,9 @@ and run_code st tab fr labels : Value.t * bool =
     else begin
       st.fuel_left <- st.fuel_left - 1;
       if st.fuel_left <= 0 then raise Fuel_out;
+      (match sink with
+      | Some s -> s.Observer.on_step ~fi:fr.fi ~pc:!pc ~depth:st.depth
+      | None -> ());
       let ins = code.(!pc) in
       incr pc;
       match ins with
@@ -511,21 +529,21 @@ and run_code st tab fr labels : Value.t * bool =
         | None -> ())
       | Iconst (r, o) | Imov (r, o) ->
         let v, t = eval_operand st fr o in
-        write_reg fr r v t
+        write_reg st fr r v t
       | Ibin (op, w, sem, r, a, b) ->
         let va, ta = eval_operand st fr a in
         let vb, tb = eval_operand st fr b in
         let ia = as_int st va and ib = as_int st vb in
         if sem = Csigned then st.hooks.Hooks.on_signed_arith op w ia ib;
-        write_reg fr r (Value.Vint (eval_ibin op w ia ib)) (ta || tb)
+        write_reg st fr r (Value.Vint (eval_ibin op w ia ib)) (ta || tb)
       | Ineg (w, sem, r, a) ->
         let va, ta = eval_operand st fr a in
         let ia = as_int st va in
         if sem = Csigned then st.hooks.Hooks.on_signed_arith Bsub w 0L ia;
-        write_reg fr r (Value.Vint (norm w (Int64.neg ia))) ta
+        write_reg st fr r (Value.Vint (norm w (Int64.neg ia))) ta
       | Inot (w, r, a) ->
         let va, ta = eval_operand st fr a in
-        write_reg fr r (Value.Vint (norm w (Int64.lognot (as_int st va)))) ta
+        write_reg st fr r (Value.Vint (norm w (Int64.lognot (as_int st va)))) ta
       | Ifbin (op, r, a, b) ->
         let va, ta = eval_operand st fr a in
         let vb, tb = eval_operand st fr b in
@@ -537,56 +555,56 @@ and run_code st tab fr labels : Value.t * bool =
           | FMul -> x *. y
           | FDiv -> x /. y
         in
-        write_reg fr r (Value.Vfloat z) (ta || tb)
+        write_reg st fr r (Value.Vfloat z) (ta || tb)
       | Ifma (r, a, b, c) ->
         let va, ta = eval_operand st fr a in
         let vb, tb = eval_operand st fr b in
         let vc, tc = eval_operand st fr c in
-        write_reg fr r
+        write_reg st fr r
           (Value.Vfloat (Float.fma (as_float va) (as_float vb) (as_float vc)))
           (ta || tb || tc)
       | Ifneg (r, a) ->
         let va, ta = eval_operand st fr a in
-        write_reg fr r (Value.Vfloat (-.as_float va)) ta
+        write_reg st fr r (Value.Vfloat (-.as_float va)) ta
       | Icmp (c, _w, r, a, b) ->
         let va, ta = eval_operand st fr a in
         let vb, tb = eval_operand st fr b in
-        write_reg fr r (Value.Vint (eval_cmp c (as_int st va) (as_int st vb))) (ta || tb)
+        write_reg st fr r (Value.Vint (eval_cmp c (as_int st va) (as_int st vb))) (ta || tb)
       | Ifcmp (c, r, a, b) ->
         let va, ta = eval_operand st fr a in
         let vb, tb = eval_operand st fr b in
-        write_reg fr r (Value.Vint (eval_fcmp c (as_float va) (as_float vb))) (ta || tb)
+        write_reg st fr r (Value.Vint (eval_fcmp c (as_float va) (as_float vb))) (ta || tb)
       | Ipcmp (c, r, a, b) ->
         let va, ta = eval_operand st fr a in
         let vb, tb = eval_operand st fr b in
         let pa = as_ptr st va and pb = as_ptr st vb in
-        write_reg fr r (Value.Vint (eval_pcmp st c pa pb)) (ta || tb)
+        write_reg st fr r (Value.Vint (eval_pcmp st c pa pb)) (ta || tb)
       | Ipadd (r, p, off) ->
         let vp, tp = eval_operand st fr p in
         let voff, toff = eval_operand st fr off in
         let pp = as_ptr st vp in
         let d = Int64.to_int (as_int st voff) in
-        write_reg fr r (Value.Vptr { pp with Value.off = pp.Value.off + d }) (tp || toff)
+        write_reg st fr r (Value.Vptr { pp with Value.off = pp.Value.off + d }) (tp || toff)
       | Ipdiff (r, a, b) ->
         let va, ta = eval_operand st fr a in
         let vb, tb = eval_operand st fr b in
         let pa = as_ptr st va and pb = as_ptr st vb in
         let aa = if Value.is_null pa then 0 else Mem.addr_of_ptr st.mem pa in
         let ab = if Value.is_null pb then 0 else Mem.addr_of_ptr st.mem pb in
-        write_reg fr r (Value.Vint (Value.norm32 (Int64.of_int (aa - ab)))) (ta || tb)
+        write_reg st fr r (Value.Vint (Value.norm32 (Int64.of_int (aa - ab)))) (ta || tb)
       | Icast (k, r, a) ->
         let va, ta = eval_operand st fr a in
-        write_reg fr r (eval_cast st k va) ta
+        write_reg st fr r (eval_cast st k va) ta
       | Ilea (r, Sglobal g) ->
         (match Hashtbl.find_opt st.global_ids g with
-        | Some id -> write_reg fr r (Value.Vptr { Value.obj = id; off = 0 }) false
+        | Some id -> write_reg st fr r (Value.Vptr { Value.obj = id; off = 0 }) false
         | None -> invalid_arg ("Exec: unknown global " ^ g))
       | Ilea (r, Sslot i) ->
-        write_reg fr r (Value.Vptr { Value.obj = fr.slot_ids.(i); off = 0 }) false
+        write_reg st fr r (Value.Vptr { Value.obj = fr.slot_ids.(i); off = 0 }) false
       | Iload (r, p) ->
         let vp, tp = eval_operand st fr p in
         let v, t = load st (as_ptr st vp) ~ptaint:tp in
-        write_reg fr r v t
+        write_reg st fr r v t
       | Istore (p, x) ->
         let vp, tp = eval_operand st fr p in
         let vx, tx = eval_operand st fr x in
@@ -594,11 +612,11 @@ and run_code st tab fr labels : Value.t * bool =
       | Icall (dest, fname, args) ->
         let argv = List.map (eval_operand st fr) args in
         let v, t = call st tab fname argv in
-        (match dest with Some r -> write_reg fr r v t | None -> ())
+        (match dest with Some r -> write_reg st fr r v t | None -> ())
       | Ibuiltin (dest, bname, args) ->
         let argv = Array.of_list (List.map (fun o -> fst (eval_operand st fr o)) args) in
         let v = exec_builtin_v st (Image.builtin_of_name bname) argv in
-        (match dest with Some r -> write_reg fr r v false | None -> ())
+        (match dest with Some r -> write_reg st fr r v false | None -> ())
       | Iprint items ->
         let value o = fst (eval_operand st fr o) in
         (match st.notify with
@@ -626,32 +644,27 @@ and run_code st tab fr labels : Value.t * bool =
   done;
   !return_value
 
-(* --- reference entry point --- *)
+(* --- entry points --- *)
+
+let status_of_run (st : state) (body : unit -> Value.t * bool) : Trap.status =
+  try
+    let v, _ = body () in
+    Trap.Exit (Int64.to_int (as_int st v) land 0xff)
+  with
+  | Exit_program code -> Trap.Exit code
+  | Mem.Trapped t -> Trap.Trap t
+  | Fuel_out -> Trap.Hang
+  | Output_limit_exc -> Trap.Trap Trap.Output_limit
+  | Hooks.Report msg -> Trap.San_report msg
 
 let run ?(config = default_config) (u : Ir.unit_) : result =
-  (match config.observer.Observer.level with
-  | Observer.Steps _ ->
-    (* step records carry function *indices* and un-fused pcs, both of
-       which only exist on a linked image *)
-    invalid_arg "Exec.run: Steps observation needs a linked image (run_linked)"
-  | Observer.Silent | Observer.Prints _ -> ());
   let mem = Mem.create u.runtime u.globals in
   let st =
     make_state ~mem ~runtime:u.runtime ~global_ids:(Mem.global_ids mem)
       ~cfg:config ~out:(Buffer.create 256)
   in
   let tab = build_ftab u in
-  let status =
-    try
-      let v, _ = call st tab "main" [] in
-      Trap.Exit (Int64.to_int (as_int st v) land 0xff)
-    with
-    | Exit_program code -> Trap.Exit code
-    | Mem.Trapped t -> Trap.Trap t
-    | Fuel_out -> Trap.Hang
-    | Output_limit_exc -> Trap.Trap Trap.Output_limit
-    | Hooks.Report msg -> Trap.San_report msg
-  in
+  let status = status_of_run st (fun () -> call st tab "main" []) in
   {
     stdout = Buffer.contents st.out;
     status;
@@ -985,270 +998,19 @@ and trun st (arena : Arena.t) (img : Image.t) (lf : Image.lfunc)
   done;
   !return_value
 
-(* ===== stepped executor (Steps observation) ===== *)
-
-(* Interprets the un-fused linked code ([Image.lfunc.l_code]) with
-   reference-style per-call frames, feeding every instruction, register
-   write, memory write, call and return into the observer's step sink.
-   [l_code] is index-for-index parallel to the source code -- same pcs,
-   same fuel ticks -- so recorded pcs line up with [Ir.line_of_pc] and
-   (stdout, status, fuel_used) stays byte-identical to the other two
-   executors.  Throughput is traded for completeness: fresh arrays per
-   call, no fusion, a sink call per instruction (DESIGN.md section 15). *)
-
-type sframe = {
-  slf : Image.lfunc;
-  sfi : int;                               (* index in the image table *)
-  sregs : Value.t array;
-  srtaint : bool array;
-  srwritten : bool array;
-  sslot_ids : int array;
-  sfseq : int;
-}
-
-let sread_reg st fr r : Value.t * bool =
-  if fr.srwritten.(r) then (fr.sregs.(r), fr.srtaint.(r))
-  else (reg_junk st fr.sfseq r, true)
-
-let swrite_reg (sink : Observer.step_sink) fr r (v : Value.t) (taint : bool) =
-  sink.Observer.on_reg_write ~reg:r v;
-  fr.sregs.(r) <- v;
-  fr.srtaint.(r) <- taint;
-  fr.srwritten.(r) <- true
-
-let seval st fr (o : operand) : Value.t * bool =
-  match o with
-  | Reg r -> sread_reg st fr r
-  | ImmI v -> (Value.Vint v, false)
-  | ImmF f -> (Value.Vfloat f, false)
-  | Nullptr -> (Value.Vptr Value.null, false)
-
-let rec scall st (sink : Observer.step_sink) (img : Image.t) (fi : int)
-    (args : (Value.t * bool) list) : Value.t * bool =
-  let lf = img.Image.funcs.(fi) in
-  if st.depth >= max_depth then raise (Mem.Trapped Trap.Stack_overflow);
-  st.depth <- st.depth + 1;
-  st.frame_seq <- st.frame_seq + 1;
-  let slot_ids = Array.make (Array.length lf.Image.l_slots) 0 in
-  Mem.push_frame_laid st.mem lf.Image.l_slots lf.Image.l_frame slot_ids;
-  let fr =
-    {
-      slf = lf;
-      sfi = fi;
-      sregs = Array.make (max 1 lf.Image.l_nregs) Value.zero;
-      srtaint = Array.make (max 1 lf.Image.l_nregs) false;
-      srwritten = Array.make (max 1 lf.Image.l_nregs) false;
-      sslot_ids = slot_ids;
-      sfseq = st.frame_seq;
-    }
-  in
-  (* the call record precedes the argument writes, so a replayer knows
-     they land in the callee's frame *)
-  sink.Observer.on_call ~fi;
-  List.iteri
-    (fun i (v, t) -> if i < lf.Image.l_nregs then swrite_reg sink fr i v t)
-    args;
-  (match st.cfg.coverage with
-  | Some cov -> Coverage.hit cov lf.Image.l_entry_block
-  | None -> ());
-  let result = srun st sink img fr in
-  Mem.pop_frame st.mem;
-  st.depth <- st.depth - 1;
-  sink.Observer.on_ret ();
-  result
-
-and srun st (sink : Observer.step_sink) (img : Image.t) (fr : sframe) :
-    Value.t * bool =
-  let lf = fr.slf in
-  let code = lf.Image.l_code in
-  let n = Array.length code in
-  let pc = ref 0 in
-  let jump t =
-    if t >= 0 then pc := t
-    else
-      invalid_arg
-        (Printf.sprintf "Exec: missing label L%d in %s" (-1 - t) lf.Image.l_name)
-  in
-  let return_value = ref (Value.zero, false) in
-  let running = ref true in
-  while !running do
-    if !pc >= n then running := false
-    else begin
-      st.fuel_left <- st.fuel_left - 1;
-      if st.fuel_left <= 0 then raise Fuel_out;
-      let cur = !pc in
-      incr pc;
-      sink.Observer.on_step ~fi:fr.sfi ~pc:cur ~depth:st.depth;
-      match code.(cur) with
-      | Image.Llabel blk ->
-        (match st.cfg.coverage with
-        | Some cov -> Coverage.hit cov blk
-        | None -> ())
-      | Image.Lconst (r, o) ->
-        let v, t = seval st fr o in
-        swrite_reg sink fr r v t
-      | Image.Lbin (op, w, sem, r, a, b) ->
-        let va, ta = seval st fr a in
-        let vb, tb = seval st fr b in
-        let ia = as_int st va and ib = as_int st vb in
-        if sem = Csigned then st.hooks.Hooks.on_signed_arith op w ia ib;
-        swrite_reg sink fr r (Value.Vint (eval_ibin op w ia ib)) (ta || tb)
-      | Image.Lneg (w, sem, r, a) ->
-        let va, ta = seval st fr a in
-        let ia = as_int st va in
-        if sem = Csigned then st.hooks.Hooks.on_signed_arith Bsub w 0L ia;
-        swrite_reg sink fr r (Value.Vint (norm w (Int64.neg ia))) ta
-      | Image.Lnot (w, r, a) ->
-        let va, ta = seval st fr a in
-        swrite_reg sink fr r (Value.Vint (norm w (Int64.lognot (as_int st va)))) ta
-      | Image.Lfbin (op, r, a, b) ->
-        let va, ta = seval st fr a in
-        let vb, tb = seval st fr b in
-        let x = as_float va and y = as_float vb in
-        let z =
-          match op with
-          | FAdd -> x +. y
-          | FSub -> x -. y
-          | FMul -> x *. y
-          | FDiv -> x /. y
-        in
-        swrite_reg sink fr r (Value.Vfloat z) (ta || tb)
-      | Image.Lfma (r, a, b, c) ->
-        let va, ta = seval st fr a in
-        let vb, tb = seval st fr b in
-        let vc, tc = seval st fr c in
-        swrite_reg sink fr r
-          (Value.Vfloat (Float.fma (as_float va) (as_float vb) (as_float vc)))
-          (ta || tb || tc)
-      | Image.Lfneg (r, a) ->
-        let va, ta = seval st fr a in
-        swrite_reg sink fr r (Value.Vfloat (-.as_float va)) ta
-      | Image.Lcmp (c, r, a, b) ->
-        let va, ta = seval st fr a in
-        let vb, tb = seval st fr b in
-        swrite_reg sink fr r
-          (Value.Vint (eval_cmp c (as_int st va) (as_int st vb)))
-          (ta || tb)
-      | Image.Lfcmp (c, r, a, b) ->
-        let va, ta = seval st fr a in
-        let vb, tb = seval st fr b in
-        swrite_reg sink fr r
-          (Value.Vint (eval_fcmp c (as_float va) (as_float vb)))
-          (ta || tb)
-      | Image.Lpcmp (c, r, a, b) ->
-        let va, ta = seval st fr a in
-        let vb, tb = seval st fr b in
-        let pa = as_ptr st va and pb = as_ptr st vb in
-        swrite_reg sink fr r (Value.Vint (eval_pcmp st c pa pb)) (ta || tb)
-      | Image.Lpadd (r, p, off) ->
-        let vp, tp = seval st fr p in
-        let voff, toff = seval st fr off in
-        let pp = as_ptr st vp in
-        let d = Int64.to_int (as_int st voff) in
-        swrite_reg sink fr r
-          (Value.Vptr { pp with Value.off = pp.Value.off + d })
-          (tp || toff)
-      | Image.Lpdiff (r, a, b) ->
-        let va, ta = seval st fr a in
-        let vb, tb = seval st fr b in
-        let pa = as_ptr st va and pb = as_ptr st vb in
-        let aa = if Value.is_null pa then 0 else Mem.addr_of_ptr st.mem pa in
-        let ab = if Value.is_null pb then 0 else Mem.addr_of_ptr st.mem pb in
-        swrite_reg sink fr r (Value.Vint (Value.norm32 (Int64.of_int (aa - ab)))) (ta || tb)
-      | Image.Lcast (k, r, a) ->
-        let va, ta = seval st fr a in
-        swrite_reg sink fr r (eval_cast st k va) ta
-      | Image.Llea_global (r, id) ->
-        swrite_reg sink fr r (Value.Vptr { Value.obj = id; off = 0 }) false
-      | Image.Llea_slot (r, i) ->
-        swrite_reg sink fr r
-          (Value.Vptr { Value.obj = fr.sslot_ids.(i); off = 0 })
-          false
-      | Image.Lload (r, p) ->
-        let vp, tp = seval st fr p in
-        let v, t = load st (as_ptr st vp) ~ptaint:tp in
-        swrite_reg sink fr r v t
-      | Image.Lstore (p, x) ->
-        let vp, tp = seval st fr p in
-        let vx, tx = seval st fr x in
-        store st (as_ptr st vp) ~ptaint:tp vx tx
-      | Image.Lcall (dest, fi, args) ->
-        let argv = Array.to_list (Array.map (seval st fr) args) in
-        let v, t = scall st sink img fi argv in
-        (match dest with Some r -> swrite_reg sink fr r v t | None -> ())
-      | Image.Lcall_unknown (fname, args) ->
-        Array.iter (fun o -> ignore (seval st fr o)) args;
-        invalid_arg ("Exec: unknown function " ^ fname)
-      | Image.Lbuiltin (dest, b, args) ->
-        let argv = Array.map (fun o -> fst (seval st fr o)) args in
-        let v = exec_builtin_v st b argv in
-        (match dest with Some r -> swrite_reg sink fr r v false | None -> ())
-      | Image.Lprint items ->
-        let value o = fst (seval st fr o) in
-        (match st.notify with
-        | None -> List.iter (print_item st value) items
-        | Some notify ->
-          let before = Buffer.length st.out in
-          List.iter (print_item st value) items;
-          let text =
-            Buffer.sub st.out before (Buffer.length st.out - before)
-          in
-          notify ~fn:lf.Image.l_name text)
-      | Image.Ljmp t -> jump t
-      | Image.Lbr (c, lt, lf_) ->
-        let vc, tc = seval st fr c in
-        st.hooks.Hooks.on_branch ~taint:tc;
-        if Value.truthy vc then jump lt else jump lf_
-      | Image.Lret None ->
-        return_value := (Value.zero, false);
-        running := false
-      | Image.Lret (Some o) ->
-        return_value := seval st fr o;
-        running := false
-      | Image.Lfail msg -> invalid_arg msg
-      | Image.Ltrap -> raise (Mem.Trapped Trap.Abort_called)
-    end
-  done;
-  !return_value
-
 (* --- linked entry point --- *)
-
-let status_of_run (st : state) (body : unit -> Value.t * bool) : Trap.status =
-  try
-    let v, _ = body () in
-    Trap.Exit (Int64.to_int (as_int st v) land 0xff)
-  with
-  | Exit_program code -> Trap.Exit code
-  | Mem.Trapped t -> Trap.Trap t
-  | Fuel_out -> Trap.Hang
-  | Output_limit_exc -> Trap.Trap Trap.Output_limit
-  | Hooks.Report msg -> Trap.San_report msg
 
 (* Run a linked image.  With [?arena], all scratch state is reused: the
    arena is reset first, so a caller only needs [Arena.create] once per
    image (per domain -- arenas are not shareable across domains).  A
-   [Steps] observer routes to the stepped executor instead, which
-   allocates fresh memory and frames: stepped runs are observation
-   tools, never the throughput path, and must not disturb pooled
-   state. *)
+   [Steps] observer runs the reference on the image's source unit
+   instead ([fi]/[pc] are the same either way: the image's function
+   table and opstream are positionally parallel to the unit), with a
+   fresh memory: stepped runs are observation tools, never the
+   throughput path, and must not disturb pooled state. *)
 let run_linked ?(config = default_config) ?arena (img : Image.t) : result =
   match config.observer.Observer.level with
-  | Observer.Steps sink ->
-    let mem = Mem.create img.Image.runtime img.Image.globals in
-    let st =
-      make_state ~mem ~runtime:img.Image.runtime
-        ~global_ids:img.Image.global_ids ~cfg:config ~out:(Buffer.create 256)
-    in
-    let status =
-      status_of_run st (fun () ->
-          if img.Image.entry < 0 then invalid_arg "Exec: unknown function main";
-          scall st sink img img.Image.entry [])
-    in
-    {
-      stdout = Buffer.contents st.out;
-      status;
-      fuel_used = config.fuel - st.fuel_left;
-    }
+  | Observer.Steps _ -> run ~config img.Image.unit_
   | Observer.Silent | Observer.Prints _ ->
     let a =
       match arena with

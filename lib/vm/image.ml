@@ -17,12 +17,15 @@
      the global list, so ids computed at link time are exactly the ids
      any fresh {!Mem.t} for this unit assigns);
    - per-function metadata is precomputed: frame placement
-     ({!Mem.layout_frame}) and the coverage block ids ([Llabel] carries
+     ({!Mem.layout_frame}) and the coverage block ids ([Tlabel] carries
      the hashed id, [l_entry_block] the function-entry id).
 
-   [l_code] is parallel to the source [code] array -- same length, same
-   pc for every instruction -- so the linked executor's fuel and
-   coverage behaviour is index-for-index identical to the reference.
+   Linking goes through a resolved [linstr] array, which exists only
+   inside [link_func]: it is translated into the executed form, the
+   threaded opstream [l_ops].  Both are parallel to the source [code]
+   array -- same length, same pc for every instruction -- so the linked
+   executor's fuel and coverage behaviour is index-for-index identical
+   to the reference.
 
    Link-time resolution failures (unknown function, global or builtin,
    missing label) are *deferred*, not raised: the reference interpreter
@@ -170,8 +173,7 @@ type lfunc = {
   l_nregs : int;                           (* as in the source ifunc *)
   l_slots : Ir.frame_slot array;
   l_frame : Mem.frame_layout;              (* precomputed placement *)
-  l_code : linstr array;                   (* parallel to the source code *)
-  l_ops : tinstr array;                    (* threaded form, same pcs *)
+  l_ops : tinstr array;                    (* threaded form, source pcs *)
   l_entry_block : int;                     (* coverage id of function entry *)
 }
 
@@ -372,15 +374,13 @@ let link_func ~(fidx : (string, int) Hashtbl.t)
     | Ir.Ilabel l -> Llabel (Coverage.block_id ~fname ~label:l)
     | Ir.Itrap _ -> Ltrap
   in
-  let l_code = Array.map link_instr f.Ir.code in
   {
     l_name = fname;
     l_nparams = f.Ir.nparams;
     l_nregs = f.Ir.nregs;
     l_slots = f.Ir.slots;
     l_frame = Mem.layout_frame layout f.Ir.slots;
-    l_code;
-    l_ops = translate ~nregs:f.Ir.nregs l_code;
+    l_ops = translate ~nregs:f.Ir.nregs (Array.map link_instr f.Ir.code);
     l_entry_block = Coverage.block_id ~fname ~label:(-1);
   }
 

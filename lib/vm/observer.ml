@@ -16,8 +16,11 @@
    - [Steps]   -- a full per-instruction feed: pc before each
      instruction, every register write, every memory write (including
      those inside builtins like memset/memcpy), call/return boundaries
-     and print events.  Recording at this level is how the trace store
-     ([Cdtrace]) captures a run for time-travel replay.
+     and print events.  The tree-walking reference interpreter feeds
+     it, so [fi]/[pc] are the source [Ir] function index and pc (the
+     image's function table and opstream use the same numbering).
+     Recording at this level is how the trace store ([Cdtrace])
+     captures a run for time-travel replay.
 
    Sanitizer hooks are orthogonal to the level -- an instrumented binary
    can run silently (the fuzzer) or while being traced -- so they travel
@@ -26,8 +29,9 @@
 type step_sink = {
   on_step : fi:int -> pc:int -> depth:int -> unit;
       (** before each instruction dispatch, after its fuel tick; [fi] is
-          the function's index in the image table, [pc] its index in the
-          un-fused code array (identical to the source [Ir] pc) *)
+          the source [Ir] function index (position in [unit_.funcs],
+          first binding of a duplicated name), [pc] the source [Ir]
+          pc *)
   on_reg_write : reg:int -> Value.t -> unit;
       (** after a register write of the current frame *)
   on_mem_write : addr:int -> Value.t -> unit;

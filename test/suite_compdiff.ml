@@ -346,6 +346,70 @@ let test_oracle_stats_invariant () =
   Oracle.reset_stats o;
   check_int "reset" 0 (Oracle.stats o).Oracle.checks
 
+(* one program, three behaviours picked by the first input byte: 'h'
+   hangs on every binary, 'e' runs the [escalation_src] loop (one
+   escalation round, only the -O0 class re-run), anything else stops at
+   once *)
+let mixed_src =
+  "int main() {\n\
+   \  int c = getchar();\n\
+   \  if (c == 104) { while (1) { } }\n\
+   \  int acc = 0;\n\
+   \  int i = 0;\n\
+   \  if (c == 101) {\n\
+   \    while (i < 20000) { acc = acc + i * 3 + 1; i = i + 1; }\n\
+   \  }\n\
+   \  print(\"%d\\n\", acc);\n\
+   \  return 0;\n\
+   }"
+
+(* rounds the naive loop ran to reach [obs]: a terminating run of [u]
+   instructions finishes under budget [b] iff [u < b], a hang reports
+   the budget itself, and an all-hang stops after the first round *)
+let naive_rounds ~base (obs : (string * Oracle.observation) list) =
+  if List.for_all (fun (_, o) -> o.Oracle.status = Cdvm.Trap.Hang) obs then 1
+  else
+    let hung = List.exists (fun (_, o) -> o.Oracle.status = Cdvm.Trap.Hang) obs in
+    let m = List.fold_left (fun a (_, o) -> max a o.Oracle.fuel_used) 0 obs in
+    let last_round b = if hung then b >= m else b > m in
+    let rec go k b = if last_round b then k else go (k + 1) (b * 4) in
+    go 1 base
+
+let test_oracle_batch_escalation () =
+  let base = 300_000 in
+  let o =
+    Oracle.create ~jobs:2 ~fuel:base ~max_fuel:4_800_000 (frontend mixed_src)
+  in
+  let inputs = [| "s"; "e"; "h"; "e"; "" |] in
+  let naive = Array.map (fun input -> Oracle.observe_naive o ~input) inputs in
+  let rounds = Array.map (naive_rounds ~base) naive in
+  check_bool "stable, escalating and all-hang inputs" true
+    (rounds = [| 1; 2; 1; 2; 1 |]);
+  let naive_execs = List.length (Oracle.names o) * Array.fold_left ( + ) 0 rounds in
+  let counted () =
+    let s = Oracle.stats o in
+    s.Oracle.vm_execs + s.Oracle.dedup_saved + s.Oracle.escalation_saved
+  in
+  Oracle.reset_stats o;
+  let obs = Oracle.observe_batch o ~inputs in
+  Array.iteri
+    (fun k input ->
+      check_bool (Printf.sprintf "observe_batch = observe_naive on %S" input) true
+        (obs.(k) = naive.(k)))
+    inputs;
+  check_int "checks counted" (Array.length inputs) (Oracle.stats o).Oracle.checks;
+  check_int "vm_execs + saved = naive execs" naive_execs (counted ());
+  check_bool "escalation skipped finished classes" true
+    ((Oracle.stats o).Oracle.escalation_saved > 0);
+  Oracle.reset_stats o;
+  let verdicts = Oracle.check_batch o ~inputs in
+  Array.iteri
+    (fun k input ->
+      check_bool (Printf.sprintf "check_batch = check_naive on %S" input) true
+        (verdicts.(k) = Oracle.check_naive o ~input))
+    inputs;
+  check_int "check_batch: vm_execs + saved = naive execs" naive_execs (counted ())
+
 (* same token soup the front-end fuzz suite uses *)
 let gen_soup =
   let open QCheck.Gen in
@@ -429,6 +493,7 @@ let suites =
         tc "matches naive reference" test_oracle_matches_naive;
         tc "escalation keeps fuel_used" test_oracle_escalation_keeps_fuel_used;
         tc "stats invariant" test_oracle_stats_invariant;
+        tc "batch escalation = naive" test_oracle_batch_escalation;
         QCheck_alcotest.to_alcotest prop_parallel_oracle_matches_naive;
       ] );
     ( "compdiff.triage",

@@ -104,6 +104,10 @@ let test_lru_striped_concurrent () =
 
 let profile0 = List.hd Cdcompiler.Profiles.all
 
+(* one cached run: the one-input batch *)
+let run1 s l ~input =
+  (Engine.Session.run_batch s l ~inputs:[| input |] ~fuel:100_000).(0)
+
 let test_unit_cache_hit () =
   let s = Engine.Session.create ~cache_mb:16 () in
   let tp = frontend stable_src in
@@ -127,17 +131,17 @@ let test_image_cache_and_obs_store () =
   let l2 = Engine.Session.link s u in
   check_bool "re-link is the cached image" true
     (Engine.Session.image l1 == Engine.Session.image l2);
-  let o1 = Engine.Session.run s l1 ~input:"A" ~fuel:100_000 in
-  let o2 = Engine.Session.run s l2 ~input:"A" ~fuel:100_000 in
+  let o1 = run1 s l1 ~input:"A" in
+  let o2 = run1 s l2 ~input:"A" in
   check_bool "replay equals the stored observation" true (o1 = o2);
-  Alcotest.(check string) "raw stdout" "ok 65\n" o1.Engine.Session.obs_stdout;
+  Alcotest.(check string) "raw stdout" "ok 65\n" o1.Cdvm.Exec.stdout;
   let st = Engine.Session.stats s in
   check_int "one observation stored" 1
     st.Engine.Session.observations.Engine.Session.entries;
   check_int "one observation hit" 1
     st.Engine.Session.observations.Engine.Session.hits;
   (* a different input or fuel is a different key *)
-  let o3 = Engine.Session.run s l1 ~input:"B" ~fuel:100_000 in
+  let o3 = run1 s l1 ~input:"B" in
   check_bool "different input, different observation" true (o3 <> o1);
   check_int "two observations stored" 2
     (Engine.Session.stats s).Engine.Session.observations.Engine.Session.entries
@@ -458,26 +462,26 @@ let test_session_disk_restart () =
   let tp = frontend unstable_src in
   let s1 = Engine.Session.create ~cache_mb:16 ~disk_dir:dir () in
   let l1 = Engine.Session.link s1 (Engine.Session.compile s1 profile0 tp) in
-  let o1 = Engine.Session.run s1 l1 ~input:"A" ~fuel:100_000 in
+  let o1 = run1 s1 l1 ~input:"A" in
   (* fresh session, same directory: in-memory caches are cold but the
      disk layer serves the compiled unit and the observation *)
   let s2 = Engine.Session.create ~cache_mb:16 ~disk_dir:dir () in
   let l2 = Engine.Session.link s2 (Engine.Session.compile s2 profile0 tp) in
-  let o2 = Engine.Session.run s2 l2 ~input:"A" ~fuel:100_000 in
+  let o2 = run1 s2 l2 ~input:"A" in
   check_bool "observation identical across restart" true (o1 = o2);
   (match (Engine.Session.stats s2).Engine.Session.disk with
   | None -> Alcotest.fail "expected disk stats"
   | Some d ->
     check_bool "nonzero disk hits after restart" true
       (d.Engine.Session.disk_hits > 0));
-  (* the batched path agrees with the per-input path, duplicates included *)
+  (* a longer batch agrees with one-input batches, duplicates included *)
   let obs =
     Engine.Session.run_batch s2 l2 ~inputs:[| "A"; "B"; "A" |] ~fuel:100_000
   in
   check_bool "batch equals per-input runs" true
     (obs.(0) = o2
     && obs.(2) = obs.(0)
-    && obs.(1) = Engine.Session.run s2 l2 ~input:"B" ~fuel:100_000)
+    && obs.(1) = run1 s2 l2 ~input:"B")
 
 (* --- QCheck cross-validation properties --- *)
 

@@ -63,7 +63,9 @@ let test_record_matches_live () =
         (triple res = silent);
       check_str "trace stdout" (let s, _, _ = silent in s) tr.Cdtrace.stdout;
       check_bool "trace not truncated" false tr.Cdtrace.truncated;
-      check_int "recorded = executed" tr.Cdtrace.total_steps tr.Cdtrace.nsteps)
+      check_int "recorded = executed" tr.Cdtrace.total_steps tr.Cdtrace.nsteps;
+      check_int "one step per fuel unit" res.Cdvm.Exec.fuel_used
+        tr.Cdtrace.total_steps)
     Profiles.all
 
 let test_events_match_prints () =

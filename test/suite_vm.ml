@@ -517,6 +517,138 @@ let prop_run_batch_matches_run_linked =
             && Array.for_all2 (fun a b -> triple a = triple b) batch batch2)
           Profiles.all)
 
+(* --- Steps observation (the reference interpreter's sink) --- *)
+
+(* hand-built units: the frontend never emits duplicate names, duplicate
+   or missing labels, or unknown builtins *)
+let steps_func ?(nparams = 0) ?(nregs = 1) name code =
+  { Ir.name; nparams; nregs; slots = [||]; code;
+    code_lines = Array.map (fun _ -> 1) code }
+
+let steps_unit funcs =
+  { Ir.funcs; globals = []; runtime = gccx_O0.Policy.runtime; impl_name = "test" }
+
+type step_ev = Ecall of int | Ereg of int | Estep of int * int | Eret
+
+(* a Steps run of [img], with every call, register write, step and
+   return logged in order *)
+let run_steps ?(fuel = 10_000) img =
+  let log = ref [] in
+  let sink =
+    {
+      Observer.on_step = (fun ~fi ~pc ~depth:_ -> log := Estep (fi, pc) :: !log);
+      on_reg_write = (fun ~reg _ -> log := Ereg reg :: !log);
+      on_mem_write = (fun ~addr:_ _ -> ());
+      on_call = (fun ~fi -> log := Ecall fi :: !log);
+      on_ret = (fun () -> log := Eret :: !log);
+      on_print_ev = (fun ~fn:_ _ -> ());
+    }
+  in
+  let config =
+    { Exec.default_config with Exec.fuel; observer = Observer.steps sink }
+  in
+  let r = Exec.run_linked ~config img in
+  (r, List.rev !log)
+
+let ret_const k = [| Ir.Iconst (0, Ir.ImmI k); Ir.Iret (Some (Ir.Reg 0)) |]
+
+let test_steps_duplicate_names () =
+  (* "g" is bound twice: calls resolve to, and steps report, the first
+     binding (index 1), exactly as the image linker indexes it *)
+  let main =
+    steps_func "main"
+      [| Ir.Icall (Some 0, "g", [ Ir.ImmI 7L ]); Ir.Iret (Some (Ir.Reg 0)) |]
+  in
+  let g1 =
+    steps_func ~nparams:1 "g"
+      [| Ir.Ibin (Ir.Badd, Ir.W32, Ir.Csigned, 0, Ir.Reg 0, Ir.ImmI 1L);
+         Ir.Iret (Some (Ir.Reg 0)) |]
+  in
+  let g2 = steps_func "g" (ret_const 99L) in
+  let u = steps_unit [ ("main", main); ("g", g1); ("g", g2) ] in
+  let img = Image.link u in
+  let r, log = run_steps img in
+  check_bool "first binding ran" true (r.Exec.status = Trap.Exit 8);
+  check_bool "same result as the threaded executor" true
+    (triple r = triple (Exec.run_linked img));
+  check_bool "call and steps report the first binding's index" true
+    (log
+    = [ Ecall 0; Estep (0, 0); Ecall 1; Ereg 0; Estep (1, 0); Ereg 0;
+        Estep (1, 1); Eret; Ereg 0; Estep (0, 1); Eret ])
+
+let test_steps_duplicate_label () =
+  (* L5 occurs twice: the jump lands on the last occurrence *)
+  let main =
+    steps_func "main"
+      [| Ir.Ijmp 5;
+         Ir.Ilabel 5; Ir.Iconst (0, Ir.ImmI 1L); Ir.Iret (Some (Ir.Reg 0));
+         Ir.Ilabel 5; Ir.Iconst (0, Ir.ImmI 2L); Ir.Iret (Some (Ir.Reg 0)) |]
+  in
+  let img = Image.link (steps_unit [ ("main", main) ]) in
+  let r, log = run_steps img in
+  check_bool "last label wins" true (r.Exec.status = Trap.Exit 2);
+  check_bool "same result as the threaded executor" true
+    (triple r = triple (Exec.run_linked img));
+  let pcs = List.filter_map (function Estep (_, pc) -> Some pc | _ -> None) log in
+  check_bool "stepped pcs" true (pcs = [ 0; 4; 5; 6 ])
+
+let invalid_arg_message f =
+  match f () with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg -> msg
+
+let test_steps_deferred_faults () =
+  (* a missing label and an unknown builtin are inert in dead code and
+     fault only when executed, with the threaded executor's messages *)
+  let bad_jump = Ir.Ijmp 9 in
+  let bad_builtin = Ir.Ibuiltin (Some 0, "frobnicate", []) in
+  List.iter
+    (fun bad ->
+      let dead =
+        steps_unit
+          [ ("dead", steps_func "dead" [| bad; Ir.Iret None |]);
+            ("main", steps_func "main" (ret_const 3L)) ]
+      in
+      let img = Image.link dead in
+      let r, _ = run_steps img in
+      check_bool "dead fault is inert" true
+        (triple r = triple (Exec.run_linked img) && r.Exec.status = Trap.Exit 3);
+      let live =
+        Image.link
+          (steps_unit [ ("main", steps_func "main" [| bad; Ir.Iret None |]) ])
+      in
+      let want = invalid_arg_message (fun () -> Exec.run_linked live) in
+      Alcotest.(check string) "same fault message" want
+        (invalid_arg_message (fun () -> run_steps live)))
+    [ bad_jump; bad_builtin ];
+  let jump_only = steps_unit [ ("main", steps_func "main" [| bad_jump |]) ] in
+  Alcotest.(check string) "missing label message"
+    "Exec: missing label L9 in main"
+    (invalid_arg_message (fun () -> run_steps (Image.link jump_only)))
+
+let test_steps_count_fuel () =
+  (* every executed instruction is one step and one unit of fuel *)
+  let tp =
+    match
+      Minic.frontend_of_source
+        "int sq(int x) { return x * x; }\n\
+         int main() { int a = 0; for (int i = 0; i < 9; i++) a = a + sq(i); \
+         print(\"%d\\n\", a); return 0; }"
+    with
+    | Ok tp -> tp
+    | Error e -> Alcotest.failf "frontend: %s" e
+  in
+  List.iter
+    (fun profile ->
+      let img = Image.link (Pipeline.compile profile tp) in
+      let r, log = run_steps img in
+      check_bool "terminated" true (r.Exec.status = Trap.Exit 0);
+      check_int
+        (Printf.sprintf "steps = fuel_used (%s)" profile.Policy.pname)
+        r.Exec.fuel_used
+        (List.length (List.filter (function Estep _ -> true | _ -> false) log)))
+    Profiles.all
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -573,5 +705,12 @@ let suites =
         tc "arena bound to its image" test_arena_wrong_image_rejected;
         QCheck_alcotest.to_alcotest prop_linked_matches_reference;
         QCheck_alcotest.to_alcotest prop_run_batch_matches_run_linked;
+      ] );
+    ( "vm.steps",
+      [
+        tc "duplicate names: first binding" test_steps_duplicate_names;
+        tc "duplicate label: last wins" test_steps_duplicate_label;
+        tc "deferred faults" test_steps_deferred_faults;
+        tc "one step per fuel unit" test_steps_count_fuel;
       ] );
   ]
