@@ -199,8 +199,6 @@ let run () =
   Buffer.add_string buf
     (Printf.sprintf "  \"steps_slowdown\": %.2f,\n" steps_slowdown);
   Buffer.add_string buf
-    (Printf.sprintf "  \"steps_slowdown_gate\": %.1f,\n" steps_gate);
-  Buffer.add_string buf
     (Printf.sprintf "  \"steps_slowdown_target_met\": %b,\n" steps_ok);
   Buffer.add_string buf
     (Printf.sprintf

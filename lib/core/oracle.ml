@@ -233,15 +233,14 @@ let observe_naive t ~(input : string) : (string * observation) list =
   attempt t.base_fuel
 
 (* The escalation loop: deduped, pooled, incrementally escalating
-   observation of many inputs.  Per class, all inputs that still need
-   the class at the current fuel level run through ONE
+   observation of many inputs.  Every round runs, per class, the inputs
+   that still need the class at the current fuel level through ONE
    {!Engine.Session.run_batch} (single arena acquisition, amortized
-   reset).  Escalation is level-synchronous — every input walks the
-   same base, ×4, ×16, … fuel sequence as [observe_naive], dropping out
-   when its hang set stabilizes — so element [k] of the result equals
-   [observe_naive t ~input:inputs.(k)].  A single check is the
-   one-input case, so the first round, which runs every class on every
-   input, takes no per-input bookkeeping. *)
+   reset); the first round's set is every class for every input.
+   Escalation is level-synchronous — every input walks the same base,
+   ×4, ×16, … fuel sequence as [observe_naive], dropping out when its
+   hang set stabilizes — so element [k] of the result equals
+   [observe_naive t ~input:inputs.(k)]. *)
 let observe_batch t ~(inputs : string array) :
     (string * observation) list array =
   let ninputs = Array.length inputs in
@@ -255,38 +254,48 @@ let observe_batch t ~(inputs : string array) :
     }
   in
   (* class_obs.(ci).(k): input k's latest observation by class ci; the
-     first round fills every cell *)
-  let class_obs = Array.make nclasses [||] in
-  (* run the classes [cis] at [fuel]: class [ci] on the inputs
-     [reruns ci], or on all of them when that is [None] *)
-  let run_round fuel (reruns : int -> int array option) (cis : int list) =
-    let run_class ci =
-      let l = t.class_linked.(ci) in
-      match reruns ci with
-      | None ->
-          class_obs.(ci) <-
-            Array.map observation
-              (Engine.Session.run_batch t.session l ~inputs ~fuel)
-      | Some ks ->
-          let rs =
-            Engine.Session.run_batch t.session l
-              ~inputs:(Array.map (fun k -> inputs.(k)) ks) ~fuel
-          in
-          Array.iteri (fun j r -> class_obs.(ci).(ks.(j)) <- observation r) rs
-    in
-    if t.jobs > 1 && List.compare_length_with cis 1 > 0 then
-      ignore (Cdutil.Pool.map run_class cis)
-    else List.iter run_class cis
+     first round overwrites every placeholder *)
+  let class_obs =
+    Array.make_matrix nclasses ninputs
+      { output = ""; status = Cdvm.Trap.Hang; fuel_used = 0 }
   in
   (* stats, against the naive oracle's [nbinaries] runs per input and
      round: [execs] runs covering [covered] binaries, so dedup saved the
      members beyond each representative and incremental escalation the
      binaries not re-run at all *)
-  let account ~execs ~covered ~inputs =
+  let account ~execs ~covered =
     ignore (Atomic.fetch_and_add t.c_execs execs);
     ignore (Atomic.fetch_and_add t.c_dedup_saved (covered - execs));
-    ignore
-      (Atomic.fetch_and_add t.c_escal_saved ((inputs * t.nbinaries) - covered))
+    ignore (Atomic.fetch_and_add t.c_escal_saved (t.nbinaries - covered))
+  in
+  (* run every class on the inputs that [pending] lists it for *)
+  let run_round fuel (pending : int list array) =
+    (* transpose: which inputs run each class? *)
+    let by_class = Array.make nclasses [] in
+    for k = ninputs - 1 downto 0 do
+      let pend = pending.(k) in
+      if not (List.is_empty pend) then begin
+        List.iter (fun ci -> by_class.(ci) <- k :: by_class.(ci)) pend;
+        account ~execs:(List.length pend)
+          ~covered:(List.fold_left (fun a ci -> a + t.class_size.(ci)) 0 pend)
+      end
+    done;
+    let run_class ci =
+      let ks = Array.of_list by_class.(ci) in
+      let rs =
+        Engine.Session.run_batch t.session t.class_linked.(ci)
+          ~inputs:(Array.map (fun k -> inputs.(k)) ks) ~fuel
+      in
+      Array.iteri (fun j r -> class_obs.(ci).(ks.(j)) <- observation r) rs
+    in
+    let cis =
+      List.filter
+        (fun ci -> not (List.is_empty by_class.(ci)))
+        (List.init nclasses Fun.id)
+    in
+    if t.jobs > 1 && List.compare_length_with cis 1 > 0 then
+      ignore (Cdutil.Pool.map run_class cis)
+    else List.iter run_class cis
   in
   (* the classes input [k] re-runs after a round at [fuel]: its hung
      ones, unless everything terminated, everything hung (an all-hang,
@@ -306,35 +315,13 @@ let observe_batch t ~(inputs : string array) :
       if !hung_members = t.nbinaries then [] else !hung
     end
   in
-  let rec escalate fuel =
-    let pending = Array.init ninputs (reruns_of fuel) in
+  let rec escalate fuel pending =
     if not (Array.for_all List.is_empty pending) then begin
-      let fuel = fuel * 4 in
-      (* transpose: which inputs re-run each class? *)
-      let by_class = Array.make nclasses [] in
-      for k = ninputs - 1 downto 0 do
-        List.iter (fun ci -> by_class.(ci) <- k :: by_class.(ci)) pending.(k);
-        let pend = pending.(k) in
-        if not (List.is_empty pend) then
-          account ~execs:(List.length pend)
-            ~covered:(List.fold_left (fun a ci -> a + t.class_size.(ci)) 0 pend)
-            ~inputs:1
-      done;
-      let cis =
-        List.filter
-          (fun ci -> not (List.is_empty by_class.(ci)))
-          (List.init nclasses Fun.id)
-      in
-      run_round fuel (fun ci -> Some (Array.of_list by_class.(ci))) cis;
-      escalate fuel
+      run_round fuel pending;
+      escalate (fuel * 4) (Array.init ninputs (reruns_of fuel))
     end
   in
-  if ninputs > 0 then begin
-    account ~execs:(ninputs * nclasses) ~covered:(ninputs * t.nbinaries)
-      ~inputs:ninputs;
-    run_round t.base_fuel (fun _ -> None) (List.init nclasses Fun.id);
-    escalate t.base_fuel
-  end;
+  escalate t.base_fuel (Array.make ninputs (List.init nclasses Fun.id));
   Array.init ninputs (fun k ->
       List.mapi
         (fun i (name, _) -> (name, class_obs.(t.class_of.(i)).(k)))

@@ -437,40 +437,23 @@ let run_batch t (l : linked) ~(inputs : string array) ~(fuel : int) :
   else begin
     let n = Array.length inputs in
     let disk = disk_of t l in
-    let out = Array.make n None and missed = ref 0 in
+    let out = Array.make n None and misses = ref [] in
     for i = 0 to n - 1 do
       match stored t l disk ~fuel inputs.(i) with
-      | None -> incr missed
+      | None -> misses := i :: !misses
       | hit -> out.(i) <- hit
     done;
-    if !missed = 0 then Array.map Option.get out
-    else if !missed = n then begin
-      (* nothing hit, the common case: the fresh results are the answer *)
-      let fresh = execute inputs in
-      for i = 0 to n - 1 do
-        store t l disk ~fuel inputs.(i) fresh.(i)
-      done;
-      fresh
-    end
-    else begin
+    if !misses <> [] then begin
       (* the misses run in input order *)
-      let fresh =
-        execute
-          (Array.of_list
-             (List.filteri (fun i _ -> out.(i) = None) (Array.to_list inputs)))
-      in
-      let next = ref 0 in
-      Array.mapi
-        (fun i o ->
-          match o with
-          | Some o -> o
-          | None ->
-              let o = fresh.(!next) in
-              incr next;
-              store t l disk ~fuel inputs.(i) o;
-              o)
-        out
-    end
+      let idx = Array.of_list (List.rev !misses) in
+      let fresh = execute (Array.map (fun i -> inputs.(i)) idx) in
+      Array.iteri
+        (fun j i ->
+          store t l disk ~fuel inputs.(i) fresh.(j);
+          out.(i) <- Some fresh.(j))
+        idx
+    end;
+    Array.map Option.get out
   end
 
 (* Observed execution: an observer makes the run more than a function of

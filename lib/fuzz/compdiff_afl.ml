@@ -72,35 +72,63 @@ let run ?(config = default_config) (tp : Minic.Tast.tprogram) : campaign =
       ~normalize:config.normalize ~fuel:config.fuel ~jobs tp
   in
   let triage = Compdiff.Triage.create () in
+  (* one verdict, in input order: save it, reduce a first-of-signature
+     entry (so the cost is bounded by the number of unique divergences,
+     not inputs), and tell divergence feedback whether it was new *)
+  let judge input = function
+    | Compdiff.Oracle.Diverge obs ->
+      let freshness = Compdiff.Triage.add triage oracle ~input obs in
+      if freshness = `New && config.reduce_on_save then begin
+        match
+          Compdiff.Reduce.reduce ~max_checks:config.reduce_checks oracle
+            ~input obs
+        with
+        | Some r ->
+          Compdiff.Triage.attach_reduced triage ~input
+            {
+              Compdiff.Triage.red_input = r.Compdiff.Reduce.red_input;
+              red_observations = r.Compdiff.Reduce.red_observations;
+              red_checks = r.Compdiff.Reduce.red_stats.Compdiff.Reduce.checks;
+            }
+        | None -> ()
+      end;
+      if config.divergence_feedback && freshness = `New then
+        Fuzzer.Interesting
+      else Fuzzer.Boring
+    | Compdiff.Oracle.Agree _ -> Fuzzer.Boring
+  in
+  (* Checked inputs wait in [pending] and go to the oracle as one
+     [check_batch], which pays the per-check arena, pool and bookkeeping
+     costs once per batch.  On the 23 Table 4 targets (5000 execs each,
+     fuel 60k, 2 jobs on a 2-vCPU VM) whole campaigns ran 1.36-1.56x
+     faster than with one [check] per input; batches of 32 to 1024 were
+     within noise of each other, batches of 16 about 1.15x slower than
+     64.  Without divergence feedback a verdict never reaches the
+     fuzzer, so checking late changes nothing it does; with feedback the
+     fuzzer needs the verdict now, and every batch is the one input. *)
+  let batch = 64 in
+  let pending = Array.make batch "" and npending = ref 0 in
+  (* the last input's interest is the answer: under feedback the batch
+     is that one input, and without feedback every interest is Boring *)
+  let flush () =
+    let inputs = Array.sub pending 0 !npending in
+    npending := 0;
+    let interest = ref Fuzzer.Boring in
+    Array.iteri
+      (fun k v -> interest := judge inputs.(k) v)
+      (Compdiff.Oracle.check_batch oracle ~inputs);
+    !interest
+  in
   let counter = ref 0 in
   let checks = ref 0 in
   let on_input input =
     incr counter;
     if !counter mod config.diff_every = 0 then begin
       incr checks;
-      match Compdiff.Oracle.check oracle ~input with
-      | Compdiff.Oracle.Diverge obs ->
-        let freshness = Compdiff.Triage.add triage oracle ~input obs in
-        (* reduce on save: only first-of-signature entries, so the cost
-           is bounded by the number of unique divergences, not inputs *)
-        if freshness = `New && config.reduce_on_save then begin
-          match
-            Compdiff.Reduce.reduce ~max_checks:config.reduce_checks oracle
-              ~input obs
-          with
-          | Some r ->
-            Compdiff.Triage.attach_reduced triage ~input
-              {
-                Compdiff.Triage.red_input = r.Compdiff.Reduce.red_input;
-                red_observations = r.Compdiff.Reduce.red_observations;
-                red_checks = r.Compdiff.Reduce.red_stats.Compdiff.Reduce.checks;
-              }
-          | None -> ()
-        end;
-        if config.divergence_feedback && freshness = `New then
-          Fuzzer.Interesting
-        else Fuzzer.Boring
-      | Compdiff.Oracle.Agree _ -> Fuzzer.Boring
+      pending.(!npending) <- input;
+      incr npending;
+      if config.divergence_feedback || !npending = batch then flush ()
+      else Fuzzer.Boring
     end
     else Fuzzer.Boring
   in
@@ -123,6 +151,7 @@ let run ?(config = default_config) (tp : Minic.Tast.tprogram) : campaign =
         }
       fuzz_unit
   in
+  if !npending > 0 then ignore (flush ());
   { fuzz; diffs = triage; oracle; diff_checks = !checks }
 
 let found_divergence (c : campaign) = Compdiff.Triage.total_count c.diffs > 0

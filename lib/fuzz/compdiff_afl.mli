@@ -6,7 +6,16 @@
     checksummed) outputs are saved and triaged.
 
     Sanitizers compose exactly as in AFL++: they instrument [B_fuzz]
-    only, leaving the differential set untouched. *)
+    only, leaving the differential set untouched.
+
+    The oracle checks inputs in batches of 64
+    ({!Compdiff.Oracle.check_batch}), each flushed when full and once
+    more when the fuzzing loop ends; the verdicts are then triaged (and
+    reduced on save) in the order the fuzzer generated the inputs.
+    Without [divergence_feedback] a verdict never reaches the fuzzer, so
+    the campaign is the one per-input checks would give.  With
+    [divergence_feedback] the fuzzer needs each verdict before it goes
+    on, so every batch is the one input. *)
 
 type config = {
   seeds : string list;              (** initial corpus *)

@@ -70,13 +70,13 @@ fi
 
 # Trace gates: the Silent observer level must not tax the oracle's hot
 # path (>= 95% of BENCH_vm's linked execs/sec), Steps recording must
-# stay within the slowdown ceiling the bench reports (measured runs set
-# it, see bench/trace_bench.ml), and every recorded run must return the
-# exact result the silent run did (observation never perturbs).
+# stay within the 8x slowdown ceiling (steps_gate in
+# bench/trace_bench.ml decides steps_slowdown_target_met), and every
+# recorded run must return the exact result the silent run did
+# (observation never perturbs).
 trace_silent=$(sed -n 's/.*"silent": { "seconds": [0-9.]*, "execs_per_sec": \([0-9.]*\).*/\1/p' BENCH_trace.json | head -1)
 vm_linked=$(sed -n 's/.*"linked": { "seconds": [0-9.]*, "execs_per_sec": \([0-9.]*\).*/\1/p' BENCH_vm.json | head -1)
 trace_slowdown=$(sed -n 's/^ *"steps_slowdown": \([0-9.]*\),*$/\1/p' BENCH_trace.json | head -1)
-trace_gate=$(sed -n 's/^ *"steps_slowdown_gate": \([0-9.]*\),*$/\1/p' BENCH_trace.json | head -1)
 trace_target=$(sed -n 's/^ *"steps_slowdown_target_met": \(true\|false\).*/\1/p' BENCH_trace.json | head -1)
 trace_replay=$(sed -n 's/^ *"replay_match": \(true\|false\).*/\1/p' BENCH_trace.json | head -1)
 if [ -z "$trace_silent" ] || [ -z "$vm_linked" ] ||
@@ -87,10 +87,10 @@ else
   echo "ok   gate: silent observer keeps linked throughput (${trace_silent} vs ${vm_linked} execs/s)"
 fi
 if [ "$trace_target" != "true" ]; then
-  echo "FAIL gate: steps recording slowdown ${trace_slowdown:-?}x > ${trace_gate:-?}x"
+  echo "FAIL gate: steps recording slowdown ${trace_slowdown:-?}x > 8x"
   gate_status=1
 else
-  echo "ok   gate: steps recording slowdown ${trace_slowdown}x <= ${trace_gate}x"
+  echo "ok   gate: steps recording slowdown ${trace_slowdown}x <= 8x"
 fi
 if [ "$trace_replay" != "true" ]; then
   echo "FAIL gate: trace replay_match is ${trace_replay:-missing}"

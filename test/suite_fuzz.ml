@@ -389,6 +389,123 @@ let test_divergence_feedback_mechanism () =
   let with_fb = run true and without = run false in
   check_bool "feedback enqueues divergent inputs" true (with_fb > without)
 
+(* --- batched checks against per-input checks --- *)
+
+(* [Compdiff_afl.run] checks inputs in batches after the fact; this is
+   the same campaign with every input checked as the fuzzer hands it
+   over, one [Oracle.check] at a time, triaged and reduced on the spot. *)
+let per_input_campaign (config : Fuzz.Compdiff_afl.config) tp =
+  let fuzz_unit =
+    Cdcompiler.Pipeline.compile Cdcompiler.Profiles.fuzz_profile tp
+  in
+  let oracle =
+    Compdiff.Oracle.create ~profiles:config.Fuzz.Compdiff_afl.profiles
+      ~normalize:config.normalize ~fuel:config.fuel
+      ~jobs:(Cdutil.Pool.default_jobs ()) tp
+  in
+  let triage = Compdiff.Triage.create () in
+  let counter = ref 0 and checks = ref 0 in
+  let on_input input =
+    incr counter;
+    if !counter mod config.diff_every <> 0 then Fuzz.Fuzzer.Boring
+    else begin
+      incr checks;
+      match Compdiff.Oracle.check oracle ~input with
+      | Compdiff.Oracle.Agree _ -> Fuzz.Fuzzer.Boring
+      | Compdiff.Oracle.Diverge obs ->
+          let freshness = Compdiff.Triage.add triage oracle ~input obs in
+          if freshness = `New && config.reduce_on_save then
+            Option.iter
+              (fun (r : Compdiff.Reduce.result) ->
+                Compdiff.Triage.attach_reduced triage ~input
+                  {
+                    Compdiff.Triage.red_input = r.Compdiff.Reduce.red_input;
+                    red_observations = r.red_observations;
+                    red_checks = r.red_stats.Compdiff.Reduce.checks;
+                  })
+              (Compdiff.Reduce.reduce ~max_checks:config.reduce_checks oracle
+                 ~input obs);
+          if config.divergence_feedback && freshness = `New then
+            Fuzz.Fuzzer.Interesting
+          else Fuzz.Fuzzer.Boring
+    end
+  in
+  let fuzz =
+    Fuzz.Fuzzer.run
+      ~config:
+        {
+          Fuzz.Fuzzer.default_config with
+          Fuzz.Fuzzer.seeds = config.seeds;
+          max_execs = config.max_execs;
+          fuel = config.fuel;
+          rng_seed = config.rng_seed;
+          on_input = Some on_input;
+        }
+      fuzz_unit
+  in
+  (fuzz, triage, oracle, !checks)
+
+(* a guarded divergence (tag 85) and divergences whose partition follows
+   the input byte, so feedback has new signatures to act on *)
+let mixed_divergence_src =
+  "int main() {\n\
+   \  int tag = getchar();\n\
+   \  int junk;\n\
+   \  if (tag == 85) {\n\
+   \    int l;\n\
+   \    print(\"field=%d\\n\", l);\n\
+   \  } else if (tag > 100) {\n\
+   \    print(\"%d\\n\", junk & tag);\n\
+   \  } else {\n\
+   \    print(\"tag=%d\\n\", tag);\n\
+   \  }\n\
+   \  return 0;\n\
+   }"
+
+let test_batched_checks_match_per_input () =
+  let tp = frontend mixed_divergence_src in
+  let base =
+    {
+      Fuzz.Compdiff_afl.default_config with
+      Fuzz.Compdiff_afl.seeds = [ "T"; "z" ];
+      max_execs = 640;
+      fuel = 20_000;
+      reduce_checks = 60;
+    }
+  in
+  let entries triage =
+    List.map
+      (fun (e : Compdiff.Triage.diff_entry) ->
+        ( e.Compdiff.Triage.input,
+          e.signature,
+          Option.map (fun r -> r.Compdiff.Triage.red_input) e.reduced ))
+      (Compdiff.Triage.entries triage)
+  in
+  List.iter
+    (fun (name, config) ->
+      let c = Fuzz.Compdiff_afl.run ~config tp in
+      let fuzz, triage, oracle, checks = per_input_campaign config tp in
+      let same what = Printf.sprintf "%s: %s" name what in
+      check_bool (same "divergences found") true
+        (Compdiff.Triage.total_count triage > 0);
+      check_bool (same "triage entries") true
+        (entries c.Fuzz.Compdiff_afl.diffs = entries triage);
+      check_int (same "diff_checks") checks c.Fuzz.Compdiff_afl.diff_checks;
+      check_int (same "oracle checks")
+        (Compdiff.Oracle.stats oracle).Compdiff.Oracle.checks
+        (Compdiff.Oracle.stats c.Fuzz.Compdiff_afl.oracle).checks;
+      check_bool (same "queue") true
+        (c.Fuzz.Compdiff_afl.fuzz.Fuzz.Fuzzer.queue = fuzz.Fuzz.Fuzzer.queue);
+      check_int (same "execs") fuzz.Fuzz.Fuzzer.execs
+        c.Fuzz.Compdiff_afl.fuzz.Fuzz.Fuzzer.execs)
+    [
+      ("defaults", base);
+      ( "divergence feedback",
+        { base with Fuzz.Compdiff_afl.divergence_feedback = true } );
+      ("diff_every 3", { base with Fuzz.Compdiff_afl.diff_every = 3 });
+      ("max_execs 517", { base with Fuzz.Compdiff_afl.max_execs = 517 });
+    ]
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -426,5 +543,7 @@ let suites =
         tc "stable program clean" test_compdiff_afl_stable_program_clean;
         tc "diff_every" test_compdiff_afl_diff_every;
         tc "divergence feedback" test_divergence_feedback_mechanism;
+        tc "batched checks = per-input checks"
+          test_batched_checks_match_per_input;
       ] );
   ]

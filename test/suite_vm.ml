@@ -205,6 +205,63 @@ let test_coverage_edges_differ_by_order () =
   check_bool "edge hashing is direction-sensitive" true
     (Coverage.count_nonzero c1 = 2 && c1.Coverage.map <> c2.Coverage.map)
 
+(* The byte-by-byte merge the word-skipping [Coverage.merge_count] must
+   reproduce exactly: novelty count and resulting virgin bytes. *)
+let reference_merge ~virgin (map : Bytes.t) =
+  let novel = ref 0 in
+  Bytes.iteri
+    (fun i c ->
+      let b = Coverage.bucket (Char.code c) in
+      let seen = Char.code (Bytes.get virgin i) in
+      if b land lnot seen <> 0 then begin
+        incr novel;
+        Bytes.set virgin i (Char.chr (seen lor b))
+      end)
+    map;
+  !novel
+
+(* Several maps merged in turn into one virgin map.  Positions come
+   from a small pool, so maps share positions (repeated merges meet
+   earlier bucket bits), and the pool leans on the first and the last
+   word; counts include 255; most words of every map stay zero. *)
+let prop_merge_count_matches_bytes =
+  let size = Coverage.size in
+  let gen =
+    let open QCheck.Gen in
+    let pos =
+      oneof
+        [
+          int_bound (size - 1);
+          int_range (size - 8) (size - 1);
+          int_bound 7;
+        ]
+    in
+    let* pool = list_size (int_range 1 24) pos in
+    let pool = Array.of_list pool in
+    let count = oneof [ int_range 1 254; return 255; return 1 ] in
+    let cell = pair (int_bound (Array.length pool - 1)) count in
+    let* maps = list_size (int_range 1 5) (list_size (int_range 0 16) cell) in
+    return
+      (List.map (List.map (fun (i, c) -> (pool.(i), c))) maps)
+  in
+  let print = QCheck.Print.(list (list (pair int int))) in
+  QCheck.Test.make ~name:"merge_count = byte-by-byte merge" ~count:300
+    (QCheck.make ~print gen)
+    (fun maps ->
+      let virgin = Bytes.make size '\000' in
+      let want_virgin = Bytes.make size '\000' in
+      let cov = Coverage.create () in
+      List.for_all
+        (fun cells ->
+          Coverage.reset cov;
+          List.iter
+            (fun (p, c) -> Bytes.set cov.Coverage.map p (Char.chr c))
+            cells;
+          let want = reference_merge ~virgin:want_virgin cov.Coverage.map in
+          Coverage.merge_count ~virgin cov = want
+          && Bytes.equal virgin want_virgin)
+        maps)
+
 (* --- builtins through the interpreter --- *)
 
 let run_src ?(input = "") ?(profile = gccx_O0) src =
@@ -680,6 +737,7 @@ let suites =
         tc "buckets" test_coverage_buckets;
         tc "merge" test_coverage_merge;
         tc "edge direction" test_coverage_edges_differ_by_order;
+        QCheck_alcotest.to_alcotest prop_merge_count_matches_bytes;
       ] );
     ( "vm.builtins",
       [
