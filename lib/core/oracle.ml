@@ -62,6 +62,7 @@ type stats = {
 }
 
 type t = {
+  profiles : Policy.profile list;  (* what [binaries] were compiled with *)
   binaries : (string * Ir.unit_) list;
   session : Engine.Session.t;
       (* owns linking and plain execution; caching-disabled when the
@@ -71,6 +72,7 @@ type t = {
   max_fuel : int;
   compare_status : bool;    (* ablation knob: include exit/trap status *)
   jobs : int;
+  dedup : bool;
   nbinaries : int;
   class_of : int array;        (* binary index -> class index *)
   class_repr : Ir.unit_ array; (* class index -> representative binary *)
@@ -119,15 +121,19 @@ let build_classes ~dedup (binaries : (string * Ir.unit_) list) =
    execution through the engine, just without caching *)
 let private_session () = Engine.Session.create ~cache_mb:0 ()
 
-let mk ~session ~normalize ~fuel ~max_fuel ~compare_status ~jobs ~dedup
-    binaries =
+let create ?session ?(profiles = Profiles.all) ?(normalize = Normalize.identity)
+    ?(fuel = 200_000) ?(max_fuel = 3_200_000) ?(compare_status = true)
+    ?(jobs = Cdutil.Pool.default_jobs ()) ?(dedup = true)
+    (tp : Minic.Tast.tprogram) : t =
   let session = match session with Some s -> s | None -> private_session () in
+  let binaries = Engine.Session.compile_profiles ~jobs session profiles tp in
   let class_of, class_repr, class_size = build_classes ~dedup binaries in
   (* link each class representative once through the session; every
      execution of the class runs the image (the reference interpreter
      stays on [observe_naive]) *)
   let class_linked = Array.map (Engine.Session.link session) class_repr in
   {
+    profiles;
     binaries;
     session;
     normalize;
@@ -135,6 +141,7 @@ let mk ~session ~normalize ~fuel ~max_fuel ~compare_status ~jobs ~dedup
     max_fuel;
     compare_status;
     jobs;
+    dedup;
     nbinaries = List.length binaries;
     class_of;
     class_repr;
@@ -146,20 +153,26 @@ let mk ~session ~normalize ~fuel ~max_fuel ~compare_status ~jobs ~dedup
     c_escal_saved = Atomic.make 0;
   }
 
-let create ?session ?(profiles = Profiles.all) ?(normalize = Normalize.identity)
-    ?(fuel = 200_000) ?(max_fuel = 3_200_000) ?(compare_status = true)
-    ?(jobs = Cdutil.Pool.default_jobs ()) ?(dedup = true)
-    (tp : Minic.Tast.tprogram) : t =
-  let session = match session with Some s -> s | None -> private_session () in
-  let binaries = Engine.Session.compile_profiles ~jobs session profiles tp in
-  mk ~session:(Some session) ~normalize ~fuel ~max_fuel ~compare_status ~jobs
-    ~dedup binaries
-
-let of_binaries ?session ?(normalize = Normalize.identity) ?(fuel = 200_000)
-    ?(max_fuel = 3_200_000) ?(compare_status = true)
-    ?(jobs = Cdutil.Pool.default_jobs ()) ?(dedup = true)
-    (binaries : (string * Ir.unit_) list) : t =
-  mk ~session ~normalize ~fuel ~max_fuel ~compare_status ~jobs ~dedup binaries
+(* Same settings and session, another program: compiles go through the
+   session, so units shared with earlier oracles come from its cache. *)
+let with_program t ?names (tp : Minic.Tast.tprogram) : t =
+  let profiles =
+    match names with
+    | None -> t.profiles
+    | Some names ->
+        List.map
+          (fun n ->
+            match
+              List.find_opt (fun (p : Policy.profile) -> p.Policy.pname = n)
+                t.profiles
+            with
+            | Some p -> p
+            | None -> invalid_arg ("Oracle.with_program: no profile " ^ n))
+          names
+  in
+  create ~session:t.session ~profiles ~normalize:t.normalize ~fuel:t.base_fuel
+    ~max_fuel:t.max_fuel ~compare_status:t.compare_status ~jobs:t.jobs
+    ~dedup:t.dedup tp
 
 let names t = List.map fst t.binaries
 let binaries t = t.binaries

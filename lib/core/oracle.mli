@@ -77,17 +77,13 @@ val create :
     execution when [> 1]; [dedup:false] disables equivalence-class
     grouping. *)
 
-val of_binaries :
-  ?session:Engine.Session.t ->
-  ?normalize:Normalize.filter ->
-  ?fuel:int ->
-  ?max_fuel:int ->
-  ?compare_status:bool ->
-  ?jobs:int ->
-  ?dedup:bool ->
-  (string * Cdcompiler.Ir.unit_) list ->
-  t
-(** Like {!create} for already-compiled binaries. *)
+val with_program : t -> ?names:string list -> Minic.Tast.tprogram -> t
+(** [with_program t tp] is {!create} of [tp] with [t]'s session,
+    normalize, base fuel, fuel cap, [compare_status], jobs and dedup,
+    over [t]'s profiles or, given [names], over those of them, in the
+    order named.  Compiles go through the session, so units shared with
+    earlier oracles come from its cache.  Raises [Invalid_argument] on a
+    name that is not one of [t]'s profiles. *)
 
 val names : t -> string list
 (** Implementation names, in the order [Diverge] reports them. *)
@@ -177,8 +173,9 @@ val detects : t -> inputs:string list -> bool
     whole set is observed per class in one VM batch per fuel level). *)
 
 val partition : t -> (string * observation) list -> int array
-(** Behaviour classes per implementation (same class = same checksum):
-    the raw material of the Figure 1/2 subset studies. *)
+(** Behaviour classes per implementation (same class = same checksum),
+    numbered in order of first appearance, so equal groupings give
+    equal arrays: the raw material of the Figure 1/2 subset studies. *)
 
 val report_to_string : input:string -> (string * observation) list -> string
 (** Human-readable divergence report in the paper's bug-report format:

@@ -4,21 +4,23 @@
    are reduced reproducers.  This module shrinks the (program, input)
    pair while preserving the *divergence class*:
 
-     - the canonical signature of the behaviour partition (which
-       implementations agree with which), which also pins the first
-       disagreeing implementation pair, and
+     - the behaviour partition (which implementations agree with
+       which), which also pins the first disagreeing implementation
+       pair, and
      - the function the divergence localizes to, traced at the fuel the
        verdict was obtained at (Oracle.verdict_fuel) on the linked
        executor.
 
    Every candidate — a shorter input, a canonicalized byte, a program
-   with a statement dropped — is re-validated through Oracle.check
-   before it is accepted, so a candidate that diverges *differently*
+   with a statement dropped — is re-validated through a full oracle
+   check before it is accepted (program candidates may be rejected
+   earlier, on two profiles), so a candidate that diverges *differently*
    (an unrelated bug uncovered by the edit) is rejected rather than
    silently swapped in.  Soundness is therefore trivial: the final pair
    was validated by the very oracle that will judge the report. *)
 
 type cls = {
+  cls_partition : int array;
   cls_signature : int;
   cls_pair : (string * string) option;
   cls_fn : string option;
@@ -42,9 +44,8 @@ type result = {
 
 let class_of (oracle : Oracle.t) ~(input : string)
     (obs : (string * Oracle.observation) list) : cls =
-  let cls_signature =
-    Triage.signature_of_partition (Oracle.partition oracle obs)
-  in
+  let cls_partition = Oracle.partition oracle obs in
+  let cls_signature = Triage.signature_of_partition cls_partition in
   let cls_pair = Localize.divergent_pair oracle obs in
   let cls_fn =
     match Localize.of_divergence oracle (Oracle.binaries oracle) obs ~input with
@@ -54,9 +55,15 @@ let class_of (oracle : Oracle.t) ~(input : string)
       | None, None -> None)
     | None -> None
   in
-  { cls_signature; cls_pair; cls_fn }
+  { cls_partition; cls_signature; cls_pair; cls_fn }
 
-let same_class a b = a.cls_signature = b.cls_signature && a.cls_fn = b.cls_fn
+(* Whether [obs], observed by [o] on [input], is in class [cls]: the
+   same partition, compared exactly rather than by signature, and the
+   same localized function.  A candidate whose partition already
+   differs is not localized. *)
+let in_class cls (o : Oracle.t) ~input obs =
+  Oracle.partition o obs = cls.cls_partition
+  && (class_of o ~input obs).cls_fn = cls.cls_fn
 
 let input_ratio (s : stats) : float =
   if s.input_before = 0 then 0.
@@ -218,15 +225,26 @@ let candidates (p : program) : program Seq.t =
 
 (* --- the reducer --- *)
 
-let default_reoracle (oracle : Oracle.t) (tp : Minic.Tast.tprogram) : Oracle.t =
-  (* re-oracles share the parent's session, so revalidating a candidate
-     already seen (and re-checking the surviving input) hits the caches *)
-  Oracle.create
-    ~session:(Oracle.session oracle)
-    ~normalize:(Oracle.normalize oracle)
-    ~fuel:(Oracle.base_fuel oracle)
-    ~max_fuel:(Oracle.fuel_limit oracle)
-    ~jobs:(Oracle.jobs oracle) tp
+let terminated (o : Oracle.observation) = o.Oracle.status <> Cdvm.Trap.Hang
+
+(* Whether the observations [oi] and [oj] of profiles [i] and [j], both
+   terminated, contradict the partition [part]: equal checksums across
+   classes, or different checksums within one. *)
+let contradicts part (o : Oracle.t) (i, oi) (j, oj) =
+  terminated oi && terminated oj
+  && (part.(i) = part.(j)) <> (Oracle.checksum o oi = Oracle.checksum o oj)
+
+(* the first contradicting pair of [obs] in index order: smallest [j],
+   then smallest [i] *)
+let first_contradiction part o obs =
+  let obs = Array.of_list (List.map snd obs) in
+  let rec go i j =
+    if j >= Array.length obs then None
+    else if i >= j then go 0 (j + 1)
+    else if contradicts part o (i, obs.(i)) (j, obs.(j)) then Some (i, j)
+    else go (i + 1) j
+  in
+  go 0 1
 
 let reduce ?(max_checks = 1_000) ?program ?reoracle (oracle : Oracle.t)
     ~(input : string) (obs : (string * Oracle.observation) list) :
@@ -246,7 +264,7 @@ let reduce ?(max_checks = 1_000) ?program ?reoracle (oracle : Oracle.t)
            match Oracle.check oracle ~input:cand with
            | Oracle.Agree _ -> false
            | Oracle.Diverge obs' ->
-             if same_class cls (class_of oracle ~input:cand obs') then begin
+             if in_class cls oracle ~input:cand obs' then begin
                best_obs := obs';
                true
              end
@@ -276,8 +294,7 @@ let reduce ?(max_checks = 1_000) ?program ?reoracle (oracle : Oracle.t)
             match verdicts.(i) with
             | Oracle.Agree _ -> walk (i + 1)
             | Oracle.Diverge obs' ->
-              if same_class cls (class_of oracle ~input:cands.(i) obs')
-              then begin
+              if in_class cls oracle ~input:cands.(i) obs' then begin
                 best_obs := obs';
                 Some cands.(i)
               end
@@ -295,7 +312,42 @@ let reduce ?(max_checks = 1_000) ?program ?reoracle (oracle : Oracle.t)
       | None -> (None, !best_obs, 0, 0)
       | Some p0 ->
         let reoracle =
-          match reoracle with Some f -> f | None -> default_reoracle oracle
+          match reoracle with
+          | Some f -> f
+          | None -> fun tp -> Oracle.with_program oracle tp
+        in
+        let names = Array.of_list (Oracle.names oracle) in
+        (* The screen (DESIGN.md §8.1): a candidate is first observed on
+           the two profiles of the screen pair only, by an oracle with
+           the re-oracle's settings (those of [template], the re-oracle
+           of [p0]).  Terminated observations are final in the full
+           oracle too, so a contradiction of the original partition
+           there is a rejection the full check would make; anything
+           else goes on to the full check.  After a full rejection the
+           pair moves to the contradiction that rejected it. *)
+        let pair =
+          let index n = Option.get (Array.find_index (String.equal n) names) in
+          let a, b = Option.get cls.cls_pair in
+          ref (index a, index b)
+        in
+        let template =
+          lazy
+            (let t = reoracle (Minic.frontend_exn p0) in
+             if Oracle.names t <> Oracle.names oracle then
+               invalid_arg
+                 "Reduce.reduce: the re-oracle must keep the oracle's profiles";
+             t)
+        in
+        let screened_out tp =
+          let i, j = !pair in
+          let po =
+            Oracle.with_program (Lazy.force template)
+              ~names:[ names.(i); names.(j) ] tp
+          in
+          match Oracle.observe po ~input:red_input with
+          | [ (_, oi); (_, oj) ] ->
+            contradicts cls.cls_partition po (i, oi) (j, oj)
+          | _ -> assert false
         in
         let prog_obs = ref None in
         let test_program cand =
@@ -303,17 +355,22 @@ let reduce ?(max_checks = 1_000) ?program ?reoracle (oracle : Oracle.t)
           && begin
                match Minic.Typecheck.check_program_result cand with
                | Error _ -> false
-               | Ok tp -> (
+               | Ok tp ->
                  incr checks;
-                 let o = reoracle tp in
-                 match Oracle.check o ~input:red_input with
-                 | Oracle.Agree _ -> false
-                 | Oracle.Diverge obs' ->
-                   if same_class cls (class_of o ~input:red_input obs') then begin
-                     prog_obs := Some obs';
-                     true
-                   end
-                   else false)
+                 (not (screened_out tp))
+                 && begin
+                      let o = reoracle tp in
+                      let obs' = Oracle.observe o ~input:red_input in
+                      if in_class cls o ~input:red_input obs' then begin
+                        prog_obs := Some obs';
+                        true
+                      end
+                      else begin
+                        Option.iter (fun p -> pair := p)
+                          (first_contradiction cls.cls_partition o obs');
+                        false
+                      end
+                    end
              end
         in
         (* greedy fixpoint: apply the first validating one-step

@@ -21,8 +21,12 @@
     never gains statements, by construction. *)
 
 type cls = {
+  cls_partition : int array;
+      (** the behaviour partition ({!Oracle.partition}, canonical: class
+          ids in first-seen order); two divergences are in one class
+          only if these are equal *)
   cls_signature : int;
-      (** canonical partition signature of the behaviour classes *)
+      (** its hash ({!Triage.signature_of_partition}), for triage *)
   cls_pair : (string * string) option;
       (** the first disagreeing implementation pair (a function of the
           partition, so preserved whenever the signature is) *)
@@ -69,6 +73,15 @@ val candidates : Minic.Ast.program -> Minic.Ast.program Seq.t
     program reduction tries them: function drops, global drops, then
     per-statement rewrites.  Candidates need not typecheck. *)
 
+val contradicts :
+  int array -> Oracle.t -> int * Oracle.observation -> int * Oracle.observation ->
+  bool
+(** [contradicts part o (i, oi) (j, oj)]: the program-reduction screen's
+    test.  [oi] and [oj] are observations by [o] of profiles [i] and [j]
+    (indices into [part]); they contradict [part] when both terminated
+    and their checksums are equal across two classes of [part] or
+    different within one.  A hang never contradicts. *)
+
 val reduce :
   ?max_checks:int ->
   ?program:Minic.Ast.program ->
@@ -90,9 +103,17 @@ val reduce :
     binaries were compiled from) is given: statements are dropped,
     branches flattened, expressions canonicalized to zero, functions and
     globals removed — greedily, revalidating after every step.  Each
-    accepted candidate is recompiled through [reoracle] (default: an
-    oracle with the paper's ten implementations and this oracle's
-    normalize/fuel settings; pass an explicit factory when the original
-    used a different profile set).
+    candidate that typechecks is first observed on two profiles only
+    (the screen, DESIGN.md §8.1) and rejected there when their
+    terminated observations already contradict the original partition;
+    any other candidate is recompiled through [reoracle] and checked in
+    full.  The screen only saves work: the result equals that of full
+    checks alone.
+
+    [reoracle] (default: {!Oracle.with_program}[ oracle]) must return,
+    for every program, an oracle over [oracle]'s profiles in the same
+    order, with settings (session aside) that do not depend on the
+    program; the screen uses the settings of [reoracle program].
+    Raises [Invalid_argument] when its profiles differ from [oracle]'s.
 
     [max_checks] (default 1000) bounds the total validation budget. *)

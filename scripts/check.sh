@@ -180,7 +180,7 @@ echo "== reduce smoke test"
 red=$(mktemp)
 set +e
 reduce_out=$(dune exec bin/compdiff_cli.exe -- reduce examples/unstable_uninit.c \
-  --input 'XYZQRS' --stats --out "$red" 2>&1)
+  --input 'XYZQRS' --stats --dump-program --out "$red" 2>&1)
 got=$?
 set -e
 if [ "$got" -ne 1 ]; then
@@ -216,23 +216,45 @@ else
 fi
 # The compile caches, the function memo among them, must not change what
 # the reducer produces: the same reduction on a caching-disabled session
-# gives the same exit code and a byte-identical reduced input.
+# gives the same exit code, a byte-identical reduced input and a
+# byte-identical reduced program.
 red0=$(mktemp)
 set +e
-dune exec bin/compdiff_cli.exe -- reduce examples/unstable_uninit.c \
-  --input 'XYZQRS' --cache-mb 0 --out "$red0" > /dev/null 2>&1
+reduce_out0=$(dune exec bin/compdiff_cli.exe -- reduce examples/unstable_uninit.c \
+  --input 'XYZQRS' --cache-mb 0 --dump-program --out "$red0" 2>&1)
 got0=$?
 set -e
+# the reduced program: from the "program:" line up to the report
+program_of() { printf '%s\n' "$1" | sed -n '/^  program: /,/^=== CompDiff/p'; }
+prog=$(program_of "$reduce_out")
+prog0=$(program_of "$reduce_out0")
 if [ "$got0" -ne "$got" ]; then
   echo "FAIL reduce --cache-mb 0: exited $got0, the cached run exited $got"
   status=1
 elif ! cmp -s "$red" "$red0"; then
   echo "FAIL reduce --cache-mb 0: reduced input differs from the cached run"
   status=1
+elif [ -z "$prog" ] || [ "$prog" != "$prog0" ]; then
+  echo "FAIL reduce --cache-mb 0: reduced program differs from the cached run"
+  status=1
 else
-  echo "ok   reduce --cache-mb 0 (exit $got0, byte-identical reduced input)"
+  echo "ok   reduce --cache-mb 0 (exit $got0, byte-identical reduced input and program)"
 fi
 rm -f "$red0" "$red0.orig"
+# Program reduction over a profile subset: candidate programs are
+# re-checked on the same four profiles, so the program must shrink.
+set +e
+sub_out=$(dune exec bin/compdiff_cli.exe -- reduce examples/unstable_uninit.c \
+  --input BB --dump-program --profiles gccx-O0,clangx-O2,gccx-O2,clangx-O0 2>&1)
+set -e
+shrunk=$(printf '%s\n' "$sub_out" \
+  | sed -n 's/^  program: \([0-9]*\) -> \([0-9]*\) statements$/\1 \2/p')
+if [ -n "$shrunk" ] && [ "${shrunk#* }" -lt "${shrunk% *}" ]; then
+  echo "ok   reduce --profiles subset (program: ${shrunk% *} -> ${shrunk#* } statements)"
+else
+  echo "FAIL reduce --profiles subset: no program shrink line"
+  status=1
+fi
 echo "== explore smoke test"
 # Time-travel the divergence the reducer just minimized: explore must
 # record both sides at instruction granularity, pin a first diverging
