@@ -15,6 +15,12 @@
    into single batched oracle flights ([joined] > 0, batching ratio =
    checks per flight > 1).
 
+   Each client scenario runs three trials of a closed loop at least
+   [window] seconds long and reports the median rate with its range,
+   and, where [/proc/self/status] exists, the context switches per
+   request (voluntary and involuntary, summed over the process's
+   threads, set-up excluded).
+
    Soundness gate: every daemon verdict — every client, every trial — is
    compared against the verdict the oracle produces directly for that
    (program, input); any mismatch fails the bench.  Acceptance floor:
@@ -86,6 +92,109 @@ let canon_proto (v : Serve.Proto.verdict) : string =
              obs)
 
 let trials = 3
+
+(* each scenario trial's closed loop runs at least this long *)
+let window = 1.0
+
+(* A gate threads wait on without polling: polling would add context
+   switches of its own to the counts. *)
+type gate = {
+  g_mutex : Mutex.t;
+  g_cond : Condition.t;
+  mutable arrived : int;
+  mutable opened : bool;
+}
+
+let gate () =
+  { g_mutex = Mutex.create (); g_cond = Condition.create (); arrived = 0;
+    opened = false }
+
+let with_gate g f =
+  Mutex.lock g.g_mutex;
+  f ();
+  Condition.broadcast g.g_cond;
+  Mutex.unlock g.g_mutex
+
+let arrive g = with_gate g (fun () -> g.arrived <- g.arrived + 1)
+let open_gate g = with_gate g (fun () -> g.opened <- true)
+
+let await_count g n =
+  with_gate g (fun () ->
+      while g.arrived < n do
+        Condition.wait g.g_cond g.g_mutex
+      done)
+
+let await_open g =
+  with_gate g (fun () ->
+      while not g.opened do
+        Condition.wait g.g_cond g.g_mutex
+      done)
+
+(* Voluntary and involuntary context switches of this process so far,
+   or None where [/proc/self/status] does not exist.  That file counts
+   only the main thread, so the counters are summed over every thread's
+   [/proc/self/task/<tid>/status]; a thread that exits takes its counts
+   with it, so callers sample while every thread they measure is
+   alive. *)
+let ctx_switches () : (int * int) option =
+  let field line name =
+    let p = String.length name in
+    if String.length line > p && String.sub line 0 p = name then
+      int_of_string_opt (String.trim (String.sub line p (String.length line - p)))
+    else None
+  in
+  let of_task tid =
+    match open_in (Printf.sprintf "/proc/self/task/%s/status" tid) with
+    | exception Sys_error _ -> (0, 0)
+    | ic ->
+        let v = ref 0 and i = ref 0 in
+        (try
+           while true do
+             let line = input_line ic in
+             Option.iter (fun x -> v := x) (field line "voluntary_ctxt_switches:");
+             Option.iter (fun x -> i := x) (field line "nonvoluntary_ctxt_switches:")
+           done
+         with End_of_file -> ());
+        close_in ic;
+        (!v, !i)
+  in
+  if not (Sys.file_exists "/proc/self/status") then None
+  else
+    match Sys.readdir "/proc/self/task" with
+    | exception Sys_error _ -> None
+    | tids ->
+        Some
+          (Array.fold_left
+             (fun (v, i) tid ->
+               let v', i' = of_task tid in
+               (v + v', i + i'))
+             (0, 0) tids)
+
+(* one client scenario: the median trial's window and rate, the range
+   over trials, and context switches per request over all trials *)
+type scenario = {
+  wall : float;
+  rps : float;
+  rps_min : float;
+  rps_max : float;
+  csw : (float * float) option;
+}
+
+let scenario_json base_rps n sc =
+  let csw =
+    match sc.csw with
+    | None -> ""
+    | Some (v, i) ->
+        Printf.sprintf
+          ", \"voluntary_csw_per_request\": %.2f, \
+           \"involuntary_csw_per_request\": %.2f"
+          v i
+  in
+  Printf.sprintf
+    "  \"clients_%d\": { \"seconds\": %.4f, \"requests_per_sec\": %.2f, \
+     \"min_requests_per_sec\": %.2f, \"max_requests_per_sec\": %.2f, \
+     \"trials\": %d, \"speedup\": %.2f%s },\n"
+    n sc.wall sc.rps sc.rps_min sc.rps_max trials (sc.rps /. base_rps) csw
 
 let time f =
   let best = ref infinity in
@@ -163,43 +272,94 @@ let run () =
       }
   in
   let server_thread = Thread.create Serve.Server.serve srv in
-  (* one scenario: [n] client threads, each walking the whole workload
-     synchronously; throughput = total requests / wall time *)
   let mismatches = Atomic.make 0 in
-  let client_pass () =
-    let cl = Serve.Client.connect socket_path in
-    List.iter
-      (fun (k, input) ->
-        match
-          Serve.Client.check cl ~fuel ~source:sources.(k) ~inputs:[ input ] ()
-        with
-        | Ok [ v ] ->
-            if canon_proto v <> Hashtbl.find truth (k, input) then
-              Atomic.incr mismatches
-        | Ok _ | Error _ -> Atomic.incr mismatches)
-      workload;
-    Serve.Client.close cl
-  in
-  let scenario n =
-    let run_all () =
-      let ths = List.init n (fun _ -> Thread.create client_pass ()) in
-      List.iter Thread.join ths
-    in
-    let t, () = time run_all in
-    let requests = n * List.length workload in
-    (t, float_of_int requests /. t)
+  let check_one cl (k, input) =
+    match
+      Serve.Client.check cl ~fuel ~source:sources.(k) ~inputs:[ input ] ()
+    with
+    | Ok [ v ] ->
+        if canon_proto v <> Hashtbl.find truth (k, input) then
+          Atomic.incr mismatches
+    | Ok _ | Error _ -> Atomic.incr mismatches
   in
   (* warmup: populate the daemon's caches so every scenario measures the
      steady serving state, not first-compile *)
-  client_pass ();
-  let t1, rps1 = scenario 1 in
-  let t4, rps4 = scenario 4 in
-  let t8, rps8 = scenario 8 in
+  (let cl = Serve.Client.connect socket_path in
+   List.iter (check_one cl) workload;
+   Serve.Client.close cl);
+  let scenario n =
+    let trial () =
+      let ready = gate () and go = gate () and finished = gate () in
+      let release = gate () in
+      let requests = Atomic.make 0 and deadline = ref 0. in
+      (* one connection per client for the whole trial, so every
+         thread the counters are summed over lives through it *)
+      let client () =
+        let cl = Serve.Client.connect socket_path in
+        arrive ready;
+        await_open go;
+        let work = Array.of_list workload in
+        let i = ref 0 in
+        while Unix.gettimeofday () < !deadline do
+          check_one cl work.(!i mod Array.length work);
+          incr i
+        done;
+        ignore (Atomic.fetch_and_add requests !i);
+        arrive finished;
+        await_open release;
+        Serve.Client.close cl
+      in
+      let ths = List.init n (fun _ -> Thread.create client ()) in
+      await_count ready n;
+      Gc.full_major ();
+      let c0 = ctx_switches () in
+      let t0 = Unix.gettimeofday () in
+      deadline := t0 +. window;
+      open_gate go;
+      await_count finished n;
+      let wall = Unix.gettimeofday () -. t0 in
+      let c1 = ctx_switches () in
+      open_gate release;
+      List.iter Thread.join ths;
+      let csw =
+        match (c0, c1) with
+        | Some (v0, i0), Some (v1, i1) -> Some (v1 - v0, i1 - i0)
+        | _ -> None
+      in
+      (wall, Atomic.get requests, csw)
+    in
+    let trials = List.init trials (fun _ -> trial ()) in
+    let rate (wall, reqs, _) = float_of_int reqs /. wall in
+    let sorted = List.sort (fun a b -> compare (rate a) (rate b)) trials in
+    let wall, _, _ = List.nth sorted (List.length sorted / 2) in
+    let total_reqs = List.fold_left (fun a (_, r, _) -> a + r) 0 trials in
+    let csw =
+      List.fold_left
+        (fun acc (_, _, c) ->
+          match (acc, c) with
+          | Some (v, i), Some (v', i') -> Some (v + v', i + i')
+          | _ -> None)
+        (Some (0, 0)) trials
+      |> Option.map (fun (v, i) ->
+             let per x = float_of_int x /. float_of_int (max 1 total_reqs) in
+             (per v, per i))
+    in
+    {
+      wall;
+      rps = rate (List.nth sorted (List.length sorted / 2));
+      rps_min = rate (List.hd sorted);
+      rps_max = rate (List.nth sorted (List.length sorted - 1));
+      csw;
+    }
+  in
+  let s1 = scenario 1 in
+  let s4 = scenario 4 in
+  let s8 = scenario 8 in
   let sched = Serve.Scheduler.sched_stats (Serve.Server.sched srv) in
   Serve.Server.stop srv;
   Thread.join server_thread;
   let base_rps = float_of_int (List.length workload) /. base_time in
-  let speedup = rps4 /. base_rps in
+  let speedup = s4.rps /. base_rps in
   let batching_ratio =
     float_of_int sched.Serve.Proto.sr_checks
     /. float_of_int (max 1 sched.Serve.Proto.sr_flights)
@@ -222,21 +382,9 @@ let run () =
     (Printf.sprintf
        "  \"baseline\": { \"seconds\": %.4f, \"requests_per_sec\": %.2f },\n"
        base_time base_rps);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"clients_1\": { \"seconds\": %.4f, \"requests_per_sec\": %.2f, \
-        \"speedup\": %.2f },\n"
-       t1 rps1 (rps1 /. base_rps));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"clients_4\": { \"seconds\": %.4f, \"requests_per_sec\": %.2f, \
-        \"speedup\": %.2f },\n"
-       t4 rps4 speedup);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"clients_8\": { \"seconds\": %.4f, \"requests_per_sec\": %.2f, \
-        \"speedup\": %.2f },\n"
-       t8 rps8 (rps8 /. base_rps));
+  List.iter
+    (fun (n, sc) -> Buffer.add_string buf (scenario_json base_rps n sc))
+    [ (1, s1); (4, s4); (8, s8) ];
   Buffer.add_string buf
     (Printf.sprintf
        "  \"scheduler\": { \"requests\": %d, \"flights\": %d, \"checks\": \

@@ -1529,7 +1529,7 @@ let serve_cmd =
     Arg.(
       value & opt int 2
       & info [ "executors" ] ~docv:"N"
-          ~doc:"Worker threads draining the request queue.")
+          ~doc:"Executor domains draining the request queue.")
   in
   let max_oracles =
     Arg.(

@@ -126,12 +126,21 @@ let touches_memory (u : Ir.unit_) : bool =
 
 (* --- serialization --- *)
 
-(* The behaviour-relevant projection of a unit, marshalled without
-   sharing: structurally equal projections give equal bytes and, since
-   [Marshal] is injective on values of one type, unequal projections give
-   unequal bytes.  Float immediates go out as their IEEE bits and every
-   constructor argument (cast widths, csem markers) is kept, so no field
-   of the code can be conflated with another. *)
+(* The signature is ONE [Marshal] serialization, without sharing, of
+   the triple (projection, memory-policy string option, uninit-register
+   string option), where each option is [Some] exactly when that part of
+   the runtime policy can matter (see above).  Structurally equal
+   triples give equal bytes and, since [Marshal] is injective on values
+   of one type, unequal triples give unequal bytes: a [None] and a
+   [Some] differ in their block, and the policy strings are length-
+   prefixed, so no part can run into the next.  Float immediates go out
+   as their IEEE bits and every constructor argument (cast widths, csem
+   markers) is kept, so no field of the code can be conflated with
+   another.  One allocation per signature: a [Buffer] that the
+   serialization is copied into, and the copy out of it, would each be
+   a 2 KiB or larger block that skips the minor heap.  The bytes depend
+   on the [Marshal] format of the running OCaml; signatures are compared
+   only within one process. *)
 type projection = {
   funcs : (string * int * int * int array * Ir.instr array) list;
       (* name, nparams, nregs, slot sizes, code *)
@@ -153,16 +162,13 @@ let projection (u : Ir.unit_) : projection =
   }
 
 let signature (u : Ir.unit_) : string =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf (Marshal.to_string (projection u) [ Marshal.No_sharing ]);
-  if touches_memory u then begin
-    Buffer.add_string buf "mem ";
-    Buffer.add_string buf (Policy.memory_runtime_signature u.Ir.runtime);
-    Buffer.add_char buf '\n'
-  end;
-  if may_read_uninit_reg u then begin
-    Buffer.add_string buf "ureg ";
-    Buffer.add_string buf (Policy.uninit_signature u.Ir.runtime.Policy.uninit_reg);
-    Buffer.add_char buf '\n'
-  end;
-  Buffer.contents buf
+  let mem =
+    if touches_memory u then Some (Policy.memory_runtime_signature u.Ir.runtime)
+    else None
+  in
+  let ureg =
+    if may_read_uninit_reg u then
+      Some (Policy.uninit_signature u.Ir.runtime.Policy.uninit_reg)
+    else None
+  in
+  Marshal.to_string (projection u, mem, ureg) [ Marshal.No_sharing ]

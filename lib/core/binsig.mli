@@ -7,8 +7,10 @@
 
 val signature : Cdcompiler.Ir.unit_ -> string
 (** Canonical serialization of the unit's code, globals and the
-    behaviorally relevant subset of its runtime policy.  Compare with
-    string equality (not a hash) for soundness. *)
+    behaviorally relevant subset of its runtime policy, as one [Marshal]
+    string.  Compare with string equality (not a hash) for soundness,
+    and only within one process: the bytes follow the running OCaml's
+    [Marshal] format. *)
 
 val may_read_uninit_reg : Cdcompiler.Ir.unit_ -> bool
 (** Whether some register of some function may be read before being

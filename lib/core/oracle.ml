@@ -17,11 +17,14 @@
      images and stored observations across oracles;
    - binaries with equal {!Binsig.signature} form equivalence classes;
      one representative per class is linked at oracle creation and
-     executed via {!Engine.Session.run_batch} (linked executor with a
-     pooled per-class arena), the observation fanned out to every
-     member;
-   - the per-class runs of one fuel round go through the shared
-     {!Cdutil.Pool} when [jobs > 1];
+     executed through the session's cached-run path (linked executor
+     with a pooled per-class arena), the observation fanned out to
+     every member;
+   - every class of a fuel round is first looked up in the session's
+     observation store, inline ({!Engine.Session.lookup}); only the
+     classes with store misses execute, through the shared
+     {!Cdutil.Pool} when [jobs > 1] and there are several of them, so
+     a round the store answers whole never wakes the pool;
    - fuel escalation is incremental: only classes whose last observation
      hung are re-run at the higher budget.  This is observationally
      identical to re-running everything because the VM is deterministic
@@ -247,9 +250,10 @@ let observe_naive t ~(input : string) : (string * observation) list =
 
 (* The escalation loop: deduped, pooled, incrementally escalating
    observation of many inputs.  Every round runs, per class, the inputs
-   that still need the class at the current fuel level through ONE
-   {!Engine.Session.run_batch} (single arena acquisition, amortized
-   reset); the first round's set is every class for every input.
+   that still need the class at the current fuel level as ONE session
+   batch ({!Engine.Session.lookup}, then {!Engine.Session.run_misses}
+   for the misses: single arena acquisition, amortized reset); the
+   first round's set is every class for every input.
    Escalation is level-synchronous — every input walks the same base,
    ×4, ×16, … fuel sequence as [observe_naive], dropping out when its
    hang set stabilizes — so element [k] of the result equals
@@ -293,22 +297,31 @@ let observe_batch t ~(inputs : string array) :
           ~covered:(List.fold_left (fun a ci -> a + t.class_size.(ci)) 0 pend)
       end
     done;
-    let run_class ci =
-      let ks = Array.of_list by_class.(ci) in
-      let rs =
-        Engine.Session.run_batch t.session t.class_linked.(ci)
-          ~inputs:(Array.map (fun k -> inputs.(k)) ks) ~fuel
-      in
-      Array.iteri (fun j r -> class_obs.(ci).(ks.(j)) <- observation r) rs
+    let run_class (ci, ks, ins, lk) =
+      Array.iteri
+        (fun j r -> class_obs.(ci).(ks.(j)) <- observation r)
+        (Engine.Session.run_misses t.session t.class_linked.(ci) ~inputs:ins
+           ~fuel lk)
     in
-    let cis =
-      List.filter
-        (fun ci -> not (List.is_empty by_class.(ci)))
-        (List.init nclasses Fun.id)
-    in
-    if t.jobs > 1 && List.compare_length_with cis 1 > 0 then
-      ignore (Cdutil.Pool.map run_class cis)
-    else List.iter run_class cis
+    (* every class is looked up in the stores here, inline: a class
+       without misses is complete at once, and only the classes with
+       misses execute, through the pool when there are several *)
+    let misses = ref [] in
+    for ci = nclasses - 1 downto 0 do
+      if not (List.is_empty by_class.(ci)) then begin
+        let ks = Array.of_list by_class.(ci) in
+        let ins = Array.map (fun k -> inputs.(k)) ks in
+        let lk =
+          Engine.Session.lookup t.session t.class_linked.(ci) ~inputs:ins ~fuel
+        in
+        if Array.length lk.Engine.Session.misses = 0 then
+          run_class (ci, ks, ins, lk)
+        else misses := (ci, ks, ins, lk) :: !misses
+      end
+    done;
+    if t.jobs > 1 && List.compare_length_with !misses 1 > 0 then
+      ignore (Cdutil.Pool.map run_class !misses)
+    else List.iter run_class !misses
   in
   (* the classes input [k] re-runs after a round at [fuel]: its hung
      ones, unless everything terminated, everything hung (an all-hang,

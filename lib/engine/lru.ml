@@ -21,7 +21,7 @@
 
    The hit/miss/eviction counters are [Atomic.t], not plain ints under
    the mutex: the serve daemon reads them from its stats endpoint while
-   every executor thread is mutating them, and an atomic read needs no
+   every executor domain is mutating them, and an atomic read needs no
    lock — telemetry never contends with (or miscounts under) concurrent
    lookups.
 

@@ -419,42 +419,58 @@ let store t (l : linked) disk ~fuel input (o : Cdvm.Exec.result) =
   | Some d -> Diskcache.put d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input) o
   | None -> ()
 
-(* The one cached-execution path.  Element [i] is the raw observation
-   of the image on [inputs.(i)] at [fuel]: served from the stores when
-   they hold it, otherwise executed -- all misses through ONE arena
-   acquisition ({!Cdvm.Exec.run_batch}) instead of an
-   exchange/validate/reset cycle per input -- and written back.  A
-   single run is the one-input batch, so the loops below avoid
-   per-call closures. *)
-let run_batch t (l : linked) ~(inputs : string array) ~(fuel : int) :
-    Cdvm.Exec.result array =
-  let config = { Cdvm.Exec.default_config with Cdvm.Exec.fuel } in
-  let execute inputs =
-    with_arena l (fun arena ->
-        Cdvm.Exec.run_batch ~config ~arena l.image ~inputs)
-  in
-  if not t.caching then execute inputs
+(* The one cached-execution path, in two phases.  [lookup] asks the
+   stores for every input and counts each as one hit or one miss;
+   [run_misses] executes what they lacked -- all misses through ONE
+   arena acquisition ({!Cdvm.Exec.run_batch}) instead of an
+   exchange/validate/reset cycle per input -- and writes it back.  A
+   caller that holds several batches looks them all up first and only
+   schedules the ones with misses (the oracle's rounds); everyone else
+   calls [run_batch], the two phases back to back.  A single run is the
+   one-input batch, so the loops below avoid per-call closures. *)
+type lookup = {
+  found : Cdvm.Exec.result option array;
+  misses : int array;
+}
+
+let lookup t (l : linked) ~(inputs : string array) ~(fuel : int) : lookup =
+  let n = Array.length inputs in
+  if not t.caching then
+    { found = Array.make n None; misses = Array.init n Fun.id }
   else begin
-    let n = Array.length inputs in
     let disk = disk_of t l in
-    let out = Array.make n None and misses = ref [] in
+    let found = Array.make n None and misses = ref [] in
     for i = 0 to n - 1 do
       match stored t l disk ~fuel inputs.(i) with
       | None -> misses := i :: !misses
-      | hit -> out.(i) <- hit
+      | hit -> found.(i) <- hit
     done;
-    if !misses <> [] then begin
-      (* the misses run in input order *)
-      let idx = Array.of_list (List.rev !misses) in
-      let fresh = execute (Array.map (fun i -> inputs.(i)) idx) in
-      Array.iteri
-        (fun j i ->
-          store t l disk ~fuel inputs.(i) fresh.(j);
-          out.(i) <- Some fresh.(j))
-        idx
-    end;
-    Array.map Option.get out
+    { found; misses = Array.of_list (List.rev !misses) }
   end
+
+let run_misses t (l : linked) ~(inputs : string array) ~(fuel : int)
+    (lk : lookup) : Cdvm.Exec.result array =
+  let out = Array.copy lk.found in
+  if Array.length lk.misses > 0 then begin
+    (* the misses run in input order *)
+    let config = { Cdvm.Exec.default_config with Cdvm.Exec.fuel } in
+    let fresh =
+      with_arena l (fun arena ->
+          Cdvm.Exec.run_batch ~config ~arena l.image
+            ~inputs:(Array.map (fun i -> inputs.(i)) lk.misses))
+    in
+    let disk = disk_of t l in
+    Array.iteri
+      (fun j i ->
+        if t.caching then store t l disk ~fuel inputs.(i) fresh.(j);
+        out.(i) <- Some fresh.(j))
+      lk.misses
+  end;
+  Array.map Option.get out
+
+let run_batch t (l : linked) ~(inputs : string array) ~(fuel : int) :
+    Cdvm.Exec.result array =
+  run_misses t l ~inputs ~fuel (lookup t l ~inputs ~fuel)
 
 (* Observed execution: an observer makes the run more than a function of
    (image, input, fuel), so it must bypass the observation store — it

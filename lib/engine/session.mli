@@ -112,11 +112,32 @@ val run_batch : t -> linked -> inputs:string array -> fuel:int ->
   Cdvm.Exec.result array
 (** [run_batch t l ~inputs ~fuel]: the observation-store-backed plain
     execution of a linked image, the session's one cached-execution
-    path (a single run is a one-input batch).  Element [i] is the raw
-    observation of [inputs.(i)] at [fuel]; all store misses execute
-    through a single acquisition of the handle's pooled arena
-    ({!Cdvm.Exec.run_batch}), amortizing the per-execution reset.  Safe
-    from any domain. *)
+    path (a single run is a one-input batch): {!lookup}, then
+    {!run_misses}.  Element [i] is the raw observation of [inputs.(i)]
+    at [fuel]; all store misses execute through a single acquisition of
+    the handle's pooled arena ({!Cdvm.Exec.run_batch}), amortizing the
+    per-execution reset.  Safe from any domain. *)
+
+type lookup = {
+  found : Cdvm.Exec.result option array;
+      (** element [i]: the stored observation of [inputs.(i)], [None]
+          where the stores miss *)
+  misses : int array;  (** the indices of the misses, ascending *)
+}
+(** The first phase of {!run_batch}. *)
+
+val lookup : t -> linked -> inputs:string array -> fuel:int -> lookup
+(** Ask the stores (memory, then disk) for every input at [fuel],
+    executing nothing; each input counts as one hit or one miss.  On a
+    caching-disabled session every input is a miss and no store is
+    consulted. *)
+
+val run_misses : t -> linked -> inputs:string array -> fuel:int -> lookup ->
+  Cdvm.Exec.result array
+(** The second phase of {!run_batch}: execute the misses of a {!lookup}
+    made with the same [inputs] and [fuel], write them back to the
+    stores, and return the whole batch as {!run_batch} would.  Looks
+    nothing up again, so no input is counted twice. *)
 
 val run_traced : t -> linked -> observer:Cdvm.Observer.t -> input:string ->
   fuel:int -> Cdvm.Exec.result

@@ -2,13 +2,21 @@
    one warm engine.
 
    Work requests from every client land in one FIFO; a small set of
-   executor threads drains it.  The perf core is cross-client batching:
-   when an executor pops a differential-check request it also claims
-   every other queued check with the same oracle key (same source,
-   profile set, fuel, normalization — from ANY client) and serves the
-   whole group through ONE {!Compdiff.Oracle.check_batch} flight.  The
-   oracle's binsig dedup then executes each behavioural class once per
-   fuel level for the union of all riders' inputs, and the engine
+   executor domains drains it.  Executors are domains, not systhreads:
+   systhreads of one domain share its runtime lock, so an executor
+   serving a check would queue behind the socket readers and the
+   clients of an in-process caller, and every hand-off between them
+   would be a lock transfer.  On their own domains the executors run a
+   check while the readers decode the next frame; the mutex and
+   condition below work across domains unchanged.
+
+   The perf core is cross-client batching: when an executor pops a
+   differential-check request it also claims every other queued check
+   with the same oracle key (same source, profile set, fuel,
+   normalization — from ANY client) and serves the whole group through
+   ONE {!Compdiff.Oracle.check_batch} flight.  The oracle's binsig
+   dedup then executes each behavioural class once per fuel level for
+   the union of all riders' inputs, and the engine
    session's observation store serves repeats without executing at all —
    so concurrent clients asking about the same unit/image share one
    execution instead of re-running it per request.  Verdicts are
@@ -36,7 +44,7 @@
 type config = {
   session : Engine.Session.t;
   quota : int;            (* credits per client *)
-  executors : int;        (* worker threads draining the queue *)
+  executors : int;        (* executor domains draining the queue *)
   max_oracles : int;      (* warm-oracle table bound *)
   default_fuel : int;
   default_profiles : Cdcompiler.Policy.profile list;
@@ -58,7 +66,7 @@ let default_config ?session () =
 type client = {
   cl_id : int;
   cl_respond : int -> Proto.response -> unit;
-      (* invoked from executor threads; must be safe to call after the
+      (* invoked from executor domains; must be safe to call after the
          connection died (writes there are dropped by the server) *)
   mutable cl_outstanding : int;  (* credits in use; under [mutex] *)
   mutable cl_completed : int;
@@ -80,7 +88,7 @@ type t = {
   queue : item Queue.t;
   mutable stopping : bool;
   mutable paused : bool;  (* dispatch held; see [set_paused] *)
-  mutable threads : Thread.t list;
+  mutable executors : unit Domain.t list;
   mutable next_client : int;
   mutable clients : client list;
   oracles : (string, Compdiff.Oracle.t * int ref) Hashtbl.t;
@@ -522,7 +530,7 @@ let create (cfg : config) : t =
       queue = Queue.create ();
       stopping = false;
       paused = false;
-      threads = [];
+      executors = [];
       next_client = 0;
       clients = [];
       oracles = Hashtbl.create 16;
@@ -534,8 +542,9 @@ let create (cfg : config) : t =
       c_joined = Atomic.make 0;
     }
   in
-  t.threads <-
-    List.init t.cfg.executors (fun _ -> Thread.create executor_loop t);
+  t.executors <-
+    List.init t.cfg.executors (fun _ ->
+        Domain.spawn (fun () -> executor_loop t));
   t
 
 let session t = t.cfg.session
@@ -690,7 +699,7 @@ let shutdown t : unit =
   Mutex.lock t.mutex;
   t.stopping <- true;
   Condition.broadcast t.cond;
-  let ths = t.threads in
-  t.threads <- [];
+  let ds = t.executors in
+  t.executors <- [];
   Mutex.unlock t.mutex;
-  List.iter Thread.join ths
+  List.iter Domain.join ds

@@ -4,13 +4,13 @@
    Each connection gets a dedicated reader thread that performs the
    handshake, then loops decoding frames and handing requests to the
    {!Scheduler}.  Responses are written by whichever thread produced
-   them (reader for inline ping/stats, executors for work), serialized
-   per-connection by a write mutex so interleaved frames cannot corrupt
-   the stream.  A client that disconnects — cleanly or mid-request — is
-   released from the scheduler: its queued requests are dropped, its
-   in-flight responses discarded, and the daemon keeps serving everyone
-   else.  A client that sends a malformed frame is answered [Err] once
-   and disconnected.
+   them (reader for inline ping/stats, executor domains for work),
+   serialized per-connection by a write mutex so interleaved frames
+   cannot corrupt the stream.  A client that disconnects — cleanly or
+   mid-request — is released from the scheduler: its queued requests are
+   dropped, its in-flight responses discarded, and the daemon keeps
+   serving everyone else.  A client that sends a malformed frame is
+   answered [Err] once and disconnected.
 
    Fd discipline: only the connection's reader thread ever closes its
    fd, and only after its read loop has returned.  Every other party
@@ -186,6 +186,12 @@ let housekeeping_loop t : unit =
   loop ()
 
 let create (cfg : config) : t =
+  (* A reply written to a client that shut down its read side, or that
+     closed between the reply and its reader's EOF, fails.  With SIGPIPE
+     at its default action that failure kills the whole daemon; ignored,
+     the write raises EPIPE and [send] retires the connection. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   (* a stale socket file from a dead daemon would fail the bind *)
   (try Unix.unlink cfg.socket_path with _ -> ());
   let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

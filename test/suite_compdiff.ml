@@ -442,6 +442,204 @@ let prop_parallel_oracle_matches_naive =
           (fun input -> Oracle.check o ~input = Oracle.check_naive o ~input)
           [ ""; "A"; "zz" ])
 
+(* --- observation-store hits in the escalation loop ---
+
+   A round looks every class up in the session's store first and sends
+   only the classes with misses to the pool.  [prewarm_src] is
+   [mixed_src] at a tenth of the loop: at base fuel 30k, 'h' hangs
+   everywhere, 'e' needs one escalation round for the -O0 class only,
+   and anything else stops at once.  Inputs are warmed before the
+   checked batch: fully (every round of the batch hits), at base fuel
+   only (the first round hits, the escalation round misses), or not at
+   all. *)
+let prewarm_src =
+  "int main() {\n\
+   \  int c = getchar();\n\
+   \  if (c == 104) { while (1) { } }\n\
+   \  int acc = 0;\n\
+   \  int i = 0;\n\
+   \  if (c == 101) {\n\
+   \    while (i < 2000) { acc = acc + i * 3 + 1; i = i + 1; }\n\
+   \  }\n\
+   \  print(\"%d\\n\", acc);\n\
+   \  return 0;\n\
+   }"
+
+let prewarm_base = 30_000
+let prewarm_max = 480_000
+
+let prewarm_naive =
+  let o =
+    lazy
+      (Oracle.create ~fuel:prewarm_base ~max_fuel:prewarm_max
+         (frontend prewarm_src))
+  in
+  let memo = Hashtbl.create 8 in
+  fun input ->
+    match Hashtbl.find_opt memo input with
+    | Some obs -> obs
+    | None ->
+        let obs = Oracle.observe_naive (Lazy.force o) ~input in
+        Hashtbl.add memo input obs;
+        obs
+
+type warmth = Cold | Base_only | Full
+
+(* [cases]: (input, how warm) pairs.  True when the batch equals the
+   naive reference and every class run the batch requested was looked
+   up in the store exactly once. *)
+let prewarmed_batch_matches_naive (cases : (string * warmth) list) : bool =
+  let session = Engine.Session.create ~cache_mb:16 () in
+  let tp = frontend prewarm_src in
+  let o =
+    Oracle.create ~session ~jobs:2 ~fuel:prewarm_base ~max_fuel:prewarm_max tp
+  in
+  (* same units and images on the same session, escalation off *)
+  let base_only =
+    Oracle.create ~session ~jobs:2 ~fuel:prewarm_base ~max_fuel:prewarm_base tp
+  in
+  let warm oracle w =
+    let ins = List.filter_map (fun (i, w') -> if w' = w then Some i else None) cases in
+    if ins <> [] then ignore (Oracle.observe_batch oracle ~inputs:(Array.of_list ins))
+  in
+  warm base_only Base_only;
+  warm o Full;
+  let lookups () =
+    let c = (Engine.Session.stats session).Engine.Session.observations in
+    c.Engine.Session.hits + c.Engine.Session.misses
+  in
+  Oracle.reset_stats o;
+  let before = lookups () in
+  let inputs = Array.of_list (List.map fst cases) in
+  let obs = Oracle.observe_batch o ~inputs in
+  lookups () - before = (Oracle.stats o).Oracle.vm_execs
+  && Array.for_all2 (fun input ob -> ob = prewarm_naive input) inputs obs
+
+let test_prewarmed_rounds () =
+  let e = prewarm_naive "e" in
+  check_bool "'e' escalates the -O0 class only" true
+    (List.exists (fun (_, ob) -> ob.Oracle.fuel_used > prewarm_base) e
+    && List.exists (fun (_, ob) -> ob.Oracle.fuel_used <= prewarm_base) e);
+  check_bool "'h' hangs everywhere" true
+    (List.for_all (fun (_, ob) -> ob.Oracle.status = Cdvm.Trap.Hang)
+       (prewarm_naive "h"));
+  let all w = List.map (fun i -> (i, w)) [ "e"; "h"; "s"; ""; "e" ] in
+  List.iter
+    (fun (what, cases) ->
+      check_bool (what ^ " = observe_naive") true
+        (prewarmed_batch_matches_naive cases))
+    [
+      ("all rounds all hits", all Full);
+      ("all rounds all misses", all Cold);
+      ("base round hits, escalation misses", all Base_only);
+      ("mixed", [ ("e", Full); ("h", Cold); ("e", Base_only); ("s", Full); ("", Cold) ]);
+    ]
+
+let prop_prewarmed_batch_matches_naive =
+  let open QCheck in
+  let case =
+    Gen.pair
+      (Gen.oneofl [ "e"; "h"; "s"; ""; "ee"; "x" ])
+      (Gen.oneofl [ Cold; Base_only; Full ])
+  in
+  Test.make ~name:"observe_batch on a partly warmed session = observe_naive"
+    ~count:30
+    (make
+       ~print:(fun cases ->
+         String.concat "; "
+           (List.map
+              (fun (i, w) ->
+                Printf.sprintf "%S:%s" i
+                  (match w with Cold -> "cold" | Base_only -> "base" | Full -> "full"))
+              cases))
+       Gen.(list_size (int_range 1 6) case))
+    prewarmed_batch_matches_naive
+
+(* --- binary signatures ---
+
+   The signature encoding before it became one [Marshal] of a triple:
+   the projection's bytes, then "mem" and "ureg" policy lines appended
+   through a [Buffer].  Kept here as the reference the new encoding must
+   partition binaries exactly like. *)
+type reference_projection = {
+  rp_funcs :
+    (string * int * int * int array * Cdcompiler.Ir.instr array) list;
+  rp_globals : Cdcompiler.Ir.iglobal list;
+}
+
+let reference_signature (u : Cdcompiler.Ir.unit_) : string =
+  let open Cdcompiler in
+  let projection =
+    {
+      rp_funcs =
+        List.map
+          (fun (name, (f : Ir.ifunc)) ->
+            ( name,
+              f.Ir.nparams,
+              f.Ir.nregs,
+              Array.map (fun (s : Ir.frame_slot) -> s.Ir.slot_size) f.Ir.slots,
+              f.Ir.code ))
+          u.Ir.funcs;
+      rp_globals = u.Ir.globals;
+    }
+  in
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf (Marshal.to_string projection [ Marshal.No_sharing ]);
+  if Binsig.touches_memory u then begin
+    Buffer.add_string buf "mem ";
+    Buffer.add_string buf (Policy.memory_runtime_signature u.Ir.runtime);
+    Buffer.add_char buf '\n'
+  end;
+  if Binsig.may_read_uninit_reg u then begin
+    Buffer.add_string buf "ureg ";
+    Buffer.add_string buf (Policy.uninit_signature u.Ir.runtime.Policy.uninit_reg);
+    Buffer.add_char buf '\n'
+  end;
+  Buffer.contents buf
+
+(* class per binary, numbered by first occurrence, as [Oracle.classes] *)
+let reference_classes (o : Oracle.t) : int array =
+  let table = Hashtbl.create 16 in
+  Array.of_list
+    (List.map
+       (fun (_, u) ->
+         let key = reference_signature u in
+         match Hashtbl.find_opt table key with
+         | Some c -> c
+         | None ->
+             let c = Hashtbl.length table in
+             Hashtbl.add table key c;
+             c)
+       (Oracle.binaries o))
+
+let all_profiles_oracle tp =
+  Oracle.create ~profiles:Cdcompiler.Profiles.extended_with_buggy tp
+
+let same_partition_as_reference o = Oracle.classes o = reference_classes o
+
+(* Juliet bad variants read uninitialized registers and memory, so both
+   optional parts of the signature take part *)
+let test_binsig_partition_juliet () =
+  let tests = Juliet.Suite.quick ~per_cwe:2 () in
+  let merged = ref 0 and split = ref 0 in
+  List.iter
+    (fun (t : Juliet.Testcase.t) ->
+      let o = all_profiles_oracle (Juliet.Testcase.frontend_bad t) in
+      check_bool (t.Juliet.Testcase.name ^ ": same partition") true
+        (same_partition_as_reference o);
+      if Oracle.class_count o < List.length (Oracle.names o) then incr merged;
+      if Oracle.class_count o > 1 then incr split)
+    tests;
+  check_bool "some programs merge binaries" true (!merged > 0);
+  check_bool "some programs keep several classes" true (!split > 0)
+
+let prop_binsig_partition_random =
+  QCheck.Test.make ~name:"signature partition = reference encoding on random programs"
+    ~count:30 (QCheck.make Suite_passes.gen_program_src) (fun src ->
+      match Minic.frontend_of_source src with
+      | Error _ -> false
+      | Ok tp -> same_partition_as_reference (all_profiles_oracle tp))
+
 let test_triage_signature_canonical () =
   let s1 = Triage.signature_of_partition [| 0; 0; 1; 1 |] in
   let s2 = Triage.signature_of_partition [| 1; 1; 0; 0 |] in
@@ -495,6 +693,10 @@ let suites =
         tc "stats invariant" test_oracle_stats_invariant;
         tc "batch escalation = naive" test_oracle_batch_escalation;
         QCheck_alcotest.to_alcotest prop_parallel_oracle_matches_naive;
+        tc "warmed store rounds = naive" test_prewarmed_rounds;
+        QCheck_alcotest.to_alcotest prop_prewarmed_batch_matches_naive;
+        tc "signature partition = reference (Juliet)" test_binsig_partition_juliet;
+        QCheck_alcotest.to_alcotest prop_binsig_partition_random;
       ] );
     ( "compdiff.triage",
       [

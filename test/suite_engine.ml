@@ -202,6 +202,58 @@ let test_oracle_replay_hits_obs_store () =
     (after.Engine.Session.observations.Engine.Session.hits
     > before.Engine.Session.observations.Engine.Session.hits)
 
+(* The two phases of [run_batch] on a batch that mixes stored and
+   fresh inputs, duplicates included: the lookup finds exactly the
+   stored ones and counts each input once, the second phase counts
+   nothing again, and the result is what [run_batch] gives on a session
+   warmed the same way and on a caching-disabled one. *)
+let test_two_phase_matches_run_batch () =
+  let tp = frontend unstable_src in
+  let fuel = 100_000 in
+  let warm = [| "A"; "q" |] and batch = [| "A"; ""; "q"; "Z"; ""; "A" |] in
+  let warmed () =
+    let s = Engine.Session.create ~cache_mb:16 () in
+    let l = Engine.Session.link s (Engine.Session.compile s profile0 tp) in
+    ignore (Engine.Session.run_batch s l ~inputs:warm ~fuel);
+    (s, l)
+  in
+  let lookups s =
+    let o = (Engine.Session.stats s).Engine.Session.observations in
+    (o.Engine.Session.hits, o.Engine.Session.misses)
+  in
+  let s, l = warmed () in
+  let h0, m0 = lookups s in
+  let lk = Engine.Session.lookup s l ~inputs:batch ~fuel in
+  let h1, m1 = lookups s in
+  check_bool "the misses are the unstored inputs" true
+    (lk.Engine.Session.misses = [| 1; 3; 4 |]);
+  Array.iteri
+    (fun i o ->
+      check_bool
+        (Printf.sprintf "input %d found iff stored" i)
+        (Array.mem batch.(i) warm) (Option.is_some o))
+    lk.Engine.Session.found;
+  check_int "three hits" 3 (h1 - h0);
+  check_int "three misses" 3 (m1 - m0);
+  let two = Engine.Session.run_misses s l ~inputs:batch ~fuel lk in
+  check_bool "the second phase looks nothing up" true (lookups s = (h1, m1));
+  let s', l' = warmed () in
+  check_bool "two phases = run_batch" true
+    (two = Engine.Session.run_batch s' l' ~inputs:batch ~fuel);
+  let d = Engine.Session.create ~cache_mb:0 () in
+  let ld = Engine.Session.link d (Engine.Session.compile d profile0 tp) in
+  check_bool "two phases = caching-disabled run_batch" true
+    (two = Engine.Session.run_batch d ld ~inputs:batch ~fuel);
+  check_bool "the misses were written back" true
+    ((Engine.Session.lookup s l ~inputs:batch ~fuel).Engine.Session.misses
+    = [||]);
+  let lkd = Engine.Session.lookup d ld ~inputs:batch ~fuel in
+  check_bool "caching disabled: every input misses" true
+    (lkd.Engine.Session.misses = Array.init (Array.length batch) Fun.id
+    && Array.for_all Option.is_none lkd.Engine.Session.found);
+  check_bool "caching disabled: two phases = run_batch" true
+    (Engine.Session.run_misses d ld ~inputs:batch ~fuel lkd = two)
+
 (* --- the function-level compile memo ---
 
    A memoized compile must be byte-identical to a fresh
@@ -566,6 +618,7 @@ let suites =
         tc "disabled = passthrough" test_disabled_session_is_passthrough;
         tc "oracles share compiles" test_oracle_shares_session_compiles;
         tc "oracle replay hits the store" test_oracle_replay_hits_obs_store;
+        tc "lookup + run_misses = run_batch" test_two_phase_matches_run_batch;
       ] );
     ( "engine.func_memo",
       [

@@ -423,6 +423,59 @@ let test_killed_mid_request_client () =
   Serve.Client.close cl;
   stop_server (srv, th)
 
+(* A client that shuts down its read side and then sends a check makes
+   the reply's write fail with EPIPE.  The daemon retires that
+   connection and keeps serving; with SIGPIPE at its default action the
+   write would kill the whole process. *)
+let test_half_closed_client () =
+  let session = Engine.Session.create ~cache_mb:64 () in
+  let truth =
+    List.concat_map
+      (fun src ->
+        let o = Compdiff.Oracle.create ~session ~fuel:100_000 (frontend src) in
+        List.map
+          (fun input ->
+            ((src, input), canon_direct (Compdiff.Oracle.check o ~input)))
+          [ ""; "A"; "z" ])
+      [ stable_src; unstable_src ]
+  in
+  let path, srv, th = start_server ~executors:1 () in
+  let sched = Serve.Server.sched srv in
+  let half = Serve.Client.connect path in
+  Unix.shutdown half.Serve.Client.fd Unix.SHUTDOWN_RECEIVE;
+  ignore
+    (Serve.Client.send half
+       (Serve.Proto.Check
+          {
+            Serve.Proto.ck_source = stable_src;
+            ck_inputs = [ "A" ];
+            ck_profiles = [];
+            ck_fuel = 100_000;
+            ck_strip = false;
+          }));
+  (* the one executor has taken the request; any later reply is written
+     after this one *)
+  wait_until "half-closed request served" (fun () ->
+      List.exists
+        (fun c -> c.Serve.Proto.cs_completed = 1)
+        (Serve.Scheduler.sched_stats sched).Serve.Proto.sr_clients);
+  let cl = Serve.Client.connect path in
+  List.iter
+    (fun ((src, input), want) ->
+      match
+        Serve.Client.check cl ~fuel:100_000 ~source:src ~inputs:[ input ] ()
+      with
+      | Ok [ v ] ->
+          check_bool
+            (Printf.sprintf "verdict on %S after a half-closed client" input)
+            true (canon_proto v = want)
+      | _ -> Alcotest.fail "daemon did not serve after a half-closed client")
+    truth;
+  check_bool "still pings" true (Serve.Client.ping cl);
+  Serve.Client.close cl;
+  Serve.Client.close half;
+  stop_server (srv, th)
+
 let test_garbage_frame_is_rejected () =
   let path, srv, th = start_server () in
   (* speak the handshake, then send a syntactically valid frame whose
@@ -565,6 +618,8 @@ let suites =
         tc "quota backpressure sheds only the flooder" test_quota_backpressure;
         tc "killed mid-request client leaves the daemon serving"
           test_killed_mid_request_client;
+        tc "half-closed client leaves the daemon serving"
+          test_half_closed_client;
         tc "garbage frame rejected, daemon stays up"
           test_garbage_frame_is_rejected;
         tc "fuzz/metacheck/reduce/explore over the wire"
