@@ -434,40 +434,6 @@ let diff_cmd =
       const action $ file_arg $ input_arg $ input_file_arg $ strip_addr
       $ daemon_arg $ common_term)
 
-(* --- trace --- *)
-
-let trace_limit_arg =
-  Arg.(
-    value
-    & opt int Compdiff.Localize.default_event_limit
-    & info [ "trace-limit" ] ~docv:"N"
-        ~doc:"Cap on recorded observable events; excess is dropped and reported.")
-
-let trace_cmd =
-  let action file pname input fuel limit =
-    let tp = frontend_of_file file in
-    let u = Cdcompiler.Pipeline.compile (profile_of_name pname) tp in
-    let events, status, truncated =
-      Compdiff.Localize.trace ~fuel ~limit u ~input
-    in
-    List.iteri
-      (fun i (e : Compdiff.Localize.event) ->
-        Printf.printf "%4d  [%s] %S\n" i e.Compdiff.Localize.ev_fn
-          e.Compdiff.Localize.ev_text)
-      events;
-    if truncated then
-      Printf.printf "(trace truncated at %d events; raise --trace-limit)\n"
-        limit;
-    Printf.printf "status: %s\n" (Cdvm.Trap.status_to_string status);
-    0
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Print the observable-event trace of one implementation's execution.")
-    Term.(
-      const action $ file_arg $ profile_arg $ input_arg $ fuel_arg
-      $ trace_limit_arg)
-
 (* --- localize --- *)
 
 let localize_cmd =
@@ -487,8 +453,7 @@ let localize_cmd =
          was actually obtained at (it may have been escalated past the
          base budget; replaying at the base would fake a hang) *)
       match
-        Compdiff.Localize.of_divergence o (Compdiff.Oracle.binaries o) obs
-          ~input
+        Compdiff.Localize.of_divergence ~level:Cdtrace.Prints o obs ~input
       with
       | Some l ->
         print_string (Compdiff.Localize.to_string l);
@@ -497,9 +462,8 @@ let localize_cmd =
         | None -> ());
         1
       | None ->
-        Printf.printf
-          "outputs agree event-by-event; the divergence is in the termination status\n";
-        1)
+        Printf.eprintf "divergent observations but no divergent pair\n";
+        2)
   in
   Cmd.v
     (Cmd.info "localize"
@@ -510,9 +474,10 @@ let localize_cmd =
 (* --- explore --- *)
 
 (* Non-interactive time-travel driver over recorded traces (DESIGN.md
-   §15): record the diverging pair under the Steps observer (or load a
-   stored .ctr trace), report the first diverging instruction, and
-   replay both sides to any position. *)
+   §15): record the diverging pair under the Steps observer, report the
+   first diverging instruction, and replay both sides to any position.
+   With one profile, or a stored .ctr trace, there is one side: its
+   events are listed and it replays the same way. *)
 
 let probe_json (p : Compdiff.Localize.probe option) : string =
   match p with
@@ -589,64 +554,99 @@ let explore_cmd =
           ~doc:"Replay a stored .ctr trace instead of compiling and recording.")
   in
   let step_limit_arg =
+    let positive =
+      Arg.conv'
+        ( (fun str ->
+            match int_of_string_opt str with
+            | Some n when n >= 1 -> Ok n
+            | _ -> Error (Printf.sprintf "expected an integer >= 1, got %S" str)),
+          Format.pp_print_int )
+    in
     Arg.(
       value
-      & opt int Cdtrace.default_limit
+      & opt positive Cdtrace.default_limit
       & info [ "step-limit" ] ~docv:"N"
           ~doc:
-            "Cap on recorded steps per trace; recording stops there, the \
-             run itself continues.")
+            "Cap on recorded steps per trace (N >= 1); recording stops \
+             there, the run itself continues.")
   in
-  (* single stored trace: report + replay *)
-  let explore_loaded path at back show_diff json =
-    match Cdtrace.load path with
-    | Error e ->
-      Printf.eprintf "%s: %s\n" path e;
+  (* save the traces when asked, then continue with their files; a
+     failed save is reported and exits 2 *)
+  let with_saved dir traces k =
+    let saves =
+      match dir with
+      | None -> []
+      | Some dir -> List.map (fun tr -> Cdtrace.save tr ~dir) traces
+    in
+    match List.find_map (function Error e -> Some e | Ok _ -> None) saves with
+    | Some e ->
+      Printf.eprintf "explore: cannot save trace: %s\n" e;
       2
-    | Ok tr ->
-      let n = Cdtrace.length tr in
-      let base = Option.value at ~default:n in
-      let pos, state = replay_state tr (base - back) in
-      if json then begin
-        Printf.printf
-          "{\"impl\": \"%s\", \"input\": \"%s\", \"status\": \"%s\", \
-           \"steps\": %d, \"truncated\": %b, \"events\": %d, \"pos\": %d, \
-           \"state\": \"%s\"}\n"
-          (json_escape tr.Cdtrace.impl)
-          (json_escape tr.Cdtrace.input)
-          (json_escape (Cdvm.Trap.status_to_string tr.Cdtrace.status))
-          n tr.Cdtrace.truncated
-          (Array.length tr.Cdtrace.events)
-          pos (json_escape state);
-        0
-      end
-      else begin
-        Printf.printf "trace: %s on input %S — %s, %d steps%s, %d events\n"
-          tr.Cdtrace.impl tr.Cdtrace.input
-          (Cdvm.Trap.status_to_string tr.Cdtrace.status)
-          n
-          (if tr.Cdtrace.truncated then " (truncated)" else "")
-          (Array.length tr.Cdtrace.events);
-        Printf.printf "replayed to step %d/%d:\n%s" pos n
-          (if show_diff then state
-           else String.sub state 0 (String.index state '\n') ^ "\n");
-        0
-      end
+    | None -> k (List.filter_map Result.to_option saves)
+  in
+  (* one trace, stored or freshly recorded: events + replay *)
+  let explore_one (tr : Cdtrace.t) ~saved at back show_diff json =
+    let n = Cdtrace.length tr in
+    let base = Option.value at ~default:n in
+    let pos, state = replay_state tr (base - back) in
+    let events = tr.Cdtrace.events in
+    if json then
+      Printf.printf
+        "{\"impl\": \"%s\", \"input\": \"%s\", \"status\": \"%s\", \
+         \"steps\": %d, \"truncated\": %b, \"events\": %d, \"pos\": %d, \
+         \"state\": \"%s\", \"saved\": [%s]}\n"
+        (json_escape tr.Cdtrace.impl)
+        (json_escape tr.Cdtrace.input)
+        (json_escape (Cdvm.Trap.status_to_string tr.Cdtrace.status))
+        n tr.Cdtrace.truncated (Array.length events) pos (json_escape state)
+        (String.concat ", "
+           (List.map (fun f -> "\"" ^ json_escape f ^ "\"") saved))
+    else begin
+      Printf.printf "trace: %s on input %S — %s, %d steps%s, %d events\n"
+        tr.Cdtrace.impl tr.Cdtrace.input
+        (Cdvm.Trap.status_to_string tr.Cdtrace.status)
+        n
+        (if tr.Cdtrace.truncated then " (truncated)" else "")
+        (Array.length events);
+      Array.iteri
+        (fun i (e : Cdtrace.event) ->
+          Printf.printf "%4d  [%s] %S\n" i e.Cdtrace.ev_fn e.Cdtrace.ev_text)
+        events;
+      List.iter (Printf.printf "saved trace: %s\n") saved;
+      Printf.printf "replayed to step %d/%d:\n%s" pos n
+        (if show_diff then state
+         else String.sub state 0 (String.index state '\n') ^ "\n")
+    end;
+    0
   in
   let action file input input_file at back show_diff json save load step_limit
       (c : common) =
     let input = resolve_input input input_file in
-    match (load, file) with
-    | Some path, _ -> explore_loaded path at back show_diff json
-    | None, None ->
+    let fuel = Option.value c.co_fuel ~default:200_000 in
+    match (load, file, c.co_profiles) with
+    | Some path, _, _ -> (
+      match Cdtrace.load path with
+      | Error e ->
+        Printf.eprintf "%s: %s\n" path e;
+        2
+      | Ok tr -> explore_one tr ~saved:[] at back show_diff json)
+    | None, None, _ ->
       Printf.eprintf "explore: need a FILE argument or --load-trace\n";
       2
-    | None, Some file -> (
-      let tp = frontend_of_file file in
-      let fuel = Option.value c.co_fuel ~default:200_000 in
+    | None, Some file, [ profile ] ->
+      let u =
+        Engine.Session.compile c.co_session profile (frontend_of_file file)
+      in
+      let tr =
+        Compdiff.Localize.record c.co_session ~level:Cdtrace.Steps ~fuel
+          ~limit:step_limit (profile.Cdcompiler.Policy.pname, u) ~input
+      in
+      with_saved save [ tr ] (fun saved ->
+          explore_one tr ~saved at back show_diff json)
+    | None, Some file, _ -> (
       let o =
         Compdiff.Oracle.create ~session:c.co_session ~profiles:c.co_profiles
-          ~fuel tp
+          ~fuel (frontend_of_file file)
       in
       match Compdiff.Oracle.check o ~input with
       | Compdiff.Oracle.Agree _ ->
@@ -654,27 +654,16 @@ let explore_cmd =
         else Printf.printf "no divergence on this input; nothing to explore\n";
         0
       | Compdiff.Oracle.Diverge obs -> (
-        match Compdiff.Localize.divergent_pair o obs with
+        match
+          Compdiff.Localize.of_divergence ~level:Cdtrace.Steps
+            ~limit:step_limit o obs ~input
+        with
         | None ->
           Printf.eprintf "divergent observations but no divergent pair\n";
           2
-        | Some (name_a, name_b) ->
-          let binaries = Compdiff.Oracle.binaries o in
-          let find n = (n, List.assoc n binaries) in
-          (* replay at the fuel the verdict was obtained at, so fuel
-             verdicts (hangs) reproduce instead of faking *)
-          let vfuel = Compdiff.Oracle.verdict_fuel o obs in
-          let ta, tb =
-            Compdiff.Localize.record_pair ~session:c.co_session ~fuel:vfuel
-              ~limit:step_limit ~impl_a:(find name_a) ~impl_b:(find name_b)
-              ~input ()
-          in
-          let d = Compdiff.Localize.deep_of_traces ta tb in
-          let saved =
-            match save with
-            | Some dir -> [ Cdtrace.save ta ~dir; Cdtrace.save tb ~dir ]
-            | None -> []
-          in
+        | Some d ->
+          let ta, tb = d.Compdiff.Localize.traces in
+          with_saved save [ ta; tb ] @@ fun saved ->
           let side_pos (side : Compdiff.Localize.deep_side)
               (tr : Cdtrace.t) =
             let base =
@@ -710,7 +699,7 @@ let explore_cmd =
               (String.concat ", "
                  (List.map (fun f -> "\"" ^ json_escape f ^ "\"") saved))
           else begin
-            print_string (Compdiff.Localize.deep_to_string d);
+            print_string (Compdiff.Localize.to_string d);
             List.iter (Printf.printf "saved trace: %s\n") saved;
             let show name tr pos state =
               Printf.printf "%s replayed to step %d/%d:\n" name pos
@@ -734,7 +723,9 @@ let explore_cmd =
        ~doc:
          "Time-travel a divergence: record the diverging pair at \
           instruction granularity, pin the first diverging instruction, \
-          and replay either side to any step.")
+          and replay either side to any step.  With a single profile \
+          ($(b,--profiles) P), record that one implementation and list \
+          its observable events.")
     Term.(
       const action $ file_opt_arg $ input_arg $ input_file_arg $ at_arg
       $ back_arg $ diff_arg $ json_arg $ save_arg $ load_arg $ step_limit_arg
@@ -1869,6 +1860,6 @@ let main_cmd =
   let doc = "compiler-driven differential testing for MiniC programs" in
   Cmd.group
     (Cmd.info "compdiff" ~version:"1.0.0" ~doc)
-    [ compile_cmd; run_cmd; vmcheck_cmd; diff_cmd; gen_cmd; trace_cmd; localize_cmd; explore_cmd; reduce_cmd; fuzz_cmd; juliet_cmd; static_cmd; metacheck_cmd; projects_cmd; serve_cmd; connect_cmd; profiles_cmd ]
+    [ compile_cmd; run_cmd; vmcheck_cmd; diff_cmd; gen_cmd; localize_cmd; explore_cmd; reduce_cmd; fuzz_cmd; juliet_cmd; static_cmd; metacheck_cmd; projects_cmd; serve_cmd; connect_cmd; profiles_cmd ]
 
 let () = exit (Cmd.eval' main_cmd)

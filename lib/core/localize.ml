@@ -1,36 +1,36 @@
-(* Fault-localization prototype (paper Section 5, "Fault localization and
-   bug report").
+(* Fault localization (paper Section 5, "Fault localization and bug
+   report"; DESIGN.md §15).
 
    The paper observes that CompDiff bugs need not crash, so stack traces
    are unavailable, and proposes comparing execution traces across
    binaries — hard in general because optimizations reshape control flow.
-   This prototype uses the one trace level optimizations must preserve:
-   the sequence of *observable events* (executed print statements), each
-   tagged with its enclosing function. The first event where two binaries
-   disagree localizes the divergence to a function and an event index,
-   which is exactly the paper's bug-report granularity plus a starting
-   point for diagnosis. *)
+   Localization records the two disagreeing binaries as [Cdtrace] traces
+   and aligns them in two stages:
 
-type event = {
-  ev_fn : string;      (* enclosing function of the print *)
-  ev_text : string;    (* rendered output of that statement *)
-}
+   - the observable-event skeleton (executed print statements, each
+     tagged with its enclosing function) is the one trace level
+     optimizations must preserve.  The first event where the binaries
+     disagree localizes the divergence to a function and an event index,
+     the paper's bug-report granularity.  A [Prints]-level recording
+     holds only this skeleton, and that is all the reducer and triage
+     need;
+   - a [Steps]-level recording also holds every instruction, and the
+     aligner then searches between the last agreeing and the first
+     disagreeing event for the first diverging write.
 
-type localization = {
-  impl_a : string;
-  impl_b : string;
-  event_index : int;                 (* first differing observable event *)
-  before : event list;               (* shared prefix (up to 3 events) *)
-  at_a : event option;               (* the differing event in each binary *)
-  at_b : event option;
-}
+   Step indices of two different binaries are incomparable: optimization
+   reshapes the instruction stream, so "step 123 of A" names nothing in
+   B.  Inside the event window every recorded write is therefore
+   projected to its (source line, kind, written value) -- register
+   numbers and frame addresses are per-binary artifacts, but the values
+   a correct optimization computes per source line are not.  The first
+   index at which the two projected write sequences differ is found by
+   bisection over prefix equality (the projections agree on a prefix and
+   disagree ever after, by construction of "first"), and maps back to a
+   concrete (step, pc, function, line, value) on each side: the first
+   diverging instruction at the granularity the trace store can see. *)
 
-(* Output-heavy fuzz finds can emit one event per instruction; the cap
-   keeps a trace proportional to what a human (or the aligner) will ever
-   look at.  Generous: a 200k-fuel run cannot exceed 200k prints. *)
-let default_event_limit = 100_000
-
-(* running counters over both localization levels, surfaced via
+(* running counters over both recording levels, surfaced via
    {!stats_to_json} (the --stats-json form) *)
 let stat_shallow = Atomic.make 0
 let stat_deep = Atomic.make 0
@@ -46,151 +46,6 @@ let stats_to_string () : string =
      bisection probes\n"
     (Atomic.get stat_shallow) (Atomic.get stat_deep) (Atomic.get stat_probes)
 
-let reset_stats () =
-  Atomic.set stat_shallow 0;
-  Atomic.set stat_deep 0;
-  Atomic.set stat_probes 0
-
-(* Run one pre-linked binary collecting its observable-event trace.
-   Events past [limit] are dropped and the returned flag says so. *)
-let trace_image ?(fuel = 200_000) ?(limit = default_event_limit)
-    (img : Cdvm.Image.t) ~(input : string) :
-    event list * Cdvm.Trap.status * bool =
-  let events = ref [] in
-  let count = ref 0 in
-  let truncated = ref false in
-  let on_print ~fn text =
-    if !count < limit then begin
-      events := { ev_fn = fn; ev_text = text } :: !events;
-      incr count
-    end
-    else truncated := true
-  in
-  let r =
-    Cdvm.Exec.run_linked
-      ~config:
-        {
-          Cdvm.Exec.default_config with
-          Cdvm.Exec.input;
-          fuel;
-          observer = Cdvm.Observer.prints on_print;
-        }
-      img
-  in
-  (List.rev !events, r.Cdvm.Exec.status, !truncated)
-
-(* Run one binary collecting its observable-event trace.  With a session
-   the (re-)link is served by the image cache; the traced execution
-   itself must NOT go through the observation store (the observer makes
-   it more than a function of (image, input, fuel)), so it always runs. *)
-let trace ?session ?fuel ?limit (u : Cdcompiler.Ir.unit_) ~(input : string) :
-    event list * Cdvm.Trap.status * bool =
-  let img =
-    match session with
-    | Some s -> Engine.Session.image (Engine.Session.link s u)
-    | None -> Cdvm.Image.link u
-  in
-  trace_image ?fuel ?limit img ~input
-
-let rec first_diff i (a : event list) (b : event list) =
-  match (a, b) with
-  | [], [] -> None
-  | x :: xs, y :: ys when x = y -> first_diff (i + 1) xs ys
-  | x :: _, y :: _ -> Some (i, Some x, Some y)
-  | x :: _, [] -> Some (i, Some x, None)
-  | [], y :: _ -> Some (i, None, Some y)
-
-let take n l = List.filteri (fun i _ -> i < n) l
-
-(* Localize a divergence between two named implementations. Returns
-   [None] when their observable traces are identical (the divergence is
-   then in the termination status only). *)
-let between ?session ?fuel ?limit ~(impl_a : string * Cdcompiler.Ir.unit_)
-    ~(impl_b : string * Cdcompiler.Ir.unit_) ~(input : string) () :
-    localization option =
-  let name_a, ua = impl_a and name_b, ub = impl_b in
-  Atomic.incr stat_shallow;
-  (* the two traced runs are independent; go through the shared pool
-     like every other pairwise path *)
-  let ta, tb =
-    match
-      Cdutil.Pool.map
-        (fun u -> let ev, _, _ = trace ?session ?fuel ?limit u ~input in ev)
-        [ ua; ub ]
-    with
-    | [ ta; tb ] -> (ta, tb)
-    | _ -> assert false
-  in
-  match first_diff 0 ta tb with
-  | None -> None
-  | Some (i, ea, eb) ->
-    let prefix = take i ta in
-    let before =
-      let n = List.length prefix in
-      List.filteri (fun j _ -> j >= n - 3) prefix
-    in
-    Some { impl_a = name_a; impl_b = name_b; event_index = i; before; at_a = ea; at_b = eb }
-
-(* The first pair of implementations whose observations disagree: the
-   leftmost binary plus the leftmost one differing from it.  The pair is
-   a function of the behaviour partition, so any reduction step that
-   preserves the partition signature preserves it too. *)
-let divergent_pair (oracle : Oracle.t)
-    (obs : (string * Oracle.observation) list) : (string * string) option =
-  match obs with
-  | [] -> None
-  | (first_name, first_obs) :: rest ->
-    let c0 = Oracle.checksum oracle first_obs in
-    Option.map
-      (fun (other_name, _) -> (first_name, other_name))
-      (List.find_opt (fun (_, o) -> Oracle.checksum oracle o <> c0) rest)
-
-(* Pick two implementations with differing observations from an oracle
-   divergence and localize between them.  Traces replay at the fuel the
-   verdict was actually obtained at ({!Oracle.verdict_fuel}) unless the
-   caller overrides it: a divergence found after escalation would
-   otherwise localize as a spurious hang. *)
-let of_divergence ?fuel (oracle : Oracle.t)
-    (binaries : (string * Cdcompiler.Ir.unit_) list)
-    (obs : (string * Oracle.observation) list) ~(input : string) :
-    localization option =
-  match divergent_pair oracle obs with
-  | None -> None
-  | Some (first_name, other_name) -> (
-    let fuel =
-      match fuel with Some f -> f | None -> Oracle.verdict_fuel oracle obs
-    in
-    match
-      ( List.find_opt (fun (n, _) -> n = first_name) binaries,
-        List.find_opt (fun (n, _) -> n = other_name) binaries )
-    with
-    | Some a, Some b ->
-      between ~session:(Oracle.session oracle) ~fuel ~impl_a:a ~impl_b:b
-        ~input ()
-    | _ -> None)
-
-(* --- deep (instruction-level) localization (DESIGN.md §15) ---
-
-   Step indices of two different binaries are incomparable: optimization
-   reshapes the instruction stream, so "step 123 of A" names nothing in
-   B.  Deep localization therefore aligns on two things the compilers
-   must preserve:
-
-   - the observable-event skeleton (executed prints) anchors a window:
-     the divergence lies between the last event the binaries agree on
-     and the first one they disagree on;
-   - inside the window, every recorded write is projected to its
-     (source line, kind, written value) -- register numbers and frame
-     addresses are per-binary artifacts, but the values a correct
-     optimization computes per source line are not.
-
-   The first index at which the two projected write sequences differ is
-   found by bisection over prefix equality (the projections agree on a
-   prefix and disagree ever after, by construction of "first"), and maps
-   back to a concrete (step, pc, function, line, value) on each side:
-   the first diverging instruction at the granularity the trace store
-   can see. *)
-
 type probe = {
   pr_step : int;               (* step index in that binary's trace *)
   pr_fn : string;
@@ -202,18 +57,20 @@ type probe = {
 }
 
 type deep_side = {
-  ds_impl : string;
-  ds_steps : int;              (* trace length *)
-  ds_truncated : bool;
   ds_window : int * int;       (* [lo, hi) step window searched *)
   ds_at : probe option;        (* first diverging write, this side *)
 }
 
-type deep = {
+type t = {
+  level : Cdtrace.level;       (* what the two traces recorded *)
+  traces : Cdtrace.t * Cdtrace.t;  (* side a, side b *)
   deep_a : deep_side;
   deep_b : deep_side;
   anchor_event : int;          (* last agreeing observable event; -1 none *)
   diverging_event : int option;(* first differing observable event *)
+  before : Cdtrace.event list; (* shared events before it, up to 3 *)
+  ev_a : Cdtrace.event option; (* the differing event on each side *)
+  ev_b : Cdtrace.event option;
   probes : int;                (* bisection probes spent *)
   diff : string;               (* rendered value / event / status diff *)
 }
@@ -304,36 +161,51 @@ let probe_place (p : probe) : string =
     | Some l -> Printf.sprintf " (line %d)" l
     | None -> "")
 
-(* Localize between two recorded traces of the same (program, input).
-   Total: some divergence explanation always comes back — a projected
-   write mismatch, a differing observable event, or a status/output
-   difference, in that order of preference. *)
-let deep_of_traces (ta : Cdtrace.t) (tb : Cdtrace.t) : deep =
-  Atomic.incr stat_deep;
+(* The first pair of implementations whose observations disagree: the
+   leftmost binary plus the leftmost one differing from it.  The pair is
+   a function of the behaviour partition, so any reduction step that
+   preserves the partition signature preserves it too. *)
+let divergent_pair (oracle : Oracle.t)
+    (obs : (string * Oracle.observation) list) : (string * string) option =
+  match obs with
+  | [] -> None
+  | (first_name, first_obs) :: rest ->
+    let c0 = Oracle.checksum oracle first_obs in
+    Option.map
+      (fun (other_name, _) -> (first_name, other_name))
+      (List.find_opt (fun (_, o) -> Oracle.checksum oracle o <> c0) rest)
+
+(* Localize between two traces of the same (program, input), both
+   recorded at [level].  Total: some divergence explanation always comes
+   back — a projected write mismatch, a differing observable event, or a
+   status/output difference, in that order of preference.  A [Prints]
+   recording has no writes, so its explanation starts at the events. *)
+let of_traces ~(level : Cdtrace.level) (ta : Cdtrace.t) (tb : Cdtrace.t) : t =
+  Atomic.incr
+    (match level with Cdtrace.Prints -> stat_shallow | Cdtrace.Steps -> stat_deep);
   let ea = ta.Cdtrace.events and eb = tb.Cdtrace.events in
   let nshared = min (Array.length ea) (Array.length eb) in
+  let same (x : Cdtrace.event) (y : Cdtrace.event) =
+    x.Cdtrace.ev_fn = y.Cdtrace.ev_fn && x.Cdtrace.ev_text = y.Cdtrace.ev_text
+  in
   let m = ref 0 in
-  while
-    !m < nshared
-    && (let _, fa, xa = ea.(!m) and _, fb, xb = eb.(!m) in
-        fa = fb && xa = xb)
-  do
+  while !m < nshared && same ea.(!m) eb.(!m) do
     incr m
   done;
   let m = !m in
-  let diverging_event =
-    if m < Array.length ea || m < Array.length eb then Some m else None
-  in
-  let window (tr : Cdtrace.t) (ev : (int * string * string) array) =
-    let lo = if m > 0 then (let s, _, _ = ev.(m - 1) in s + 1) else 0 in
+  let event_at ev = if m < Array.length ev then Some ev.(m) else None in
+  let ev_a = event_at ea and ev_b = event_at eb in
+  let diverging_event = if ev_a = None && ev_b = None then None else Some m in
+  let window (tr : Cdtrace.t) ev (at : Cdtrace.event option) =
+    let lo = if m > 0 then ev.(m - 1).Cdtrace.ev_step + 1 else 0 in
     let hi =
-      match diverging_event with
-      | Some d when d < Array.length ev -> (let s, _, _ = ev.(d) in s + 1)
-      | Some _ | None -> Cdtrace.length tr
+      match at with
+      | Some e -> e.Cdtrace.ev_step + 1
+      | None -> Cdtrace.length tr
     in
     (lo, max lo hi)
   in
-  let wa = window ta ea and wb = window tb eb in
+  let wa = window ta ea ev_a and wb = window tb eb ev_b in
   let pa = project ta ~lo:(fst wa) ~hi:(snd wa) in
   let pb = project tb ~lo:(fst wb) ~hi:(snd wb) in
   let cut, probes = common_prefix pa pb in
@@ -364,15 +236,15 @@ let deep_of_traces (ta : Cdtrace.t) (tb : Cdtrace.t) : deep =
       (* projections agree: explain by the event skeleton, then status *)
       match diverging_event with
       | Some d ->
-        let side ev tr =
-          if d < Array.length ev then begin
-            let s, fn, text = ev.(d) in
-            (probe_at tr s ~value:(Printf.sprintf "%S" text),
-             Printf.sprintf "[%s] %S" fn text)
-          end
-          else (None, Printf.sprintf "no further output from %s" tr.Cdtrace.impl)
+        let side (at : Cdtrace.event option) tr =
+          match at with
+          | Some e ->
+            (probe_at tr e.Cdtrace.ev_step
+               ~value:(Printf.sprintf "%S" e.Cdtrace.ev_text),
+             Printf.sprintf "[%s] %S" e.Cdtrace.ev_fn e.Cdtrace.ev_text)
+          | None -> (None, Printf.sprintf "no further output from %s" tr.Cdtrace.impl)
         in
-        let a, sa = side ea ta and b, sb = side eb tb in
+        let a, sa = side ev_a ta and b, sb = side ev_b tb in
         (a, b,
          Printf.sprintf "observable event #%d differs: %s vs %s" d sa sb)
       | None ->
@@ -391,135 +263,117 @@ let deep_of_traces (ta : Cdtrace.t) (tb : Cdtrace.t) : deep =
               (if ta.Cdtrace.stdout = tb.Cdtrace.stdout then "agree too"
                else "differ only after normalization") ))
   in
-  let side (tr : Cdtrace.t) w at =
-    {
-      ds_impl = tr.Cdtrace.impl;
-      ds_steps = Cdtrace.length tr;
-      ds_truncated = tr.Cdtrace.truncated;
-      ds_window = w;
-      ds_at = at;
-    }
-  in
   {
-    deep_a = side ta wa at_a;
-    deep_b = side tb wb at_b;
+    level;
+    traces = (ta, tb);
+    deep_a = { ds_window = wa; ds_at = at_a };
+    deep_b = { ds_window = wb; ds_at = at_b };
     anchor_event = m - 1;
     diverging_event;
+    before = Array.to_list (Array.sub ea (max 0 (m - 3)) (min m 3));
+    ev_a;
+    ev_b;
     probes;
     diff;
   }
 
-(* Record the two traces (through the shared pool; via the session's
-   image cache and uncached traced-run path when one is given) and
-   localize between them. *)
-let record_pair ?session ?(fuel = 200_000) ?limit ?snapshot_every
-    ~(impl_a : string * Cdcompiler.Ir.unit_)
-    ~(impl_b : string * Cdcompiler.Ir.unit_) ~(input : string) () :
-    Cdtrace.t * Cdtrace.t =
-  let record (name, u) =
-    match session with
-    | Some s ->
-      let l = Engine.Session.link s u in
-      let observer, finish =
-        Cdtrace.recorder ?limit ?snapshot_every (Engine.Session.image l)
-          ~impl:name ~input ~fuel
-      in
-      finish (Engine.Session.run_traced s l ~observer ~input ~fuel)
-    | None ->
-      fst
-        (Cdtrace.record ?limit ?snapshot_every ~fuel (Cdvm.Image.link u)
-           ~impl:name ~input)
-  in
-  match Cdutil.Pool.map record [ impl_a; impl_b ] with
-  | [ ta; tb ] -> (ta, tb)
-  | _ -> assert false
+(* the function the first differing event sits in, on either side;
+   [None] when the event skeletons agree *)
+let diverging_fn (l : t) : string option =
+  match (l.ev_a, l.ev_b) with
+  | Some e, _ | None, Some e -> Some e.Cdtrace.ev_fn
+  | None, None -> None
 
-let deep ?session ?fuel ?limit ?snapshot_every ~impl_a ~impl_b ~input () : deep =
-  let ta, tb =
-    record_pair ?session ?fuel ?limit ?snapshot_every ~impl_a ~impl_b ~input ()
+(* Record one implementation's run of [input] at [level]: linked through
+   the session's image cache, executed on its traced-run path.  [limit]
+   caps a [Steps] recording. *)
+let record (session : Engine.Session.t) ~(level : Cdtrace.level) ~(fuel : int)
+    ?limit ((name, u) : string * Cdcompiler.Ir.unit_) ~(input : string) :
+    Cdtrace.t =
+  let l = Engine.Session.link session u in
+  let observer, finish =
+    Cdtrace.recorder ~level ?limit (Engine.Session.image l) ~impl:name ~input
+      ~fuel
   in
-  deep_of_traces ta tb
+  finish (Engine.Session.run_traced session l ~observer ~input ~fuel)
 
-(* Deep analogue of {!of_divergence}: pick the divergent pair and
-   localize it at instruction granularity, replaying at the verdict
-   fuel. *)
-let deep_of_divergence ?fuel ?limit (oracle : Oracle.t)
-    (binaries : (string * Cdcompiler.Ir.unit_) list)
-    (obs : (string * Oracle.observation) list) ~(input : string) :
-    deep option =
+(* Pick the divergent pair of an oracle divergence, record both sides at
+   [level] (through the shared pool) and localize between them.  Traces
+   replay at the fuel the verdict was actually obtained at
+   ({!Oracle.verdict_fuel}): a divergence found after escalation would
+   otherwise localize as a spurious hang.  [None] when the observations
+   hold no divergent pair. *)
+let of_divergence ~(level : Cdtrace.level) ?limit (oracle : Oracle.t)
+    (obs : (string * Oracle.observation) list) ~(input : string) : t option =
   match divergent_pair oracle obs with
   | None -> None
-  | Some (first_name, other_name) -> (
-    let fuel =
-      match fuel with Some f -> f | None -> Oracle.verdict_fuel oracle obs
-    in
-    match
-      ( List.find_opt (fun (n, _) -> n = first_name) binaries,
-        List.find_opt (fun (n, _) -> n = other_name) binaries )
-    with
-    | Some a, Some b ->
-      Some
-        (deep ~session:(Oracle.session oracle) ~fuel ?limit ~impl_a:a
-           ~impl_b:b ~input ())
+  | Some (name_a, name_b) -> (
+    let binaries = Oracle.binaries oracle in
+    match (List.assoc_opt name_a binaries, List.assoc_opt name_b binaries) with
+    | Some ua, Some ub -> (
+      let fuel = Oracle.verdict_fuel oracle obs in
+      match
+        Cdutil.Pool.map
+          (record (Oracle.session oracle) ~level ~fuel ?limit ~input)
+          [ (name_a, ua); (name_b, ub) ]
+      with
+      | [ ta; tb ] -> Some (of_traces ~level ta tb)
+      | _ -> assert false)
     | _ -> None)
 
-let deep_to_string (d : deep) : string =
+(* [Prints]: the event report -- shared context, then the differing
+   event on each side.  [Steps]: the event window and the first
+   diverging instruction on each side. *)
+let to_string (l : t) : string =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "deep localization: %s vs %s\n" d.deep_a.ds_impl
-       d.deep_b.ds_impl);
-  Buffer.add_string buf
-    (Printf.sprintf "  aligned on %d shared observable event%s%s\n"
-       (d.anchor_event + 1)
-       (if d.anchor_event = 0 then "" else "s")
-       (match d.diverging_event with
-       | Some e -> Printf.sprintf "; event #%d differs" e
-       | None -> "; event skeletons agree"));
-  let side (s : deep_side) =
-    Buffer.add_string buf
-      (Printf.sprintf "  %-12s %d steps%s, searched window [%d, %d)%s\n"
-         s.ds_impl s.ds_steps
-         (if s.ds_truncated then " (truncated)" else "")
-         (fst s.ds_window) (snd s.ds_window)
-         (match s.ds_at with
-         | Some p -> "\n               first diverging instruction: " ^ probe_place p
-         | None -> ""))
-  in
-  side d.deep_a;
-  side d.deep_b;
-  Buffer.add_string buf
-    (Printf.sprintf "  diff (%d bisection probe%s): %s\n" d.probes
-       (if d.probes = 1 then "" else "s")
-       d.diff);
-  Buffer.contents buf
-
-let to_string (l : localization) : string =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "first divergent observation: event #%d (%s vs %s)\n"
-       l.event_index l.impl_a l.impl_b);
-  List.iter
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "  shared   [%s] %S\n" e.ev_fn e.ev_text))
-    l.before;
-  (match (l.at_a, l.at_b) with
-  | Some a, Some b when a.ev_fn = b.ev_fn ->
-    Buffer.add_string buf
-      (Printf.sprintf "  diverges in function '%s':\n" a.ev_fn);
-    Buffer.add_string buf (Printf.sprintf "    %-12s %S\n" l.impl_a a.ev_text);
-    Buffer.add_string buf (Printf.sprintf "    %-12s %S\n" l.impl_b b.ev_text)
-  | Some a, Some b ->
-    Buffer.add_string buf
-      (Printf.sprintf "  control flow diverges: '%s' reaches %s, '%s' reaches %s\n"
-         l.impl_a a.ev_fn l.impl_b b.ev_fn)
-  | Some a, None ->
-    Buffer.add_string buf
-      (Printf.sprintf "  only %s observes [%s] %S; %s produced no further output\n"
-         l.impl_a a.ev_fn a.ev_text l.impl_b)
-  | None, Some b ->
-    Buffer.add_string buf
-      (Printf.sprintf "  only %s observes [%s] %S; %s produced no further output\n"
-         l.impl_b b.ev_fn b.ev_text l.impl_a)
-  | None, None -> Buffer.add_string buf "  traces identical\n");
+  let add fmt = Printf.bprintf buf fmt in
+  let ta, tb = l.traces in
+  let impl_a = ta.Cdtrace.impl and impl_b = tb.Cdtrace.impl in
+  (match l.level with
+  | Cdtrace.Prints -> (
+    match l.diverging_event with
+    | None ->
+      add "outputs agree event-by-event; the divergence is in the termination status\n"
+    | Some i -> (
+      add "first divergent observation: event #%d (%s vs %s)\n" i impl_a impl_b;
+      List.iter
+        (fun (e : Cdtrace.event) ->
+          add "  shared   [%s] %S\n" e.Cdtrace.ev_fn e.Cdtrace.ev_text)
+        l.before;
+      let only (e : Cdtrace.event) this other =
+        add "  only %s observes [%s] %S; %s produced no further output\n" this
+          e.Cdtrace.ev_fn e.Cdtrace.ev_text other
+      in
+      match (l.ev_a, l.ev_b) with
+      | Some a, Some b when a.Cdtrace.ev_fn = b.Cdtrace.ev_fn ->
+        add "  diverges in function '%s':\n" a.Cdtrace.ev_fn;
+        add "    %-12s %S\n" impl_a a.Cdtrace.ev_text;
+        add "    %-12s %S\n" impl_b b.Cdtrace.ev_text
+      | Some a, Some b ->
+        add "  control flow diverges: '%s' reaches %s, '%s' reaches %s\n"
+          impl_a a.Cdtrace.ev_fn impl_b b.Cdtrace.ev_fn
+      | Some a, None -> only a impl_a impl_b
+      | None, Some b -> only b impl_b impl_a
+      | None, None -> ()))
+  | Cdtrace.Steps ->
+    add "deep localization: %s vs %s\n" impl_a impl_b;
+    add "  aligned on %d shared observable event%s%s\n" (l.anchor_event + 1)
+      (if l.anchor_event = 0 then "" else "s")
+      (match l.diverging_event with
+      | Some e -> Printf.sprintf "; event #%d differs" e
+      | None -> "; event skeletons agree");
+    let side (tr : Cdtrace.t) (s : deep_side) =
+      add "  %-12s %d steps%s, searched window [%d, %d)%s\n" tr.Cdtrace.impl
+        (Cdtrace.length tr)
+        (if tr.Cdtrace.truncated then " (truncated)" else "")
+        (fst s.ds_window) (snd s.ds_window)
+        (match s.ds_at with
+        | Some p -> "\n               first diverging instruction: " ^ probe_place p
+        | None -> "")
+    in
+    side ta l.deep_a;
+    side tb l.deep_b;
+    add "  diff (%d bisection probe%s): %s\n" l.probes
+      (if l.probes = 1 then "" else "s")
+      l.diff);
   Buffer.contents buf

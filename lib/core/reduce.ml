@@ -48,12 +48,9 @@ let class_of (oracle : Oracle.t) ~(input : string)
   let cls_signature = Triage.signature_of_partition cls_partition in
   let cls_pair = Localize.divergent_pair oracle obs in
   let cls_fn =
-    match Localize.of_divergence oracle (Oracle.binaries oracle) obs ~input with
-    | Some l -> (
-      match (l.Localize.at_a, l.Localize.at_b) with
-      | Some e, _ | None, Some e -> Some e.Localize.ev_fn
-      | None, None -> None)
-    | None -> None
+    Option.bind
+      (Localize.of_divergence ~level:Cdtrace.Prints oracle obs ~input)
+      Localize.diverging_fn
   in
   { cls_partition; cls_signature; cls_pair; cls_fn }
 

@@ -12,8 +12,9 @@
       ({!Triage.signature_of_partition}), which pins the implementation
       pair the divergence is between, and
     - the divergence still localizes to the same function
-      ({!Localize.between} granularity), with traces replayed at
-      {!Oracle.verdict_fuel} on the linked executor.
+      (the first differing event of {!Localize.of_divergence} at the
+      [Prints] level), with traces replayed at {!Oracle.verdict_fuel}
+      on the linked executor.
 
     A candidate that merely diverges differently (a new bug uncovered by
     the edit) is rejected, so reduction can only preserve the original

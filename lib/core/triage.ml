@@ -114,14 +114,15 @@ type root_cause = {
 }
 
 let suggest_root_cause (p : Minic.Ast.program)
-    (l : Localize.localization) : root_cause option =
+    (l : Localize.t) : root_cause option =
   let findings =
-    Staticcheck.Static_tools.check Staticcheck.Static_tools.Unstable p
+    if l.Localize.diverging_event = None then []
+    else Staticcheck.Static_tools.check Staticcheck.Static_tools.Unstable p
   in
   let diverging_fns =
     List.filter_map
-      (fun e -> Option.map (fun e -> e.Localize.ev_fn) e)
-      [ l.Localize.at_a; l.Localize.at_b ]
+      (Option.map (fun (e : Cdtrace.event) -> e.Cdtrace.ev_fn))
+      [ l.Localize.ev_a; l.Localize.ev_b ]
   in
   let in_fn (f : Staticcheck.Finding.t) =
     match f.Staticcheck.Finding.func with
@@ -166,23 +167,18 @@ let report_key_to_string k =
     (Option.value ~default:"(no localized function)" k.rk_fn)
     (Option.value ~default:"(no root cause)" k.rk_label)
 
+(* the reduced reproducer when the reducer has run, else the raw one *)
+let reproducer (e : diff_entry) =
+  match e.reduced with
+  | Some r -> (r.red_input, r.red_observations)
+  | None -> (e.input, e.observations)
+
 (* Key of one entry, computed on the reduced reproducer when present.
    Localization replays on the oracle's binaries at the verdict fuel. *)
 let entry_key (oracle : Oracle.t) ?program (e : diff_entry) : report_key =
-  let input, obs =
-    match e.reduced with
-    | Some r -> (r.red_input, r.red_observations)
-    | None -> (e.input, e.observations)
-  in
-  let l = Localize.of_divergence oracle (Oracle.binaries oracle) obs ~input in
-  let rk_fn =
-    match l with
-    | Some l -> (
-      match (l.Localize.at_a, l.Localize.at_b) with
-      | Some e, _ | None, Some e -> Some e.Localize.ev_fn
-      | None, None -> None)
-    | None -> None
-  in
+  let input, obs = reproducer e in
+  let l = Localize.of_divergence ~level:Cdtrace.Prints oracle obs ~input in
+  let rk_fn = Option.bind l Localize.diverging_fn in
   let rk_label =
     match (program, l) with
     | Some p, Some l ->
@@ -195,13 +191,9 @@ let entry_key (oracle : Oracle.t) ?program (e : diff_entry) : report_key =
    reproducer when the reducer has run: the Table-5 bucket names the
    category, this names the first diverging instruction inside it. *)
 let entry_deep (oracle : Oracle.t) ?limit (e : diff_entry) :
-    Localize.deep option =
-  let input, obs =
-    match e.reduced with
-    | Some r -> (r.red_input, r.red_observations)
-    | None -> (e.input, e.observations)
-  in
-  Localize.deep_of_divergence ?limit oracle (Oracle.binaries oracle) obs ~input
+    Localize.t option =
+  let input, obs = reproducer e in
+  Localize.of_divergence ~level:Cdtrace.Steps ?limit oracle obs ~input
 
 (* One bucket per (localized function, root cause), in first-seen order;
    inside a bucket the smallest reproducer leads.  Operates on the
@@ -219,11 +211,7 @@ let report_buckets t (oracle : Oracle.t) ?program () :
             !buckets
       else buckets := !buckets @ [ (k, [ e ]) ])
     (representatives t);
-  let size e =
-    match e.reduced with
-    | Some r -> String.length r.red_input
-    | None -> String.length e.input
-  in
+  let size e = String.length (fst (reproducer e)) in
   List.map
     (fun (k, es) ->
       (k, List.stable_sort (fun a b -> compare (size a) (size b)) (List.rev es)))

@@ -76,12 +76,12 @@ val report_representatives :
 (** The lead entry of every {!report_buckets} bucket: what a human
     should actually read. *)
 
-val entry_deep : Oracle.t -> ?limit:int -> diff_entry -> Localize.deep option
+val entry_deep : Oracle.t -> ?limit:int -> diff_entry -> Localize.t option
 (** Instruction-level localization of one entry
-    ({!Localize.deep_of_divergence} on the reduced reproducer when one
-    is attached, else on the raw input); [None] when the observations
-    hold no divergent pair.  Expensive: records two [Steps]-level
-    traces. *)
+    ({!Localize.of_divergence} at the [Steps] level, on the reduced
+    reproducer when one is attached, else on the raw input); [None]
+    when the observations hold no divergent pair.  Expensive: records
+    two [Steps]-level traces. *)
 
 (** {2 Root-cause suggestion}
 
@@ -103,10 +103,10 @@ val table5_label : Staticcheck.Finding.kind -> string
     [MemError], [PointerCmp], [Misc.]). *)
 
 val suggest_root_cause :
-  Minic.Ast.program -> Localize.localization -> root_cause option
+  Minic.Ast.program -> Localize.t -> root_cause option
 (** Run UnstableCheck over the (untyped) program and pick the finding
     that best explains the localization; [None] when the analyzer is
-    silent. *)
+    silent or no observable event diverges. *)
 
 val root_cause_to_string : root_cause -> string
 

@@ -156,7 +156,7 @@ type explore_reply = {
   er_step_b : int;
   er_line : int;             (* attributed source line; -1 = unknown *)
   er_probes : int;           (* bisection probes spent on alignment *)
-  er_report : string;        (* Localize.deep_to_string rendering *)
+  er_report : string;        (* Localize.to_string rendering *)
 }
 
 type response =

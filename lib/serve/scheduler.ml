@@ -396,65 +396,50 @@ let run_explore t (it : item) (e : Proto.explore_req) : unit =
         if e.Proto.ex_limit > 0 then Some e.Proto.ex_limit else None
       in
       Atomic.incr t.c_checks;
+      let not_found er_report =
+        Proto.Explore_reply
+          {
+            Proto.er_found = false;
+            er_impl_a = "";
+            er_impl_b = "";
+            er_step_a = -1;
+            er_step_b = -1;
+            er_line = -1;
+            er_probes = 0;
+            er_report;
+          }
+      in
       match Compdiff.Oracle.check oracle ~input with
-      | Compdiff.Oracle.Agree _ ->
-          Proto.Explore_reply
-            {
-              Proto.er_found = false;
-              er_impl_a = "";
-              er_impl_b = "";
-              er_step_a = -1;
-              er_step_b = -1;
-              er_line = -1;
-              er_probes = 0;
-              er_report = "";
-            }
+      | Compdiff.Oracle.Agree _ -> not_found ""
       | Compdiff.Oracle.Diverge obs -> (
           match
-            Compdiff.Localize.deep_of_divergence ?limit oracle
-              (Compdiff.Oracle.binaries oracle)
-              obs ~input
+            Compdiff.Localize.of_divergence ~level:Cdtrace.Steps ?limit
+              oracle obs ~input
           with
-          | None ->
-              Proto.Explore_reply
-                {
-                  Proto.er_found = false;
-                  er_impl_a = "";
-                  er_impl_b = "";
-                  er_step_a = -1;
-                  er_step_b = -1;
-                  er_line = -1;
-                  er_probes = 0;
-                  er_report = "divergence held no comparable pair";
-                }
+          | None -> not_found "divergence held no comparable pair"
           | Some d ->
+              let open Compdiff.Localize in
               let step side =
-                match side.Compdiff.Localize.ds_at with
-                | Some p -> p.Compdiff.Localize.pr_step
-                | None -> -1
+                match side.ds_at with Some p -> p.pr_step | None -> -1
               in
               let line =
-                match
-                  ( d.Compdiff.Localize.deep_a.Compdiff.Localize.ds_at,
-                    d.Compdiff.Localize.deep_b.Compdiff.Localize.ds_at )
-                with
-                | Some { Compdiff.Localize.pr_line = Some l; _ }, _
-                | _, Some { Compdiff.Localize.pr_line = Some l; _ } ->
+                match (d.deep_a.ds_at, d.deep_b.ds_at) with
+                | Some { pr_line = Some l; _ }, _
+                | _, Some { pr_line = Some l; _ } ->
                     l
                 | _ -> -1
               in
+              let ta, tb = d.traces in
               Proto.Explore_reply
                 {
                   Proto.er_found = true;
-                  er_impl_a =
-                    d.Compdiff.Localize.deep_a.Compdiff.Localize.ds_impl;
-                  er_impl_b =
-                    d.Compdiff.Localize.deep_b.Compdiff.Localize.ds_impl;
-                  er_step_a = step d.Compdiff.Localize.deep_a;
-                  er_step_b = step d.Compdiff.Localize.deep_b;
+                  er_impl_a = ta.Cdtrace.impl;
+                  er_impl_b = tb.Cdtrace.impl;
+                  er_step_a = step d.deep_a;
+                  er_step_b = step d.deep_b;
                   er_line = line;
-                  er_probes = d.Compdiff.Localize.probes;
-                  er_report = Compdiff.Localize.deep_to_string d;
+                  er_probes = d.probes;
+                  er_report = to_string d;
                 }))
 
 (* --- the executor loop --- *)

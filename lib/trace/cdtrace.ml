@@ -1,9 +1,13 @@
-(* Recorded step-level executions: the trace store (DESIGN.md §15).
+(* Recorded executions: the trace store (DESIGN.md §15).
 
-   A trace captures one [Steps]-observed run of a linked image as an
-   append-only byte stream: per instruction a zigzag-varint pc delta
-   followed by the instruction's *effects* -- register writes, absolute
-   memory writes, call/return boundaries and print events -- as tagged
+   A trace captures one observed run of a linked image.  A [Prints]
+   recording keeps only the observable events (executed prints, with
+   their enclosing function) and costs what a [Prints]-observed run on
+   the linked executor costs: event-level localization needs no more.
+   A [Steps] recording adds the instruction stream as an append-only
+   byte stream: per instruction a zigzag-varint pc delta followed by
+   the instruction's *effects* -- register writes, absolute memory
+   writes, call/return boundaries and print events -- as tagged
    items.  The stream is pure replay data: applying the items of steps
    [0..k-1] in order reconstructs the registers of every live frame and
    the written memory cells exactly as they stood when instruction [k]
@@ -239,6 +243,14 @@ type func_info = {
   fn_lines : int array;  (* pc -> source line; empty when stripped *)
 }
 
+(* one executed print; same block layout as the (step, fn, text)
+   triple earlier traces stored, so their files still load *)
+type event = {
+  ev_step : int;     (* step the print ran in; -1 at the [Prints] level *)
+  ev_fn : string;    (* enclosing function *)
+  ev_text : string;  (* rendered output *)
+}
+
 type t = {
   impl : string;                           (* implementation / profile *)
   input : string;
@@ -247,10 +259,10 @@ type t = {
   stdout : string;
   fuel_used : int;
   nsteps : int;                            (* steps recorded *)
-  total_steps : int;                       (* steps executed *)
-  truncated : bool;                        (* total_steps > nsteps *)
+  total_steps : int;                       (* steps executed; 0 at [Prints] *)
+  truncated : bool;                        (* recording hit its cap *)
   funcs : func_info array;                 (* indexed by fi *)
-  events : (int * string * string) array;  (* (step, fn, text) *)
+  events : event array;
   code : string;                           (* the encoded step stream *)
   snaps : snapshot array;                  (* ascending sn_step *)
 }
@@ -269,7 +281,16 @@ let line_of (tr : t) ~(fi : int) ~(pc : int) : int option =
 
 (* --- recorder --- *)
 
+type level = Prints | Steps
+
+(* step cap of a [Steps] recording *)
 let default_limit = 1_000_000
+
+(* Event cap of a [Prints] recording.  Output-heavy fuzz finds can emit
+   one event per instruction; the cap keeps a trace proportional to
+   what a human (or the aligner) will ever look at.  Generous: a
+   200k-fuel run cannot exceed 200k prints. *)
+let event_limit = 100_000
 
 (* sqrt of [default_limit], the O(sqrt n) balance point: seeks replay
    at most one stride, the recorder copies its mirror once per stride *)
@@ -295,11 +316,18 @@ type recorder_state = {
   mutable rframes : rframe list;
   mutable rmem : (int, Value.t) Hashtbl.t;
   mutable rsnaps : snapshot list;          (* newest first *)
-  mutable revents : (int * string * string) list;
+  mutable revents : event list;
   mutable nevents : int;
+  mutable dropped : bool;                  (* events past [event_limit] *)
 }
 
-let recorder ?(limit = default_limit)
+(* The observer to run [img] under and the function turning the run's
+   result into its trace.  At the [Steps] level, [limit] caps the
+   recorded steps and [snapshot_every] spaces the snapshots.  At the
+   [Prints] level only events are kept, up to [event_limit], with step
+   -1; the step stream is the empty prologue group, so cursors and
+   [iter] see a zero-step trace. *)
+let recorder ?(level = Steps) ?(limit = default_limit)
     ?(snapshot_every = default_snapshot_every) (img : Cdvm.Image.t)
     ~(impl : string) ~(input : string) ~(fuel : int) :
     Cdvm.Observer.t * (Cdvm.Exec.result -> t) =
@@ -307,7 +335,7 @@ let recorder ?(limit = default_limit)
   if snapshot_every < 1 then invalid_arg "Cdtrace.recorder: snapshot_every < 1";
   let r =
     {
-      buf = ob_create 4096;
+      buf = ob_create (match level with Steps -> 4096 | Prints -> 1);
       rsteps = 0;
       tsteps = 0;
       rlast_pc = 0;
@@ -317,6 +345,7 @@ let recorder ?(limit = default_limit)
       rsnaps = [];
       revents = [];
       nevents = 0;
+      dropped = false;
     }
   in
   (* recording stops at [limit] steps; the run continues untouched *)
@@ -447,14 +476,24 @@ let recorder ?(limit = default_limit)
     if !live then begin
       ob_char r.buf '\005';
       put_uv r.buf r.nevents;
-      r.revents <- (r.rsteps - 1, fn, text) :: r.revents;
+      r.revents <-
+        { ev_step = r.rsteps - 1; ev_fn = fn; ev_text = text } :: r.revents;
       r.nevents <- r.nevents + 1
     end
   in
   let observer =
-    Cdvm.Observer.steps
-      { Cdvm.Observer.on_step; on_reg_write; on_mem_write; on_call; on_ret;
-        on_print_ev }
+    match level with
+    | Steps ->
+      Cdvm.Observer.steps
+        { Cdvm.Observer.on_step; on_reg_write; on_mem_write; on_call; on_ret;
+          on_print_ev }
+    | Prints ->
+      Cdvm.Observer.prints (fun ~fn text ->
+          if r.nevents < event_limit then begin
+            r.revents <- { ev_step = -1; ev_fn = fn; ev_text = text } :: r.revents;
+            r.nevents <- r.nevents + 1
+          end
+          else r.dropped <- true)
   in
   (* pc -> line via the source unit: compiled units re-enter the image
      with rebuilt line tables (Pipeline.restore_lines), and the image's
@@ -480,7 +519,7 @@ let recorder ?(limit = default_limit)
       fuel_used = res.Cdvm.Exec.fuel_used;
       nsteps = r.rsteps;
       total_steps = r.tsteps;
-      truncated = r.tsteps > r.rsteps;
+      truncated = r.tsteps > r.rsteps || r.dropped;
       funcs;
       events = Array.of_list (List.rev r.revents);
       code = ob_contents r.buf;
@@ -490,9 +529,11 @@ let recorder ?(limit = default_limit)
   (observer, finish)
 
 (* record + run in one call, for callers without an engine session *)
-let record ?limit ?snapshot_every ?(fuel = 200_000) (img : Cdvm.Image.t)
+let record ?level ?limit ?snapshot_every ?(fuel = 200_000) (img : Cdvm.Image.t)
     ~(impl : string) ~(input : string) : t * Cdvm.Exec.result =
-  let observer, finish = recorder ?limit ?snapshot_every img ~impl ~input ~fuel in
+  let observer, finish =
+    recorder ?level ?limit ?snapshot_every img ~impl ~input ~fuel
+  in
   let res =
     Cdvm.Exec.run_linked
       ~config:{ Cdvm.Exec.default_config with Cdvm.Exec.input; fuel; observer }
@@ -692,8 +733,7 @@ let iter (tr : t) (f : step_view -> unit) : unit =
 
 let magic = "CDTR1"
 
-let save_to (tr : t) ~(file : string) : unit =
-  let payload = Marshal.to_string tr [] in
+let write_payload (payload : string) ~(file : string) : unit =
   let oc = open_out_bin file in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
@@ -708,8 +748,20 @@ let save_to (tr : t) ~(file : string) : unit =
       put32 (Cdutil.Murmur3.hash payload);
       output_string oc payload)
 
-(* content-addressed save: same trace bytes, same filename *)
-let save (tr : t) ~(dir : string) : string =
+let save_to (tr : t) ~(file : string) : unit =
+  write_payload (Marshal.to_string tr []) ~file
+
+(* [mkdir -p]: an existing directory is fine, a missing parent is made *)
+let rec mkdir_p (dir : string) : unit =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
+  end
+
+(* Content-addressed save into [dir], made if missing: same trace bytes,
+   same filename.  A directory that cannot be made or a file that
+   cannot be written is an [Error], not an exception. *)
+let save (tr : t) ~(dir : string) : (string, string) result =
   let payload = Marshal.to_string tr [] in
   let sanitized =
     String.map
@@ -723,10 +775,13 @@ let save (tr : t) ~(dir : string) : string =
     Printf.sprintf "trace-%s-%08lx.ctr" sanitized
       (Cdutil.Murmur3.hash32 payload)
   in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let file = Filename.concat dir name in
-  save_to tr ~file;
-  file
+  match
+    mkdir_p dir;
+    write_payload payload ~file
+  with
+  | () -> Ok file
+  | exception Sys_error e -> Error e
 
 let load (file : string) : (t, string) result =
   match open_in_bin file with

@@ -284,6 +284,87 @@ else
   echo "ok   explore (first diverging instruction at step $at, value diff shown)"
 fi
 rm -f "$red" "$red.orig"
+# Save the diverging pair's traces into a directory that does not exist
+# yet, then replay each stored trace: it must load and report the step
+# count the pair view printed for that side.
+trdir=$(mktemp -d)
+set +e
+pair_out=$(dune exec bin/compdiff_cli.exe -- explore examples/unstable_uninit.c \
+  --input XYZQRS --save-trace "$trdir/pair/traces" 2>&1)
+got=$?
+set -e
+saved=$(printf '%s\n' "$pair_out" | sed -n 's/^saved trace: //p')
+if [ "$got" -ne 1 ] || [ "$(printf '%s\n' "$saved" | grep -c .)" -ne 2 ]; then
+  echo "FAIL explore --save-trace: exited $got, expected 1 and two saved traces"
+  printf '%s\n' "$pair_out" | tail -5
+  status=1
+else
+  rt_ok=1
+  for f in $saved; do
+    set +e
+    loaded=$(dune exec bin/compdiff_cli.exe -- explore --load-trace "$f" 2>&1)
+    lgot=$?
+    set -e
+    impl=$(printf '%s\n' "$loaded" | sed -n 's/^trace: \([^ ]*\) on input "XYZQRS" .*/\1/p')
+    steps=$(printf '%s\n' "$loaded" | sed -n 's/^trace: .*, \([0-9]*\) steps.*/\1/p')
+    if [ "$lgot" -ne 0 ] || [ -z "$impl" ] \
+        || ! printf '%s\n' "$pair_out" | grep -q "^  $impl *$steps steps,"; then
+      echo "FAIL explore --load-trace $f: exited $lgot, or its steps differ from the pair view"
+      printf '%s\n' "$loaded" | head -3
+      rt_ok=0
+      status=1
+    fi
+  done
+  [ "$rt_ok" -eq 1 ] && echo "ok   explore --save-trace -> --load-trace (2 traces replayed)"
+fi
+# One profile: record that implementation alone and list its events.
+# Its view must be the --load-trace view of the trace it saved.
+set +e
+one_out=$(dune exec bin/compdiff_cli.exe -- explore examples/unstable_uninit.c \
+  --input XYZQRS --profiles gccx-O0 --save-trace "$trdir/one" 2>&1)
+got=$?
+set -e
+one_file=$(printf '%s\n' "$one_out" | sed -n 's/^saved trace: //p')
+if [ "$got" -ne 0 ]; then
+  echo "FAIL explore --profiles gccx-O0: exited $got, expected 0"
+  printf '%s\n' "$one_out" | tail -5
+  status=1
+elif ! printf '%s\n' "$one_out" | grep -q '^   0  \[test_case\] "count: '; then
+  echo "FAIL explore --profiles gccx-O0: no event list"
+  printf '%s\n' "$one_out" | head -5
+  status=1
+elif [ "$(printf '%s\n' "$one_out" | grep -v '^saved trace: ')" \
+    != "$(dune exec bin/compdiff_cli.exe -- explore --load-trace "$one_file" 2>&1)" ]; then
+  echo "FAIL explore --profiles gccx-O0: view differs from --load-trace of its saved trace"
+  status=1
+else
+  echo "ok   explore --profiles gccx-O0 (single trace, events listed, == --load-trace)"
+fi
+rm -rf "$trdir"
+
+echo "== localize smoke test"
+# Event-level localization of the uninit example must name the
+# function and UnstableCheck's root cause.
+set +e
+loc_out=$(dune exec bin/compdiff_cli.exe -- localize examples/unstable_uninit.c \
+  --input XYZQRS 2>&1)
+got=$?
+set -e
+if [ "$got" -ne 1 ]; then
+  echo "FAIL localize: exited $got, expected 1 (divergence localized)"
+  printf '%s\n' "$loc_out" | tail -5
+  status=1
+elif ! printf '%s\n' "$loc_out" | grep -q "^  diverges in function 'test_case':"; then
+  echo "FAIL localize: not localized into test_case"
+  printf '%s\n' "$loc_out" | tail -5
+  status=1
+elif ! printf '%s\n' "$loc_out" | grep -q '^suggested root cause: UninitMem'; then
+  echo "FAIL localize: no 'suggested root cause: UninitMem'"
+  printf '%s\n' "$loc_out" | tail -5
+  status=1
+else
+  echo "ok   localize (test_case, suggested root cause: UninitMem)"
+fi
 
 echo "== labeled-corpus generator smoke test"
 # 50 generated clean/injected pairs swept through every tool: all 50

@@ -183,6 +183,29 @@ let test_subset_recommend () =
 
 (* --- localize (the Section 5 prototype) --- *)
 
+let event_view (e : Cdtrace.event) = (e.Cdtrace.ev_fn, e.Cdtrace.ev_text)
+
+(* Localize at the [Prints] level, cross-checked against the [Steps]
+   level: both recordings carry the same observable events, so both must
+   pick the same diverging event, the same differing event on each side
+   and the same shared context. *)
+let localize_both o obs ~input =
+  let at level =
+    match Localize.of_divergence ~level o obs ~input with
+    | Some l -> l
+    | None -> Alcotest.fail "expected a divergent pair"
+  in
+  let p = at Cdtrace.Prints and s = at Cdtrace.Steps in
+  let view (l : Localize.t) =
+    ( l.Localize.diverging_event,
+      Option.map event_view l.Localize.ev_a,
+      Option.map event_view l.Localize.ev_b,
+      List.map event_view l.Localize.before )
+  in
+  check_bool "Prints and Steps levels agree on the divergence" true
+    (view p = view s);
+  p
+
 let test_localize_listing1 () =
   (* the first divergent observation must sit in dump_data *)
   let src =
@@ -197,18 +220,18 @@ let test_localize_listing1 () =
   let o = Oracle.create (frontend src) in
   match Oracle.check o ~input:"" with
   | Oracle.Agree _ -> Alcotest.fail "expected divergence"
-  | Oracle.Diverge obs -> (
-    match Localize.of_divergence o (Oracle.binaries o) obs ~input:"" with
-    | None -> Alcotest.fail "expected a localization"
-    | Some l ->
-      check_int "diverges at the first observation" 0 l.Localize.event_index;
-      let mentions_dump =
-        match (l.Localize.at_a, l.Localize.at_b) with
-        | Some a, Some b -> a.Localize.ev_fn = "dump_data" || b.Localize.ev_fn = "dump_data"
-        | _ -> false
-      in
-      check_bool "localized into dump_data" true mentions_dump;
-      check_bool "report renders" true (String.length (Localize.to_string l) > 0))
+  | Oracle.Diverge obs ->
+    let l = localize_both o obs ~input:"" in
+    check_bool "diverges at the first observation" true
+      (l.Localize.diverging_event = Some 0);
+    let mentions_dump =
+      match (l.Localize.ev_a, l.Localize.ev_b) with
+      | Some a, Some b ->
+        a.Cdtrace.ev_fn = "dump_data" || b.Cdtrace.ev_fn = "dump_data"
+      | _ -> false
+    in
+    check_bool "localized into dump_data" true mentions_dump;
+    check_bool "report renders" true (String.length (Localize.to_string l) > 0)
 
 let test_localize_shared_prefix () =
   (* agreement on the first print, divergence on the second: index 1 and
@@ -224,12 +247,10 @@ let test_localize_shared_prefix () =
   let o = Oracle.create (frontend src) in
   match Oracle.check o ~input:"" with
   | Oracle.Agree _ -> Alcotest.fail "expected divergence"
-  | Oracle.Diverge obs -> (
-    match Localize.of_divergence o (Oracle.binaries o) obs ~input:"" with
-    | None -> Alcotest.fail "expected a localization"
-    | Some l ->
-      check_int "second observation" 1 l.Localize.event_index;
-      check_int "one shared event kept as context" 1 (List.length l.Localize.before))
+  | Oracle.Diverge obs ->
+    let l = localize_both o obs ~input:"" in
+    check_bool "second observation" true (l.Localize.diverging_event = Some 1);
+    check_int "one shared event kept as context" 1 (List.length l.Localize.before)
 
 let test_localize_none_on_status_only () =
   (* divergence via exit code only: traces are identical *)
@@ -244,8 +265,9 @@ let test_localize_none_on_status_only () =
   match Oracle.check o ~input:"" with
   | Oracle.Agree _ -> Alcotest.fail "expected divergence"
   | Oracle.Diverge obs ->
+    let l = localize_both o obs ~input:"" in
     check_bool "no print-level localization" true
-      (Localize.of_divergence o (Oracle.binaries o) obs ~input:"" = None)
+      (l.Localize.diverging_event = None && Localize.diverging_fn l = None)
 
 (* --- triage --- *)
 

@@ -69,25 +69,50 @@ let test_record_matches_live () =
     Profiles.all
 
 let test_events_match_prints () =
-  let img = link busy_src in
-  let input = "abc" in
-  let tr, _ = Cdtrace.record img ~impl:"gccx-O2" ~input in
-  let live, _, _ = Compdiff.Localize.trace_image img ~input in
-  let recorded =
-    Array.to_list (Array.map (fun (_, fn, text) -> (fn, text)) tr.Cdtrace.events)
+  (* a Prints-level recording carries exactly the Steps recording's
+     events, on every profile, and nothing else *)
+  List.iter
+    (fun profile ->
+      let img = link ~profile busy_src in
+      let input = "abc" in
+      let name = profile.Policy.pname in
+      let steps, _ = Cdtrace.record img ~impl:name ~input in
+      let prints, res = Cdtrace.record ~level:Cdtrace.Prints img ~impl:name ~input in
+      let view (tr : Cdtrace.t) =
+        Array.to_list
+          (Array.map
+             (fun (e : Cdtrace.event) -> (e.Cdtrace.ev_fn, e.Cdtrace.ev_text))
+             tr.Cdtrace.events)
+      in
+      check_bool (Printf.sprintf "Prints events = Steps events (%s)" name) true
+        (view prints = view steps);
+      check_bool "some events recorded" true (view prints <> []);
+      check_str "Prints stdout" steps.Cdtrace.stdout prints.Cdtrace.stdout;
+      check_int "Prints fuel" steps.Cdtrace.fuel_used res.Cdvm.Exec.fuel_used;
+      check_int "Prints records no steps" 0 (Cdtrace.length prints);
+      check_bool "Prints not truncated" false prints.Cdtrace.truncated;
+      (* every Steps event's step index points inside the trace *)
+      Array.iter
+        (fun (e : Cdtrace.event) ->
+          check_bool "event step in range" true
+            (e.Cdtrace.ev_step >= 0 && e.Cdtrace.ev_step < steps.Cdtrace.nsteps))
+        steps.Cdtrace.events)
+    Profiles.all
+
+(* the Prints-level event cap drops the excess and says so *)
+let test_event_cap () =
+  let n = Cdtrace.event_limit + 5 in
+  let img =
+    link
+      (Printf.sprintf
+         "int main() { for (int i = 0; i < %d; i++) print(\"x\"); return 0; }" n)
   in
-  let expected =
-    List.map
-      (fun e -> (e.Compdiff.Localize.ev_fn, e.Compdiff.Localize.ev_text))
-      live
+  let tr, res =
+    Cdtrace.record ~level:Cdtrace.Prints ~fuel:(20 * n) img ~impl:"cap" ~input:""
   in
-  check_bool "print events identical to a Prints-level run" true
-    (recorded = expected);
-  (* every event's step index points inside the trace *)
-  Array.iter
-    (fun (step, _, _) ->
-      check_bool "event step in range" true (step >= 0 && step < tr.Cdtrace.nsteps))
-    tr.Cdtrace.events
+  check_bool "run completed" true (res.Cdvm.Exec.status = Cdvm.Trap.Exit 0);
+  check_int "events capped" Cdtrace.event_limit (Array.length tr.Cdtrace.events);
+  check_bool "cap reported" true tr.Cdtrace.truncated
 
 let test_line_table () =
   let img = link ~profile:(Profiles.gccx "O0") busy_src in
@@ -194,8 +219,13 @@ let test_content_addressed_save () =
   let img = link busy_src in
   let tr, _ = Cdtrace.record img ~impl:"gccx/O2 (weird)" ~input:"addr" in
   let dir = Filename.get_temp_dir_name () in
-  let f1 = Cdtrace.save tr ~dir in
-  let f2 = Cdtrace.save tr ~dir in
+  let save () =
+    match Cdtrace.save tr ~dir with
+    | Ok f -> f
+    | Error e -> Alcotest.failf "save failed: %s" e
+  in
+  let f1 = save () in
+  let f2 = save () in
   Fun.protect
     ~finally:(fun () -> try Sys.remove f1 with Sys_error _ -> ())
     (fun () ->
@@ -207,6 +237,28 @@ let test_content_addressed_save () =
              | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> true
              | _ -> false)
            (Filename.basename f1)))
+
+let test_save_dirs () =
+  let img = link busy_src in
+  let tr, _ = Cdtrace.record img ~impl:"gccx-O2" ~input:"dirs" in
+  let root = Filename.temp_file "cdtrace" ".d" in
+  (* [root] is a regular file: nothing can be made beneath it *)
+  (match Cdtrace.save tr ~dir:(Filename.concat root "sub") with
+  | Ok f -> Alcotest.failf "saved under a regular file: %s" f
+  | Error _ -> ());
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  match Cdtrace.save tr ~dir with
+  | Error e -> Alcotest.failf "missing parents not made: %s" e
+  | Ok f ->
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.remove f;
+        Sys.rmdir dir;
+        Sys.rmdir (Filename.dirname dir);
+        Sys.rmdir root)
+      (fun () ->
+        check_bool "saved trace loads" true (Result.is_ok (Cdtrace.load f)))
 
 let read_file file =
   let ic = open_in_bin file in
@@ -291,12 +343,20 @@ let test_deep_localization () =
   | Compdiff.Oracle.Agree _ -> Alcotest.fail "expected a divergence"
   | Compdiff.Oracle.Diverge obs -> (
     match
-      Compdiff.Localize.deep_of_divergence o (Compdiff.Oracle.binaries o) obs
-        ~input:""
+      ( Compdiff.Localize.of_divergence ~level:Cdtrace.Steps o obs ~input:"",
+        Compdiff.Localize.of_divergence ~level:Cdtrace.Prints o obs ~input:"" )
     with
-    | None -> Alcotest.fail "expected a deep localization"
-    | Some d ->
+    | None, _ | _, None -> Alcotest.fail "expected a localization"
+    | Some d, Some p ->
       let open Compdiff.Localize in
+      (* both levels record the same events: same diverging event, same
+         differing events *)
+      let view (e : Cdtrace.event) = (e.Cdtrace.ev_fn, e.Cdtrace.ev_text) in
+      check_bool "levels agree on the diverging event" true
+        (d.diverging_event = p.diverging_event && d.diverging_event <> None);
+      check_bool "levels agree on the differing events" true
+        (Option.map view d.ev_a = Option.map view p.ev_a
+        && Option.map view d.ev_b = Option.map view p.ev_b);
       check_bool "diff is nonempty" true (String.length d.diff > 0);
       check_bool "divergence explained" true
         (d.diverging_event <> None || d.deep_a.ds_at <> None
@@ -315,7 +375,7 @@ let test_deep_identical_binaries () =
   let img = link busy_src in
   let ta, _ = Cdtrace.record img ~impl:"left" ~input:"same" in
   let tb, _ = Cdtrace.record img ~impl:"right" ~input:"same" in
-  let d = Compdiff.Localize.deep_of_traces ta tb in
+  let d = Compdiff.Localize.of_traces ~level:Cdtrace.Steps ta tb in
   let open Compdiff.Localize in
   check_bool "no diverging event" true (d.diverging_event = None);
   check_bool "no diverging write" true
@@ -400,6 +460,7 @@ let suites =
       [
         tc "matches live run on all profiles" test_record_matches_live;
         tc "events match prints-level run" test_events_match_prints;
+        tc "prints-level event cap" test_event_cap;
         tc "line table" test_line_table;
         tc "truncation cap" test_truncation_cap;
       ] );
@@ -412,6 +473,7 @@ let suites =
       [
         tc "save/load roundtrip" test_save_load_roundtrip;
         tc "content-addressed name" test_content_addressed_save;
+        tc "save makes or reports its directory" test_save_dirs;
         tc "corrupt files rejected" test_corrupt_files;
       ] );
     ( "trace.deep",
