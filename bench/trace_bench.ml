@@ -76,7 +76,8 @@ let run () =
   in
   let reps = 100 in
   let total = reps * nexecs_round in
-  (* silent: default observer, pooled arena -- BENCH_vm's linked path *)
+  (* silent: default observer, one arena per image -- BENCH_vm's linked
+     path *)
   let arenas =
     List.map (fun (img, inputs) -> (img, Cdvm.Arena.create img, inputs)) images
   in

@@ -1,11 +1,14 @@
 (* VM executor benchmark (emits BENCH_vm.json): raw interpretation
    throughput of the tree-walking reference vs the linked-image executor
    with a persistent arena, plus the end-to-end effect on oracle
-   throughput.
+   throughput.  An "interleaved" row prices rebinding: a round-robin
+   over one program's ten profile images, one input per turn, on the
+   domain's arena (every run a rebind) beside the same round-robin with
+   one caller-owned arena per image (every run a reset).
 
    "execs/sec" here is plain VM executions per second of a single
    binary; "checks/sec" is full oracle checks (one input judged against
-   the whole differential set), reusing the oracle's pooled arenas.  The
+   the whole differential set), running on the domain's arena.  The
    two executors must stay byte-identical, so every timed run is also
    compared against the reference result. *)
 
@@ -113,14 +116,54 @@ let run () =
         !last)
   in
   let bat_words = Gc.minor_words () -. bat_words0 in
-  let execs_match = ref_results = lin_results && ref_results = bat_results in
+  (* interleaved: turn [k] runs input [k] on image [k mod 10] *)
+  let tp0, inputs0 = List.hd (workload ()) in
+  let ring =
+    Array.of_list
+      (List.map
+         (fun p ->
+           let u = Cdcompiler.Pipeline.compile p tp0 in
+           let img = Cdvm.Image.link u in
+           (u, img, Cdvm.Arena.create img))
+         Cdcompiler.Profiles.all)
+  in
+  let turns =
+    List.mapi (fun k input -> (ring.(k mod Array.length ring), input)) inputs0
+  in
+  let int_total = reps * List.length turns in
+  let int_want =
+    List.map (fun ((u, _, _), input) -> Cdvm.Exec.run ~config:(config input) u) turns
+  in
+  let interleave run =
+    time (fun () ->
+        let last = ref [] in
+        for _ = 1 to reps do
+          last := List.map (fun ((_, img, arena), input) -> run img arena input) turns
+        done;
+        !last)
+  in
+  let int_words0 = Gc.minor_words () in
+  let int_time, int_results =
+    interleave (fun img _ input -> Cdvm.Exec.run_linked ~config:(config input) img)
+  in
+  let int_words = Gc.minor_words () -. int_words0 in
+  let pool_time, pool_results =
+    interleave (fun img arena input ->
+        Cdvm.Exec.run_linked ~config:(config input) ~arena img)
+  in
+  let int_eps = float_of_int int_total /. int_time in
+  let pool_eps = float_of_int int_total /. pool_time in
+  let execs_match =
+    ref_results = lin_results && ref_results = bat_results
+    && int_results = int_want && pool_results = int_want
+  in
   let ref_eps = float_of_int total /. ref_time in
   let lin_eps = float_of_int total /. lin_time in
   let bat_eps = float_of_int total /. bat_time in
   let exec_speedup = lin_eps /. ref_eps in
   let exec_speedup_batched = bat_eps /. ref_eps in
   (* end-to-end: oracle checks/sec, naive reference path vs the linked
-     path with pooled arenas (both sequential so only the executor and
+     path on the domain's arena (both sequential so only the executor and
      linking differ) *)
   let oracles =
     List.map
@@ -202,6 +245,13 @@ let run () =
         \"minor_words_per_exec\": %.0f },\n"
        bat_time bat_eps
        (bat_words /. float_of_int (trials * total)));
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"interleaved\": { \"images\": %d, \"execs\": %d, \"seconds\": %.4f, \
+        \"domain_arena_execs_per_sec\": %.1f, \"arena_per_image_execs_per_sec\": %.1f, \
+        \"minor_words_per_exec\": %.0f },\n"
+       (Array.length ring) int_total int_time int_eps pool_eps
+       (int_words /. float_of_int (trials * int_total)));
   Buffer.add_string buf (Printf.sprintf "  \"speedup\": %.2f,\n" exec_speedup);
   Buffer.add_string buf
     (Printf.sprintf "  \"speedup_batched\": %.2f,\n" exec_speedup_batched);
@@ -225,6 +275,8 @@ let run () =
     \  reference interpreter: %.0f execs/s (%.0f minor words/exec)\n\
     \  linked image + arena:  %.0f execs/s (%.0f minor words/exec)\n\
     \  batched (run_batch):   %.0f execs/s (%.0f minor words/exec)\n\
+    \  interleaved images, domain arena: %.0f execs/s (%.0f minor words/exec), \
+     arena per image: %.0f execs/s\n\
     \  speedup: %.2fx linked, %.2fx batched   results byte-identical: %b\n\
     \  oracle: %.1f -> %.1f checks/s (%.2fx), batched %.1f (%.2fx), \
      verdicts match: %b\n\
@@ -235,6 +287,9 @@ let run () =
     (lin_words /. float_of_int (trials * total))
     bat_eps
     (bat_words /. float_of_int (trials * total))
+    int_eps
+    (int_words /. float_of_int (trials * int_total))
+    pool_eps
     exec_speedup exec_speedup_batched execs_match naive_cps linked_cps
     (linked_cps /. naive_cps)
     obatch_cps

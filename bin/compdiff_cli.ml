@@ -259,8 +259,10 @@ let run_cmd =
 (* --- vmcheck --- *)
 
 (* Differentially test the two executors against each other: every
-   profile, several inputs, each input run twice through the same arena
-   (so arena reuse is exercised too). *)
+   profile, several inputs.  Each input runs twice through the same
+   caller-owned arena (arena reuse), then once per profile on the
+   domain's arena, so every run after its first is a rebind from
+   another profile's image. *)
 let vmcheck_cmd =
   let inputs_arg =
     Arg.(
@@ -272,33 +274,50 @@ let vmcheck_cmd =
     let tp = frontend_of_file file in
     let inputs = if inputs = [] then [ ""; "A"; "zz9"; "\x00\xffB" ] else inputs in
     let mismatches = ref 0 in
+    let config input = { Cdvm.Exec.default_config with Cdvm.Exec.input; fuel } in
+    let images =
+      List.map
+        (fun (p : Cdcompiler.Policy.profile) ->
+          let u = Cdcompiler.Pipeline.compile p tp in
+          let want =
+            List.map (fun input -> (input, Cdvm.Exec.run ~config:(config input) u)) inputs
+          in
+          (p.Cdcompiler.Policy.pname, Cdvm.Image.link u, want))
+        Cdcompiler.Profiles.all
+    in
+    let check pname label input want (got : Cdvm.Exec.result) =
+      if got <> want then begin
+        incr mismatches;
+        Printf.printf
+          "MISMATCH %s %s input %S:\n  reference: %s, fuel %d, %S\n  %s: %s, fuel %d, %S\n"
+          pname label input
+          (Cdvm.Trap.status_to_string want.Cdvm.Exec.status)
+          want.Cdvm.Exec.fuel_used want.Cdvm.Exec.stdout label
+          (Cdvm.Trap.status_to_string got.Cdvm.Exec.status)
+          got.Cdvm.Exec.fuel_used got.Cdvm.Exec.stdout
+      end
+    in
     List.iter
-      (fun (p : Cdcompiler.Policy.profile) ->
-        let u = Cdcompiler.Pipeline.compile p tp in
-        let img = Cdvm.Image.link u in
+      (fun (pname, img, want) ->
         let arena = Cdvm.Arena.create img in
         List.iter
-          (fun input ->
-            let config = { Cdvm.Exec.default_config with Cdvm.Exec.input; fuel } in
-            let want = Cdvm.Exec.run ~config u in
-            let check label (got : Cdvm.Exec.result) =
-              if got <> want then begin
-                incr mismatches;
-                Printf.printf
-                  "MISMATCH %s %s input %S:\n  reference: %s, fuel %d, %S\n  %s: %s, fuel %d, %S\n"
-                  p.Cdcompiler.Policy.pname label input
-                  (Cdvm.Trap.status_to_string want.Cdvm.Exec.status)
-                  want.Cdvm.Exec.fuel_used want.Cdvm.Exec.stdout label
-                  (Cdvm.Trap.status_to_string got.Cdvm.Exec.status)
-                  got.Cdvm.Exec.fuel_used got.Cdvm.Exec.stdout
-              end
-            in
-            check "linked" (Cdvm.Exec.run_linked ~config ~arena img);
-            check "linked-reused" (Cdvm.Exec.run_linked ~config ~arena img))
-          inputs)
-      Cdcompiler.Profiles.all;
+          (fun (input, want) ->
+            let config = config input in
+            check pname "linked" input want (Cdvm.Exec.run_linked ~config ~arena img);
+            check pname "linked-reused" input want
+              (Cdvm.Exec.run_linked ~config ~arena img))
+          want)
+      images;
+    List.iter
+      (fun input ->
+        List.iter
+          (fun (pname, img, want) ->
+            check pname "linked-rebound" input (List.assoc input want)
+              (Cdvm.Exec.run_linked ~config:(config input) img))
+          images)
+      inputs;
     if !mismatches = 0 then begin
-      Printf.printf "vmcheck %s: %d profiles x %d inputs x 2 runs, all byte-identical\n"
+      Printf.printf "vmcheck %s: %d profiles x %d inputs x 3 runs, all byte-identical\n"
         file
         (List.length Cdcompiler.Profiles.all)
         (List.length inputs);
@@ -311,7 +330,7 @@ let vmcheck_cmd =
        ~doc:
          "Check that the linked-image executor is byte-identical to the \
           reference interpreter on a MiniC file (all profiles, arena reuse \
-          included).")
+          and rebinding between profiles included).")
     Term.(const action $ file_arg $ inputs_arg $ fuel_arg)
 
 (* --- diff --- *)

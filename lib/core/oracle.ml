@@ -18,7 +18,7 @@
    - binaries with equal {!Binsig.signature} form equivalence classes;
      one representative per class is linked at oracle creation and
      executed through the session's cached-run path (linked executor
-     with a pooled per-class arena), the observation fanned out to
+     on the running domain's arena), the observation fanned out to
      every member;
    - every class of a fuel round is first looked up in the session's
      observation store, inline ({!Engine.Session.lookup}); only the
@@ -81,8 +81,8 @@ type t = {
   class_repr : Ir.unit_ array; (* class index -> representative binary *)
   class_size : int array;      (* class index -> number of members *)
   class_linked : Engine.Session.linked array;
-      (* linked once per class through the session (image cache + pooled
-         arena + observation store) *)
+      (* linked once per class through the session (image cache +
+         observation store) *)
   c_checks : int Atomic.t;
   c_execs : int Atomic.t;
   c_dedup_saved : int Atomic.t;
@@ -252,7 +252,7 @@ let observe_naive t ~(input : string) : (string * observation) list =
    observation of many inputs.  Every round runs, per class, the inputs
    that still need the class at the current fuel level as ONE session
    batch ({!Engine.Session.lookup}, then {!Engine.Session.run_misses}
-   for the misses: single arena acquisition, amortized reset); the
+   for the misses: one arena acquisition, amortized reset); the
    first round's set is every class for every input.
    Escalation is level-synchronous — every input walks the same base,
    ×4, ×16, … fuel sequence as [observe_naive], dropping out when its

@@ -92,10 +92,6 @@ type linked = {
   skey : string;
       (* stable (cross-process) rendering of the image key, used to
          address the disk observation store; "" for detached images *)
-  arena : Cdvm.Arena.t option Atomic.t;
-      (* pooled scratch: exchanged out for the duration of a run, so
-         concurrent runs of one image never share it (a late taker just
-         creates a fresh arena) *)
 }
 
 (* A bounded identity memo: physical value -> key, so re-keying the same
@@ -258,19 +254,18 @@ let unit_weight (u : Ir.unit_) : int =
     (512 + (List.length u.Ir.globals * 64))
     u.Ir.funcs
 
-(* An image-cache entry is a [linked] handle, which pins more than the
-   threaded ops: the source unit ([Image.unit_], about 74 bytes an
-   instruction) and, once run, a pooled arena (about 100 KB on the
-   project targets, more than the image itself).  The per-instruction
-   constant stands in for all of it, so it does not shrink with the
-   image: weighing only the ops let a 64 MiB session keep 1.8x the
-   handles, and their arenas raised the report workload's peak heap by
-   a third. *)
+(* An image-cache entry is a [linked] handle, which pins the threaded
+   ops, the pre-boxed immediates, the global-id table and the source unit
+   ([Image.unit_]).  It holds no execution scratch: runs use the domain's
+   arena.  The constants are fitted to [Obj.reachable_words] of linked
+   images: on the Juliet units and the project targets, every profile,
+   the estimate is 0.76-1.52x the measured bytes, with a median of 1.01
+   on both (DESIGN.md 10.3; [suite_engine] checks it stays within 2x). *)
 let image_weight (img : Cdvm.Image.t) : int =
   Array.fold_left
     (fun acc (lf : Cdvm.Image.lfunc) ->
-      acc + 256
-      + (Array.length lf.Cdvm.Image.l_ops * 260)
+      acc + 128
+      + (Array.length lf.Cdvm.Image.l_ops * 128)
       + (Array.length lf.Cdvm.Image.l_slots * 48))
     1024 img.Cdvm.Image.funcs
 
@@ -342,7 +337,7 @@ let link_fresh t key_opt (u : Ir.unit_) : linked =
     | Some key -> (intern t key, skey_of_ikey key)
     | None -> (fresh_detached_id (), "")
   in
-  { image; image_id; skey; arena = Atomic.make None }
+  { image; image_id; skey }
 
 let ikey_of_unit t (u : Ir.unit_) : ikey =
   let r = Obj.repr u in
@@ -372,16 +367,6 @@ let obs_overhead_bytes = 64
 
 let obs_weight input (o : Cdvm.Exec.result) =
   String.length o.Cdvm.Exec.stdout + String.length input + obs_overhead_bytes
-
-(* arena pooling: exchanged out for the duration of the callback *)
-let with_arena (l : linked) (f : Cdvm.Arena.t -> 'a) : 'a =
-  let arena =
-    match Atomic.exchange l.arena None with
-    | Some a -> a
-    | None -> Cdvm.Arena.create l.image
-  in
-  Fun.protect ~finally:(fun () -> Atomic.set l.arena (Some arena)) (fun () ->
-      f arena)
 
 let obs_disk_kind = "obs"
 
@@ -421,9 +406,9 @@ let store t (l : linked) disk ~fuel input (o : Cdvm.Exec.result) =
 
 (* The one cached-execution path, in two phases.  [lookup] asks the
    stores for every input and counts each as one hit or one miss;
-   [run_misses] executes what they lacked -- all misses through ONE
-   arena acquisition ({!Cdvm.Exec.run_batch}) instead of an
-   exchange/validate/reset cycle per input -- and writes it back.  A
+   [run_misses] executes what they lacked -- all misses as ONE VM batch
+   on the calling domain's arena ({!Cdvm.Exec.run_batch}) instead of an
+   acquire/validate/reset cycle per input -- and writes it back.  A
    caller that holds several batches looks them all up first and only
    schedules the ones with misses (the oracle's rounds); everyone else
    calls [run_batch], the two phases back to back.  A single run is the
@@ -455,9 +440,8 @@ let run_misses t (l : linked) ~(inputs : string array) ~(fuel : int)
     (* the misses run in input order *)
     let config = { Cdvm.Exec.default_config with Cdvm.Exec.fuel } in
     let fresh =
-      with_arena l (fun arena ->
-          Cdvm.Exec.run_batch ~config ~arena l.image
-            ~inputs:(Array.map (fun i -> inputs.(i)) lk.misses))
+      Cdvm.Exec.run_batch ~config l.image
+        ~inputs:(Array.map (fun i -> inputs.(i)) lk.misses)
     in
     let disk = disk_of t l in
     Array.iteri
@@ -474,18 +458,14 @@ let run_batch t (l : linked) ~(inputs : string array) ~(fuel : int) :
 
 (* Observed execution: an observer makes the run more than a function of
    (image, input, fuel), so it must bypass the observation store — it
-   always executes, whatever the caching mode.  [Steps]-level runs build
-   a fresh memory inside the VM (the arena would be dead weight);
-   everything else goes through the pooled arena like [run_batch]. *)
+   always executes, whatever the caching mode.  The VM picks the memory:
+   [Steps]-level runs build a fresh one, everything else runs on the
+   calling domain's arena like [run_batch]. *)
 let run_traced (_t : t) (l : linked) ~(observer : Cdvm.Observer.t)
     ~(input : string) ~(fuel : int) : Cdvm.Exec.result =
-  let config =
-    { Cdvm.Exec.default_config with Cdvm.Exec.input; fuel; observer }
-  in
-  match observer.Cdvm.Observer.level with
-  | Cdvm.Observer.Steps _ -> Cdvm.Exec.run_linked ~config l.image
-  | Cdvm.Observer.Silent | Cdvm.Observer.Prints _ ->
-    with_arena l (fun arena -> Cdvm.Exec.run_linked ~config ~arena l.image)
+  Cdvm.Exec.run_linked
+    ~config:{ Cdvm.Exec.default_config with Cdvm.Exec.input; fuel; observer }
+    l.image
 
 (* --- stats --- *)
 

@@ -68,9 +68,10 @@ type stats = {
 }
 
 type linked
-(** A linked executable image plus its interned id and a pooled arena.
-    Handles from a caching session are shared: callers must not mutate
-    the underlying image. *)
+(** A linked executable image plus its interned id.  A handle holds no
+    execution scratch: runs use the calling domain's arena
+    ({!Cdvm.Exec.run_linked}).  Handles from a caching session are
+    shared: callers must not mutate the underlying image. *)
 
 type t
 
@@ -104,6 +105,10 @@ val link : t -> Cdcompiler.Ir.unit_ -> linked
     the same image id, so stored observations survive eviction.  Units
     produced by {!compile} on this session link without serializing. *)
 
+val image_weight : Cdvm.Image.t -> int
+(** The image cache's weight of a linked handle, in bytes: an estimate
+    of what the handle keeps reachable (the image and its source unit). *)
+
 val image : linked -> Cdvm.Image.t
 (** The underlying image, for executions the observation store must not
     serve (hooks, coverage, tracing). *)
@@ -114,8 +119,8 @@ val run_batch : t -> linked -> inputs:string array -> fuel:int ->
     execution of a linked image, the session's one cached-execution
     path (a single run is a one-input batch): {!lookup}, then
     {!run_misses}.  Element [i] is the raw observation of [inputs.(i)]
-    at [fuel]; all store misses execute through a single acquisition of
-    the handle's pooled arena ({!Cdvm.Exec.run_batch}), amortizing the
+    at [fuel]; all store misses execute as one VM batch on the calling
+    domain's arena ({!Cdvm.Exec.run_batch}), amortizing the
     per-execution reset.  Safe from any domain. *)
 
 type lookup = {

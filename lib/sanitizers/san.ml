@@ -21,28 +21,21 @@ let all = [ Asan; Ubsan; Msan ]
 let build_profile = Profiles.gccx "O0"
 
 (* A reusable sanitizer build: the instrumented binary compiled and
-   linked once, paired with a persistent arena.  The hook set is a
-   per-run config, so one build serves all three sanitizers.  The arena
-   is single-domain scratch: share a build within one task only. *)
-type build = {
-  image : Cdvm.Image.t;
-  arena : Cdvm.Arena.t;
-}
+   linked once.  The hook set is a per-run config, so one build serves
+   all three sanitizers.  Runs take the calling domain's arena, so a
+   build holds no scratch state and may be shared freely. *)
+type build = Cdvm.Image.t
 
 (* With a session, the compile and the link are served by its caches
    (the instrumented binary is the plain unoptimized one; hooks are
    per-run config).  Sanitized executions must never go through the
    session's observation store — hooks make a run more than a function
-   of (image, input, fuel) — so this keeps a private arena and runs the
-   image directly. *)
+   of (image, input, fuel) — so they run the image directly. *)
 let build ?session (tp : Minic.Tast.tprogram) : build =
-  let image =
-    match session with
-    | Some s ->
-        Engine.Session.image (Engine.Session.link s (Engine.Session.compile s build_profile tp))
-    | None -> Cdvm.Image.link (Pipeline.compile build_profile tp)
-  in
-  { image; arena = Cdvm.Arena.create image }
+  match session with
+  | Some s ->
+      Engine.Session.image (Engine.Session.link s (Engine.Session.compile s build_profile tp))
+  | None -> Cdvm.Image.link (Pipeline.compile build_profile tp)
 
 let run_built ?(fuel = 200_000) (kind : kind) (b : build) ~(input : string) :
     Cdvm.Exec.result =
@@ -54,14 +47,14 @@ let run_built ?(fuel = 200_000) (kind : kind) (b : build) ~(input : string) :
         fuel;
         observer = Cdvm.Observer.sanitize (hooks kind);
       }
-    ~arena:b.arena b.image
+    b
 
 let run ?fuel (kind : kind) (tp : Minic.Tast.tprogram) ~(input : string) :
     Cdvm.Exec.result =
   run_built ?fuel kind (build tp) ~input
 
 (* Did this sanitizer report anything on any of the inputs?  The whole
-   set runs as one VM batch on the build's arena (hooks are per-run
+   set runs as one VM batch on the domain's arena (hooks are per-run
    config, so batching never touches an observation store). *)
 let detects_built ?(fuel = 200_000) (kind : kind) (b : build)
     ~(inputs : string list) : bool =
@@ -73,8 +66,7 @@ let detects_built ?(fuel = 200_000) (kind : kind) (b : build)
     }
   in
   let results =
-    Cdvm.Exec.run_batch ~config ~arena:b.arena b.image
-      ~inputs:(Array.of_list inputs)
+    Cdvm.Exec.run_batch ~config b ~inputs:(Array.of_list inputs)
   in
   Array.exists
     (fun r ->

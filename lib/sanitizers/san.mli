@@ -20,9 +20,10 @@ val build_profile : Cdcompiler.Policy.profile
 
 type build
 (** A reusable sanitizer build: the instrumented binary compiled and
-    linked once ({!Cdvm.Image.link}), with a persistent execution arena.
-    One build serves all three sanitizers (the hook set is per-run), but
-    it is single-domain scratch: do not share across concurrent tasks. *)
+    linked once ({!Cdvm.Image.link}).  One build serves all three
+    sanitizers (the hook set is per-run).  Its runs use the calling
+    domain's arena, so a build holds no scratch state and may be shared
+    across tasks and domains. *)
 
 val build : ?session:Engine.Session.t -> Minic.Tast.tprogram -> build
 (** [build ?session tp]: with a session, the compile and link are served

@@ -19,7 +19,8 @@
      from here, with [fi]/[pc] the source [Ir] function index (first
      binding of a name wins, as in {!Image.index_funcs}) and pc.
    - [run_linked] executes the threaded opstream of a pre-resolved
-     {!Image.t}, reusing an {!Arena.t} across runs (Silent and Prints
+     {!Image.t}, reusing an {!Arena.t} across runs -- the caller's, or
+     the calling domain's, rebound from image to image (Silent and Prints
      levels; a Steps run of an image goes to the reference on
      [img.unit_]).  It exists for throughput; the reference exists to
      check it (mirroring [Oracle.check_naive]): both must produce
@@ -1000,43 +1001,50 @@ and trun st (arena : Arena.t) (img : Image.t) (lf : Image.lfunc)
 
 (* --- linked entry point --- *)
 
-(* Run a linked image.  With [?arena], all scratch state is reused: the
-   arena is reset first, so a caller only needs [Arena.create] once per
-   image (per domain -- arenas are not shareable across domains).  A
-   [Steps] observer runs the reference on the image's source unit
-   instead ([fi]/[pc] are the same either way: the image's function
+(* One run of [img] on an arena already bound to it and reset. *)
+let exec_linked (config : config) (a : Arena.t) (img : Image.t) : result =
+  let st =
+    make_state ~mem:a.Arena.mem ~runtime:img.Image.runtime
+      ~global_ids:img.Image.global_ids ~cfg:config ~out:a.Arena.out
+  in
+  let status =
+    status_of_run st (fun () ->
+        if img.Image.entry < 0 then invalid_arg "Exec: unknown function main";
+        lcall st a img img.Image.entry [||] a.Arena.scratch.(0) 0)
+  in
+  {
+    stdout = Buffer.contents st.out;
+    status;
+    fuel_used = config.fuel - st.fuel_left;
+  }
+
+let check_bound fn (a : Arena.t) (img : Image.t) =
+  if a.Arena.image != img then
+    invalid_arg (fn ^ ": arena was created for a different image")
+
+(* Run a linked image.  With [?arena] (from {!Arena.create} for [img]),
+   that arena is reset and reused.  Without it, the run takes the
+   calling domain's arena ({!Arena.with_domain}), rebinding it to [img]
+   if it last ran another image, so no address space is allocated per
+   image or per run.  Either way the result equals a run on a fresh
+   memory.  A [Steps] observer runs the reference on the image's source
+   unit instead ([fi]/[pc] are the same either way: the image's function
    table and opstream are positionally parallel to the unit), with a
    fresh memory: stepped runs are observation tools, never the
-   throughput path, and must not disturb pooled state. *)
+   throughput path. *)
 let run_linked ?(config = default_config) ?arena (img : Image.t) : result =
   match config.observer.Observer.level with
   | Observer.Steps _ -> run ~config img.Image.unit_
-  | Observer.Silent | Observer.Prints _ ->
-    let a =
-      match arena with
-      | Some a ->
-        if a.Arena.image != img then
-          invalid_arg "Exec.run_linked: arena was created for a different image";
-        Arena.reset a;
-        a
-      | None -> Arena.create img
-    in
-    let st =
-      make_state ~mem:a.Arena.mem ~runtime:img.Image.runtime
-        ~global_ids:img.Image.global_ids ~cfg:config ~out:a.Arena.out
-    in
-    let status =
-      status_of_run st (fun () ->
-          if img.Image.entry < 0 then invalid_arg "Exec: unknown function main";
-          lcall st a img img.Image.entry [||] a.Arena.scratch.(0) 0)
-    in
-    {
-      stdout = Buffer.contents st.out;
-      status;
-      fuel_used = config.fuel - st.fuel_left;
-    }
+  | Observer.Silent | Observer.Prints _ -> (
+    match arena with
+    | Some a ->
+      check_bound "Exec.run_linked" a img;
+      Arena.reset a;
+      exec_linked config a img
+    | None -> Arena.with_domain img (fun a -> exec_linked config a img))
 
-(* Run many inputs against one image through one arena, without
+(* Run many inputs against one image through one arena -- [?arena], or
+   the calling domain's, taken once for the whole batch -- without
    re-validating or re-creating per-run structure.  [Arena.reset]
    between runs is the only per-input setup; the globals blit inside it
    is skipped when the previous run never wrote a global ({!Mem.reset}'s
@@ -1046,17 +1054,16 @@ let run_linked ?(config = default_config) ?arena (img : Image.t) : result =
    over [inputs] with the same config and arena. *)
 let run_batch ?(config = default_config) ?arena ?on_each (img : Image.t)
     ~(inputs : string array) : result array =
-  let a =
-    match arena with
-    | Some a ->
-      if a.Arena.image != img then
-        invalid_arg "Exec.run_batch: arena was created for a different image";
-      a
-    | None -> Arena.create img
+  let batch a =
+    Array.mapi
+      (fun i input ->
+        let r = run_linked ~config:{ config with input } ~arena:a img in
+        (match on_each with Some f -> f i r | None -> ());
+        r)
+      inputs
   in
-  Array.mapi
-    (fun i input ->
-      let r = run_linked ~config:{ config with input } ~arena:a img in
-      (match on_each with Some f -> f i r | None -> ());
-      r)
-    inputs
+  match arena with
+  | Some a ->
+    check_bound "Exec.run_batch" a img;
+    batch a
+  | None -> Arena.with_domain img batch

@@ -14,8 +14,10 @@
    - builtin names become an enum;
    - [Ilea] on a global becomes the object id it will resolve to (the
      global object table is a pure function of the runtime layout and
-     the global list, so ids computed at link time are exactly the ids
-     any fresh {!Mem.t} for this unit assigns);
+     the global list, and {!Mem.fold_globals} is the one placement both
+     linking and {!Mem.create} use, so ids computed at link time are
+     exactly the ids any fresh {!Mem.t} for this unit assigns; no
+     memory is built to get them);
    - per-function metadata is precomputed: frame placement
      ({!Mem.layout_frame}) and the coverage block ids ([Tlabel] carries
      the hashed id, [l_entry_block] the function-entry id).
@@ -387,10 +389,10 @@ let link_func ~(fidx : (string, int) Hashtbl.t)
 let link (u : Ir.unit_) : t =
   let runtime = u.Ir.runtime in
   let fidx = index_funcs u.Ir.funcs in
-  (* the global object table is deterministic in (layout, globals), so a
-     throwaway memory yields the ids every execution memory will use *)
-  let gids = Mem.global_ids (Mem.create runtime u.Ir.globals) in
   let layout = runtime.Policy.layout in
+  (* the ids every execution memory for this unit assigns, from the
+     placement {!Mem.create} uses *)
+  let gids = Mem.global_ids_of layout u.Ir.globals in
   (* builtin names resolve once per unit, not once per call-site; the
      memo also shares one [Bunknown] block per unresolved name *)
   let builtins : (string, builtin) Hashtbl.t = Hashtbl.create 8 in

@@ -21,9 +21,9 @@ exception Trapped of Trap.t
 
 (* Taint/written flag vectors are [Bytes.t] rather than [bool array]: a
    bool array costs a full word per element and is scanned on every
-   major-GC mark pass, which made each pooled arena ~192 KiB of live
-   marked set (the engine's image cache retains hundreds of arenas).
-   Bytes cost one byte per flag and the collector skips their contents.
+   major-GC mark pass, which made each arena ~192 KiB of live marked set
+   (the engine's image cache once retained an arena per image).  Bytes
+   cost one byte per flag and the collector skips their contents.
    The unsafe accessors are justified because every index has already
    passed the same region bounds check as the adjacent value-array
    access. *)
@@ -105,26 +105,95 @@ let obj m id =
 
 (* --- construction --- *)
 
-let create (runtime : Policy.runtime) (globals : Ir.iglobal list) : t =
+(* Global placement, the one source of global object ids: folds
+   [f acc g ~off ~id] over the globals in placement order, where [off] is
+   the global's first cell within the globals region and [id] its object
+   id (1, 2, ... in placement order; id 0 is null).  {!create} builds
+   the object table from it and {!Image.link} resolves [Ilea] from it
+   without building a memory, so the two cannot drift. *)
+let fold_globals (layout : Policy.layout) (globals : Ir.iglobal list) f init =
+  let gap = layout.Policy.global_gap in
+  let placement =
+    if layout.Policy.globals_reversed then List.rev globals else globals
+  in
+  let acc, _, _ =
+    List.fold_left
+      (fun (acc, off, id) (g : Ir.iglobal) ->
+        (f acc g ~off ~id, off + g.Ir.g_size + gap, id + 1))
+      (init, 0, 1) placement
+  in
+  acc
+
+(* name -> object id; a later duplicate name wins *)
+let global_ids_of (layout : Policy.layout) (globals : Ir.iglobal list) :
+    (string, int) Hashtbl.t =
+  let h = Hashtbl.create 16 in
+  fold_globals layout globals
+    (fun () (g : Ir.iglobal) ~off:_ ~id -> Hashtbl.replace h g.Ir.g_name id)
+    ();
+  h
+
+(* Lay out [globals] under [runtime] over [m]'s stack, heap and object
+   buffers, which must be clean (fresh, or after {!reset_scratch}): only
+   the per-image part of a memory, the globals region and the object
+   table, is built here. *)
+let with_globals (m : t) (runtime : Policy.runtime) (globals : Ir.iglobal list)
+    : t =
   let layout = runtime.Policy.layout in
-  (* lay out globals *)
   let gap = layout.Policy.global_gap in
   let total =
     List.fold_left (fun acc g -> acc + g.Ir.g_size + gap) 0 globals
   in
   let globals_mem = Array.make (max 1 total) Value.zero in
-  let globals_taint = Flags.make (max 1 total) false in
   let m =
+    {
+      m with
+      layout;
+      uninit_heap = runtime.Policy.uninit_heap;
+      stack_seed = runtime.Policy.stack_seed;
+      nobjects = 1;
+      globals_mem;
+      globals_taint = Flags.make (max 1 total) false;
+      globals_len = total;
+      globals_dirty = false;
+      sp = layout.Policy.stack_base + layout.Policy.stack_size;
+      heap_break = layout.Policy.heap_base;
+    }
+  in
+  let by_base =
+    fold_globals layout globals
+      (fun acc (g : Ir.iglobal) ~off ~id ->
+        let base = layout.Policy.globals_base + off in
+        let o = fresh_obj m Kglobal base g.Ir.g_size g.Ir.g_name in
+        assert (o.id = id);
+        List.iteri
+          (fun i v ->
+            if i < g.Ir.g_size then globals_mem.(off + i) <- Value.Vint v)
+          g.Ir.g_init;
+        (base, id) :: acc)
+      []
+  in
+  {
+    m with
+    globals_by_base = Array.of_list (List.rev by_base);
+    globals_init = Array.copy globals_mem;
+    initial_nobjects = m.nobjects;
+  }
+
+let create (runtime : Policy.runtime) (globals : Ir.iglobal list) : t =
+  let layout = runtime.Policy.layout in
+  let null = { id = 0; kind = Kglobal; base = 0; size = 0; alive = false; oname = "<null>" } in
+  with_globals
     {
       layout;
       uninit_heap = runtime.Policy.uninit_heap;
       stack_seed = runtime.Policy.stack_seed;
-      objects = Array.make 64 { id = 0; kind = Kglobal; base = 0; size = 0; alive = false; oname = "<null>" };
+      objects = Array.make 64 null;
       nobjects = 1;
-      globals_mem;
-      globals_taint;
+      globals_mem = [||];
+      globals_taint = Bytes.empty;
       globals_init = [||];
-      globals_len = total;
+      globals_len = 0;
       globals_dirty = false;
       globals_by_base = [||];
       initial_nobjects = 1;
@@ -133,41 +202,19 @@ let create (runtime : Policy.runtime) (globals : Ir.iglobal list) : t =
       stack_written = Flags.make layout.Policy.stack_size false;
       stack_wlo = max_int;
       stack_whi = -1;
-      sp = layout.Policy.stack_base + layout.Policy.stack_size;
+      sp = 0;
       frames = [];
       heap_mem = Array.make 256 Value.zero;
       heap_taint = Flags.make 256 true;
-      heap_break = layout.Policy.heap_base;
+      heap_break = 0;
       free_list = [];
       heap_by_base = Hashtbl.create 16;
     }
-  in
-  let by_base = ref [] in
-  let cursor = ref 0 in
-  let placement =
-    if layout.Policy.globals_reversed then List.rev globals else globals
-  in
-  List.iter
-    (fun (g : Ir.iglobal) ->
-      let base = layout.Policy.globals_base + !cursor in
-      let o = fresh_obj m Kglobal base g.Ir.g_size g.Ir.g_name in
-      List.iteri
-        (fun i v ->
-          if i < g.Ir.g_size then globals_mem.(!cursor + i) <- Value.Vint v)
-        g.Ir.g_init;
-      by_base := (base, o.id) :: !by_base;
-      cursor := !cursor + g.Ir.g_size + gap)
-    placement;
-  {
-    m with
-    globals_by_base = Array.of_list (List.rev !by_base);
-    globals_init = Array.copy globals_mem;
-    initial_nobjects = m.nobjects;
-  }
+    runtime globals
 
-(* Return the address space to its post-[create] state, reusing every
-   allocation.  Equivalence argument (per region):
-   - globals: values restored from the snapshot, taint cleared;
+(* Return the shared scratch (stack, heap, object table) to its
+   post-[create] state; the globals region is {!reset}'s business.
+   Equivalence argument (per region):
    - stack: values are never cleared between frames even in a fresh
      memory (stack reuse), and a cell with [stack_written = false] reads
      deterministic junk derived only from [(stack_seed, addr)] — so
@@ -180,15 +227,7 @@ let create (runtime : Policy.runtime) (globals : Ir.iglobal list) : t =
      there;
    - objects: ids restart at the post-create count, so allocation
      sequence numbers (Pobjseq ordering) replay identically. *)
-let reset (m : t) : unit =
-  (* only [write_abs] mutates the globals region after [create], so a
-     run that never stored to a global leaves it in post-create state
-     and the snapshot restore can be skipped entirely *)
-  if m.globals_dirty then begin
-    Array.blit m.globals_init 0 m.globals_mem 0 (Array.length m.globals_init);
-    Flags.fill m.globals_taint 0 (Bytes.length m.globals_taint) false;
-    m.globals_dirty <- false
-  end;
+let reset_scratch (m : t) : unit =
   if m.stack_wlo <= m.stack_whi then begin
     let len = m.stack_whi - m.stack_wlo + 1 in
     Flags.fill m.stack_written m.stack_wlo len false;
@@ -206,10 +245,42 @@ let reset (m : t) : unit =
   m.heap_break <- m.layout.Policy.heap_base;
   m.free_list <- [];
   Hashtbl.reset m.heap_by_base;
+  m.nobjects <- m.initial_nobjects
+
+(* Return the address space to its post-[create] state, reusing every
+   allocation: {!reset_scratch}, plus the globals restored from the
+   snapshot with taint cleared and the global objects revived. *)
+let reset (m : t) : unit =
+  (* only [write_abs] mutates the globals region after [create], so a
+     run that never stored to a global leaves it in post-create state
+     and the snapshot restore can be skipped entirely *)
+  if m.globals_dirty then begin
+    Array.blit m.globals_init 0 m.globals_mem 0 (Array.length m.globals_init);
+    Flags.fill m.globals_taint 0 (Bytes.length m.globals_taint) false;
+    m.globals_dirty <- false
+  end;
+  reset_scratch m;
   for id = 1 to m.initial_nobjects - 1 do
     m.objects.(id).alive <- true
-  done;
-  m.nobjects <- m.initial_nobjects
+  done
+
+(* A memory for another unit over [m]'s scratch, equal to
+   [create runtime globals]: [m]'s stack and heap are returned to their
+   clean state ({!reset_scratch}, under [m]'s own layout), and only the
+   globals region and the object table are built anew.  Clean stack and
+   heap scratch hold nothing a run can observe -- a stack cell reads
+   junk from [(stack_seed, addr)] of the new runtime until written, the
+   heap prefix is zero with taint set, and object ids restart after the
+   new globals -- so the result is a fresh memory in all but
+   allocation.  A different stack size needs differently sized buffers:
+   then this is [create].  [m] must not be used afterwards. *)
+let rebind (m : t) (runtime : Policy.runtime) (globals : Ir.iglobal list) : t =
+  if runtime.Policy.layout.Policy.stack_size <> m.layout.Policy.stack_size then
+    create runtime globals
+  else begin
+    reset_scratch m;
+    with_globals m runtime globals
+  end
 
 (* name -> object id, for Ilea *)
 let global_ids (m : t) : (string, int) Hashtbl.t =

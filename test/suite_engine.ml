@@ -261,6 +261,35 @@ let test_two_phase_matches_run_batch () =
    their [Marshal [No_sharing]] bytes: structural equality of every
    field, whatever the memo shares physically. *)
 
+(* The image cache's weight is an estimate of what a handle keeps
+   reachable; measure it on linked Juliet units (two tests per CWE, bad
+   and good) and every project target, under every profile. *)
+let test_image_weight_tracks_reachable () =
+  let programs =
+    List.concat_map
+      (fun t -> [ Juliet.Testcase.frontend_bad t; Juliet.Testcase.frontend_good t ])
+      (Juliet.Suite.quick ~per_cwe:2 ())
+    @ List.map Projects.Project.frontend Projects.Registry.all
+  in
+  let s = Engine.Session.create () in
+  let weight = ref 0 and bytes = ref 0 in
+  List.iter
+    (fun tp ->
+      List.iter
+        (fun p ->
+          let img =
+            Engine.Session.image (Engine.Session.link s (Engine.Session.compile s p tp))
+          in
+          let w = Engine.Session.image_weight img in
+          let b = Obj.reachable_words (Obj.repr img) * (Sys.word_size / 8) in
+          weight := !weight + w;
+          bytes := !bytes + b;
+          if w > 2 * b || b > 2 * w then
+            Alcotest.failf "image weight %d for %d reachable bytes" w b)
+        Cdcompiler.Profiles.all)
+    programs;
+  check_bool "total within 2x" true (!weight <= 2 * !bytes && !bytes <= 2 * !weight)
+
 let unit_bytes (u : Cdcompiler.Ir.unit_) =
   Marshal.to_string u [ Marshal.No_sharing ]
 
@@ -619,6 +648,7 @@ let suites =
         tc "oracles share compiles" test_oracle_shares_session_compiles;
         tc "oracle replay hits the store" test_oracle_replay_hits_obs_store;
         tc "lookup + run_misses = run_batch" test_two_phase_matches_run_batch;
+        tc "image weight tracks reachable bytes" test_image_weight_tracks_reachable;
       ] );
     ( "engine.func_memo",
       [

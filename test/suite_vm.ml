@@ -574,6 +574,229 @@ let prop_run_batch_matches_run_linked =
             && Array.for_all2 (fun a b -> triple a = triple b) batch batch2)
           Profiles.all)
 
+(* --- the domain arena: one address space rebound from image to image --- *)
+
+(* [Image.link] resolves global ids without building a memory; they must
+   be the ids a [Mem.create]d memory for the same unit assigns *)
+let sorted_bindings h =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+
+let test_global_ids_match_memory () =
+  let g g_name g_size = { Ir.g_name; g_size; g_init = [] } in
+  let layouts =
+    [
+      [];
+      [ g "a" 4; g "b" 2; g "a" 1 ];                 (* duplicate name *)
+      [ g "z" 0; g "a" 3; g "y" 0; g "b" 0 ];        (* zero-size globals *)
+      [ g "x" 0; g "x" 2; g "y" 1; g "x" 0 ];        (* both at once *)
+      two_globals;
+    ]
+  in
+  let runtimes = List.map runtime_of Profiles.all in
+  let reversed r = r.Policy.layout.Policy.globals_reversed in
+  check_bool "both placement orders covered" true
+    (List.exists reversed runtimes && List.exists (fun r -> not (reversed r)) runtimes);
+  List.iter
+    (fun runtime ->
+      List.iter
+        (fun globals ->
+          let u =
+            { Ir.funcs = []; globals; runtime; impl_name = "test" }
+          in
+          let linked = sorted_bindings (Image.link u).Image.global_ids in
+          let created = sorted_bindings (Mem.global_ids (Mem.create runtime globals)) in
+          check_bool "link ids = create ids" true (linked = created))
+        layouts)
+    runtimes
+
+(* deterministic shuffle of a list by a seed *)
+let shuffle seed l =
+  let st = Random.State.make [| seed |] in
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+
+(* every (unit, input) run twice without [~arena], in a seeded order
+   that changes image on every run, against the reference *)
+let domain_runs_match ~seed ~fuel (units : Ir.unit_ list) inputs =
+  let cases =
+    List.concat_map
+      (fun u ->
+        let img = Image.link u in
+        List.map
+          (fun input ->
+            let config = { Exec.default_config with Exec.input; fuel } in
+            (img, config, triple (Exec.run ~config u)))
+          inputs)
+      units
+  in
+  let run_pass order =
+    List.for_all
+      (fun (img, config, want) -> triple (Exec.run_linked ~config img) = want)
+      order
+  in
+  run_pass (shuffle seed cases) && run_pass (shuffle (seed + 1) cases)
+
+let domain_arena_programs =
+  [
+    (* writes globals, in and out of bounds *)
+    "int g[4];\n\
+     int h = 7;\n\
+     int main() {\n\
+     \  g[getchar() & 3] = h;\n\
+     \  h = h + 1;\n\
+     \  g[5] = 9;\n\
+     \  print(\"%d %d %d %d %d\\n\", g[0], g[1], g[3], h, g[4]);\n\
+     \  return g[2];\n\
+     }";
+    (* malloc/free, a heap grown past its initial capacity, a double free *)
+    "int main() {\n\
+     \  int *p = malloc(8);\n\
+     \  p[0] = getchar();\n\
+     \  free(p);\n\
+     \  int *q = malloc(4);\n\
+     \  int *r = malloc(300);\n\
+     \  r[299] = 3;\n\
+     \  print(\"%d %d %d %d\\n\", q[0], p[0], r[1], r[299]);\n\
+     \  free(r);\n\
+     \  free(r);\n\
+     \  int *s = malloc(2);\n\
+     \  print(\"%d\\n\", s[1]);\n\
+     \  return 0;\n\
+     }";
+    (* uninitialized stack reads *)
+    "int f(int x) { int a[8]; if (x) a[3] = x; return a[3] + a[5]; }\n\
+     int main() {\n\
+     \  int v;\n\
+     \  int w = f(getchar());\n\
+     \  print(\"%d %d %d\\n\", v, w, f(0));\n\
+     \  return 0;\n\
+     }";
+    (* traps mid-run, after output and stack writes *)
+    "int g;\n\
+     int main() {\n\
+     \  int a[2];\n\
+     \  a[0] = 1;\n\
+     \  g = 3;\n\
+     \  print(\"before\\n\");\n\
+     \  int z = getchar() - 65;\n\
+     \  print(\"%d\\n\", 10 / z);\n\
+     \  int *p = malloc(0);\n\
+     \  if (z > 1) p[0] = 1;\n\
+     \  a[z * 100000] = 1;\n\
+     \  return a[0];\n\
+     }";
+    (* runs out of fuel with dirty globals and stack *)
+    "int g;\n\
+     int main() {\n\
+     \  int i = 0;\n\
+     \  int b[3];\n\
+     \  while (1) { g = g + 1; b[i % 3] = g; i = i + 1; }\n\
+     \  return i;\n\
+     }";
+  ]
+
+let compile_all src =
+  match Minic.frontend_of_source src with
+  | Error e -> Alcotest.failf "frontend: %s" e
+  | Ok tp -> List.map (fun p -> Pipeline.compile p tp) Profiles.all
+
+let test_domain_arena_programs () =
+  let units = List.concat_map compile_all domain_arena_programs in
+  (* a stack of another size makes the rebind allocate fresh buffers *)
+  let small_stack =
+    List.map
+      (fun (u : Ir.unit_) ->
+        let rt = u.Ir.runtime in
+        {
+          u with
+          Ir.runtime =
+            { rt with Policy.layout = { rt.Policy.layout with Policy.stack_size = 0x800 } };
+        })
+      (compile_all (List.nth domain_arena_programs 2))
+  in
+  List.iter
+    (fun seed ->
+      check_bool
+        (Printf.sprintf "domain arena = reference (seed %d)" seed)
+        true
+        (domain_runs_match ~seed ~fuel:20_000 (units @ small_stack)
+           [ ""; "A"; "B"; "zz9" ]))
+    [ 1; 2; 3 ]
+
+let prop_domain_arena_matches_reference =
+  QCheck.Test.make
+    ~name:"domain arena rebound across 10 profiles = reference" ~count:40
+    (QCheck.make QCheck.Gen.(pair gen_soup (int_bound 10_000)))
+    (fun (soup, seed) ->
+      let src = "int main() { " ^ soup ^ " ; return 0; }" in
+      match Minic.frontend_of_source src with
+      | Error _ -> true
+      | Ok tp ->
+        domain_runs_match ~seed ~fuel:20_000
+          (List.map (fun p -> Pipeline.compile p tp) Profiles.all)
+          [ ""; "A"; "zz" ])
+
+(* Two systhreads of one domain, both without [~arena]: the second
+   starts while the first is suspended mid-run in a print callback, so
+   it finds the domain's arena taken and must run on its own.  Had it
+   rebound the first one's arena, the first run would resume on the
+   second image's globals and stack. *)
+let test_domain_arena_two_systhreads () =
+  let image_of src =
+    match compile_all src with
+    | u :: _ -> (u, Image.link u)
+    | [] -> assert false
+  in
+  let ua, ia =
+    image_of
+      "int g[3] = {5, 6, 7};\n\
+       int main() {\n\
+       \  int a[4];\n\
+       \  a[1] = 11;\n\
+       \  g[0] = 1;\n\
+       \  print(\"first\\n\");\n\
+       \  int *p = malloc(3);\n\
+       \  p[2] = a[1] + g[0] + g[2];\n\
+       \  print(\"%d %d %d %d\\n\", a[1], g[0], g[2], p[2]);\n\
+       \  return a[1];\n\
+       }"
+  in
+  let ub, ib =
+    image_of
+      "int h[6];\n\
+       int main() {\n\
+       \  int b[8];\n\
+       \  for (int i = 0; i < 8; i++) b[i] = 100 + i;\n\
+       \  for (int i = 0; i < 6; i++) h[i] = b[i];\n\
+       \  int *q = malloc(5);\n\
+       \  q[0] = h[5];\n\
+       \  print(\"%d %d\\n\", b[1], q[0]);\n\
+       \  return 2;\n\
+       }"
+  in
+  let want_a = triple (Exec.run ua) and want_b = triple (Exec.run ub) in
+  let got_b = ref None in
+  let cb ~fn:_ text =
+    if text = "first\n" then begin
+      let t =
+        Thread.create (fun () -> got_b := Some (triple (Exec.run_linked ib))) ()
+      in
+      Thread.join t
+    end
+  in
+  let got_a =
+    triple
+      (Exec.run_linked
+         ~config:{ Exec.default_config with Exec.observer = Observer.prints cb }
+         ia)
+  in
+  check_bool "second thread ran" true (!got_b <> None);
+  check_bool "suspended run = reference" true (got_a = want_a);
+  check_bool "concurrent run = reference" true (!got_b = Some want_b);
+  (* the slot holds one of the two arenas again, rebound as usual *)
+  check_bool "later runs = reference" true
+    (triple (Exec.run_linked ib) = want_b && triple (Exec.run_linked ia) = want_a)
+
 (* --- Steps observation (the reference interpreter's sink) --- *)
 
 (* hand-built units: the frontend never emits duplicate names, duplicate
@@ -763,6 +986,13 @@ let suites =
         tc "arena bound to its image" test_arena_wrong_image_rejected;
         QCheck_alcotest.to_alcotest prop_linked_matches_reference;
         QCheck_alcotest.to_alcotest prop_run_batch_matches_run_linked;
+      ] );
+    ( "vm.domain_arena",
+      [
+        tc "link global ids = memory's" test_global_ids_match_memory;
+        tc "rebinds = reference" test_domain_arena_programs;
+        tc "two systhreads, one domain" test_domain_arena_two_systhreads;
+        QCheck_alcotest.to_alcotest prop_domain_arena_matches_reference;
       ] );
     ( "vm.steps",
       [
