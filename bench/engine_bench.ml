@@ -10,7 +10,11 @@
                  but already shares work within the suite (the
                  sanitizer builds reuse the oracle's gccx-O0 unit);
    - [warm]      the same session again — compiles, links and
-                 observations are served from the caches.
+                 observations are served from the caches.  The store
+                 admits an observation on its key's second request;
+                 a pass requests each of the sample's observations
+                 twice, so the cold pass stores every one (its first
+                 request is declined) and the warm pass hits them all.
 
    Cross-validation: all three passes must produce structurally
    identical verdicts (detections, partitions, sanitizer results); a

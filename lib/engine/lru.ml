@@ -161,6 +161,10 @@ let find_hashed t h key =
 
 let find_opt t key = find_hashed t (Hashtbl.hash key) key
 
+(* a lookup its caller answered without consulting the table (an
+   admission filter's first sight of a key) is still a miss *)
+let count_miss t = Atomic.incr t.misses
+
 (* [put t key value ~weight]: insert a value computed elsewhere (batch
    executions, disk-cache hits).  Like the tail of [find_or_compute]: a
    concurrent insert of the same key wins and this one is dropped. *)

@@ -30,6 +30,10 @@
      tracing — must call the VM directly ([image] exposes the linked
      image for exactly that).
 
+   The store admits an observation on its key's second request (the
+   doorkeeper below): most executions of a fuzzing campaign are never
+   requested again, and keeping them only fed the GC.
+
    Image ids are interned per unit key and never reused, so an image
    evicted from the cache and re-linked later gets the same id and its
    stored observations stay valid.
@@ -73,6 +77,7 @@ type stats = {
   caching : bool;
   key_calls : int;       (* content-key computations (Marshal + hash) *)
   key_seconds : float;   (* wall time spent computing content keys *)
+  declined : int;        (* executed observations the doorkeeper kept out *)
   disk : disk_stats option;  (* None when no --disk-cache directory *)
 }
 
@@ -138,6 +143,54 @@ module Memo = struct
     Mutex.unlock t.mutex
 end
 
+(* The observation store's admission filter (TinyLFU's doorkeeper): a
+   bitmap of key fingerprints, two probes per key.  [admit] answers
+   whether a key's fingerprint was recorded before and records it if
+   not, so a key is admitted on its second request.  Bits are set and
+   cleared without a lock: a lost or cleared bit only makes a repeated
+   key look new, which costs one extra execution and never changes a
+   result (DESIGN.md 10.6). *)
+module Doorkeeper = struct
+  type t = {
+    bits : Bytes.t;
+    mask : int;                 (* bit count - 1; the count is a power of 2 *)
+    recorded : int Atomic.t;    (* fingerprints recorded since the last clear *)
+    limit : int;                (* clear at an eighth of the bits *)
+  }
+
+  let create ~nbits =
+    let n = ref 8 in
+    while !n < nbits do n := !n * 2 done;
+    {
+      bits = Bytes.make (!n / 8) '\000';
+      mask = !n - 1;
+      recorded = Atomic.make 0;
+      limit = !n / 8;
+    }
+
+  let clear t =
+    Atomic.set t.recorded 0;
+    Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
+
+  let get t h =
+    let i = h land t.mask in
+    Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+  let set t h =
+    let i = h land t.mask in
+    let b = Char.code (Bytes.unsafe_get t.bits (i lsr 3)) in
+    Bytes.unsafe_set t.bits (i lsr 3) (Char.unsafe_chr (b lor (1 lsl (i land 7))))
+
+  let admit t h1 h2 =
+    if get t h1 && get t h2 then true
+    else begin
+      set t h1;
+      set t h2;
+      if Atomic.fetch_and_add t.recorded 1 + 1 >= t.limit then clear t;
+      false
+    end
+end
+
 type t = {
   caching : bool;
   budget_bytes : int;
@@ -147,6 +200,8 @@ type t = {
   image_cache : (ikey, linked) Lru.t;
   obs_cache : (int * int * string, Cdvm.Exec.result) Lru.t;
       (* raw, NOT normalized *)
+  door : Doorkeeper.t;          (* admission to [obs_cache] *)
+  declined : int Atomic.t;
   ids : (ikey, int) Hashtbl.t;  (* interned image ids, never evicted *)
   ids_mutex : Mutex.t;
   mutable next_id : int;
@@ -172,6 +227,9 @@ let timed_key t (serialize : unit -> string) : key =
 
 let prog_key (tp : Minic.Tast.tprogram) : key =
   key_of_string (Marshal.to_string tp [])
+
+(* the smallest weight of a stored observation (see [obs_weight]) *)
+let obs_overhead_bytes = 64
 
 (* a memo entry holds its key bytes besides the function *)
 let func_weight (key : string) (f : Ir.ifunc) : int =
@@ -206,6 +264,9 @@ let create ?(cache_mb = 128) ?disk_dir ?(disk_mb = 512) () : t =
        else None);
     image_cache = Lru.create ~budget_bytes:(budget_bytes / 4);
     obs_cache = Lru.create ~budget_bytes:(budget_bytes / 2);
+    (* one bit per smallest entry the observation budget holds *)
+    door = Doorkeeper.create ~nbits:(budget_bytes / 2 / obs_overhead_bytes);
+    declined = Atomic.make 0;
     ids = Hashtbl.create 64;
     ids_mutex = Mutex.create ();
     next_id = 0;
@@ -363,8 +424,6 @@ let image (l : linked) = l.image
 
 (* --- run --- *)
 
-let obs_overhead_bytes = 64
-
 let obs_weight input (o : Cdvm.Exec.result) =
   String.length o.Cdvm.Exec.stdout + String.length input + obs_overhead_bytes
 
@@ -380,29 +439,18 @@ let disk_of t (l : linked) =
   | Some d when l.skey <> "" -> Some d
   | Some _ | None -> None
 
-(* the stores' observation of [input], if any; a disk hit is promoted
-   into memory *)
-let stored t (l : linked) disk ~fuel input : Cdvm.Exec.result option =
-  let mkey = (l.image_id, fuel, input) in
-  match Lru.find_opt t.obs_cache mkey with
-  | Some _ as hit -> hit
-  | None -> (
-      match disk with
-      | None -> None
-      | Some d ->
-          let o : Cdvm.Exec.result option =
-            Diskcache.get d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input)
-          in
-          Option.iter
-            (fun o -> Lru.put t.obs_cache mkey o ~weight:(obs_weight input o))
-            o;
-          o)
+let disk_get disk (l : linked) ~fuel input : Cdvm.Exec.result option =
+  match disk with
+  | None -> None
+  | Some d -> Diskcache.get d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input)
 
-let store t (l : linked) disk ~fuel input (o : Cdvm.Exec.result) =
-  Lru.put t.obs_cache (l.image_id, fuel, input) o ~weight:(obs_weight input o);
+let disk_put disk (l : linked) ~fuel input (o : Cdvm.Exec.result) =
   match disk with
   | Some d -> Diskcache.put d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input) o
   | None -> ()
+
+(* the doorkeeper's second probe; the first is the LRU's own hash *)
+let door_seed = 0x2545f491
 
 (* The one cached-execution path, in two phases.  [lookup] asks the
    stores for every input and counts each as one hit or one miss;
@@ -412,25 +460,69 @@ let store t (l : linked) disk ~fuel input (o : Cdvm.Exec.result) =
    caller that holds several batches looks them all up first and only
    schedules the ones with misses (the oracle's rounds); everyone else
    calls [run_batch], the two phases back to back.  A single run is the
-   one-input batch, so the loops below avoid per-call closures. *)
+   one-input batch, so the loops below avoid per-call closures.
+
+   Admission: the in-memory store only holds keys requested at least
+   twice.  A key the doorkeeper has not seen is recorded there and
+   counted as a miss without touching the LRU; once executed, its
+   observation is returned but not stored ([declined]).  A key seen
+   before is looked up, and stored on a miss.  The disk tier is not
+   filtered: a memory miss still consults it, and every execution is
+   written through, so cross-process reuse is as before. *)
 type lookup = {
   found : Cdvm.Exec.result option array;
   misses : int array;
+  admitted : bool array;
 }
 
 let lookup t (l : linked) ~(inputs : string array) ~(fuel : int) : lookup =
   let n = Array.length inputs in
   if not t.caching then
-    { found = Array.make n None; misses = Array.init n Fun.id }
+    {
+      found = Array.make n None;
+      misses = Array.init n Fun.id;
+      admitted = Array.make n false;
+    }
   else begin
     let disk = disk_of t l in
-    let found = Array.make n None and misses = ref [] in
+    let found = Array.make n None
+    and misses = ref []
+    and admitted = ref [] in
     for i = 0 to n - 1 do
-      match stored t l disk ~fuel inputs.(i) with
-      | None -> misses := i :: !misses
+      let input = inputs.(i) in
+      let mkey = (l.image_id, fuel, input) in
+      let h = Hashtbl.hash mkey in
+      let seen =
+        Doorkeeper.admit t.door h (Hashtbl.seeded_hash door_seed mkey)
+      in
+      let o =
+        if seen then
+          match Lru.find_hashed t.obs_cache h mkey with
+          | Some _ as hit -> hit
+          | None ->
+              (* a disk hit of an admitted key is promoted into memory *)
+              let o = disk_get disk l ~fuel input in
+              Option.iter
+                (fun o ->
+                  Lru.put t.obs_cache mkey o ~weight:(obs_weight input o))
+                o;
+              o
+        else begin
+          Lru.count_miss t.obs_cache;
+          disk_get disk l ~fuel input
+        end
+      in
+      match o with
+      | None ->
+          misses := i :: !misses;
+          admitted := seen :: !admitted
       | hit -> found.(i) <- hit
     done;
-    { found; misses = Array.of_list (List.rev !misses) }
+    {
+      found;
+      misses = Array.of_list (List.rev !misses);
+      admitted = Array.of_list (List.rev !admitted);
+    }
   end
 
 let run_misses t (l : linked) ~(inputs : string array) ~(fuel : int)
@@ -446,8 +538,15 @@ let run_misses t (l : linked) ~(inputs : string array) ~(fuel : int)
     let disk = disk_of t l in
     Array.iteri
       (fun j i ->
-        if t.caching then store t l disk ~fuel inputs.(i) fresh.(j);
-        out.(i) <- Some fresh.(j))
+        let input = inputs.(i) and o = fresh.(j) in
+        if t.caching then begin
+          if lk.admitted.(j) then
+            Lru.put t.obs_cache (l.image_id, fuel, input) o
+              ~weight:(obs_weight input o)
+          else Atomic.incr t.declined;
+          disk_put disk l ~fuel input o
+        end;
+        out.(i) <- Some o)
       lk.misses
   end;
   Array.map Option.get out
@@ -479,6 +578,7 @@ let stats t =
     caching = t.caching;
     key_calls = Atomic.get t.key_calls;
     key_seconds = float_of_int (Atomic.get t.key_micros) /. 1e6;
+    declined = Atomic.get t.declined;
     disk = Option.map Diskcache.stats t.disk;
   }
 
@@ -488,7 +588,8 @@ let reset_stats t =
   Lru.reset_stats t.image_cache;
   Lru.reset_stats t.obs_cache;
   Atomic.set t.key_calls 0;
-  Atomic.set t.key_micros 0
+  Atomic.set t.key_micros 0;
+  Atomic.set t.declined 0
 
 let hit_rate (c : cache_stats) =
   let total = c.hits + c.misses in
@@ -516,12 +617,12 @@ let stats_to_string (s : stats) : string =
             (float_of_int d.disk_bytes /. 1024.)
     in
     Printf.sprintf
-      "engine session caches (budget %d MiB):\n%s%s%s%s%s  key time: %d keys \
-       in %.4fs\n"
+      "engine session caches (budget %d MiB):\n%s%s%s%s  %-12s %7d declined \
+       (executed once, not stored)\n%s  key time: %d keys in %.4fs\n"
       (s.budget_bytes / (1024 * 1024))
       (line "units" s.units) (line "func memo" s.funcs) (line "images" s.images)
       (line "observations" s.observations)
-      disk_line s.key_calls s.key_seconds
+      "admission" s.declined disk_line s.key_calls s.key_seconds
 
 (* machine-readable stats: one self-contained JSON object, so fleet
    tooling (and the serve daemon's stats endpoint) can scrape a session
@@ -544,9 +645,9 @@ let stats_to_json (s : stats) : string =
   in
   Printf.sprintf
     "{\"caching\": %b, \"budget_bytes\": %d, \"units\": %s, \"funcs\": %s, \
-     \"images\": %s, \"observations\": %s, \"disk\": %s, \"key_calls\": %d, \
-     \"key_seconds\": %.6f}"
+     \"images\": %s, \"observations\": %s, \"declined\": %d, \"disk\": %s, \
+     \"key_calls\": %d, \"key_seconds\": %.6f}"
     s.caching s.budget_bytes (cache_to_json s.units) (cache_to_json s.funcs)
     (cache_to_json s.images)
     (cache_to_json s.observations)
-    disk s.key_calls s.key_seconds
+    s.declined disk s.key_calls s.key_seconds

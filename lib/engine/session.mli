@@ -14,7 +14,9 @@
       at link time), or by the unit's own content hash otherwise;
     - an {b observation store} keyed by (image id, fuel, input) that
       turns replayed executions (reduction re-validation, localization,
-      escalation replays, triage) into lookups.
+      escalation replays, triage) into lookups.  It admits an
+      observation on its key's second request (see {!lookup}), so
+      one-shot executions do not occupy it.
 
     Content keys are (length, murmur3{_A}, murmur3{_B}) over the value's
     [Marshal] serialization; both program types are pure data, so equal
@@ -64,6 +66,9 @@ type stats = {
   caching : bool;
   key_calls : int;  (** content-key computations (Marshal + hash) *)
   key_seconds : float;  (** wall time spent computing content keys *)
+  declined : int;
+      (** executed observations the admission filter kept out of the
+          in-memory store (their key's first request, see {!lookup}) *)
   disk : disk_stats option;  (** [None] without a disk directory *)
 }
 
@@ -128,20 +133,35 @@ type lookup = {
       (** element [i]: the stored observation of [inputs.(i)], [None]
           where the stores miss *)
   misses : int array;  (** the indices of the misses, ascending *)
+  admitted : bool array;
+      (** element [j]: whether miss [j]'s observation is stored in memory
+          once executed ([false] on a key's first request) *)
 }
 (** The first phase of {!run_batch}. *)
 
 val lookup : t -> linked -> inputs:string array -> fuel:int -> lookup
 (** Ask the stores (memory, then disk) for every input at [fuel],
-    executing nothing; each input counts as one hit or one miss.  On a
-    caching-disabled session every input is a miss and no store is
+    executing nothing; each input counts as one hit or one miss.
+
+    The in-memory store admits a key on its second request: a
+    doorkeeper bitmap of key fingerprints sits in front of it.  A key
+    whose fingerprint is absent is recorded and counted as a miss
+    without consulting memory; its observation will not be stored.  A
+    key whose fingerprint is present is looked up, and stored on a
+    miss.  Fingerprints are cleared periodically, so a miss may be a
+    stored key whose fingerprint was cleared; that costs one execution,
+    never a different result.  The disk tier is consulted on every
+    memory miss.
+
+    On a caching-disabled session every input is a miss and no store is
     consulted. *)
 
 val run_misses : t -> linked -> inputs:string array -> fuel:int -> lookup ->
   Cdvm.Exec.result array
 (** The second phase of {!run_batch}: execute the misses of a {!lookup}
-    made with the same [inputs] and [fuel], write them back to the
-    stores, and return the whole batch as {!run_batch} would.  Looks
+    made with the same [inputs] and [fuel], store the admitted ones in
+    memory (counting the others as [declined]), write every one through
+    to disk, and return the whole batch as {!run_batch} would.  Looks
     nothing up again, so no input is counted twice. *)
 
 val run_traced : t -> linked -> observer:Cdvm.Observer.t -> input:string ->

@@ -103,21 +103,49 @@ let run ?(config = default_config) (tp : Minic.Tast.tprogram) : campaign =
      fuel 60k, 2 jobs on a 2-vCPU VM) whole campaigns ran 1.36-1.56x
      faster than with one [check] per input; batches of 32 to 1024 were
      within noise of each other, batches of 16 about 1.15x slower than
-     64.  Without divergence feedback a verdict never reaches the
-     fuzzer, so checking late changes nothing it does; with feedback the
-     fuzzer needs the verdict now, and every batch is the one input. *)
+     64.
+
+     A full batch is checked beside the fuzz loop: it goes to the pool
+     with {!Cdutil.Pool.async}, and the loop fills the next one.  At most
+     one batch is in flight.  When the next batch fills, the in-flight
+     one is awaited and its verdicts judged in input order (triage,
+     reduction on save) before the new one is submitted, so the oracle
+     and the session see the checks and reductions in the order a
+     sequential campaign makes them.  Without divergence feedback a
+     verdict never reaches the fuzzer, so checking late changes nothing
+     it does.  With feedback the fuzzer needs the verdict now: every
+     batch is the one input, on a pool without workers, so it runs at
+     [await], at once. *)
   let batch = 64 in
+  let pool =
+    if jobs > 1 && not config.divergence_feedback then Cdutil.Pool.global ()
+    else Cdutil.Pool.create ~jobs:1 ()
+  in
   let pending = Array.make batch "" and npending = ref 0 in
-  (* the last input's interest is the answer: under feedback the batch
-     is that one input, and without feedback every interest is Boring *)
-  let flush () =
+  let in_flight = ref None in
+  (* judge the in-flight batch; the last input's interest is the answer:
+     under feedback the batch is that one input, and without feedback
+     every interest is Boring *)
+  let settle () =
+    match !in_flight with
+    | None -> Fuzzer.Boring
+    | Some (inputs, verdicts) ->
+      in_flight := None;
+      let interest = ref Fuzzer.Boring in
+      Array.iteri
+        (fun k v -> interest := judge inputs.(k) v)
+        (Cdutil.Pool.await verdicts);
+      !interest
+  in
+  let submit () =
+    ignore (settle ());
     let inputs = Array.sub pending 0 !npending in
     npending := 0;
-    let interest = ref Fuzzer.Boring in
-    Array.iteri
-      (fun k v -> interest := judge inputs.(k) v)
-      (Compdiff.Oracle.check_batch oracle ~inputs);
-    !interest
+    in_flight :=
+      Some
+        ( inputs,
+          Cdutil.Pool.async ~pool (fun () ->
+              Compdiff.Oracle.check_batch oracle ~inputs) )
   in
   let counter = ref 0 in
   let checks = ref 0 in
@@ -127,8 +155,14 @@ let run ?(config = default_config) (tp : Minic.Tast.tprogram) : campaign =
       incr checks;
       pending.(!npending) <- input;
       incr npending;
-      if config.divergence_feedback || !npending = batch then flush ()
-      else Fuzzer.Boring
+      if config.divergence_feedback then begin
+        submit ();
+        settle ()
+      end
+      else begin
+        if !npending = batch then submit ();
+        Fuzzer.Boring
+      end
     end
     else Fuzzer.Boring
   in
@@ -151,7 +185,8 @@ let run ?(config = default_config) (tp : Minic.Tast.tprogram) : campaign =
         }
       fuzz_unit
   in
-  if !npending > 0 then ignore (flush ());
+  if !npending > 0 then submit ();
+  ignore (settle ());
   { fuzz; diffs = triage; oracle; diff_checks = !checks }
 
 let found_divergence (c : campaign) = Compdiff.Triage.total_count c.diffs > 0

@@ -9,7 +9,7 @@
     only, leaving the differential set untouched.
 
     The oracle checks inputs in batches of 64
-    ({!Compdiff.Oracle.check_batch}), each flushed when full and once
+    ({!Compdiff.Oracle.check_batch}), each submitted when full and once
     more when the fuzzing loop ends; the verdicts are then triaged (and
     reduced on save) in the order the fuzzer generated the inputs.
     Without [divergence_feedback] a verdict never reaches the fuzzer, so
@@ -60,5 +60,14 @@ type campaign = {
 }
 
 val run : ?config:config -> Minic.Tast.tprogram -> campaign
+(** [run tp] runs one campaign.  With [jobs > 1] and no
+    [divergence_feedback], a full batch is checked on the shared
+    {!Cdutil.Pool} ({!Cdutil.Pool.async}) while the fuzz loop fills the
+    next one.  At most one batch is in flight: it is awaited, and its
+    verdicts judged in input order, before the next is submitted, and
+    the last one before [run] returns.  Under [divergence_feedback], or
+    at [jobs = 1], every batch is checked at once on the calling domain.
+    The campaign (queue, execs, crashes, triage, [diff_checks]) is the
+    same in every case. *)
 
 val found_divergence : campaign -> bool

@@ -66,8 +66,14 @@ let create ?jobs () =
       total;
     }
   in
+  (* a new domain does not record backtraces; the workers inherit the
+     creator's setting, so a task's exception keeps its backtrace *)
+  let record = Printexc.backtrace_status () in
   t.workers <-
-    List.init (total - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+    List.init (total - 1) (fun _ ->
+        Domain.spawn (fun () ->
+            Printexc.record_backtrace record;
+            worker_loop t));
   t
 
 let shutdown t =
@@ -191,3 +197,71 @@ let map_array ?pool f xs =
 
 let map ?pool f xs = Array.to_list (map_array ?pool f (Array.of_list xs))
 let run ?pool thunks = map ?pool (fun f -> f ()) thunks
+
+(* A promise is one task with a claim flag.  [async] queues a claim
+   attempt for the workers; whoever claims first runs the thunk, so the
+   submitter can always take back a task no worker has started.  [await]
+   does exactly that, and otherwise helps drain the queue (the nested
+   batches of the task it waits for among them) until a worker finishes
+   it.  The result is written before [finished] is set, so the awaiter
+   reads it race-free. *)
+type 'a promise = {
+  p_pool : t;
+  thunk : unit -> 'a;
+  claimed : bool Atomic.t;
+  finished : bool Atomic.t;
+  mutable result : 'a slot;
+}
+
+let execute p =
+  if Atomic.compare_and_set p.claimed false true then begin
+    p.result <-
+      (try Ok_ (p.thunk ()) with e -> Err (e, Printexc.get_raw_backtrace ()));
+    Atomic.set p.finished true;
+    let t = p.p_pool in
+    Mutex.lock t.mutex;
+    Condition.broadcast t.cond;
+    Mutex.unlock t.mutex
+  end
+
+let async ?pool thunk =
+  let t = match pool with Some p -> p | None -> global () in
+  let p =
+    {
+      p_pool = t;
+      thunk;
+      claimed = Atomic.make false;
+      finished = Atomic.make false;
+      result = Empty;
+    }
+  in
+  (* a pool without workers (size 1, or shut down) leaves the task to
+     [await] *)
+  Mutex.lock t.mutex;
+  if t.workers <> [] then begin
+    Queue.add (fun () -> execute p) t.queue;
+    Condition.broadcast t.cond
+  end;
+  Mutex.unlock t.mutex;
+  p
+
+let await p =
+  let t = p.p_pool in
+  execute p;
+  while not (Atomic.get p.finished) do
+    Mutex.lock t.mutex;
+    if Atomic.get p.finished then Mutex.unlock t.mutex
+    else if not (Queue.is_empty t.queue) then begin
+      let task = Queue.pop t.queue in
+      Mutex.unlock t.mutex;
+      task ()
+    end
+    else begin
+      Condition.wait t.cond t.mutex;
+      Mutex.unlock t.mutex
+    end
+  done;
+  match p.result with
+  | Ok_ v -> v
+  | Err (e, bt) -> Printexc.raise_with_backtrace e bt
+  | Empty -> assert false

@@ -5,7 +5,9 @@
     [jobs = 1] degenerates to plain sequential execution with no domain
     spawned, and nested [map] calls issued from inside a task cannot
     deadlock: the nesting task drains its own batch while workers help
-    opportunistically.
+    opportunistically.  {!async} and {!await} follow the same design
+    for one task: the awaiting domain runs a task no worker has claimed,
+    and otherwise helps drain the queue.
 
     All functions are safe to call from any domain. *)
 
@@ -67,3 +69,20 @@ val map_array : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
 val run : ?pool:t -> (unit -> 'a) list -> 'a list
 (** [run thunks] executes the thunks, possibly in parallel; results in
     input order.  Same failure contract as {!map}. *)
+
+type 'a promise
+(** A task submitted with {!async}. *)
+
+val async : ?pool:t -> (unit -> 'a) -> 'a promise
+(** [async f] queues [f] for the pool's workers (the shared global pool
+    when [?pool] is omitted) and returns at once.  A pool without
+    workers (size 1, or shut down) queues nothing: [f] runs at
+    {!await}, on the awaiting domain, so a size-1 pool stays sequential
+    and spawns no domain. *)
+
+val await : 'a promise -> 'a
+(** [await p] is the result of [p]'s task.  A task no worker has
+    claimed yet runs inline; otherwise the awaiting domain helps drain
+    the pool's queue (which holds the nested {!map} batches of the task
+    itself) until the task is done.  An exception raised by the task is
+    re-raised here with its original backtrace, as {!map} does. *)

@@ -103,6 +103,33 @@ else
   echo "ok   juliet --stats (unit cache: $hits hits)"
 fi
 
+echo "== campaign determinism smoke test"
+# A CompDiff-AFL++ campaign checks each batch of inputs beside the fuzz
+# loop when it has a second job, and its session admits observations on
+# their second request.  Neither may change what the campaign finds:
+# sequential, overlapped and caching-disabled campaigns must print
+# byte-identical reports and exit with the same code.
+set +e
+fz1=$(dune exec bin/compdiff_cli.exe -- fuzz examples/unstable_uninit.c \
+  --execs 3000 --jobs 1 2>&1)
+fgot1=$?
+fz2=$(dune exec bin/compdiff_cli.exe -- fuzz examples/unstable_uninit.c \
+  --execs 3000 --jobs 2 2>&1)
+fgot2=$?
+fz0=$(dune exec bin/compdiff_cli.exe -- fuzz examples/unstable_uninit.c \
+  --execs 3000 --cache-mb 0 2>&1)
+fgot0=$?
+set -e
+if [ "$fgot1" -ne "$fgot2" ] || [ "$fz1" != "$fz2" ]; then
+  echo "FAIL fuzz: --jobs 1 and --jobs 2 disagree (exit $fgot1 vs $fgot2)"
+  status=1
+elif [ "$fgot1" -ne "$fgot0" ] || [ "$fz1" != "$fz0" ]; then
+  echo "FAIL fuzz: cached and --cache-mb 0 campaigns disagree (exit $fgot1 vs $fgot0)"
+  status=1
+else
+  echo "ok   fuzz (jobs 1 == jobs 2 == cache-mb 0, exit $fgot1)"
+fi
+
 echo "== disk cache smoke test"
 # Cross-process persistence: fresh processes sharing one --disk-cache
 # directory. The second process starts with empty in-memory LRUs, so it

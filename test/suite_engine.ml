@@ -131,9 +131,12 @@ let test_image_cache_and_obs_store () =
   let l2 = Engine.Session.link s u in
   check_bool "re-link is the cached image" true
     (Engine.Session.image l1 == Engine.Session.image l2);
+  (* an observation is stored on its key's second request (admission),
+     so the store serves the third *)
+  let o0 = run1 s l1 ~input:"A" in
   let o1 = run1 s l1 ~input:"A" in
   let o2 = run1 s l2 ~input:"A" in
-  check_bool "replay equals the stored observation" true (o1 = o2);
+  check_bool "replay equals the stored observation" true (o0 = o1 && o1 = o2);
   Alcotest.(check string) "raw stdout" "ok 65\n" o1.Cdvm.Exec.stdout;
   let st = Engine.Session.stats s in
   check_int "one observation stored" 1
@@ -142,6 +145,7 @@ let test_image_cache_and_obs_store () =
     st.Engine.Session.observations.Engine.Session.hits;
   (* a different input or fuel is a different key *)
   let o3 = run1 s l1 ~input:"B" in
+  ignore (run1 s l1 ~input:"B");
   check_bool "different input, different observation" true (o3 <> o1);
   check_int "two observations stored" 2
     (Engine.Session.stats s).Engine.Session.observations.Engine.Session.entries
@@ -190,6 +194,8 @@ let test_oracle_shares_session_compiles () =
 let test_oracle_replay_hits_obs_store () =
   let s = Engine.Session.create ~cache_mb:64 () in
   let o = Compdiff.Oracle.create ~session:s (frontend unstable_src) in
+  (* the first check's observations are admitted by the second *)
+  ignore (Compdiff.Oracle.check o ~input:"");
   let v1 = Compdiff.Oracle.check o ~input:"" in
   let before = Engine.Session.stats s in
   let v2 = Compdiff.Oracle.check o ~input:"" in
@@ -202,11 +208,77 @@ let test_oracle_replay_hits_obs_store () =
     (after.Engine.Session.observations.Engine.Session.hits
     > before.Engine.Session.observations.Engine.Session.hits)
 
+(* The admission rule: the in-memory store takes an observation on its
+   key's second request.  A first run executes and stores nothing, a
+   second executes again and stores without hitting, a third is served;
+   every input is counted as one hit or one miss all along. *)
+let test_admission_rule () =
+  let tp = frontend unstable_src in
+  let fuel = 100_000 in
+  let inputs = [| "A"; ""; "q" |] in
+  let s = Engine.Session.create ~cache_mb:16 () in
+  let l = Engine.Session.link s (Engine.Session.compile s profile0 tp) in
+  let lookups = ref 0 in
+  let run () =
+    lookups := !lookups + Array.length inputs;
+    Engine.Session.run_batch s l ~inputs ~fuel
+  in
+  let obs () = (Engine.Session.stats s).Engine.Session.observations in
+  let r1 = run () in
+  check_int "a first run stores nothing" 0 (obs ()).Engine.Session.entries;
+  check_int "its executions are declined" 3
+    (Engine.Session.stats s).Engine.Session.declined;
+  let r2 = run () in
+  check_int "a second run stores" 3 (obs ()).Engine.Session.entries;
+  check_int "and hits nothing" 0 (obs ()).Engine.Session.hits;
+  let r3 = run () in
+  check_int "a third run hits" 3 (obs ()).Engine.Session.hits;
+  check_int "hits + misses = lookups" !lookups
+    ((obs ()).Engine.Session.hits + (obs ()).Engine.Session.misses);
+  check_int "nothing more declined" 3
+    (Engine.Session.stats s).Engine.Session.declined;
+  let d = Engine.Session.create ~cache_mb:0 () in
+  let ld = Engine.Session.link d (Engine.Session.compile d profile0 tp) in
+  check_bool "every run = caching-disabled run" true
+    (r1 = r2 && r2 = r3 && r3 = Engine.Session.run_batch d ld ~inputs ~fuel);
+  check_int "a disabled session declines nothing" 0
+    (Engine.Session.stats d).Engine.Session.declined
+
+(* The doorkeeper clears its fingerprints once an eighth of its bits have
+   been recorded; a 1 MiB session's clears after 1024 keys.  Checking
+   well over that many keys twice clears it mid-pass, so keys recorded
+   before a clear look new again (the second pass declines some), and
+   still every verdict is the caching-disabled oracle's. *)
+let test_admission_clear_keeps_verdicts () =
+  let tp = frontend unstable_src in
+  let s = Engine.Session.create ~cache_mb:1 () in
+  let o = Compdiff.Oracle.create ~session:s ~jobs:1 tp in
+  let reference = Compdiff.Oracle.create ~session:(Engine.Session.create ~cache_mb:0 ()) ~jobs:1 tp in
+  let inputs = Array.init 800 (fun i -> Printf.sprintf "%c%d" (Char.chr (32 + (i mod 90))) i) in
+  let expected = Compdiff.Oracle.check_batch reference ~inputs in
+  let declined () = (Engine.Session.stats s).Engine.Session.declined in
+  let pass () =
+    Array.iteri
+      (fun k v ->
+        check_bool (Printf.sprintf "verdict %d = caching disabled" k) true
+          (v = expected.(k)))
+      (Compdiff.Oracle.check_batch o ~inputs)
+  in
+  pass ();
+  let first = declined () in
+  pass ();
+  check_bool "the doorkeeper was cleared mid-pass" true (declined () > first);
+  let c = (Engine.Session.stats s).Engine.Session.observations in
+  check_int "hits + misses = requested observations"
+    (Compdiff.Oracle.stats o).Compdiff.Oracle.vm_execs
+    (c.Engine.Session.hits + c.Engine.Session.misses)
+
 (* The two phases of [run_batch] on a batch that mixes stored and
    fresh inputs, duplicates included: the lookup finds exactly the
    stored ones and counts each input once, the second phase counts
    nothing again, and the result is what [run_batch] gives on a session
-   warmed the same way and on a caching-disabled one. *)
+   warmed the same way and on a caching-disabled one.  Warming runs the
+   stored inputs twice: the store admits a key on its second request. *)
 let test_two_phase_matches_run_batch () =
   let tp = frontend unstable_src in
   let fuel = 100_000 in
@@ -214,6 +286,7 @@ let test_two_phase_matches_run_batch () =
   let warmed () =
     let s = Engine.Session.create ~cache_mb:16 () in
     let l = Engine.Session.link s (Engine.Session.compile s profile0 tp) in
+    ignore (Engine.Session.run_batch s l ~inputs:warm ~fuel);
     ignore (Engine.Session.run_batch s l ~inputs:warm ~fuel);
     (s, l)
   in
@@ -244,6 +317,9 @@ let test_two_phase_matches_run_batch () =
   let ld = Engine.Session.link d (Engine.Session.compile d profile0 tp) in
   check_bool "two phases = caching-disabled run_batch" true
     (two = Engine.Session.run_batch d ld ~inputs:batch ~fuel);
+  (* the batch's fresh inputs were seen once (the duplicate "" twice):
+     one more run admits them all *)
+  ignore (Engine.Session.run_batch s l ~inputs:batch ~fuel);
   check_bool "the misses were written back" true
     ((Engine.Session.lookup s l ~inputs:batch ~fuel).Engine.Session.misses
     = [||]);
@@ -564,6 +640,33 @@ let test_session_disk_restart () =
     && obs.(2) = obs.(0)
     && obs.(1) = run1 s2 l2 ~input:"B")
 
+(* Admission filters the in-memory store only: a declined first run is
+   still written through, and a fresh session over the same directory
+   is served it from disk. *)
+let test_declined_run_written_through () =
+  let dir = temp_dir () in
+  let tp = frontend unstable_src in
+  let s1 = Engine.Session.create ~cache_mb:16 ~disk_dir:dir () in
+  let l1 = Engine.Session.link s1 (Engine.Session.compile s1 profile0 tp) in
+  let o1 = run1 s1 l1 ~input:"first" in
+  let st1 = Engine.Session.stats s1 in
+  check_int "declined in memory" 1 st1.Engine.Session.declined;
+  check_int "not stored in memory" 0
+    st1.Engine.Session.observations.Engine.Session.entries;
+  let s2 = Engine.Session.create ~cache_mb:16 ~disk_dir:dir () in
+  let l2 = Engine.Session.link s2 (Engine.Session.compile s2 profile0 tp) in
+  let disk_hits () =
+    match (Engine.Session.stats s2).Engine.Session.disk with
+    | Some d -> d.Engine.Session.disk_hits
+    | None -> Alcotest.fail "expected disk stats"
+  in
+  let before = disk_hits () in
+  let o2 = run1 s2 l2 ~input:"first" in
+  check_bool "same observation across restart" true (o1 = o2);
+  check_int "served from disk" 1 (disk_hits () - before);
+  check_int "nothing executed, nothing declined" 0
+    (Engine.Session.stats s2).Engine.Session.declined
+
 (* --- QCheck cross-validation properties --- *)
 
 (* same token soup the front-end fuzz and oracle suites use *)
@@ -648,6 +751,9 @@ let suites =
         tc "oracles share compiles" test_oracle_shares_session_compiles;
         tc "oracle replay hits the store" test_oracle_replay_hits_obs_store;
         tc "lookup + run_misses = run_batch" test_two_phase_matches_run_batch;
+        tc "admission: stored on the second request" test_admission_rule;
+        tc "admission: clearing keeps verdicts"
+          test_admission_clear_keeps_verdicts;
         tc "image weight tracks reachable bytes" test_image_weight_tracks_reachable;
       ] );
     ( "engine.func_memo",
@@ -663,6 +769,8 @@ let suites =
         tc "running byte/entry counters" test_diskcache_running_counters;
         tc "GC honors the size cap" test_diskcache_gc_honors_cap;
         tc "session restart warm via disk" test_session_disk_restart;
+        tc "declined first run written through"
+          test_declined_run_written_through;
       ] );
     ( "engine.cross_validation",
       [

@@ -506,6 +506,70 @@ let test_batched_checks_match_per_input () =
       ("max_execs 517", { base with Fuzz.Compdiff_afl.max_execs = 517 });
     ]
 
+(* --- batches checked beside the fuzz loop --- *)
+
+(* A campaign is the same whoever checks its batches and whatever the
+   session stores: at jobs 2 each batch is checked on a pool worker
+   while the loop fills the next, at jobs 1 at once on the fuzzing
+   domain, and at cache_mb 0 nothing is stored.  With divergence
+   feedback every check is synchronous, so the campaigns must agree
+   there too. *)
+let test_campaign_overlap_equivalence () =
+  let prev = Cdutil.Pool.default_jobs () in
+  Cdutil.Pool.set_default_jobs 2;
+  Fun.protect
+    ~finally:(fun () -> Cdutil.Pool.set_default_jobs prev)
+    (fun () ->
+      let found = ref 0 in
+      List.iter
+        (fun (p : Projects.Project.t) ->
+          let tp = Projects.Project.frontend p in
+          let campaign ~jobs ~cache_mb ~feedback =
+            let config =
+              {
+                Fuzz.Compdiff_afl.default_config with
+                Fuzz.Compdiff_afl.seeds = p.Projects.Project.seeds;
+                max_execs = 400;
+                fuel = 60_000;
+                profiles = Projects.Project.profiles_for p;
+                normalize = p.Projects.Project.normalize;
+                divergence_feedback = feedback;
+                jobs;
+                reduce_checks = 40;
+                session =
+                  (if cache_mb = 0 then None
+                   else Some (Engine.Session.create ~cache_mb ()));
+              }
+            in
+            let c = Fuzz.Compdiff_afl.run ~config tp in
+            let fz = c.Fuzz.Compdiff_afl.fuzz in
+            ( fz.Fuzz.Fuzzer.execs,
+              fz.Fuzz.Fuzzer.queue,
+              fz.Fuzz.Fuzzer.crashes,
+              Compdiff.Triage.entries c.Fuzz.Compdiff_afl.diffs,
+              Compdiff.Triage.representatives c.Fuzz.Compdiff_afl.diffs,
+              c.Fuzz.Compdiff_afl.diff_checks )
+          in
+          List.iter
+            (fun feedback ->
+              let reference = campaign ~jobs:1 ~cache_mb:0 ~feedback in
+              let _, _, _, entries, _, _ = reference in
+              found := !found + List.length entries;
+              List.iter
+                (fun (jobs, cache_mb) ->
+                  check_bool
+                    (Printf.sprintf
+                       "%s%s: jobs %d, cache_mb %d = jobs 1, cache_mb 0"
+                       p.Projects.Project.pname
+                       (if feedback then " with feedback" else "")
+                       jobs cache_mb)
+                    true
+                    (campaign ~jobs ~cache_mb ~feedback = reference))
+                [ (2, 0); (1, 256); (2, 256) ])
+            [ false; true ])
+        (List.filteri (fun i _ -> i < 3) Projects.Registry.all);
+      check_bool "the campaigns saved divergences" true (!found > 0))
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -545,5 +609,7 @@ let suites =
         tc "divergence feedback" test_divergence_feedback_mechanism;
         tc "batched checks = per-input checks"
           test_batched_checks_match_per_input;
+        tc "overlapped checks: same campaign at any jobs/cache_mb"
+          test_campaign_overlap_equivalence;
       ] );
   ]

@@ -44,7 +44,8 @@ let temp_socket () =
 
 (* a daemon on a fresh socket; returns (socket path, server, its thread) *)
 let start_server ?(quota = 32) ?(executors = 2) ?(idle_timeout = 0.)
-    ?(client_timeout = 0.) () =
+    ?(client_timeout = 0.) ?(session = Engine.Session.create ~cache_mb:64 ())
+    () =
   let socket_path = temp_socket () in
   let srv =
     Serve.Server.create
@@ -52,9 +53,7 @@ let start_server ?(quota = 32) ?(executors = 2) ?(idle_timeout = 0.)
         Serve.Server.socket_path;
         sched =
           {
-            (Serve.Scheduler.default_config
-               ~session:(Engine.Session.create ~cache_mb:64 ())
-               ())
+            (Serve.Scheduler.default_config ~session ())
             with
             Serve.Scheduler.quota;
             executors;
@@ -603,6 +602,41 @@ let test_idle_timeout_shutdown () =
   check_bool "socket file removed on shutdown" true
     (not (Sys.file_exists path))
 
+(* A campaign's observations are requested once each, so the daemon's
+   session admits almost none of them: a 2000-exec Fuzz request over ten
+   profiles used to add up to 10 x 2000 store entries. *)
+let test_fuzz_request_keeps_store_small () =
+  let session = Engine.Session.create ~cache_mb:64 () in
+  let path, srv, th = start_server ~session () in
+  let cl = Serve.Client.connect path in
+  let entries () =
+    (Engine.Session.stats session).Engine.Session.observations
+      .Engine.Session.entries
+  in
+  let before = entries () in
+  (match
+     Serve.Client.call cl
+       (Serve.Proto.Fuzz
+          {
+            Serve.Proto.fz_source = unstable_src;
+            fz_execs = 2000;
+            fz_seed = 3;
+            fz_seeds = [];
+            fz_profiles = [];
+            fz_fuel = 100_000;
+          })
+   with
+  | Serve.Proto.Fuzz_reply r ->
+      check_int "the whole campaign ran" 2000 r.Serve.Proto.fr_execs
+  | _ -> Alcotest.fail "fuzz request failed");
+  let grown = entries () - before in
+  Serve.Client.close cl;
+  stop_server (srv, th);
+  check_bool
+    (Printf.sprintf "store grew by %d entries, far fewer than 10 x 2000" grown)
+    true
+    (grown < 2000)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -624,6 +658,8 @@ let suites =
           test_garbage_frame_is_rejected;
         tc "fuzz/metacheck/reduce/explore over the wire"
           test_fuzz_metacheck_reduce_requests;
+        tc "a Fuzz request keeps the store small"
+          test_fuzz_request_keeps_store_small;
         tc "idle timeout shuts down cleanly" test_idle_timeout_shutdown;
       ] );
   ]

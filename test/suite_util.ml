@@ -200,6 +200,87 @@ let test_pool_run_and_shutdown_idempotent () =
   let late = Pool.map ~pool:p (fun i -> -i) [ 4; 5 ] in
   Alcotest.(check (list int)) "works after shutdown" [ -4; -5 ] late
 
+(* --- Pool.async / await --- *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* spin until a worker has claimed and started a task, so the await
+   below takes the helping path rather than running it inline *)
+let wait_started started =
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done
+
+let test_async_size1_runs_at_await () =
+  let p = Pool.create ~jobs:1 () in
+  let ran = ref false in
+  let pr =
+    Pool.async ~pool:p (fun () ->
+        ran := true;
+        Domain.self ())
+  in
+  check_bool "nothing runs before await" false !ran;
+  let dom = Pool.await pr in
+  check_bool "ran at await" true !ran;
+  check_bool "on the awaiting domain" true (dom = Domain.self ());
+  Pool.shutdown p
+
+let[@inline never] boom_in_task started () =
+  Atomic.set started true;
+  if Atomic.get started then raise (Failure "async boom");
+  0
+
+let test_async_exception_backtrace () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  let p = Pool.create ~jobs:2 () in
+  let started = Atomic.make false in
+  let pr = Pool.async ~pool:p (boom_in_task started) in
+  wait_started started;
+  (match Pool.await pr with
+  | _ -> Alcotest.fail "expected Failure"
+  | exception Failure msg ->
+      let bt = Printexc.raw_backtrace_to_string (Printexc.get_raw_backtrace ()) in
+      Alcotest.(check string) "original exn" "async boom" msg;
+      check_bool "backtrace names the raising task" true
+        (contains bt "boom_in_task"));
+  Pool.shutdown p;
+  Printexc.record_backtrace recording
+
+let test_async_nested_map () =
+  let p = Pool.create ~jobs:2 () in
+  let started = Atomic.make false in
+  let pr =
+    Pool.async ~pool:p (fun () ->
+        Atomic.set started true;
+        List.fold_left ( + ) 0
+          (Pool.map ~pool:p (fun i -> i * i) (List.init 200 Fun.id)))
+  in
+  wait_started started;
+  check_int "nested map inside an awaited task"
+    (List.fold_left ( + ) 0 (List.init 200 (fun i -> i * i)))
+    (Pool.await pr);
+  Pool.shutdown p
+
+let test_async_after_shutdown_inline () =
+  let p = Pool.create ~jobs:2 () in
+  Pool.shutdown p;
+  let pr = Pool.async ~pool:p (fun () -> Domain.self ()) in
+  check_bool "a shut-down pool runs the task on the awaiting domain" true
+    (Pool.await pr = Domain.self ())
+
+let test_async_many_in_order () =
+  let p = Pool.create ~jobs:2 () in
+  let prs = List.init 1000 (fun i -> Pool.async ~pool:p (fun () -> (i * 3) + 1)) in
+  let got = List.map Pool.await prs in
+  Pool.shutdown p;
+  Alcotest.(check (list int)) "1000 promises, awaited in order"
+    (List.init 1000 (fun i -> (i * 3) + 1))
+    got
+
 let pool_props =
   let open QCheck in
   [
@@ -306,6 +387,12 @@ let suites =
         tc "exception propagation" test_pool_exception_propagation;
         tc "nested map" test_pool_nested_map;
         tc "run + idempotent shutdown" test_pool_run_and_shutdown_idempotent;
+        tc "async: size 1 runs at await" test_async_size1_runs_at_await;
+        tc "async: exception keeps its backtrace"
+          test_async_exception_backtrace;
+        tc "async: task with a nested map" test_async_nested_map;
+        tc "async: after shutdown runs inline" test_async_after_shutdown_inline;
+        tc "async: 1000 promises in order" test_async_many_in_order;
       ]
       @ List.map QCheck_alcotest.to_alcotest pool_props );
     ( "util.stats",
