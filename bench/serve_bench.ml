@@ -9,11 +9,13 @@
 
    The workload is a pool of distinct programs times a set of inputs;
    every client walks the full pool, so concurrent clients ask about the
-   same programs and the daemon's two levers both engage: the warm
-   oracle table plus session caches turn repeat compiles into lookups,
-   and coalesce-on-pop merges same-key checks from different clients
-   into single batched oracle flights ([joined] > 0, batching ratio =
-   checks per flight > 1).
+   same programs: the warm oracle table plus session caches turn repeat
+   compiles into lookups, and from a pair's third request on its
+   observations are stored, so the reader thread answers it without an
+   executor flight ([inline] counts those).  Coalesce-on-pop, which
+   merges same-key checks from different clients into one flight
+   ([joined], batching ratio = checks per executor flight), then only
+   sees the first requests of each pair.
 
    Each client scenario runs three trials of a closed loop at least
    [window] seconds long and reports the median rate with its range,
@@ -388,10 +390,11 @@ let run () =
   Buffer.add_string buf
     (Printf.sprintf
        "  \"scheduler\": { \"requests\": %d, \"flights\": %d, \"checks\": \
-        %d, \"joined\": %d, \"shed\": %d, \"warm_oracles\": %d },\n"
+        %d, \"joined\": %d, \"inline\": %d, \"shed\": %d, \
+        \"warm_oracles\": %d },\n"
        sched.Serve.Proto.sr_requests sched.Serve.Proto.sr_flights
        sched.Serve.Proto.sr_checks sched.Serve.Proto.sr_joined
-       sched.Serve.Proto.sr_shed sched.Serve.Proto.sr_oracles);
+       sched.Serve.Proto.sr_inline sched.Serve.Proto.sr_shed sched.Serve.Proto.sr_oracles);
   Buffer.add_string buf
     (Printf.sprintf "  \"batching_ratio\": %.3f,\n" batching_ratio);
   Buffer.add_string buf (Printf.sprintf "  \"speedup\": %.2f,\n" speedup);

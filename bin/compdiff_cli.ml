@@ -1589,8 +1589,18 @@ let serve_cmd =
     let srv = Serve.Server.create cfg in
     Serve.Server.serve srv;
     if c.co_stats then begin
-      print_oracle_stats ~c
-        (Serve.Scheduler.oracle_stats (Serve.Server.sched srv));
+      let sched = Serve.Server.sched srv in
+      print_oracle_stats ~c (Serve.Scheduler.oracle_stats sched);
+      let sc = Serve.Scheduler.sched_stats sched in
+      if c.co_stats_json then
+        Printf.printf "{\"scheduler\": %s}\n" (Serve.Client.sched_to_json sc)
+      else
+        Printf.printf
+          "scheduler: %d requests, %d flights, %d joined, %d answered inline, \
+           %d shed\n"
+          sc.Serve.Proto.sr_requests sc.Serve.Proto.sr_flights
+          sc.Serve.Proto.sr_joined sc.Serve.Proto.sr_inline
+          sc.Serve.Proto.sr_shed;
       print_session_stats c
     end;
     0

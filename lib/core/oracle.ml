@@ -33,7 +33,11 @@
      [fuel_used]) can simply be reused.
 
    All of this lives in one escalation loop, [observe_batch]; [observe]
-   and [check] are its one-input case.
+   and [check] are its one-input case.  [check_stored] is not a second
+   loop: it answers only a check whose first round the session's memory
+   holds whole and that needs no second round, and leaves everything
+   else to [check_batch] (the serve daemon's reader thread uses it,
+   DESIGN.md §13.2).
 
    [observe_naive]/[check_naive] keep the sequential, dedup-free
    reference semantics for cross-validation; they bypass the session
@@ -216,17 +220,18 @@ let stats_to_json (s : stats) : string =
      \"escalation_saved\": %d}"
     s.checks s.vm_execs s.dedup_saved s.escalation_saved
 
-let run_one t ~fuel ~input (u : Ir.unit_) : observation =
-  let r =
-    Cdvm.Exec.run
-      ~config:{ Cdvm.Exec.default_config with Cdvm.Exec.input; fuel }
-      u
-  in
+let observation_of t (r : Cdvm.Exec.result) : observation =
   {
     output = t.normalize r.Cdvm.Exec.stdout;
     status = r.Cdvm.Exec.status;
     fuel_used = r.Cdvm.Exec.fuel_used;
   }
+
+let run_one t ~fuel ~input (u : Ir.unit_) : observation =
+  observation_of t
+    (Cdvm.Exec.run
+       ~config:{ Cdvm.Exec.default_config with Cdvm.Exec.input; fuel }
+       u)
 
 (* checksum of what CompDiff compares for one observation; hashed
    incrementally so the hot path never concatenates *)
@@ -248,6 +253,39 @@ let observe_naive t ~(input : string) : (string * observation) list =
   in
   attempt t.base_fuel
 
+(* stats, against the naive oracle's [nbinaries] runs per input and
+   round: [execs] runs covering [covered] binaries for [inputs] inputs,
+   so dedup saved the members beyond each representative and
+   incremental escalation the binaries not re-run at all *)
+let account t ~inputs ~execs ~covered =
+  ignore (Atomic.fetch_and_add t.c_execs execs);
+  ignore (Atomic.fetch_and_add t.c_dedup_saved (covered - execs));
+  ignore (Atomic.fetch_and_add t.c_escal_saved ((inputs * t.nbinaries) - covered))
+
+(* [class_obs.(ci).(k)] is input [k]'s latest observation by class [ci].
+   The classes input [k] re-runs after a round at [fuel]: its hung
+   ones, unless everything terminated, everything hung (an all-hang,
+   only possible in the first round, counts as agreement) or the fuel
+   cap is reached *)
+let reruns_of t (class_obs : observation array array) fuel k =
+  if fuel >= t.max_fuel then []
+  else begin
+    let hung = ref [] and hung_members = ref 0 in
+    for ci = Array.length class_obs - 1 downto 0 do
+      match class_obs.(ci).(k) with
+      | { status = Cdvm.Trap.Hang; _ } ->
+          hung := ci :: !hung;
+          hung_members := !hung_members + t.class_size.(ci)
+      | _ -> ()
+    done;
+    if !hung_members = t.nbinaries then [] else !hung
+  end
+
+(* input [k]'s observations, fanned out from the classes to every
+   binary in implementation order *)
+let fan_out t (class_obs : observation array array) k =
+  List.mapi (fun i (name, _) -> (name, class_obs.(t.class_of.(i)).(k))) t.binaries
+
 (* The escalation loop: deduped, pooled, incrementally escalating
    observation of many inputs.  Every round runs, per class, the inputs
    that still need the class at the current fuel level as ONE session
@@ -263,27 +301,10 @@ let observe_batch t ~(inputs : string array) :
   let ninputs = Array.length inputs in
   ignore (Atomic.fetch_and_add t.c_checks ninputs);
   let nclasses = Array.length t.class_repr in
-  let observation (r : Cdvm.Exec.result) =
-    {
-      output = t.normalize r.Cdvm.Exec.stdout;
-      status = r.Cdvm.Exec.status;
-      fuel_used = r.Cdvm.Exec.fuel_used;
-    }
-  in
-  (* class_obs.(ci).(k): input k's latest observation by class ci; the
-     first round overwrites every placeholder *)
+  (* the first round overwrites every placeholder *)
   let class_obs =
     Array.make_matrix nclasses ninputs
       { output = ""; status = Cdvm.Trap.Hang; fuel_used = 0 }
-  in
-  (* stats, against the naive oracle's [nbinaries] runs per input and
-     round: [execs] runs covering [covered] binaries, so dedup saved the
-     members beyond each representative and incremental escalation the
-     binaries not re-run at all *)
-  let account ~execs ~covered =
-    ignore (Atomic.fetch_and_add t.c_execs execs);
-    ignore (Atomic.fetch_and_add t.c_dedup_saved (covered - execs));
-    ignore (Atomic.fetch_and_add t.c_escal_saved (t.nbinaries - covered))
   in
   (* run every class on the inputs that [pending] lists it for *)
   let run_round fuel (pending : int list array) =
@@ -293,13 +314,13 @@ let observe_batch t ~(inputs : string array) :
       let pend = pending.(k) in
       if not (List.is_empty pend) then begin
         List.iter (fun ci -> by_class.(ci) <- k :: by_class.(ci)) pend;
-        account ~execs:(List.length pend)
+        account t ~inputs:1 ~execs:(List.length pend)
           ~covered:(List.fold_left (fun a ci -> a + t.class_size.(ci)) 0 pend)
       end
     done;
     let run_class (ci, ks, ins, lk) =
       Array.iteri
-        (fun j r -> class_obs.(ci).(ks.(j)) <- observation r)
+        (fun j r -> class_obs.(ci).(ks.(j)) <- observation_of t r)
         (Engine.Session.run_misses t.session t.class_linked.(ci) ~inputs:ins
            ~fuel lk)
     in
@@ -323,35 +344,14 @@ let observe_batch t ~(inputs : string array) :
       ignore (Cdutil.Pool.map run_class !misses)
     else List.iter run_class !misses
   in
-  (* the classes input [k] re-runs after a round at [fuel]: its hung
-     ones, unless everything terminated, everything hung (an all-hang,
-     only possible in the first round, counts as agreement) or the fuel
-     cap is reached *)
-  let reruns_of fuel k =
-    if fuel >= t.max_fuel then []
-    else begin
-      let hung = ref [] and hung_members = ref 0 in
-      for ci = nclasses - 1 downto 0 do
-        match class_obs.(ci).(k) with
-        | { status = Cdvm.Trap.Hang; _ } ->
-            hung := ci :: !hung;
-            hung_members := !hung_members + t.class_size.(ci)
-        | _ -> ()
-      done;
-      if !hung_members = t.nbinaries then [] else !hung
-    end
-  in
   let rec escalate fuel pending =
     if not (Array.for_all List.is_empty pending) then begin
       run_round fuel pending;
-      escalate (fuel * 4) (Array.init ninputs (reruns_of fuel))
+      escalate (fuel * 4) (Array.init ninputs (reruns_of t class_obs fuel))
     end
   in
   escalate t.base_fuel (Array.make ninputs (List.init nclasses Fun.id));
-  Array.init ninputs (fun k ->
-      List.mapi
-        (fun i (name, _) -> (name, class_obs.(t.class_of.(i)).(k)))
-        t.binaries)
+  Array.init ninputs (fan_out t class_obs)
 
 let verdict_of_observations t (obs : (string * observation) list) : verdict =
   match obs with
@@ -360,6 +360,43 @@ let verdict_of_observations t (obs : (string * observation) list) : verdict =
     let c0 = checksum t first in
     if List.for_all (fun (_, o) -> checksum t o = c0) rest then Agree first
     else Diverge obs
+
+(* [check_batch]'s first round answered from memory alone: every class's
+   base-fuel observation of every input must be in the session's
+   in-memory store ({!Engine.Session.probe}), and no input may need a
+   second round.  Then the verdicts are [check_batch]'s and the counters
+   grow by what its all-hit round adds: one store hit per class and
+   input, [nclasses] observations and the dedup savings per input.
+   Otherwise nothing is counted, so a caller that falls back to
+   [check_batch] counts every lookup once. *)
+let check_stored t ~(inputs : string array) : verdict array option =
+  let fuel = t.base_fuel in
+  let nclasses = Array.length t.class_repr in
+  let rec probe ci acc =
+    if ci < 0 then Some (Array.of_list acc)
+    else
+      match
+        Engine.Session.probe t.session t.class_linked.(ci) ~inputs ~fuel
+      with
+      | None -> None
+      | Some rs -> probe (ci - 1) (Array.map (observation_of t) rs :: acc)
+  in
+  match probe (nclasses - 1) [] with
+  | None -> None
+  | Some class_obs ->
+      let ninputs = Array.length inputs in
+      if Seq.exists (fun k -> reruns_of t class_obs fuel k <> [])
+           (Seq.init ninputs Fun.id)
+      then None
+      else begin
+        ignore (Atomic.fetch_and_add t.c_checks ninputs);
+        account t ~inputs:ninputs ~execs:(nclasses * ninputs)
+          ~covered:(t.nbinaries * ninputs);
+        Engine.Session.count_hits t.session (nclasses * ninputs);
+        Some
+          (Array.init ninputs (fun k ->
+               verdict_of_observations t (fan_out t class_obs k)))
+      end
 
 let check_naive t ~(input : string) : verdict =
   verdict_of_observations t (observe_naive t ~input)

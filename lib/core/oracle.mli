@@ -161,6 +161,16 @@ val check_naive : t -> input:string -> verdict
 val check_batch : t -> inputs:string array -> verdict array
 (** {!observe_batch} followed by per-input checksum comparison. *)
 
+val check_stored : t -> inputs:string array -> verdict array option
+(** [check_stored t ~inputs]: {!check_batch}'s verdicts when its first
+    round needs no execution and no second round follows — the
+    session's in-memory store holds every class's base-fuel observation
+    of every input ({!Engine.Session.probe}) and no input has a mixed
+    hang below the fuel cap — and [None] otherwise.  On [Some] the
+    oracle and session counters grow by exactly what that all-hit
+    {!check_batch} adds; on [None] by nothing, so a fallback to
+    {!check_batch} counts every lookup once.  Executes nothing. *)
+
 val is_divergence : verdict -> bool
 
 val find_bug :

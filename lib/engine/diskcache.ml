@@ -17,6 +17,11 @@
    (same-hash collisions read as misses, never as wrong hits).  Any
    truncated, corrupt or unreadable entry is a miss.
 
+   Trust: the store is trusted-local-only.  The checksum is unkeyed, so
+   it catches corruption but not a crafted entry, and [Marshal] of a
+   crafted payload is unsafe; the directory must be writable only by
+   users the process already trusts (DESIGN.md §10).
+
    Writes are atomic: the entry is written to a unique temp file in the
    same directory and [Sys.rename]d into place, so a crashed or
    concurrent writer can never leave a half-written entry under the

@@ -147,19 +147,26 @@ let insert t s h key value weight =
     if s.bytes > s.budget_bytes then evict_to t s (s.budget_bytes * 3 / 4)
   end
 
-let find_hashed t h key =
+(* [find_hashed] without counting: a caller that may abandon the
+   lookup (and repeat it through [find_hashed]) counts its hits itself,
+   with [count_hits], once it keeps them *)
+let peek_hashed t h key =
   let s = stripe t h in
   locked s (fun () ->
       match lookup s h key with
       | Some e ->
           e.stamp <- tick s;
-          Atomic.incr t.hits;
           Some e.value
-      | None ->
-          Atomic.incr t.misses;
-          None)
+      | None -> None)
+
+let find_hashed t h key =
+  let r = peek_hashed t h key in
+  Atomic.incr (if Option.is_some r then t.hits else t.misses);
+  r
 
 let find_opt t key = find_hashed t (Hashtbl.hash key) key
+
+let count_hits t n = ignore (Atomic.fetch_and_add t.hits n)
 
 (* a lookup its caller answered without consulting the table (an
    admission filter's first sight of a key) is still a miss *)

@@ -181,8 +181,10 @@ module Doorkeeper = struct
     let b = Char.code (Bytes.unsafe_get t.bits (i lsr 3)) in
     Bytes.unsafe_set t.bits (i lsr 3) (Char.unsafe_chr (b lor (1 lsl (i land 7))))
 
+  let seen t h1 h2 = get t h1 && get t h2
+
   let admit t h1 h2 =
-    if get t h1 && get t h2 then true
+    if seen t h1 h2 then true
     else begin
       set t h1;
       set t h2;
@@ -554,6 +556,32 @@ let run_misses t (l : linked) ~(inputs : string array) ~(fuel : int)
 let run_batch t (l : linked) ~(inputs : string array) ~(fuel : int) :
     Cdvm.Exec.result array =
   run_misses t l ~inputs ~fuel (lookup t l ~inputs ~fuel)
+
+(* The memory-only probe: every input's observation from the in-memory
+   store, or [None] at the first one it lacks.  It counts nothing and
+   records nothing in the doorkeeper, so a caller that falls back to
+   [lookup] still counts each input once and a key's first request is
+   still declined.  A key whose fingerprint is absent is a miss even if
+   it is stored, as [lookup] would not consult memory for it.  A caller
+   that keeps the results counts them with [count_hits]. *)
+let probe t (l : linked) ~(inputs : string array) ~(fuel : int) :
+    Cdvm.Exec.result array option =
+  if not t.caching then None
+  else
+    let stored input =
+      let mkey = (l.image_id, fuel, input) in
+      let h = Hashtbl.hash mkey in
+      if not (Doorkeeper.seen t.door h (Hashtbl.seeded_hash door_seed mkey))
+      then raise_notrace Exit;
+      match Lru.peek_hashed t.obs_cache h mkey with
+      | Some o -> o
+      | None -> raise_notrace Exit
+    in
+    match Array.map stored inputs with
+    | found -> Some found
+    | exception Exit -> None
+
+let count_hits t n = Lru.count_hits t.obs_cache n
 
 (* Observed execution: an observer makes the run more than a function of
    (image, input, fuel), so it must bypass the observation store — it

@@ -164,6 +164,21 @@ val run_misses : t -> linked -> inputs:string array -> fuel:int -> lookup ->
     to disk, and return the whole batch as {!run_batch} would.  Looks
     nothing up again, so no input is counted twice. *)
 
+val probe : t -> linked -> inputs:string array -> fuel:int ->
+  Cdvm.Exec.result array option
+(** [probe t l ~inputs ~fuel]: the raw observation of every input at
+    [fuel] from the in-memory store, or [None] if it lacks one.  Memory
+    only: the disk tier is not consulted.  It executes nothing, counts
+    nothing and records nothing in the doorkeeper, so a caller that
+    falls back to {!lookup} counts each input once, and a key's first
+    request is still declined.  A key the doorkeeper has not seen is a
+    miss, as {!lookup} would not consult memory for it.  [None] on a
+    caching-disabled session. *)
+
+val count_hits : t -> int -> unit
+(** [count_hits t n] counts [n] observation-store hits: the lookups a
+    caller answered through {!probe} and kept. *)
+
 val run_traced : t -> linked -> observer:Cdvm.Observer.t -> input:string ->
   fuel:int -> Cdvm.Exec.result
 (** Observed execution of a linked image.  The observer makes the run

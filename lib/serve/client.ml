@@ -135,13 +135,11 @@ let stats (t : t) : Proto.stats_reply option =
   | Proto.Stats_reply s -> Some s
   | _ -> None
 
-(* One JSON object for the whole daemon: the session and oracle members
-   are the server-rendered JSON, embedded verbatim; the scheduler member
-   is rendered here from the structured reply.  [batching_ratio] is
-   checks per flight — the cross-client coalescing payoff the bench
-   gates on (1.0 = no coalescing ever happened). *)
-let stats_to_json (s : Proto.stats_reply) : string =
-  let sc = s.Proto.st_sched in
+(* The scheduler's counters as one JSON object.  [batching_ratio] is
+   checks per executor flight — the cross-client coalescing payoff the
+   bench gates on (1.0 = no coalescing ever happened); [inline] counts
+   the checks answered without a flight. *)
+let sched_to_json (sc : Proto.sched_stats) : string =
   let ratio =
     float_of_int sc.Proto.sr_checks /. float_of_int (max 1 sc.Proto.sr_flights)
   in
@@ -156,11 +154,18 @@ let stats_to_json (s : Proto.stats_reply) : string =
          sc.Proto.sr_clients)
   in
   Printf.sprintf
-    "{\"session\":%s,\"oracle\":%s,\"scheduler\":{\"requests\":%d,\"shed\":%d,\"flights\":%d,\"checks\":%d,\"joined\":%d,\"batching_ratio\":%.3f,\"queue_depth\":%d,\"pool_pending\":%d,\"warm_oracles\":%d,\"clients\":[%s]}}"
-    s.Proto.st_session s.Proto.st_oracle sc.Proto.sr_requests sc.Proto.sr_shed
-    sc.Proto.sr_flights sc.Proto.sr_checks sc.Proto.sr_joined ratio
+    "{\"requests\":%d,\"shed\":%d,\"flights\":%d,\"checks\":%d,\"joined\":%d,\"inline\":%d,\"batching_ratio\":%.3f,\"queue_depth\":%d,\"pool_pending\":%d,\"warm_oracles\":%d,\"clients\":[%s]}"
+    sc.Proto.sr_requests sc.Proto.sr_shed sc.Proto.sr_flights
+    sc.Proto.sr_checks sc.Proto.sr_joined sc.Proto.sr_inline ratio
     sc.Proto.sr_queue_depth sc.Proto.sr_pool_pending sc.Proto.sr_oracles
     clients
+
+(* One JSON object for the whole daemon: the session and oracle members
+   are the server-rendered JSON, embedded verbatim; the scheduler member
+   is rendered here from the structured reply. *)
+let stats_to_json (s : Proto.stats_reply) : string =
+  Printf.sprintf "{\"session\":%s,\"oracle\":%s,\"scheduler\":%s}"
+    s.Proto.st_session s.Proto.st_oracle (sched_to_json s.Proto.st_sched)
 
 let check (t : t) ?(profiles = []) ?(fuel = 0) ?(strip = false) ~source
     ~(inputs : string list) () : (Proto.verdict list, string) result =

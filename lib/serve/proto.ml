@@ -27,7 +27,7 @@
 
 exception Malformed of string
 
-let version = 2
+let version = 3
 let hello_magic = "CDS1"
 let hello_bytes = 8  (* magic + u32 version *)
 
@@ -110,9 +110,11 @@ type client_stat = {
 type sched_stats = {
   sr_requests : int;         (* work requests accepted *)
   sr_shed : int;             (* work requests refused (quota exceeded) *)
-  sr_flights : int;          (* oracle/driver executions *)
-  sr_checks : int;           (* check inputs served *)
+  sr_flights : int;          (* executor runs: check flights, heavy requests *)
+  sr_checks : int;           (* check inputs served by executor flights *)
   sr_joined : int;           (* check requests that rode an existing flight *)
+  sr_inline : int;           (* check requests answered on the reader
+                                thread from the observation store *)
   sr_queue_depth : int;      (* work items waiting for an executor *)
   sr_pool_pending : int;     (* Cdutil.Pool backlog *)
   sr_oracles : int;          (* warm oracles resident *)
@@ -412,6 +414,7 @@ let encode_response ~(id : int) (r : response) : string =
       put_u32 buf h.sr_flights;
       put_u32 buf h.sr_checks;
       put_u32 buf h.sr_joined;
+      put_u32 buf h.sr_inline;
       put_u32 buf h.sr_queue_depth;
       put_u32 buf h.sr_pool_pending;
       put_u32 buf h.sr_oracles;
@@ -477,6 +480,7 @@ let decode_response (payload : string) : int * response =
       let sr_flights = get_u32 c in
       let sr_checks = get_u32 c in
       let sr_joined = get_u32 c in
+      let sr_inline = get_u32 c in
       let sr_queue_depth = get_u32 c in
       let sr_pool_pending = get_u32 c in
       let sr_oracles = get_u32 c in
@@ -492,6 +496,7 @@ let decode_response (payload : string) : int * response =
               sr_flights;
               sr_checks;
               sr_joined;
+              sr_inline;
               sr_queue_depth;
               sr_pool_pending;
               sr_oracles;

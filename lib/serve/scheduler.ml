@@ -24,6 +24,15 @@
    {!Compdiff.Oracle.check_batch}'s contract, so batching is invisible
    to clients.
 
+   A repeated check needs neither: when its oracle is warm and the
+   session's memory holds every class's base-fuel observation of every
+   input, with no input needing escalation, the connection's reader
+   thread answers it in [submit] ({!Compdiff.Oracle.check_stored}), with
+   the verdicts and counter increments of the flight it replaces.  Any
+   miss, a cold oracle or held dispatch queues the check as above.  An
+   inline answer is not a flight: [sr_flights], [sr_checks] and
+   [sr_joined] count executor work, [sr_inline] the inline answers.
+
    Backpressure is credit-based: each client holds [quota] credits; a
    work request consumes one on acceptance and returns it with the
    response.  A request arriving while the client has no credits is
@@ -66,8 +75,9 @@ let default_config ?session () =
 type client = {
   cl_id : int;
   cl_respond : int -> Proto.response -> unit;
-      (* invoked from executor domains; must be safe to call after the
-         connection died (writes there are dropped by the server) *)
+      (* invoked from executor domains and from the reader thread
+         ([submit]); must be safe to call after the connection died
+         (writes there are dropped by the server) *)
   mutable cl_outstanding : int;  (* credits in use; under [mutex] *)
   mutable cl_completed : int;
   mutable cl_shed : int;
@@ -100,6 +110,7 @@ type t = {
   c_flights : int Atomic.t;
   c_checks : int Atomic.t;
   c_joined : int Atomic.t;
+  c_inline : int Atomic.t;
 }
 
 (* --- oracle key / construction --- *)
@@ -146,23 +157,24 @@ let evict_oracles_locked t =
     | None -> ()
   end
 
+(* the warm oracle of [key], if any, marked used; under [t.mutex] *)
+let warm_locked t key : Compdiff.Oracle.t option =
+  t.oracle_clock <- t.oracle_clock + 1;
+  match Hashtbl.find_opt t.oracles key with
+  | Some (o, tick) ->
+      tick := t.oracle_clock;
+      Some o
+  | None -> None
+
 (* Warm-table lookup.  A miss compiles OUTSIDE the mutex — oracle
    construction compiles every profile and must not block submit, stats
    or the other executors.  Two executors racing on the same key both
    compile (the loser's work is cheap: the session's unit/image caches
    absorb the duplicate) and the first insertion wins, so every rider of
    a key uses one oracle object. *)
-let oracle_for t (k : Proto.check_req) : Compdiff.Oracle.t =
-  let key = okey_of_check k in
+let oracle_for t ~key (k : Proto.check_req) : Compdiff.Oracle.t =
   Mutex.lock t.mutex;
-  t.oracle_clock <- t.oracle_clock + 1;
-  let hit =
-    match Hashtbl.find_opt t.oracles key with
-    | Some (o, tick) ->
-        tick := t.oracle_clock;
-        Some o
-    | None -> None
-  in
+  let hit = warm_locked t key in
   Mutex.unlock t.mutex;
   match hit with
   | Some o -> o
@@ -206,6 +218,9 @@ let verdict_to_proto : Compdiff.Oracle.verdict -> Proto.verdict = function
   | Compdiff.Oracle.Agree o -> Proto.V_agree (obs_to_proto ("", o))
   | Compdiff.Oracle.Diverge obs -> Proto.V_diverge (List.map obs_to_proto obs)
 
+let check_reply (vs : Compdiff.Oracle.verdict array) : Proto.response =
+  Proto.Check_reply (Array.to_list (Array.map verdict_to_proto vs))
+
 (* respond and return the credit *)
 let respond t (it : item) (r : Proto.response) : unit =
   Mutex.lock t.mutex;
@@ -226,15 +241,15 @@ let guarded t it f =
 
 (* --- flight execution (outside the mutex) --- *)
 
-(* One coalesced check flight: the concatenated inputs of every rider go
-   through a single [check_batch]; the verdict array is then split back
-   per rider, in order. *)
-let run_check_flight t (riders : (item * Proto.check_req) list) : unit =
+(* One coalesced check flight: the concatenated inputs of every rider
+   (all with oracle key [key]) go through a single [check_batch]; the
+   verdict array is then split back per rider, in order. *)
+let run_check_flight t key (riders : (item * Proto.check_req) list) : unit =
   Atomic.incr t.c_flights;
   let joined = List.length riders - 1 in
   if joined > 0 then ignore (Atomic.fetch_and_add t.c_joined joined);
   match
-    let oracle = oracle_for t (snd (List.hd riders)) in
+    let oracle = oracle_for t ~key (snd (List.hd riders)) in
     let inputs =
       Array.of_list (List.concat_map (fun (_, k) -> k.Proto.ck_inputs) riders)
     in
@@ -246,9 +261,7 @@ let run_check_flight t (riders : (item * Proto.check_req) list) : unit =
         let n = List.length k.Proto.ck_inputs in
         let mine = Array.sub verdicts !pos n in
         pos := !pos + n;
-        ( it,
-          Proto.Check_reply
-            (Array.to_list (Array.map verdict_to_proto mine)) ))
+        (it, check_reply mine))
       riders
   with
   | replies -> List.iter (fun (it, r) -> respond t it r) replies
@@ -331,7 +344,7 @@ let run_reduce t (it : item) (r : Proto.reduce_req) : unit =
           ck_strip = false;
         }
       in
-      let oracle = oracle_for t check in
+      let oracle = oracle_for t ~key:(okey_of_check check) check in
       let input = r.Proto.rd_input in
       Atomic.incr t.c_checks;
       match Compdiff.Oracle.check oracle ~input with
@@ -390,7 +403,7 @@ let run_explore t (it : item) (e : Proto.explore_req) : unit =
           ck_strip = false;
         }
       in
-      let oracle = oracle_for t check in
+      let oracle = oracle_for t ~key:(okey_of_check check) check in
       let input = e.Proto.ex_input in
       let limit =
         if e.Proto.ex_limit > 0 then Some e.Proto.ex_limit else None
@@ -447,7 +460,8 @@ let run_explore t (it : item) (e : Proto.explore_req) : unit =
 (* pop one item; if it is a coalescible check, also claim every queued
    check with the same oracle key (cross-client batching) *)
 let claim_flight t :
-    [ `Stop | `Checks of (item * Proto.check_req) list | `One of item ] =
+    [ `Stop | `Checks of string * (item * Proto.check_req) list | `One of item ]
+    =
   Mutex.lock t.mutex;
   let rec wait () =
     if (not (Queue.is_empty t.queue)) && ((not t.paused) || t.stopping) then begin
@@ -473,7 +487,7 @@ let claim_flight t :
               t.queue;
             Queue.clear t.queue;
             Queue.transfer keep t.queue;
-            `Checks (List.rev !riders)
+            `Checks (key, List.rev !riders)
         | _ -> `One it
     end
     else if t.stopping then `Stop
@@ -489,8 +503,8 @@ let claim_flight t :
 let rec executor_loop t =
   match claim_flight t with
   | `Stop -> ()
-  | `Checks riders ->
-      run_check_flight t riders;
+  | `Checks (key, riders) ->
+      run_check_flight t key riders;
       executor_loop t
   | `One it ->
       (match it.it_req with
@@ -525,6 +539,7 @@ let create (cfg : config) : t =
       c_flights = Atomic.make 0;
       c_checks = Atomic.make 0;
       c_joined = Atomic.make 0;
+      c_inline = Atomic.make 0;
     }
   in
   t.executors <-
@@ -594,6 +609,7 @@ let sched_stats t : Proto.sched_stats =
     sr_flights = Atomic.get t.c_flights;
     sr_checks = Atomic.get t.c_checks;
     sr_joined = Atomic.get t.c_joined;
+    sr_inline = Atomic.get t.c_inline;
     sr_queue_depth = depth;
     sr_pool_pending = Cdutil.Pool.pending (Cdutil.Pool.global ());
     sr_oracles = oracles;
@@ -635,9 +651,26 @@ let stats_reply t : Proto.response =
       st_sched = sched_stats t;
     }
 
+(* Queue an admitted item for the executors.  Under [t.mutex]; false
+   once the daemon is stopping, as the executors may have exited. *)
+let enqueue_locked t (it : item) : bool =
+  if t.stopping then false
+  else begin
+    Queue.add it t.queue;
+    Condition.signal t.cond;
+    true
+  end
+
+let shutting_down = Proto.Err "daemon shutting down"
+
 (* [submit]: called from the server's per-client reader threads.  Ping
    and stats are answered inline (they must stay responsive when every
-   executor is busy); work requests go through admission control. *)
+   executor is busy); work requests go through admission control.  An
+   admitted check whose oracle is warm and whose observations are all in
+   the session's memory ({!Compdiff.Oracle.check_stored}) is answered
+   here too, on the reader thread, without an executor hand-off;
+   everything else is queued.  A daemon that is stopping, or a released
+   client, gets [Err]; only a client over its quota gets [Busy]. *)
 let submit t (cl : client) ~(id : int) (req : Proto.request) : unit =
   match req with
   | Proto.Ping -> ( try cl.cl_respond id Proto.Pong with _ -> ())
@@ -645,30 +678,59 @@ let submit t (cl : client) ~(id : int) (req : Proto.request) : unit =
       let r = stats_reply t in
       try cl.cl_respond id r with _ -> ())
   | Proto.Check _ | Proto.Fuzz _ | Proto.Metacheck _ | Proto.Reduce _
-  | Proto.Explore _ ->
+  | Proto.Explore _ -> (
       let okey =
         match req with
         | Proto.Check k -> Some (okey_of_check k)
         | _ -> None
       in
+      let it = { it_client = cl; it_id = id; it_req = req; it_okey = okey } in
       Mutex.lock t.mutex;
-      let accepted =
-        (not cl.cl_dead) && (not t.stopping) && cl.cl_outstanding < t.cfg.quota
+      let admission =
+        if cl.cl_dead || t.stopping then `Closed
+        else if cl.cl_outstanding >= t.cfg.quota then begin
+          cl.cl_shed <- cl.cl_shed + 1;
+          `Shed
+        end
+        else begin
+          cl.cl_outstanding <- cl.cl_outstanding + 1;
+          (* held dispatch answers nothing inline either *)
+          let warm =
+            match (req, okey) with
+            | Proto.Check k, Some key when not t.paused ->
+                Option.map (fun o -> (o, k)) (warm_locked t key)
+            | _ -> None
+          in
+          match warm with
+          | Some w -> `Warm w
+          | None ->
+              (* not stopping: checked above, under the same lock *)
+              ignore (enqueue_locked t it);
+              `Queued
+        end
       in
-      if accepted then begin
-        cl.cl_outstanding <- cl.cl_outstanding + 1;
-        Queue.add
-          { it_client = cl; it_id = id; it_req = req; it_okey = okey }
-          t.queue;
-        Condition.signal t.cond
-      end
-      else cl.cl_shed <- cl.cl_shed + 1;
       Mutex.unlock t.mutex;
-      if accepted then Atomic.incr t.c_requests
-      else begin
-        Atomic.incr t.c_shed;
-        try cl.cl_respond id (Proto.Busy t.cfg.quota) with _ -> ()
-      end
+      match admission with
+      | `Closed -> ( try cl.cl_respond id shutting_down with _ -> ())
+      | `Shed -> (
+          Atomic.incr t.c_shed;
+          try cl.cl_respond id (Proto.Busy t.cfg.quota) with _ -> ())
+      | `Queued -> Atomic.incr t.c_requests
+      | `Warm (o, k) -> (
+          Atomic.incr t.c_requests;
+          match
+            Compdiff.Oracle.check_stored o
+              ~inputs:(Array.of_list k.Proto.ck_inputs)
+          with
+          | Some vs ->
+              Atomic.incr t.c_inline;
+              respond t it (check_reply vs)
+          | None ->
+              Mutex.lock t.mutex;
+              let queued = enqueue_locked t it in
+              Mutex.unlock t.mutex;
+              if not queued then respond t it shutting_down
+          | exception e -> respond t it (reply_of_exn e)))
 
 (* True when no work is queued or executing: the server's idle test. *)
 let idle t : bool =

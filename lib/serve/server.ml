@@ -4,8 +4,9 @@
    Each connection gets a dedicated reader thread that performs the
    handshake, then loops decoding frames and handing requests to the
    {!Scheduler}.  Responses are written by whichever thread produced
-   them (reader for inline ping/stats, executor domains for work),
-   serialized per-connection by a write mutex so interleaved frames
+   them (the reader for ping, stats, refusals and the checks the
+   scheduler answers from stored observations; executor domains for
+   queued work), serialized per-connection by a write mutex so interleaved frames
    cannot corrupt the stream.  A client that disconnects — cleanly or
    mid-request — is released from the scheduler: its queued requests are
    dropped, its in-flight responses discarded, and the daemon keeps

@@ -471,6 +471,33 @@ else
   else
     echo "ok   serve (2 concurrent clients, daemon == direct on every example)"
   fi
+  # A repeated check is answered from the stored observations on the
+  # connection's reader thread: three identical requests must print the
+  # same bytes and exit alike, and the daemon must count inline answers.
+  repeat_f=examples/unstable_uninit.c
+  set +e
+  first=$("$BIN" diff "$repeat_f" --daemon "$sock" 2>&1)
+  first_rc=$?
+  repeat_status=0
+  for _ in 2 3; do
+    again=$("$BIN" diff "$repeat_f" --daemon "$sock" 2>&1)
+    again_rc=$?
+    if [ "$again_rc" -ne "$first_rc" ] || [ "$again" != "$first" ]; then
+      repeat_status=1
+    fi
+  done
+  inline=$("$BIN" connect --socket "$sock" --remote-stats 2>/dev/null \
+    | grep -o '"inline":[0-9]*' | cut -d: -f2)
+  set -e
+  if [ "$repeat_status" -ne 0 ]; then
+    echo "FAIL serve: repeated daemon checks of $repeat_f differ"
+    status=1
+  elif [ "${inline:-0}" -le 0 ]; then
+    echo "FAIL serve: no check answered inline (inline=${inline:-?})"
+    status=1
+  else
+    echo "ok   serve (3 identical repeated checks, $inline answered inline)"
+  fi
 fi
 # with no clients left, the idle timeout must shut the daemon down
 set +e

@@ -507,12 +507,10 @@ let prewarm_naive =
 
 type warmth = Cold | Base_only | Full
 
-(* [cases]: (input, how warm) pairs.  True when the batch equals the
-   naive reference, every class run the batch requested was looked up
-   in the store exactly once, and a warmed input was served from it.
-   Warming observes twice: the store admits a key on its second
-   request. *)
-let prewarmed_batch_matches_naive (cases : (string * warmth) list) : bool =
+(* A fresh session and an oracle over [prewarm_src], with each input of
+   [cases] warmed as it says.  Warming observes twice: the store admits
+   a key on its second request. *)
+let prewarmed (cases : (string * warmth) list) =
   let session = Engine.Session.create ~cache_mb:16 () in
   let tp = frontend prewarm_src in
   let o =
@@ -530,11 +528,18 @@ let prewarmed_batch_matches_naive (cases : (string * warmth) list) : bool =
     warm base_only Base_only;
     warm o Full
   done;
+  Oracle.reset_stats o;
+  (session, o)
+
+(* [cases]: (input, how warm) pairs.  True when the batch equals the
+   naive reference, every class run the batch requested was looked up
+   in the store exactly once, and a warmed input was served from it. *)
+let prewarmed_batch_matches_naive (cases : (string * warmth) list) : bool =
+  let session, o = prewarmed cases in
   let counts () =
     let c = (Engine.Session.stats session).Engine.Session.observations in
     (c.Engine.Session.hits + c.Engine.Session.misses, c.Engine.Session.hits)
   in
-  Oracle.reset_stats o;
   let before, hits_before = counts () in
   let inputs = Array.of_list (List.map fst cases) in
   let obs = Oracle.observe_batch o ~inputs in
@@ -563,6 +568,14 @@ let test_prewarmed_rounds () =
       ("mixed", [ ("e", Full); ("h", Cold); ("e", Base_only); ("s", Full); ("", Cold) ]);
     ]
 
+let print_cases cases =
+  String.concat "; "
+    (List.map
+       (fun (i, w) ->
+         Printf.sprintf "%S:%s" i
+           (match w with Cold -> "cold" | Base_only -> "base" | Full -> "full"))
+       cases)
+
 let prop_prewarmed_batch_matches_naive =
   let open QCheck in
   let case =
@@ -572,16 +585,97 @@ let prop_prewarmed_batch_matches_naive =
   in
   Test.make ~name:"observe_batch on a partly warmed session = observe_naive"
     ~count:30
-    (make
-       ~print:(fun cases ->
-         String.concat "; "
-           (List.map
-              (fun (i, w) ->
-                Printf.sprintf "%S:%s" i
-                  (match w with Cold -> "cold" | Base_only -> "base" | Full -> "full"))
-              cases))
-       Gen.(list_size (int_range 1 6) case))
+    (make ~print:print_cases Gen.(list_size (int_range 1 6) case))
     prewarmed_batch_matches_naive
+
+(* --- checks answered from the store alone ---
+
+   [Oracle.check_stored] against [Oracle.check_batch] on twin sessions
+   warmed alike: it answers exactly when every input was warmed at base
+   fuel and none needs a second round ('e' escalates, 'h' hangs
+   everywhere and stops), its verdicts are [check_batch]'s, and the
+   oracle and session counters end where [check_batch]'s all-hit round
+   leaves them.  A [None] counts nothing at all. *)
+let session_counts session =
+  let st = Engine.Session.stats session in
+  let o = st.Engine.Session.observations in
+  ( o.Engine.Session.hits,
+    o.Engine.Session.misses,
+    o.Engine.Session.entries,
+    st.Engine.Session.declined )
+
+let stored_check_matches_batch (cases : (string * warmth) list) : bool =
+  let inputs = Array.of_list (List.map fst cases) in
+  let s_stored, o_stored = prewarmed cases in
+  let s_batch, o_batch = prewarmed cases in
+  let before = session_counts s_stored in
+  let expected = Oracle.check_batch o_batch ~inputs in
+  (* an input may be listed twice, warmed once *)
+  let warmed input = List.exists (fun (i, w) -> i = input && w <> Cold) cases in
+  let answerable =
+    Array.for_all
+      (fun input ->
+        warmed input && naive_rounds ~base:prewarm_base (prewarm_naive input) = 1)
+      inputs
+  in
+  let s = Oracle.stats o_stored in
+  match Oracle.check_stored o_stored ~inputs with
+  | None ->
+      (not answerable)
+      && s = Oracle.stats o_stored
+      && session_counts s_stored = before
+  | Some verdicts ->
+      let st = Oracle.stats o_stored in
+      answerable && verdicts = expected
+      && st = Oracle.stats o_batch
+      && session_counts s_stored = session_counts s_batch
+      && st.Oracle.vm_execs + st.Oracle.dedup_saved + st.Oracle.escalation_saved
+         = List.length (Oracle.names o_stored) * Array.length inputs
+
+let test_check_stored () =
+  List.iter
+    (fun (what, cases) ->
+      check_bool what true (stored_check_matches_batch cases))
+    [
+      ("every input stored: answered", [ ("s", Full); ("", Base_only); ("h", Full) ]);
+      ("nothing stored: None", [ ("s", Cold) ]);
+      ("one input not stored: None", [ ("s", Full); ("x", Cold) ]);
+      ("an escalating input: None", [ ("s", Full); ("e", Full) ]);
+      ("no inputs: answered", []);
+    ];
+  (* a class the store lacks: a profile subset on the same session
+     stores every class but the one of the last binary, and the full
+     oracle falls back *)
+  let session = Engine.Session.create ~cache_mb:16 () in
+  let tp = frontend unstable_src in
+  let full = Oracle.create ~session tp in
+  let classes = Oracle.classes full in
+  let last = classes.(Array.length classes - 1) in
+  let profiles =
+    List.filteri (fun i _ -> classes.(i) <> last) Cdcompiler.Profiles.all
+  in
+  let sub = Oracle.create ~session ~profiles tp in
+  ignore (Oracle.check sub ~input:"A");
+  ignore (Oracle.check sub ~input:"A");
+  check_bool "the subset is answered" true
+    (Oracle.check_stored sub ~inputs:[| "A" |] <> None);
+  let before = session_counts session in
+  check_bool "a class not stored: None" true
+    (Oracle.check_stored full ~inputs:[| "A" |] = None);
+  check_bool "and nothing counted" true (session_counts session = before);
+  check_int "oracle counters untouched" 0 (Oracle.stats full).Oracle.checks
+
+let prop_check_stored_matches_batch =
+  let open QCheck in
+  let case =
+    Gen.pair
+      (Gen.oneofl [ "e"; "h"; "s"; ""; "ee"; "x" ])
+      (Gen.oneofl [ Cold; Base_only; Full; Full ])
+  in
+  Test.make ~name:"check_stored = None or check_batch, with its counters"
+    ~count:30
+    (make ~print:print_cases Gen.(list_size (int_range 1 4) case))
+    stored_check_matches_batch
 
 (* --- binary signatures ---
 
@@ -723,6 +817,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_parallel_oracle_matches_naive;
         tc "warmed store rounds = naive" test_prewarmed_rounds;
         QCheck_alcotest.to_alcotest prop_prewarmed_batch_matches_naive;
+        tc "check_stored answers all-stored checks" test_check_stored;
+        QCheck_alcotest.to_alcotest prop_check_stored_matches_batch;
         tc "signature partition = reference (Juliet)" test_binsig_partition_juliet;
         QCheck_alcotest.to_alcotest prop_binsig_partition_random;
       ] );

@@ -330,6 +330,57 @@ let test_two_phase_matches_run_batch () =
   check_bool "caching disabled: two phases = run_batch" true
     (Engine.Session.run_misses d ld ~inputs:batch ~fuel lkd = two)
 
+(* The memory-only probe: [None] unless memory holds every input, and
+   either way it counts nothing and records nothing in the doorkeeper,
+   so the runs after a probe count and admit exactly as without it. *)
+let test_probe_is_memory_only () =
+  let tp = frontend unstable_src in
+  let fuel = 100_000 in
+  let s = Engine.Session.create ~cache_mb:16 () in
+  let l = Engine.Session.link s (Engine.Session.compile s profile0 tp) in
+  let counts () =
+    let st = Engine.Session.stats s in
+    let o = st.Engine.Session.observations in
+    (o.Engine.Session.hits, o.Engine.Session.misses, o.Engine.Session.entries,
+     st.Engine.Session.declined)
+  in
+  let probe inputs = Engine.Session.probe s l ~inputs ~fuel in
+  check_bool "an unseen input is not stored" true (probe [| "A" |] = None);
+  check_bool "the probe counted nothing" true (counts () = (0, 0, 0, 0));
+  let first = Engine.Session.run_batch s l ~inputs:[| "A" |] ~fuel in
+  check_bool "the first run is still declined" true (counts () = (0, 1, 0, 1));
+  check_bool "a declined run is not in memory" true (probe [| "A" |] = None);
+  ignore (Engine.Session.run_batch s l ~inputs:[| "A" |] ~fuel);
+  check_bool "the second run stores" true (counts () = (0, 2, 1, 1));
+  check_bool "a stored input is found" true (probe [| "A" |] = Some first);
+  check_bool "a mixed batch is a miss" true (probe [| "A"; "B" |] = None);
+  check_bool "probes still counted nothing" true (counts () = (0, 2, 1, 1));
+  Engine.Session.count_hits s 1;
+  check_bool "count_hits counts hits" true (counts () = (1, 2, 1, 1));
+  check_bool "the mixed batch left \"B\" unseen" true
+    ((Engine.Session.lookup s l ~inputs:[| "B" |] ~fuel).Engine.Session.admitted
+    = [| false |]);
+  (* memory only: a fresh session over the same directory is served "A"
+     from disk by a lookup, never by a probe *)
+  let dir = Filename.temp_file "cds_probe" "" in
+  Sys.remove dir;
+  let on_disk () =
+    let d = Engine.Session.create ~cache_mb:16 ~disk_dir:dir () in
+    (d, Engine.Session.link d (Engine.Session.compile d profile0 tp))
+  in
+  let d1, l1 = on_disk () in
+  ignore (Engine.Session.run_batch d1 l1 ~inputs:[| "A" |] ~fuel);
+  let d2, l2 = on_disk () in
+  ignore (Engine.Session.run_batch d2 l2 ~inputs:[| "A" |] ~fuel);
+  check_bool "a disk-only hit is a probe miss" true
+    (Engine.Session.probe d2 l2 ~inputs:[| "A" |] ~fuel = None);
+  let off = Engine.Session.create ~cache_mb:0 () in
+  let loff = Engine.Session.link off (Engine.Session.compile off profile0 tp) in
+  ignore (Engine.Session.run_batch off loff ~inputs:[| "A" |] ~fuel);
+  ignore (Engine.Session.run_batch off loff ~inputs:[| "A" |] ~fuel);
+  check_bool "caching disabled: always a miss" true
+    (Engine.Session.probe off loff ~inputs:[| "A" |] ~fuel = None)
+
 (* --- the function-level compile memo ---
 
    A memoized compile must be byte-identical to a fresh
@@ -752,6 +803,7 @@ let suites =
         tc "oracle replay hits the store" test_oracle_replay_hits_obs_store;
         tc "lookup + run_misses = run_batch" test_two_phase_matches_run_batch;
         tc "admission: stored on the second request" test_admission_rule;
+        tc "probe: memory only, counts nothing" test_probe_is_memory_only;
         tc "admission: clearing keeps verdicts"
           test_admission_clear_keeps_verdicts;
         tc "image weight tracks reachable bytes" test_image_weight_tracks_reachable;

@@ -174,6 +174,32 @@ let test_proto_roundtrip () =
         [ Serve.Proto.V_agree obs; Serve.Proto.V_diverge [ obs; obs ] ];
       Serve.Proto.Busy 32;
       Serve.Proto.Err "nope";
+      Serve.Proto.Stats_reply
+        {
+          Serve.Proto.st_session = "{\"caching\": true}";
+          st_oracle = "{}";
+          st_sched =
+            {
+              Serve.Proto.sr_requests = 9;
+              sr_shed = 1;
+              sr_flights = 4;
+              sr_checks = 6;
+              sr_joined = 2;
+              sr_inline = 3;
+              sr_queue_depth = 0;
+              sr_pool_pending = 5;
+              sr_oracles = 7;
+              sr_clients =
+                [
+                  {
+                    Serve.Proto.cs_id = 0;
+                    cs_outstanding = 1;
+                    cs_completed = 8;
+                    cs_shed = 1;
+                  };
+                ];
+            };
+        };
       Serve.Proto.Fuzz_reply
         {
           Serve.Proto.fr_execs = 10;
@@ -637,6 +663,194 @@ let test_fuzz_request_keeps_store_small () =
     true
     (grown < 2000)
 
+(* --- checks answered on the reader thread --- *)
+
+let sched_stats srv = Serve.Scheduler.sched_stats (Serve.Server.sched srv)
+
+let check_req ?(inputs = [ "A" ]) source : Serve.Proto.request =
+  Serve.Proto.Check
+    {
+      Serve.Proto.ck_source = source;
+      ck_inputs = inputs;
+      ck_profiles = [];
+      ck_fuel = 100_000;
+      ck_strip = false;
+    }
+
+let direct_verdicts ?(session = Engine.Session.create ~cache_mb:64 ()) src
+    inputs =
+  let o = Compdiff.Oracle.create ~session ~fuel:100_000 (frontend src) in
+  List.map (fun input -> canon_direct (Compdiff.Oracle.check o ~input)) inputs
+
+let verdicts_of what = function
+  | Serve.Proto.Check_reply vs -> List.map canon_proto vs
+  | _ -> Alcotest.failf "%s: not a check reply" what
+
+(* The first request compiles the oracle and runs every class (its
+   observations are declined), the second stores them, and the third is
+   answered from the store on the reader thread: no flight, the direct
+   oracle's verdict. *)
+let test_stored_check_answered_inline () =
+  let path, srv, th = start_server ~executors:1 () in
+  let cl = Serve.Client.connect path in
+  let inputs = [ "A"; "" ] in
+  let want = direct_verdicts unstable_src inputs in
+  let ask () =
+    verdicts_of "check" (Serve.Client.call cl (check_req ~inputs unstable_src))
+  in
+  List.iter
+    (fun n ->
+      check_bool (Printf.sprintf "request %d = direct" n) true (ask () = want))
+    [ 1; 2 ];
+  let s2 = sched_stats srv in
+  check_int "two flights" 2 s2.Serve.Proto.sr_flights;
+  check_int "nothing inline yet" 0 s2.Serve.Proto.sr_inline;
+  check_bool "the third request = direct" true (ask () = want);
+  let s3 = sched_stats srv in
+  check_int "answered inline" 1 s3.Serve.Proto.sr_inline;
+  check_int "no executor flight" 2 s3.Serve.Proto.sr_flights;
+  check_int "no executor checks" s2.Serve.Proto.sr_checks
+    s3.Serve.Proto.sr_checks;
+  check_int "an accepted request" 3 s3.Serve.Proto.sr_requests;
+  check_bool "its credit returned" true
+    (List.for_all
+       (fun c -> c.Serve.Proto.cs_outstanding = 0 && c.Serve.Proto.cs_completed = 3)
+       s3.Serve.Proto.sr_clients);
+  (match Serve.Client.stats cl with
+  | Some st ->
+      check_int "Get_stats reports it" 1
+        st.Serve.Proto.st_sched.Serve.Proto.sr_inline
+  | None -> Alcotest.fail "no stats reply");
+  Serve.Client.close cl;
+  stop_server (srv, th)
+
+(* A warm oracle whose store lacks one class falls back to an executor:
+   the flight looks every class up once (the inline attempt counted
+   nothing), and the missing class's first request is declined.  The
+   store is warmed for every other class through a profile subset on
+   the daemon's own session, whose images the daemon's oracle shares. *)
+let test_missing_class_falls_back () =
+  let session = Engine.Session.create ~cache_mb:64 () in
+  let path, srv, th = start_server ~executors:1 ~session () in
+  let cl = Serve.Client.connect path in
+  (* warm the daemon's oracle on another input *)
+  ignore (verdicts_of "warm-up" (Serve.Client.call cl (check_req ~inputs:[ "z" ] unstable_src)));
+  let tp = frontend unstable_src in
+  let full = Compdiff.Oracle.create ~session ~fuel:100_000 tp in
+  let classes = Compdiff.Oracle.classes full in
+  let last = classes.(Array.length classes - 1) in
+  let sub =
+    Compdiff.Oracle.create ~session ~fuel:100_000
+      ~profiles:
+        (List.filteri (fun i _ -> classes.(i) <> last) Cdcompiler.Profiles.all)
+      tp
+  in
+  ignore (Compdiff.Oracle.check sub ~input:"A");
+  ignore (Compdiff.Oracle.check sub ~input:"A");
+  let counts () =
+    let st = Engine.Session.stats session in
+    let o = st.Engine.Session.observations in
+    (o.Engine.Session.hits + o.Engine.Session.misses, st.Engine.Session.declined)
+  in
+  let lookups0, declined0 = counts () in
+  let s0 = sched_stats srv in
+  let got = verdicts_of "check" (Serve.Client.call cl (check_req unstable_src)) in
+  check_bool "verdict = direct" true (got = direct_verdicts unstable_src [ "A" ]);
+  let lookups1, declined1 = counts () in
+  let s1 = sched_stats srv in
+  check_int "not inline" 0 s1.Serve.Proto.sr_inline;
+  check_int "one executor flight" (s0.Serve.Proto.sr_flights + 1)
+    s1.Serve.Proto.sr_flights;
+  check_int "one lookup per class" (Compdiff.Oracle.class_count full)
+    (lookups1 - lookups0);
+  check_int "the missing class's first request is declined" 1
+    (declined1 - declined0);
+  (* an input no class has seen falls back too, declined everywhere *)
+  ignore (verdicts_of "fresh" (Serve.Client.call cl (check_req ~inputs:[ "fresh" ] unstable_src)));
+  let lookups2, declined2 = counts () in
+  check_int "fresh: one lookup per class" (Compdiff.Oracle.class_count full)
+    (lookups2 - lookups1);
+  check_int "fresh: every class declined" (Compdiff.Oracle.class_count full)
+    (declined2 - declined1);
+  check_int "still nothing inline" 0 (sched_stats srv).Serve.Proto.sr_inline;
+  Serve.Client.close cl;
+  stop_server (srv, th)
+
+(* Held dispatch holds stored checks too: a paused daemon answers no
+   check inline, and the held check is served by an executor once
+   dispatch resumes. *)
+let test_paused_answers_nothing_inline () =
+  let path, srv, th = start_server ~executors:1 () in
+  let sched = Serve.Server.sched srv in
+  let cl = Serve.Client.connect path in
+  let want = direct_verdicts stable_src [ "A" ] in
+  for _ = 1 to 2 do
+    ignore (Serve.Client.call cl (check_req stable_src))
+  done;
+  Serve.Scheduler.set_paused sched true;
+  let id = Serve.Client.send cl (check_req stable_src) in
+  wait_until "held check admitted" (fun () ->
+      (sched_stats srv).Serve.Proto.sr_queue_depth = 1);
+  check_int "nothing inline while paused" 0 (sched_stats srv).Serve.Proto.sr_inline;
+  Serve.Scheduler.set_paused sched false;
+  (match Serve.Client.recv cl with
+  | Some (id', r) ->
+      check_int "the held request's reply" id id';
+      check_bool "verdict = direct" true (verdicts_of "held" r = want)
+  | None -> Alcotest.fail "no reply after resuming");
+  let st = sched_stats srv in
+  check_int "served by an executor" 3 st.Serve.Proto.sr_flights;
+  check_int "still nothing inline" 0 st.Serve.Proto.sr_inline;
+  (* resumed, the same check is answered inline *)
+  check_bool "inline after resuming" true
+    (verdicts_of "resumed" (Serve.Client.call cl (check_req stable_src)) = want);
+  check_int "one inline answer" 1 (sched_stats srv).Serve.Proto.sr_inline;
+  Serve.Client.close cl;
+  stop_server (srv, th)
+
+(* A released client, or any client of a stopping daemon, is answered
+   [Err], not [Busy]: neither is a quota refusal, and neither is
+   counted as shed. *)
+let test_refusals_after_release_and_stop () =
+  let sched =
+    Serve.Scheduler.create
+      {
+        (Serve.Scheduler.default_config
+           ~session:(Engine.Session.create ~cache_mb:16 ())
+           ())
+        with
+        Serve.Scheduler.executors = 1;
+      }
+  in
+  let replies = ref [] in
+  let client () =
+    Serve.Scheduler.register_client sched ~respond:(fun id r ->
+        replies := (id, r) :: !replies)
+  in
+  let released = client () and open_ = client () in
+  Serve.Scheduler.release_client sched released;
+  Serve.Scheduler.submit sched released ~id:1 (check_req stable_src);
+  Serve.Scheduler.shutdown sched;
+  Serve.Scheduler.submit sched open_ ~id:2 (check_req stable_src);
+  Serve.Scheduler.submit sched open_ ~id:3
+    (Serve.Proto.Fuzz
+       {
+         Serve.Proto.fz_source = stable_src;
+         fz_execs = 10;
+         fz_seed = 1;
+         fz_seeds = [];
+         fz_profiles = [];
+         fz_fuel = 0;
+       });
+  check_bool "each refused with Err" true
+    (List.sort compare !replies
+    = List.map (fun id -> (id, Serve.Proto.Err "daemon shutting down")) [ 1; 2; 3 ]);
+  let st = Serve.Scheduler.sched_stats sched in
+  check_int "none shed" 0 st.Serve.Proto.sr_shed;
+  check_int "none accepted" 0 st.Serve.Proto.sr_requests;
+  check_bool "no client shed count" true
+    (List.for_all (fun c -> c.Serve.Proto.cs_shed = 0) st.Serve.Proto.sr_clients)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
@@ -661,5 +875,16 @@ let suites =
         tc "a Fuzz request keeps the store small"
           test_fuzz_request_keeps_store_small;
         tc "idle timeout shuts down cleanly" test_idle_timeout_shutdown;
+      ] );
+    ( "serve.inline",
+      [
+        tc "a stored check is answered inline"
+          test_stored_check_answered_inline;
+        tc "a missing class falls back to an executor"
+          test_missing_class_falls_back;
+        tc "a paused daemon answers nothing inline"
+          test_paused_answers_nothing_inline;
+        tc "released and stopping refusals are Err, not shed"
+          test_refusals_after_release_and_stop;
       ] );
   ]
