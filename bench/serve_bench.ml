@@ -11,11 +11,12 @@
    every client walks the full pool, so concurrent clients ask about the
    same programs: the warm oracle table plus session caches turn repeat
    compiles into lookups, and from a pair's third request on its
-   observations are stored, so the reader thread answers it without an
-   executor flight ([inline] counts those).  Coalesce-on-pop, which
-   merges same-key checks from different clients into one flight
-   ([joined], batching ratio = checks per executor flight), then only
-   sees the first requests of each pair.
+   observations are stored.  With one client connected the reader thread
+   then answers it without an executor flight ([inline] counts those);
+   with 4 or 8, more than the scheduler answers inline for, every check
+   is an executor flight, and coalesce-on-pop merges same-key checks
+   from different clients into one ([joined], batching ratio = checks
+   per executor flight).
 
    Each client scenario runs three trials of a closed loop at least
    [window] seconds long and reports the median rate with its range,

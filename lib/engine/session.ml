@@ -454,6 +454,17 @@ let disk_put disk (l : linked) ~fuel input (o : Cdvm.Exec.result) =
 (* the doorkeeper's second probe; the first is the LRU's own hash *)
 let door_seed = 0x2545f491
 
+(* An input's observation key, its LRU hash, and whether the doorkeeper
+   has seen the key; [record] also records an unseen one (admission). *)
+let door_key t (l : linked) ~fuel ~record input =
+  let mkey = (l.image_id, fuel, input) in
+  let h = Hashtbl.hash mkey in
+  let h2 = Hashtbl.seeded_hash door_seed mkey in
+  ( mkey,
+    h,
+    if record then Doorkeeper.admit t.door h h2 else Doorkeeper.seen t.door h h2
+  )
+
 (* The one cached-execution path, in two phases.  [lookup] asks the
    stores for every input and counts each as one hit or one miss;
    [run_misses] executes what they lacked -- all misses as ONE VM batch
@@ -492,11 +503,7 @@ let lookup t (l : linked) ~(inputs : string array) ~(fuel : int) : lookup =
     and admitted = ref [] in
     for i = 0 to n - 1 do
       let input = inputs.(i) in
-      let mkey = (l.image_id, fuel, input) in
-      let h = Hashtbl.hash mkey in
-      let seen =
-        Doorkeeper.admit t.door h (Hashtbl.seeded_hash door_seed mkey)
-      in
+      let mkey, h, seen = door_key t l ~fuel ~record:true input in
       let o =
         if seen then
           match Lru.find_hashed t.obs_cache h mkey with
@@ -569,10 +576,8 @@ let probe t (l : linked) ~(inputs : string array) ~(fuel : int) :
   if not t.caching then None
   else
     let stored input =
-      let mkey = (l.image_id, fuel, input) in
-      let h = Hashtbl.hash mkey in
-      if not (Doorkeeper.seen t.door h (Hashtbl.seeded_hash door_seed mkey))
-      then raise_notrace Exit;
+      let mkey, h, seen = door_key t l ~fuel ~record:false input in
+      if not seen then raise_notrace Exit;
       match Lru.peek_hashed t.obs_cache h mkey with
       | Some o -> o
       | None -> raise_notrace Exit

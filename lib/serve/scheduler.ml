@@ -28,10 +28,14 @@
    session's memory holds every class's base-fuel observation of every
    input, with no input needing escalation, the connection's reader
    thread answers it in [submit] ({!Compdiff.Oracle.check_stored}), with
-   the verdicts and counter increments of the flight it replaces.  Any
-   miss, a cold oracle or held dispatch queues the check as above.  An
-   inline answer is not a flight: [sr_flights], [sr_checks] and
-   [sr_joined] count executor work, [sr_inline] the inline answers.
+   the verdicts and counter increments of the flight it replaces.  Only
+   while few clients are connected, though: the readers share one
+   domain, so under several busy connections the executor domains
+   answer in parallel instead.  Any miss, a cold oracle, more than
+   [inline_max_clients] connections or held dispatch queues the check
+   as above.  An inline answer is not a flight: [sr_flights],
+   [sr_checks] and [sr_joined] count executor work, [sr_inline] the
+   inline answers.
 
    Backpressure is credit-based: each client holds [quota] credits; a
    work request consumes one on acceptance and returns it with the
@@ -663,14 +667,28 @@ let enqueue_locked t (it : item) : bool =
 
 let shutting_down = Proto.Err "daemon shutting down"
 
+(* The fast path's load gate.  Every connection's reader, and an
+   in-process caller's clients, are systhreads of one domain, so a check
+   answered on a reader runs one after another with every other
+   connection's work while the executor domains idle.  On two vCPUs,
+   with closed-loop clients answered inline, that domain had another
+   thread waiting to run never under one connection, about half the
+   time under two and nine times in ten under four.  Probing it per
+   request cost more than inline answers saved (DESIGN.md 13.2), so the
+   gate counts open connections: above [inline_max_clients], checks
+   take the executor path. *)
+let inline_max_clients = 2
+
 (* [submit]: called from the server's per-client reader threads.  Ping
    and stats are answered inline (they must stay responsive when every
    executor is busy); work requests go through admission control.  An
    admitted check whose oracle is warm and whose observations are all in
    the session's memory ({!Compdiff.Oracle.check_stored}) is answered
-   here too, on the reader thread, without an executor hand-off;
-   everything else is queued.  A daemon that is stopping, or a released
-   client, gets [Err]; only a client over its quota gets [Busy]. *)
+   here too, on the reader thread, without an executor hand-off, while
+   at most [inline_max_clients] clients are connected; everything else
+   is queued.  A request counts in [sr_requests] once it is answered
+   here or queued.  A daemon that is stopping, or a released client,
+   gets [Err]; only a client over its quota gets [Busy]. *)
 let submit t (cl : client) ~(id : int) (req : Proto.request) : unit =
   match req with
   | Proto.Ping -> ( try cl.cl_respond id Proto.Pong with _ -> ())
@@ -697,7 +715,9 @@ let submit t (cl : client) ~(id : int) (req : Proto.request) : unit =
           (* held dispatch answers nothing inline either *)
           let warm =
             match (req, okey) with
-            | Proto.Check k, Some key when not t.paused ->
+            | Proto.Check k, Some key
+              when List.compare_length_with t.clients inline_max_clients <= 0
+                   && not t.paused ->
                 Option.map (fun o -> (o, k)) (warm_locked t key)
             | _ -> None
           in
@@ -717,20 +737,23 @@ let submit t (cl : client) ~(id : int) (req : Proto.request) : unit =
           try cl.cl_respond id (Proto.Busy t.cfg.quota) with _ -> ())
       | `Queued -> Atomic.incr t.c_requests
       | `Warm (o, k) -> (
-          Atomic.incr t.c_requests;
           match
             Compdiff.Oracle.check_stored o
               ~inputs:(Array.of_list k.Proto.ck_inputs)
           with
           | Some vs ->
+              Atomic.incr t.c_requests;
               Atomic.incr t.c_inline;
               respond t it (check_reply vs)
           | None ->
               Mutex.lock t.mutex;
               let queued = enqueue_locked t it in
               Mutex.unlock t.mutex;
-              if not queued then respond t it shutting_down
-          | exception e -> respond t it (reply_of_exn e)))
+              if queued then Atomic.incr t.c_requests
+              else respond t it shutting_down
+          | exception e ->
+              Atomic.incr t.c_requests;
+              respond t it (reply_of_exn e)))
 
 (* True when no work is queued or executing: the server's idle test. *)
 let idle t : bool =

@@ -808,10 +808,10 @@ let test_paused_answers_nothing_inline () =
   Serve.Client.close cl;
   stop_server (srv, th)
 
-(* A released client, or any client of a stopping daemon, is answered
-   [Err], not [Busy]: neither is a quota refusal, and neither is
-   counted as shed. *)
-let test_refusals_after_release_and_stop () =
+(* A scheduler driven through [submit] from this thread, with one
+   executor; [client ()] registers a client whose replies are collected
+   by id, and [reply id] reads them. *)
+let direct_scheduler () =
   let sched =
     Serve.Scheduler.create
       {
@@ -822,11 +822,75 @@ let test_refusals_after_release_and_stop () =
         Serve.Scheduler.executors = 1;
       }
   in
-  let replies = ref [] in
+  let m = Mutex.create () and replies = Hashtbl.create 16 in
   let client () =
     Serve.Scheduler.register_client sched ~respond:(fun id r ->
-        replies := (id, r) :: !replies)
+        Mutex.lock m;
+        Hashtbl.replace replies id r;
+        Mutex.unlock m)
   in
+  let reply id =
+    Mutex.lock m;
+    let r = Hashtbl.find_opt replies id in
+    Mutex.unlock m;
+    r
+  in
+  (sched, client, reply)
+
+(* submit and wait for the reply *)
+let ask sched cl reply ~id req =
+  Serve.Scheduler.submit sched cl ~id req;
+  let deadline = Unix.gettimeofday () +. 60. in
+  let rec wait () =
+    match reply id with
+    | Some r -> r
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "no reply to request %d" id;
+        Thread.delay 0.0002;
+        wait ()
+  in
+  wait ()
+
+(* With more clients connected than the fast path allows, stored checks
+   go to the executors, with the direct verdict; once enough of them
+   leave, they are answered inline again. *)
+let test_many_clients_queue_stored_checks () =
+  let sched, client, reply = direct_scheduler () in
+  let cl = client () in
+  let want = direct_verdicts stable_src [ "A" ] in
+  let id = ref 0 in
+  let check () =
+    incr id;
+    verdicts_of "check" (ask sched cl reply ~id:!id (check_req stable_src))
+  in
+  let stats () = Serve.Scheduler.sched_stats sched in
+  for _ = 1 to 3 do
+    ignore (check ())
+  done;
+  check_int "the third is answered inline" 1 (stats ()).Serve.Proto.sr_inline;
+  let others =
+    List.init Serve.Scheduler.inline_max_clients (fun _ -> client ())
+  in
+  let s0 = stats () in
+  check_bool "queued check = direct" true (check () = want);
+  let s1 = stats () in
+  check_int "not inline" s0.Serve.Proto.sr_inline s1.Serve.Proto.sr_inline;
+  check_int "an executor flight" (s0.Serve.Proto.sr_flights + 1)
+    s1.Serve.Proto.sr_flights;
+  Serve.Scheduler.release_client sched (List.hd others);
+  check_bool "inline check = direct" true (check () = want);
+  check_int "inline again" (s1.Serve.Proto.sr_inline + 1)
+    (stats ()).Serve.Proto.sr_inline;
+  check_int "no further flight" s1.Serve.Proto.sr_flights
+    (stats ()).Serve.Proto.sr_flights;
+  Serve.Scheduler.shutdown sched
+
+(* A released client, or any client of a stopping daemon, is answered
+   [Err], not [Busy]: neither is a quota refusal, and neither is
+   counted as shed or as an accepted request. *)
+let test_refusals_after_release_and_stop () =
+  let sched, client, reply = direct_scheduler () in
   let released = client () and open_ = client () in
   Serve.Scheduler.release_client sched released;
   Serve.Scheduler.submit sched released ~id:1 (check_req stable_src);
@@ -843,8 +907,9 @@ let test_refusals_after_release_and_stop () =
          fz_fuel = 0;
        });
   check_bool "each refused with Err" true
-    (List.sort compare !replies
-    = List.map (fun id -> (id, Serve.Proto.Err "daemon shutting down")) [ 1; 2; 3 ]);
+    (List.for_all
+       (fun id -> reply id = Some (Serve.Proto.Err "daemon shutting down"))
+       [ 1; 2; 3 ]);
   let st = Serve.Scheduler.sched_stats sched in
   check_int "none shed" 0 st.Serve.Proto.sr_shed;
   check_int "none accepted" 0 st.Serve.Proto.sr_requests;
@@ -884,6 +949,8 @@ let suites =
           test_missing_class_falls_back;
         tc "a paused daemon answers nothing inline"
           test_paused_answers_nothing_inline;
+        tc "many connected clients queue stored checks"
+          test_many_clients_queue_stored_checks;
         tc "released and stopping refusals are Err, not shed"
           test_refusals_after_release_and_stop;
       ] );
