@@ -888,15 +888,47 @@ let test_many_clients_queue_stored_checks () =
 
 (* A released client, or any client of a stopping daemon, is answered
    [Err], not [Busy]: neither is a quota refusal, and neither is
-   counted as shed or as an accepted request. *)
+   counted as shed or as an accepted request.  That includes a warm
+   check that falls back to the queue after the daemon began stopping:
+   its last input is not stored, [check_stored] reaches it only after
+   probing the 2000 before it, and another domain shuts the daemon down
+   as soon as the check holds its credit.  Whichever side wins, only an
+   answered check is counted. *)
 let test_refusals_after_release_and_stop () =
   let sched, client, reply = direct_scheduler () in
   let released = client () and open_ = client () in
-  Serve.Scheduler.release_client sched released;
-  Serve.Scheduler.submit sched released ~id:1 (check_req stable_src);
-  Serve.Scheduler.shutdown sched;
-  Serve.Scheduler.submit sched open_ ~id:2 (check_req stable_src);
+  let stored = List.init 2000 string_of_int in
+  for id = 1 to 2 do
+    ignore
+      (verdicts_of "warm-up"
+         (ask sched open_ reply ~id (check_req ~inputs:stored stable_src)))
+  done;
+  let holding_credit () =
+    List.exists
+      (fun c -> c.Serve.Proto.cs_outstanding > 0)
+      (Serve.Scheduler.sched_stats sched).Serve.Proto.sr_clients
+  in
+  let stopper =
+    Domain.spawn (fun () ->
+        while not (holding_credit () || reply 3 <> None) do
+          Unix.sleepf 0.00002
+        done;
+        Serve.Scheduler.shutdown sched)
+  in
   Serve.Scheduler.submit sched open_ ~id:3
+    (check_req ~inputs:(stored @ [ "fresh" ]) stable_src);
+  Domain.join stopper;
+  let answered =
+    match reply 3 with
+    | Some (Serve.Proto.Check_reply _) -> 3
+    | Some (Serve.Proto.Err "daemon shutting down") -> 2
+    | Some _ -> Alcotest.fail "racing check: unexpected reply"
+    | None -> Alcotest.fail "racing check: no reply"
+  in
+  Serve.Scheduler.release_client sched released;
+  Serve.Scheduler.submit sched released ~id:4 (check_req stable_src);
+  Serve.Scheduler.submit sched open_ ~id:5 (check_req stable_src);
+  Serve.Scheduler.submit sched open_ ~id:6
     (Serve.Proto.Fuzz
        {
          Serve.Proto.fz_source = stable_src;
@@ -909,10 +941,10 @@ let test_refusals_after_release_and_stop () =
   check_bool "each refused with Err" true
     (List.for_all
        (fun id -> reply id = Some (Serve.Proto.Err "daemon shutting down"))
-       [ 1; 2; 3 ]);
+       [ 4; 5; 6 ]);
   let st = Serve.Scheduler.sched_stats sched in
   check_int "none shed" 0 st.Serve.Proto.sr_shed;
-  check_int "none accepted" 0 st.Serve.Proto.sr_requests;
+  check_int "only answered checks accepted" answered st.Serve.Proto.sr_requests;
   check_bool "no client shed count" true
     (List.for_all (fun c -> c.Serve.Proto.cs_shed = 0) st.Serve.Proto.sr_clients)
 
