@@ -20,6 +20,32 @@ let read_file path =
   close_in ic;
   s
 
+(* an integer option that travels in a u32 protocol field: out-of-range
+   values are a usage error, not a crash at encode time *)
+let u32_conv =
+  Arg.conv'
+    ( (fun str ->
+        match int_of_string_opt str with
+        | Some n when n >= 0 && n <= 0xFFFF_FFFF -> Ok n
+        | _ ->
+          Error
+            (Printf.sprintf "expected an integer in [0, 4294967295], got %S"
+               str)),
+      Format.pp_print_int )
+
+(* connect to a daemon and run [k] on the connection; a daemon that is
+   not there or fails the handshake is reported and exits 2 *)
+let with_daemon socket k =
+  let refused why =
+    Printf.eprintf "cannot connect to %s: %s\n" socket why;
+    2
+  in
+  match Serve.Client.connect socket with
+  | cl -> k cl
+  | exception Unix.Unix_error (e, _, _) -> refused (Unix.error_message e)
+  | exception (Failure m | Serve.Proto.Malformed m) -> refused m
+  | exception End_of_file -> refused "connection closed during handshake"
+
 let frontend_of_file path =
   match Minic.frontend_of_source (read_file path) with
   | Ok tp -> tp
@@ -400,7 +426,7 @@ let diff_cmd =
             (fun (p : Cdcompiler.Policy.profile) -> p.Cdcompiler.Policy.pname)
             c.co_profiles
         in
-        let cl = Serve.Client.connect socket in
+        with_daemon socket @@ fun cl ->
         let r =
           Serve.Client.check cl ~profiles
             ~fuel:(Option.value c.co_fuel ~default:0)
@@ -1644,9 +1670,9 @@ let connect_cmd =
   in
   let fuel =
     Arg.(
-      value & opt int 0
+      value & opt u32_conv 0
       & info [ "fuel" ] ~docv:"N"
-          ~doc:"Execution fuel (0 = the daemon's default).")
+          ~doc:"Execution fuel (0 = the daemon's default; N < 2^32).")
   in
   let profiles =
     Arg.(
@@ -1657,7 +1683,7 @@ let connect_cmd =
   in
   let fuzz_execs =
     Arg.(
-      value & opt int 0
+      value & opt u32_conv 0
       & info [ "fuzz-execs" ] ~docv:"N"
           ~doc:"Run a fuzzing campaign of N executions on the daemon.")
   in
@@ -1692,7 +1718,7 @@ let connect_cmd =
       | None -> []
       | Some s -> List.filter (fun n -> n <> "") (String.split_on_char ',' s)
     in
-    let cl = Serve.Client.connect socket in
+    with_daemon socket @@ fun cl ->
     let finally () = Serve.Client.close cl in
     Fun.protect ~finally (fun () ->
         if ping then

@@ -6,27 +6,26 @@
    out (256 × 256 directories, populated lazily) keeps any single
    directory small under fleet-scale entry counts.
 
-   Entry format (everything little-endian u32):
-
-     "CDC1" | payload length | murmur3(payload) | payload
-
-   where payload = [Marshal] of [(kind ^ ":" ^ key, value)].  Reads are
-   guarded in depth: magic, length and checksum are verified *before*
-   [Marshal.from_string] ever sees the bytes (unmarshalling corrupt data
-   is unsafe), and the unmarshalled key must echo the requested one
+   Entry format: a [Cdutil.Wire] sealed envelope with magic "CDC1"
+   (wire.mli has the layout) around payload = [Marshal] of
+   [(kind ^ ":" ^ key, value)].  Reads are guarded in depth: magic,
+   length and checksum are verified *before* [Marshal.from_string]
+   ever sees the bytes (unmarshalling corrupt data is unsafe), and the
+   unmarshalled key must echo the requested one
    (same-hash collisions read as misses, never as wrong hits).  Any
-   truncated, corrupt or unreadable entry is a miss.
+   truncated, corrupt or unreadable entry is a miss, and so is an entry
+   path that is a directory.
 
    Trust: the store is trusted-local-only.  The checksum is unkeyed, so
    it catches corruption but not a crafted entry, and [Marshal] of a
    crafted payload is unsafe; the directory must be writable only by
    users the process already trusts (DESIGN.md §10).
 
-   Writes are atomic: the entry is written to a unique temp file in the
-   same directory and [Sys.rename]d into place, so a crashed or
-   concurrent writer can never leave a half-written entry under the
-   final name — and concurrent writers of the same key are idempotent
-   (both write the same deterministic bytes).
+   Writes are atomic: [Wire.write_sealed] writes the entry to a unique
+   temp file in the same directory and renames it into place, so a
+   crashed or concurrent writer can never leave a half-written entry
+   under the final name — and concurrent writers of the same key are
+   idempotent (both write the same deterministic bytes).
 
    Size cap: the store keeps a RUNNING byte/entry count — seeded by one
    directory scan at [create], then updated on every store and every GC
@@ -60,13 +59,6 @@ type t = {
 
 let magic = "CDC1"
 
-let rec mkdir_p path =
-  if path <> "" && path <> "/" && not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    try Unix.mkdir path 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let rec walk_files acc path =
   match Sys.readdir path with
   | exception Sys_error _ -> acc
@@ -84,7 +76,7 @@ let rec walk_files acc path =
         acc names
 
 let create ~dir ?(cap_mb = 512) () : t =
-  mkdir_p dir;
+  Cdutil.Wire.mkdir_p dir;
   (* the only full-tree scan on the store path: seed the running
      byte/entry count from whatever a previous process left behind *)
   let existing = walk_files [] dir in
@@ -111,65 +103,26 @@ let path_of t ~(kind : string) (key : string) : string =
     ((h1 lsr 8) land 0xff)
     h1 h2
 
-let u32_to_bytes n =
-  let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr (n land 0xff));
-  Bytes.set b 1 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 2 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 3 (Char.chr ((n lsr 24) land 0xff));
-  b
-
-let u32_of_string s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
-
 let full_key ~kind key = kind ^ ":" ^ key
 
 (* --- read --- *)
-
-let read_file path : string option =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let len = in_channel_length ic in
-          let b = Bytes.create len in
-          really_input ic b 0 len;
-          Some (Bytes.unsafe_to_string b))
 
 let get (type v) (t : t) ~(kind : string) (key : string) : v option =
   let miss () =
     Atomic.incr t.misses;
     None
   in
-  match read_file (path_of t ~kind key) with
-  | None -> miss ()
-  | Some raw -> (
-      let hdr = 12 in
-      if
-        String.length raw < hdr
-        || not (String.equal (String.sub raw 0 4) magic)
-      then miss ()
-      else
-        let plen = u32_of_string raw 4 in
-        let crc = u32_of_string raw 8 in
-        if String.length raw <> hdr + plen then miss ()
-        else
-          let payload = String.sub raw hdr plen in
-          if Cdutil.Murmur3.hash payload <> crc land 0x3FFFFFFF then miss ()
-          else
-            match (Marshal.from_string payload 0 : string * v) with
-            | exception _ -> miss ()
-            | stored_key, value ->
-                if String.equal stored_key (full_key ~kind key) then begin
-                  Atomic.incr t.hits;
-                  Some value
-                end
-                else miss ())
+  match Cdutil.Wire.read_sealed ~magic (path_of t ~kind key) with
+  | Error _ -> miss ()
+  | Ok payload -> (
+    match (Marshal.from_string payload 0 : string * v) with
+    | exception _ -> miss ()
+    | stored_key, value ->
+      if String.equal stored_key (full_key ~kind key) then begin
+        Atomic.incr t.hits;
+        Some value
+      end
+      else miss ())
 
 (* --- garbage collection --- *)
 
@@ -202,32 +155,18 @@ let gc t =
 
 let put (t : t) ~(kind : string) (key : string) (value : 'a) : unit =
   let payload = Marshal.to_string (full_key ~kind key, value) [] in
-  let path = path_of t ~kind key in
-  mkdir_p (Filename.dirname path);
-  let tmp =
-    Printf.sprintf "%s.tmp.%d.%d" path (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         output_string oc magic;
-         output_bytes oc (u32_to_bytes (String.length payload));
-         output_bytes oc (u32_to_bytes (Cdutil.Murmur3.hash payload));
-         output_string oc payload);
-     (* a re-store of an existing key overwrites the same deterministic
-        bytes: only a genuinely new file grows the running count *)
-     let fresh = not (Sys.file_exists path) in
-     Sys.rename tmp path;
-     Atomic.incr t.stores;
-     if fresh then begin
-       ignore (Atomic.fetch_and_add t.bytes (12 + String.length payload));
-       Atomic.incr t.entries
-     end
-   with Sys_error _ | Unix.Unix_error (_, _, _) ->
-     (try Sys.remove tmp with Sys_error _ -> ()));
+  let file = path_of t ~kind key in
+  (* a re-store of an existing key overwrites the same deterministic
+     bytes: only a genuinely new file grows the running count *)
+  let fresh = not (Sys.file_exists file) in
+  (match Cdutil.Wire.write_sealed ~magic ~file payload with
+  | bytes ->
+    Atomic.incr t.stores;
+    if fresh then begin
+      ignore (Atomic.fetch_and_add t.bytes bytes);
+      Atomic.incr t.entries
+    end
+  | exception Sys_error _ -> ());
   (* O(1) steady state: the cap check is one atomic read; the full-tree
      scan only happens inside [gc], i.e. when the cap is actually hit *)
   if Atomic.get t.bytes > t.cap_bytes then begin

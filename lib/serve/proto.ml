@@ -10,13 +10,13 @@
    Every payload starts with a u32 request id (chosen by the client,
    echoed verbatim in the matching response — responses to one client
    may be reordered by the scheduler, the id is what correlates them)
-   followed by a u8 message tag and tag-specific fields.  All integers
-   are little-endian u32 unless noted; strings and lists are
-   length/count-prefixed.  The codecs are hand-rolled rather than
-   [Marshal]: the payload layout is part of the versioned protocol
-   surface, independent of the OCaml runtime on either end, and a
-   malformed frame can never reach the unmarshaller of a long-running
-   server.
+   followed by a u8 message tag and tag-specific fields, laid out with
+   the primitives of [Cdutil.Wire] (wire.mli describes them).  Each
+   message's layout is one codec value below, from which both its
+   encoder and its decoder come.  The codecs are not [Marshal]: the
+   payload layout is part of the versioned protocol surface,
+   independent of the OCaml runtime on either end, and a malformed
+   frame can never reach the unmarshaller of a long-running server.
 
    Versioning: [version] covers the whole request/response surface.  A
    server refuses a handshake whose version differs from its own (the
@@ -25,7 +25,7 @@
    connection raise {!Malformed}, which the server answers with an
    [Err] response rather than dying. *)
 
-exception Malformed of string
+exception Malformed = Cdutil.Wire.Malformed
 
 let version = 3
 let hello_magic = "CDS1"
@@ -172,395 +172,200 @@ type response =
   | Busy of int              (* backpressure: the client's quota *)
   | Err of string
 
-(* --- primitive codecs --- *)
+(* --- codecs: each layout once, both directions from it (Cdutil.Wire) --- *)
 
-let put_u8 buf n = Buffer.add_char buf (Char.chr (n land 0xff))
+open Cdutil.Wire
 
-let put_u32 buf n =
-  if n < 0 || n > 0xFFFFFFFF then
-    invalid_arg (Printf.sprintf "Proto.put_u32: %d out of range" n);
-  Buffer.add_char buf (Char.chr (n land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((n lsr 24) land 0xff))
+let strings = list string
 
-let put_bool buf b = put_u8 buf (if b then 1 else 0)
+let check_req =
+  wrap
+    (fun (ck_source, ck_inputs, ck_profiles, (ck_fuel, ck_strip)) ->
+      { ck_source; ck_inputs; ck_profiles; ck_fuel; ck_strip })
+    (fun k ->
+      (k.ck_source, k.ck_inputs, k.ck_profiles, (k.ck_fuel, k.ck_strip)))
+    (tup4 string strings strings (pair u32 bool))
 
-let put_str buf s =
-  put_u32 buf (String.length s);
-  Buffer.add_string buf s
+let fuzz_req =
+  wrap
+    (fun ((fz_source, fz_execs, fz_seed), (fz_seeds, fz_profiles, fz_fuel))
+       -> { fz_source; fz_execs; fz_seed; fz_seeds; fz_profiles; fz_fuel })
+    (fun f ->
+      ( (f.fz_source, f.fz_execs, f.fz_seed),
+        (f.fz_seeds, f.fz_profiles, f.fz_fuel) ))
+    (pair (tup3 string u32 u32) (tup3 strings strings u32))
 
-let put_list buf put xs =
-  put_u32 buf (List.length xs);
-  List.iter (put buf) xs
+let metacheck_req =
+  wrap
+    (fun (mc_source, mc_inputs, mc_limit, (mc_profiles, mc_fuel)) ->
+      { mc_source; mc_inputs; mc_limit; mc_profiles; mc_fuel })
+    (fun m ->
+      (m.mc_source, m.mc_inputs, m.mc_limit, (m.mc_profiles, m.mc_fuel)))
+    (tup4 string strings u32 (pair strings u32))
 
-(* a decode cursor over one payload *)
-type cursor = { data : string; mutable pos : int }
+let reduce_req =
+  wrap
+    (fun (rd_source, rd_input, rd_max_checks, (rd_profiles, rd_fuel)) ->
+      { rd_source; rd_input; rd_max_checks; rd_profiles; rd_fuel })
+    (fun r ->
+      (r.rd_source, r.rd_input, r.rd_max_checks, (r.rd_profiles, r.rd_fuel)))
+    (tup4 string string u32 (pair strings u32))
 
-let need c n =
-  if c.pos + n > String.length c.data then
-    raise (Malformed "truncated payload")
+let explore_req =
+  wrap
+    (fun (ex_source, ex_input, ex_profiles, (ex_fuel, ex_limit)) ->
+      { ex_source; ex_input; ex_profiles; ex_fuel; ex_limit })
+    (fun e ->
+      (e.ex_source, e.ex_input, e.ex_profiles, (e.ex_fuel, e.ex_limit)))
+    (tup4 string string strings (pair u32 u32))
 
-let get_u8 c =
-  need c 1;
-  let v = Char.code c.data.[c.pos] in
-  c.pos <- c.pos + 1;
-  v
-
-let get_u32 c =
-  need c 4;
-  let b i = Char.code c.data.[c.pos + i] in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
-  c.pos <- c.pos + 4;
-  v
-
-let get_bool c = get_u8 c <> 0
-
-let get_str c =
-  let n = get_u32 c in
-  need c n;
-  let s = String.sub c.data c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_list c get =
-  let n = get_u32 c in
-  List.init n (fun _ -> get c)
-
-let finished c =
-  if c.pos <> String.length c.data then
-    raise (Malformed "trailing bytes in payload")
-
-(* --- request codec --- *)
-
-let tag_ping = 0
-let tag_stats = 1
-let tag_check = 2
-let tag_fuzz = 3
-let tag_metacheck = 4
-let tag_reduce = 5
-let tag_explore = 6
+(* a payload is a u32 request id, then a u8 tag = the case's position *)
+let request_frame =
+  pair u32
+    (union ~what:"request"
+       [
+         const Ping;
+         const Get_stats;
+         case check_req
+           (fun k -> Check k)
+           (function Check k -> Some k | _ -> None);
+         case fuzz_req
+           (fun f -> Fuzz f)
+           (function Fuzz f -> Some f | _ -> None);
+         case metacheck_req
+           (fun m -> Metacheck m)
+           (function Metacheck m -> Some m | _ -> None);
+         case reduce_req
+           (fun r -> Reduce r)
+           (function Reduce r -> Some r | _ -> None);
+         case explore_req
+           (fun e -> Explore e)
+           (function Explore e -> Some e | _ -> None);
+       ])
 
 let encode_request ~(id : int) (r : request) : string =
-  let buf = Buffer.create 128 in
-  put_u32 buf id;
-  (match r with
-  | Ping -> put_u8 buf tag_ping
-  | Get_stats -> put_u8 buf tag_stats
-  | Check k ->
-      put_u8 buf tag_check;
-      put_str buf k.ck_source;
-      put_list buf put_str k.ck_inputs;
-      put_list buf put_str k.ck_profiles;
-      put_u32 buf k.ck_fuel;
-      put_bool buf k.ck_strip
-  | Fuzz f ->
-      put_u8 buf tag_fuzz;
-      put_str buf f.fz_source;
-      put_u32 buf f.fz_execs;
-      put_u32 buf f.fz_seed;
-      put_list buf put_str f.fz_seeds;
-      put_list buf put_str f.fz_profiles;
-      put_u32 buf f.fz_fuel
-  | Metacheck m ->
-      put_u8 buf tag_metacheck;
-      put_str buf m.mc_source;
-      put_list buf put_str m.mc_inputs;
-      put_u32 buf m.mc_limit;
-      put_list buf put_str m.mc_profiles;
-      put_u32 buf m.mc_fuel
-  | Reduce r ->
-      put_u8 buf tag_reduce;
-      put_str buf r.rd_source;
-      put_str buf r.rd_input;
-      put_u32 buf r.rd_max_checks;
-      put_list buf put_str r.rd_profiles;
-      put_u32 buf r.rd_fuel
-  | Explore e ->
-      put_u8 buf tag_explore;
-      put_str buf e.ex_source;
-      put_str buf e.ex_input;
-      put_list buf put_str e.ex_profiles;
-      put_u32 buf e.ex_fuel;
-      put_u32 buf e.ex_limit);
-  Buffer.contents buf
+  encode request_frame (id, r)
 
 let decode_request (payload : string) : int * request =
-  let c = { data = payload; pos = 0 } in
-  let id = get_u32 c in
-  let tag = get_u8 c in
-  let r =
-    if tag = tag_ping then Ping
-    else if tag = tag_stats then Get_stats
-    else if tag = tag_check then begin
-      let ck_source = get_str c in
-      let ck_inputs = get_list c get_str in
-      let ck_profiles = get_list c get_str in
-      let ck_fuel = get_u32 c in
-      let ck_strip = get_bool c in
-      Check { ck_source; ck_inputs; ck_profiles; ck_fuel; ck_strip }
-    end
-    else if tag = tag_fuzz then begin
-      let fz_source = get_str c in
-      let fz_execs = get_u32 c in
-      let fz_seed = get_u32 c in
-      let fz_seeds = get_list c get_str in
-      let fz_profiles = get_list c get_str in
-      let fz_fuel = get_u32 c in
-      Fuzz { fz_source; fz_execs; fz_seed; fz_seeds; fz_profiles; fz_fuel }
-    end
-    else if tag = tag_metacheck then begin
-      let mc_source = get_str c in
-      let mc_inputs = get_list c get_str in
-      let mc_limit = get_u32 c in
-      let mc_profiles = get_list c get_str in
-      let mc_fuel = get_u32 c in
-      Metacheck { mc_source; mc_inputs; mc_limit; mc_profiles; mc_fuel }
-    end
-    else if tag = tag_reduce then begin
-      let rd_source = get_str c in
-      let rd_input = get_str c in
-      let rd_max_checks = get_u32 c in
-      let rd_profiles = get_list c get_str in
-      let rd_fuel = get_u32 c in
-      Reduce { rd_source; rd_input; rd_max_checks; rd_profiles; rd_fuel }
-    end
-    else if tag = tag_explore then begin
-      let ex_source = get_str c in
-      let ex_input = get_str c in
-      let ex_profiles = get_list c get_str in
-      let ex_fuel = get_u32 c in
-      let ex_limit = get_u32 c in
-      Explore { ex_source; ex_input; ex_profiles; ex_fuel; ex_limit }
-    end
-    else raise (Malformed (Printf.sprintf "unknown request tag %d" tag))
-  in
-  finished c;
-  (id, r)
+  decode request_frame payload
 
-(* --- response codec --- *)
+let obs =
+  wrap
+    (fun (ob_impl, ob_output, ob_status, ob_fuel) ->
+      { ob_impl; ob_output; ob_status; ob_fuel })
+    (fun o -> (o.ob_impl, o.ob_output, o.ob_status, o.ob_fuel))
+    (tup4 string string string u32)
 
-let rtag_pong = 0
-let rtag_stats = 1
-let rtag_check = 2
-let rtag_fuzz = 3
-let rtag_metacheck = 4
-let rtag_reduce = 5
-let rtag_busy = 6
-let rtag_err = 7
-let rtag_explore = 8
+let verdict =
+  union ~what:"verdict"
+    [
+      case obs (fun o -> V_agree o) (function V_agree o -> Some o | _ -> None);
+      case (list obs)
+        (fun os -> V_diverge os)
+        (function V_diverge os -> Some os | _ -> None);
+    ]
 
-let put_obs buf (o : obs) =
-  put_str buf o.ob_impl;
-  put_str buf o.ob_output;
-  put_str buf o.ob_status;
-  put_u32 buf o.ob_fuel
+let client_stat =
+  wrap
+    (fun (cs_id, cs_outstanding, cs_completed, cs_shed) ->
+      { cs_id; cs_outstanding; cs_completed; cs_shed })
+    (fun s -> (s.cs_id, s.cs_outstanding, s.cs_completed, s.cs_shed))
+    (tup4 u32 u32 u32 u32)
 
-let get_obs c : obs =
-  let ob_impl = get_str c in
-  let ob_output = get_str c in
-  let ob_status = get_str c in
-  let ob_fuel = get_u32 c in
-  { ob_impl; ob_output; ob_status; ob_fuel }
+let stats_reply =
+  let u32x3 = tup3 u32 u32 u32 in
+  wrap
+    (fun ( st_session,
+           st_oracle,
+           ( (sr_requests, sr_shed, sr_flights),
+             (sr_checks, sr_joined, sr_inline) ),
+           ((sr_queue_depth, sr_pool_pending, sr_oracles), sr_clients) ) ->
+      let st_sched =
+        { sr_requests; sr_shed; sr_flights; sr_checks; sr_joined; sr_inline;
+          sr_queue_depth; sr_pool_pending; sr_oracles; sr_clients }
+      in
+      { st_session; st_oracle; st_sched })
+    (fun s ->
+      let h = s.st_sched in
+      ( s.st_session,
+        s.st_oracle,
+        ( (h.sr_requests, h.sr_shed, h.sr_flights),
+          (h.sr_checks, h.sr_joined, h.sr_inline) ),
+        ((h.sr_queue_depth, h.sr_pool_pending, h.sr_oracles), h.sr_clients) ))
+    (tup4 string string (pair u32x3 u32x3) (pair u32x3 (list client_stat)))
 
-let put_verdict buf = function
-  | V_agree o ->
-      put_u8 buf 0;
-      put_obs buf o
-  | V_diverge os ->
-      put_u8 buf 1;
-      put_list buf put_obs os
+let fuzz_reply =
+  wrap
+    (fun (fr_execs, fr_divergent, fr_unique, fr_reports) ->
+      { fr_execs; fr_divergent; fr_unique; fr_reports })
+    (fun f -> (f.fr_execs, f.fr_divergent, f.fr_unique, f.fr_reports))
+    (tup4 u32 u32 u32 (list (pair string string)))
 
-let get_verdict c =
-  match get_u8 c with
-  | 0 -> V_agree (get_obs c)
-  | 1 -> V_diverge (get_list c get_obs)
-  | n -> raise (Malformed (Printf.sprintf "unknown verdict tag %d" n))
+let metacheck_reply =
+  wrap
+    (fun (mr_preserving, mr_eliminating, mr_retype_failures, mr_flags) ->
+      { mr_preserving; mr_eliminating; mr_retype_failures; mr_flags })
+    (fun m ->
+      (m.mr_preserving, m.mr_eliminating, m.mr_retype_failures, m.mr_flags))
+    (tup4 u32 u32 u32 (list (tup4 string string string string)))
 
-let put_client_stat buf (s : client_stat) =
-  put_u32 buf s.cs_id;
-  put_u32 buf s.cs_outstanding;
-  put_u32 buf s.cs_completed;
-  put_u32 buf s.cs_shed
+let reduce_reply =
+  wrap
+    (fun (rr_found, rr_input, rr_reduced, (rr_checks, rr_report)) ->
+      { rr_found; rr_input; rr_reduced; rr_checks; rr_report })
+    (fun r ->
+      (r.rr_found, r.rr_input, r.rr_reduced, (r.rr_checks, r.rr_report)))
+    (tup4 bool string string (pair u32 string))
 
-let get_client_stat c : client_stat =
-  let cs_id = get_u32 c in
-  let cs_outstanding = get_u32 c in
-  let cs_completed = get_u32 c in
-  let cs_shed = get_u32 c in
-  { cs_id; cs_outstanding; cs_completed; cs_shed }
+(* -1 sentinels ride the wire shifted by one: u32 is unsigned *)
+let shifted = wrap (fun n -> n - 1) (fun n -> n + 1) u32
 
-let put_pair buf (a, b) =
-  put_str buf a;
-  put_str buf b
+let explore_reply =
+  wrap
+    (fun ( (er_found, er_impl_a, er_impl_b),
+           (er_step_a, er_step_b, er_line),
+           (er_probes, er_report) ) ->
+      { er_found; er_impl_a; er_impl_b; er_step_a; er_step_b; er_line;
+        er_probes; er_report })
+    (fun e ->
+      ( (e.er_found, e.er_impl_a, e.er_impl_b),
+        (e.er_step_a, e.er_step_b, e.er_line),
+        (e.er_probes, e.er_report) ))
+    (tup3 (tup3 bool string string) (tup3 shifted shifted shifted)
+       (pair u32 string))
 
-let get_pair c =
-  let a = get_str c in
-  let b = get_str c in
-  (a, b)
+let response_frame =
+  pair u32
+    (union ~what:"response"
+       [
+         const Pong;
+         case stats_reply
+           (fun s -> Stats_reply s)
+           (function Stats_reply s -> Some s | _ -> None);
+         case (list verdict)
+           (fun v -> Check_reply v)
+           (function Check_reply v -> Some v | _ -> None);
+         case fuzz_reply
+           (fun f -> Fuzz_reply f)
+           (function Fuzz_reply f -> Some f | _ -> None);
+         case metacheck_reply
+           (fun m -> Metacheck_reply m)
+           (function Metacheck_reply m -> Some m | _ -> None);
+         case reduce_reply
+           (fun r -> Reduce_reply r)
+           (function Reduce_reply r -> Some r | _ -> None);
+         case u32 (fun q -> Busy q) (function Busy q -> Some q | _ -> None);
+         case string (fun m -> Err m) (function Err m -> Some m | _ -> None);
+         case explore_reply
+           (fun e -> Explore_reply e)
+           (function Explore_reply e -> Some e | _ -> None);
+       ])
 
 let encode_response ~(id : int) (r : response) : string =
-  let buf = Buffer.create 128 in
-  put_u32 buf id;
-  (match r with
-  | Pong -> put_u8 buf rtag_pong
-  | Stats_reply s ->
-      put_u8 buf rtag_stats;
-      put_str buf s.st_session;
-      put_str buf s.st_oracle;
-      let h = s.st_sched in
-      put_u32 buf h.sr_requests;
-      put_u32 buf h.sr_shed;
-      put_u32 buf h.sr_flights;
-      put_u32 buf h.sr_checks;
-      put_u32 buf h.sr_joined;
-      put_u32 buf h.sr_inline;
-      put_u32 buf h.sr_queue_depth;
-      put_u32 buf h.sr_pool_pending;
-      put_u32 buf h.sr_oracles;
-      put_list buf put_client_stat h.sr_clients
-  | Check_reply vs ->
-      put_u8 buf rtag_check;
-      put_list buf put_verdict vs
-  | Fuzz_reply f ->
-      put_u8 buf rtag_fuzz;
-      put_u32 buf f.fr_execs;
-      put_u32 buf f.fr_divergent;
-      put_u32 buf f.fr_unique;
-      put_list buf put_pair f.fr_reports
-  | Metacheck_reply m ->
-      put_u8 buf rtag_metacheck;
-      put_u32 buf m.mr_preserving;
-      put_u32 buf m.mr_eliminating;
-      put_u32 buf m.mr_retype_failures;
-      put_list buf
-        (fun buf (a, b, c, d) ->
-          put_str buf a;
-          put_str buf b;
-          put_str buf c;
-          put_str buf d)
-        m.mr_flags
-  | Reduce_reply r ->
-      put_u8 buf rtag_reduce;
-      put_bool buf r.rr_found;
-      put_str buf r.rr_input;
-      put_str buf r.rr_reduced;
-      put_u32 buf r.rr_checks;
-      put_str buf r.rr_report
-  | Explore_reply e ->
-      put_u8 buf rtag_explore;
-      put_bool buf e.er_found;
-      put_str buf e.er_impl_a;
-      put_str buf e.er_impl_b;
-      (* -1 sentinels ride the wire shifted by one: u32 is unsigned *)
-      put_u32 buf (e.er_step_a + 1);
-      put_u32 buf (e.er_step_b + 1);
-      put_u32 buf (e.er_line + 1);
-      put_u32 buf e.er_probes;
-      put_str buf e.er_report
-  | Busy quota ->
-      put_u8 buf rtag_busy;
-      put_u32 buf quota
-  | Err msg ->
-      put_u8 buf rtag_err;
-      put_str buf msg);
-  Buffer.contents buf
+  encode response_frame (id, r)
 
 let decode_response (payload : string) : int * response =
-  let c = { data = payload; pos = 0 } in
-  let id = get_u32 c in
-  let tag = get_u8 c in
-  let r =
-    if tag = rtag_pong then Pong
-    else if tag = rtag_stats then begin
-      let st_session = get_str c in
-      let st_oracle = get_str c in
-      let sr_requests = get_u32 c in
-      let sr_shed = get_u32 c in
-      let sr_flights = get_u32 c in
-      let sr_checks = get_u32 c in
-      let sr_joined = get_u32 c in
-      let sr_inline = get_u32 c in
-      let sr_queue_depth = get_u32 c in
-      let sr_pool_pending = get_u32 c in
-      let sr_oracles = get_u32 c in
-      let sr_clients = get_list c get_client_stat in
-      Stats_reply
-        {
-          st_session;
-          st_oracle;
-          st_sched =
-            {
-              sr_requests;
-              sr_shed;
-              sr_flights;
-              sr_checks;
-              sr_joined;
-              sr_inline;
-              sr_queue_depth;
-              sr_pool_pending;
-              sr_oracles;
-              sr_clients;
-            };
-        }
-    end
-    else if tag = rtag_check then Check_reply (get_list c get_verdict)
-    else if tag = rtag_fuzz then begin
-      let fr_execs = get_u32 c in
-      let fr_divergent = get_u32 c in
-      let fr_unique = get_u32 c in
-      let fr_reports = get_list c get_pair in
-      Fuzz_reply { fr_execs; fr_divergent; fr_unique; fr_reports }
-    end
-    else if tag = rtag_metacheck then begin
-      let mr_preserving = get_u32 c in
-      let mr_eliminating = get_u32 c in
-      let mr_retype_failures = get_u32 c in
-      let mr_flags =
-        get_list c (fun c ->
-            let a = get_str c in
-            let b = get_str c in
-            let w = get_str c in
-            let d = get_str c in
-            (a, b, w, d))
-      in
-      Metacheck_reply { mr_preserving; mr_eliminating; mr_retype_failures; mr_flags }
-    end
-    else if tag = rtag_reduce then begin
-      let rr_found = get_bool c in
-      let rr_input = get_str c in
-      let rr_reduced = get_str c in
-      let rr_checks = get_u32 c in
-      let rr_report = get_str c in
-      Reduce_reply { rr_found; rr_input; rr_reduced; rr_checks; rr_report }
-    end
-    else if tag = rtag_explore then begin
-      let er_found = get_bool c in
-      let er_impl_a = get_str c in
-      let er_impl_b = get_str c in
-      let er_step_a = get_u32 c - 1 in
-      let er_step_b = get_u32 c - 1 in
-      let er_line = get_u32 c - 1 in
-      let er_probes = get_u32 c in
-      let er_report = get_str c in
-      Explore_reply
-        {
-          er_found;
-          er_impl_a;
-          er_impl_b;
-          er_step_a;
-          er_step_b;
-          er_line;
-          er_probes;
-          er_report;
-        }
-    end
-    else if tag = rtag_busy then Busy (get_u32 c)
-    else if tag = rtag_err then Err (get_str c)
-    else raise (Malformed (Printf.sprintf "unknown response tag %d" tag))
-  in
-  finished c;
-  (id, r)
+  decode response_frame payload
 
 (* --- framed socket IO --- *)
 
@@ -586,23 +391,15 @@ let really_read fd n : string option =
   done;
   if !eof then None else Some (Bytes.unsafe_to_string b)
 
+(* a frame is the payload as a length-prefixed string, sized exactly *)
 let write_frame fd (payload : string) : unit =
-  let buf = Buffer.create (4 + String.length payload) in
-  put_u32 buf (String.length payload);
-  Buffer.add_string buf payload;
-  really_write fd (Buffer.contents buf)
-
-let u32_of_header (s : string) : int =
-  Char.code s.[0]
-  lor (Char.code s.[1] lsl 8)
-  lor (Char.code s.[2] lsl 16)
-  lor (Char.code s.[3] lsl 24)
+  really_write fd (encode ~size:(4 + String.length payload) string payload)
 
 let read_frame fd : string option =
   match really_read fd 4 with
   | None -> None
   | Some hdr ->
-      let len = u32_of_header hdr in
+      let len = decode u32 hdr in
       if len > max_frame_bytes then
         raise (Malformed (Printf.sprintf "frame of %d bytes refused" len));
       (match really_read fd len with
@@ -611,14 +408,12 @@ let read_frame fd : string option =
 
 (* --- handshake --- *)
 
-let hello () : string =
-  let buf = Buffer.create hello_bytes in
-  Buffer.add_string buf hello_magic;
-  put_u32 buf version;
-  Buffer.contents buf
+let hello () : string = hello_magic ^ encode u32 version
 
 (* parse a hello blob; the version it carries (ours or not) *)
 let parse_hello (s : string) : int =
-  if String.length s <> hello_bytes || String.sub s 0 4 <> hello_magic then
-    raise (Malformed "bad handshake magic");
-  u32_of_header (String.sub s 4 4)
+  if
+    String.length s <> hello_bytes
+    || not (String.starts_with ~prefix:hello_magic s)
+  then raise (Malformed "bad handshake magic");
+  decode u32 (String.sub s 4 4)

@@ -19,11 +19,12 @@
    step record; a cursor seeks by restoring the nearest snapshot at or
    below the target and decoding forward.
 
-   On disk a trace is "CDTR1" + u32 payload length + u32 murmur3
-   checksum + marshalled payload, so a truncated or bit-flipped file is
-   detected before the unmarshaller ever sees it.  Files are
-   content-addressed by payload hash, alongside the engine's Diskcache
-   entries in spirit: same trace, same name. *)
+   On disk a trace is a marshalled payload in a [Cdutil.Wire] sealed
+   envelope with magic "CDTR1" (wire.mli has the layout), so a
+   truncated or bit-flipped file is detected before the unmarshaller
+   ever sees it.  Files are content-addressed by payload hash,
+   alongside the engine's Diskcache entries in spirit: same trace,
+   same name. *)
 
 open Cdcompiler
 module Value = Cdvm.Value
@@ -729,34 +730,12 @@ let iter (tr : t) (f : step_view -> unit) : unit =
     f { sv_ix = ix; sv_fi = fi; sv_pc = pc; sv_depth = depth; sv_items = items }
   done
 
-(* --- disk format --- *)
+(* --- disk format: a Cdutil.Wire sealed envelope around [Marshal] --- *)
 
 let magic = "CDTR1"
 
-let write_payload (payload : string) ~(file : string) : unit =
-  let oc = open_out_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      let put32 n =
-        for i = 0 to 3 do
-          output_char oc (Char.chr ((n lsr (8 * i)) land 0xff))
-        done
-      in
-      put32 (String.length payload);
-      put32 (Cdutil.Murmur3.hash payload);
-      output_string oc payload)
-
 let save_to (tr : t) ~(file : string) : unit =
-  write_payload (Marshal.to_string tr []) ~file
-
-(* [mkdir -p]: an existing directory is fine, a missing parent is made *)
-let rec mkdir_p (dir : string) : unit =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.is_directory dir -> ()
-  end
+  ignore (Cdutil.Wire.write_sealed ~magic ~file (Marshal.to_string tr []))
 
 (* Content-addressed save into [dir], made if missing: same trace bytes,
    same filename.  A directory that cannot be made or a file that
@@ -776,47 +755,15 @@ let save (tr : t) ~(dir : string) : (string, string) result =
       (Cdutil.Murmur3.hash32 payload)
   in
   let file = Filename.concat dir name in
-  match
-    mkdir_p dir;
-    write_payload payload ~file
-  with
-  | () -> Ok file
+  match Cdutil.Wire.write_sealed ~magic ~file payload with
+  | _ -> Ok file
   | exception Sys_error e -> Error e
 
+(* the envelope is checked before the unmarshaller sees a byte *)
 let load (file : string) : (t, string) result =
-  match open_in_bin file with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try
-          let total = in_channel_length ic in
-          if total < String.length magic + 8 then Error "trace file too short"
-          else begin
-            let m = really_input_string ic (String.length magic) in
-            if m <> magic then Error "bad trace magic"
-            else begin
-              let get32 () =
-                let b = really_input_string ic 4 in
-                Char.code b.[0]
-                lor (Char.code b.[1] lsl 8)
-                lor (Char.code b.[2] lsl 16)
-                lor (Char.code b.[3] lsl 24)
-              in
-              let plen = get32 () in
-              let sum = get32 () in
-              if plen <> total - String.length magic - 8 then
-                Error "trace payload length mismatch"
-              else begin
-                let payload = really_input_string ic plen in
-                if Cdutil.Murmur3.hash payload <> sum then
-                  Error "trace checksum mismatch"
-                else
-                  match (Marshal.from_string payload 0 : t) with
-                  | tr -> Ok tr
-                  | exception _ -> Error "trace payload unreadable"
-              end
-            end
-          end
-        with End_of_file -> Error "truncated trace file")
+  match Cdutil.Wire.read_sealed ~magic file with
+  | Error e -> Error e
+  | Ok payload -> (
+    match (Marshal.from_string payload 0 : t) with
+    | tr -> Ok tr
+    | exception _ -> Error "trace payload unreadable")

@@ -367,6 +367,21 @@ elif [ "$(printf '%s\n' "$one_out" | grep -v '^saved trace: ')" \
 else
   echo "ok   explore --profiles gccx-O0 (single trace, events listed, == --load-trace)"
 fi
+# A path that is not a trace ends in a message and exit 2, never an
+# uncaught exception: a directory, and a trace file cut short.
+head -c 40 "$one_file" > "$trdir/truncated.ctr" 2>/dev/null || true
+for bad in "$trdir" "$trdir/truncated.ctr"; do
+  set +e
+  bad_out=$(dune exec bin/compdiff_cli.exe -- explore --load-trace "$bad" 2>&1)
+  got=$?
+  set -e
+  if [ "$got" -ne 2 ] || [ -z "$bad_out" ]; then
+    echo "FAIL explore --load-trace $bad: exited $got, expected 2 with a message"
+    status=1
+  else
+    echo "ok   explore --load-trace rejects $(basename "$bad") ($bad_out)"
+  fi
+done
 rm -rf "$trdir"
 
 echo "== localize smoke test"
@@ -418,6 +433,31 @@ elif [ "${gen_clean:-1}" -ne 0 ]; then
   status=1
 else
   echo "ok   gen (50 pairs, 0 typecheck failures, 0 clean-twin divergences)"
+fi
+
+echo "== connect error smoke test"
+# connect's options that travel in u32 protocol fields reject values
+# out of range at parse time (usage error, exit 124), and a socket with
+# no daemon behind it is a message and exit 2.
+nosock="$(mktemp -u -t compdiff_check_XXXXXX).sock"
+set +e
+dune exec bin/compdiff_cli.exe -- connect --socket "$nosock" --fuel=-1 \
+  examples/unstable_uninit.c > /dev/null 2>&1
+fuel_rc=$?
+nod_out=$(dune exec bin/compdiff_cli.exe -- connect --socket "$nosock" --ping 2>&1)
+nod_rc=$?
+set -e
+if [ "$fuel_rc" -ne 124 ]; then
+  echo "FAIL connect --fuel=-1: exited $fuel_rc, expected 124"
+  status=1
+else
+  echo "ok   connect --fuel=-1 is a usage error (exit 124)"
+fi
+if [ "$nod_rc" -ne 2 ] || ! printf '%s\n' "$nod_out" | grep -q '^cannot connect to '; then
+  echo "FAIL connect without a daemon: exited $nod_rc: $nod_out"
+  status=1
+else
+  echo "ok   connect without a daemon ($nod_out)"
 fi
 
 echo "== serve daemon smoke test"

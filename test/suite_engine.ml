@@ -592,6 +592,11 @@ let test_diskcache_corruption_is_miss () =
   Bytes.set b last (Char.chr ((Char.code (Bytes.get b last) + 1) land 0xff));
   write_whole path (Bytes.to_string b);
   check_bool "corrupt payload is a miss" true (get () = None);
+  (* a directory standing at the entry's path is a miss too *)
+  Sys.remove path;
+  Sys.mkdir path 0o755;
+  check_bool "directory at the entry path is a miss" true (get () = None);
+  Sys.rmdir path;
   (* restoring the bytes restores the hit: the guard is the content *)
   write_whole path original;
   check_bool "restored entry hits again" true (get () = Some "payload-value")

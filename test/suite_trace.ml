@@ -300,6 +300,8 @@ let test_corrupt_files () =
       (* shorter than the header *)
       write_file file "CDTR";
       expect_error "short" file;
+      (* a directory where the file should be *)
+      expect_error "directory" (Filename.dirname file);
       (* missing file *)
       match Cdtrace.load (file ^ ".does-not-exist") with
       | Ok _ -> Alcotest.fail "missing file loaded"
