@@ -22,15 +22,17 @@ let read_file path =
 
 (* an integer option that travels in a u32 protocol field: out-of-range
    values are a usage error, not a crash at encode time *)
+let in_u32 n = n >= 0 && n <= 0xFFFF_FFFF
+
+let u32_error str =
+  Printf.sprintf "expected an integer in [0, 4294967295], got %S" str
+
 let u32_conv =
   Arg.conv'
     ( (fun str ->
         match int_of_string_opt str with
-        | Some n when n >= 0 && n <= 0xFFFF_FFFF -> Ok n
-        | _ ->
-          Error
-            (Printf.sprintf "expected an integer in [0, 4294967295], got %S"
-               str)),
+        | Some n when in_u32 n -> Ok n
+        | _ -> Error (u32_error str)),
       Format.pp_print_int )
 
 (* connect to a daemon and run [k] on the connection; a daemon that is
@@ -419,6 +421,15 @@ let diff_cmd =
   let action file input input_file strip daemon (c : common) =
     let input = resolve_input input input_file in
     match daemon with
+    | Some _ when not (in_u32 (Option.value c.co_fuel ~default:0)) ->
+        (* the shared --fuel takes any int; the daemon's field is a u32,
+           so a value outside it is the usage error [connect] reports *)
+        Printf.eprintf
+          "compdiff: option '--fuel': %s\n\
+           Try 'compdiff diff --help' or 'compdiff --help' for more \
+           information.\n"
+          (u32_error (string_of_int (Option.get c.co_fuel)));
+        124
     | Some socket -> (
         let source = read_file file in
         let profiles =
@@ -679,12 +690,11 @@ let explore_cmd =
       Printf.eprintf "explore: need a FILE argument or --load-trace\n";
       2
     | None, Some file, [ profile ] ->
-      let u =
-        Engine.Session.compile c.co_session profile (frontend_of_file file)
-      in
+      let tp = frontend_of_file file in
+      let u = Engine.Session.compile c.co_session profile tp in
       let tr =
         Compdiff.Localize.record c.co_session ~level:Cdtrace.Steps ~fuel
-          ~limit:step_limit (profile.Cdcompiler.Policy.pname, u) ~input
+          ~limit:step_limit tp (profile, u) ~input
       in
       with_saved save [ tr ] (fun saved ->
           explore_one tr ~saved at back show_diff json)

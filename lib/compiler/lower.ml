@@ -1,4 +1,5 @@
-(* Lowering: typed AST -> IR, parameterized by a {!Policy.profile}.
+(* Lowering: typed AST -> IR, parameterized by a {!Policy.lowering}, the
+   three fields of a profile it reads.
 
    This phase is where the unspecified-behaviour freedoms of the C
    standard are fixed by each implementation:
@@ -17,7 +18,7 @@ open Ir
 type storage = Streg of reg | Stslot of int
 
 type lenv = {
-  profile : Policy.profile;
+  lowering : Policy.lowering;
   mutable rev_code : instr list;
   mutable nregs : int;
   mutable nlabels : int;
@@ -104,7 +105,7 @@ and decls_block acc b = List.fold_left decls_stmt acc b
 (* --- expression lowering --- *)
 
 let line_const env (loc : Ast.loc) =
-  match env.profile.Policy.line with
+  match env.lowering.Policy.lw_line with
   | Policy.Ltoken -> loc.Ast.line
   | Policy.Lstmt -> loc.Ast.stmt_line
 
@@ -113,7 +114,7 @@ let line_const env (loc : Ast.loc) =
 let order_args env (args : 'a list) (lower1 : 'a -> operand) : operand list =
   let indexed = List.mapi (fun i a -> (i, a)) args in
   let eval_sequence =
-    match env.profile.Policy.arg_order with
+    match env.lowering.Policy.lw_arg_order with
     | Policy.Left_to_right -> indexed
     | Policy.Right_to_left -> List.rev indexed
   in
@@ -551,10 +552,10 @@ and build_fmt_items fmt (args : Tast.texpr list) (temps : operand list) : fmt_it
 
 (* --- functions and programs --- *)
 
-let lower_func profile globals (f : Tast.tfunc) : ifunc =
+let lower_func (lowering : Policy.lowering) globals (f : Tast.tfunc) : ifunc =
   let env =
     {
-      profile;
+      lowering;
       rev_code = [];
       nregs = List.length f.Tast.tparams;
       nlabels = 0;
@@ -568,7 +569,7 @@ let lower_func profile globals (f : Tast.tfunc) : ifunc =
     }
   in
   let taken = taken_block [] f.Tast.tbody in
-  let promote = profile.Policy.flags.Policy.promote_scalars in
+  let promote = lowering.Policy.lw_promote_scalars in
   let assign_storage name ty =
     let scalar = match ty with Ast.Tarr _ -> false | _ -> true in
     if scalar && promote && not (List.mem name taken) then
@@ -617,21 +618,22 @@ let lower_func profile globals (f : Tast.tfunc) : ifunc =
     code_lines = Array.of_list (List.rev env.rev_lines);
   }
 
-let lower_program (profile : Policy.profile) (tp : Tast.tprogram) : Ir.unit_ =
+(* A lowered program: a unit without the run-time policies and the name
+   of the implementation it is for, which {!Pipeline} stamps per
+   profile.  One lowering serves every profile with the same
+   {!Policy.lowering}. *)
+type lowered = { lfuncs : (string * ifunc) list; lglobals : iglobal list }
+
+let lower_program (lowering : Policy.lowering) (tp : Tast.tprogram) : lowered =
   let globals = Hashtbl.create 16 in
   List.iter (fun g -> Hashtbl.replace globals g.Ast.gname g.Ast.gtyp) tp.Tast.tglobals;
-  let funcs =
-    List.map (fun f -> (f.Tast.tfname, lower_func profile globals f)) tp.Tast.tfuncs
+  let lfuncs =
+    List.map (fun f -> (f.Tast.tfname, lower_func lowering globals f)) tp.Tast.tfuncs
   in
-  let iglobals =
+  let lglobals =
     List.map
       (fun g ->
         { g_name = g.Ast.gname; g_size = Ast.sizeof g.Ast.gtyp; g_init = g.Ast.ginit })
       tp.Tast.tglobals
   in
-  {
-    funcs;
-    globals = iglobals;
-    runtime = profile.Policy.runtime;
-    impl_name = profile.Policy.pname;
-  }
+  { lfuncs; lglobals }

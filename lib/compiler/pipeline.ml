@@ -1,7 +1,15 @@
 (* The compiler driver: front end once, then one backend run per profile.
 
-   [compile profile tprogram] produces the "binary" (an {!Ir.unit_}) that
-   the VM executes. [compile_all] builds the full differential set. *)
+   A backend run has three stages: {!lower} (typed AST -> IR, reading
+   only the profile's {!Policy.lowering}), {!optimize} (stamp the
+   profile's run-time policies and name, run its pass stack) and
+   {!restore_lines} (rebuild the line tables the passes dropped).
+   [compile profile tprogram] runs all three and produces the "binary"
+   (an {!Ir.unit_}) that the VM executes; [compile_all] builds the full
+   differential set.  A caller that compiles many programs under many
+   profiles (an engine session) runs the stages itself: one lowering per
+   distinct lowering policy, the pass stack behind a memo, and line
+   tables only where a source line is read. *)
 
 open Ir
 
@@ -34,13 +42,14 @@ let apply_func_passes (flags : Policy.opt_flags) (f : ifunc) : ifunc =
 
    Passes drop the line table ({!strip_lines}); diagnostics that run on
    optimized code (UnstableCheck's replay, divergence localization)
-   then fall back to raw pcs. After the pass stack settles we rebuild
-   an approximate table by aligning the optimized instruction stream
-   against the unoptimized lowering of the same function (whose table
-   is exact) with an LCS over register/label-insensitive instruction
-   keys: matched instructions take the reference line, inserted ones
-   inherit the nearest preceding match. Inlined bodies thus read as the
-   call site's line — the right answer for a source-level report. *)
+   would then fall back to raw pcs. After the pass stack settles,
+   {!restore_lines} rebuilds an approximate table by aligning the
+   optimized instruction stream against the unoptimized lowering of the
+   same function (whose table is exact) with an LCS over
+   register/label-insensitive instruction keys: matched instructions
+   take the reference line, inserted ones inherit the nearest preceding
+   match. Inlined bodies thus read as the call site's line — the right
+   answer for a source-level report. *)
 
 let op_key = function
   | Reg _ -> 1 (* registers are renumbered freely; identity is noise *)
@@ -124,8 +133,8 @@ let rebuild_lines ~(reference : ifunc) (f : ifunc) : ifunc =
 
 (* --- the per-function memo ---
 
-   The two stages above are pure functions of one function's data and
-   dominate a compile.  A caller that compiles many near-identical
+   The pass stack is a pure function of one function's data and
+   dominates a compile.  A caller that compiles many near-identical
    programs (a reducer's candidates differ in one statement of one
    function) supplies a memo, and every function it did not change is
    served from it.  The key is the exact [Marshal [No_sharing]] bytes of
@@ -136,45 +145,47 @@ let rebuild_lines ~(reference : ifunc) (f : ifunc) : ifunc =
 
 type memo = { find_or_compute : string -> (unit -> ifunc) -> ifunc }
 
-type memo_key =
-  | Passes of Policy.opt_flags * ifunc
-  | Lines of ifunc * instr array * int array
-      (* optimized function, reference code, reference lines *)
-
-let memoized (memo : memo option) (key : memo_key) (compute : unit -> ifunc) :
-    ifunc =
-  match memo with
-  | None -> compute ()
-  | Some m ->
-    m.find_or_compute (Marshal.to_string key [ Marshal.No_sharing ]) compute
+(** The projection of [flags] that {!apply_func_passes} reads: [flags]
+    with [inline_limit] (read by the inliner) and [promote_scalars] (read
+    by lowering) zeroed.  Profiles with equal projections run the same
+    per-function pass stack, so keying the memo on the projection lets
+    them share entries: gccx-O2 and gccx-O3 differ only in
+    [inline_limit]. *)
+let pass_flags (flags : Policy.opt_flags) : Policy.opt_flags =
+  { flags with Policy.inline_limit = 0; promote_scalars = false }
 
 let func_passes ?memo flags f =
-  memoized memo (Passes (flags, f)) (fun () -> apply_func_passes flags f)
+  match memo with
+  | None -> apply_func_passes flags f
+  | Some m ->
+    let flags = pass_flags flags in
+    m.find_or_compute
+      (Marshal.to_string (flags, f) [ Marshal.No_sharing ])
+      (fun () -> apply_func_passes flags f)
 
-(* restore every stripped table in [u] from the unoptimized unit [u0] *)
-let restore_lines ?memo (u0 : unit_) (u : unit_) : unit_ =
-  let restore (n, f) =
-    if Array.length f.code_lines > 0 then (n, f)
-    else
-      match List.assoc_opt n u0.funcs with
-      | Some reference ->
-        ( n,
-          memoized memo
-            (Lines (f, reference.code, reference.code_lines))
-            (fun () -> rebuild_lines ~reference f) )
-      | None -> (n, f)
+(* --- the stages --- *)
+
+let lower (profile : Policy.profile) (tp : Minic.Tast.tprogram) : Lower.lowered =
+  Lower.lower_program (Policy.lowering_of profile) tp
+
+(* [profile]'s unit over the lowering [l]: its run-time policies and
+   name stamped on, then its pass stack.  Functions the passes changed
+   carry no line table.  [l] is only read, so one lowering may serve
+   several profiles, also from several domains.  [?memo] changes the
+   cost, never the result. *)
+let optimize ?memo (profile : Policy.profile) (l : Lower.lowered) : unit_ =
+  let u0 =
+    {
+      funcs = l.Lower.lfuncs;
+      globals = l.Lower.lglobals;
+      runtime = profile.Policy.runtime;
+      impl_name = profile.Policy.pname;
+    }
   in
-  { u with funcs = List.map restore u.funcs }
-
-(* [?memo] changes the cost of a compile, never its result: without one
-   every stage recomputes, which is the reference the memoized path is
-   tested against. *)
-let compile ?memo (profile : Policy.profile) (tp : Minic.Tast.tprogram) : unit_ =
-  let u0 = Lower.lower_program profile tp in
   let flags = profile.Policy.flags in
   (* with no pass enabled nothing runs and no line table is stripped:
      a memo would only store copies of the lowering *)
-  let memo = if flags = Policy.no_opt then None else memo in
+  let memo = if pass_flags flags = pass_flags Policy.no_opt then None else memo in
   (* first round of local optimization *)
   let u1 =
     { u0 with funcs = List.map (fun (n, f) -> (n, func_passes ?memo flags f)) u0.funcs }
@@ -192,9 +203,37 @@ let compile ?memo (profile : Policy.profile) (tp : Minic.Tast.tprogram) : unit_ 
             u'.funcs;
       }
     in
-    restore_lines ?memo u0 (round (round u1))
+    round (round u1)
   end
-  else restore_lines ?memo u0 u1
+  else u1
+
+(* every stripped table of [u] rebuilt from the lowering [l] it was
+   optimized from *)
+let restore_lines (l : Lower.lowered) (u : unit_) : unit_ =
+  let restore (n, f) =
+    if Array.length f.code_lines > 0 then (n, f)
+    else
+      match List.assoc_opt n l.Lower.lfuncs with
+      | Some reference -> (n, rebuild_lines ~reference f)
+      | None -> (n, f)
+  in
+  { u with funcs = List.map restore u.funcs }
+
+(* [u], a compile of [tp] under [profile] that skipped {!restore_lines},
+   with its line tables rebuilt against a fresh lowering: equal to
+   [compile profile tp].  Only instruction-level localization reads
+   these tables, so a session compiles without them and a [Steps]
+   recording asks for them here. *)
+let with_lines (profile : Policy.profile) (tp : Minic.Tast.tprogram) (u : unit_) :
+    unit_ =
+  restore_lines (lower profile tp) u
+
+(* The memo-free reference: every stage recomputes, line tables
+   included.  The memoized, line-free session compile is tested against
+   it. *)
+let compile (profile : Policy.profile) (tp : Minic.Tast.tprogram) : unit_ =
+  let l = lower profile tp in
+  restore_lines l (optimize profile l)
 
 let compile_source (profile : Policy.profile) (src : string) :
     (unit_, string) result =

@@ -87,6 +87,23 @@ type profile = {
   runtime : runtime;
 }
 
+(* The part of a profile that lowering reads.  Profiles with equal
+   lowerings lower every program to the same IR, so a caller compiling
+   one program under several profiles lowers once per distinct value;
+   the ten implementations have four. *)
+type lowering = {
+  lw_line : line_policy;
+  lw_arg_order : arg_order;
+  lw_promote_scalars : bool;
+}
+
+let lowering_of (p : profile) : lowering =
+  {
+    lw_line = p.line;
+    lw_arg_order = p.arg_order;
+    lw_promote_scalars = p.flags.promote_scalars;
+  }
+
 let no_opt =
   {
     constfold = false;

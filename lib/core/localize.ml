@@ -286,14 +286,23 @@ let diverging_fn (l : t) : string option =
 
 (* Record one implementation's run of [input] at [level]: linked through
    the session's image cache, executed on its traced-run path.  [limit]
-   caps a [Steps] recording. *)
+   caps a [Steps] recording.  [u] is [profile]'s compile of [tp].  A
+   [Steps] trace maps pcs to source lines, so it reads [u]'s line tables
+   rebuilt against a fresh lowering ({!Cdcompiler.Pipeline.with_lines}):
+   a session compiles without them, as nothing else reads them. *)
 let record (session : Engine.Session.t) ~(level : Cdtrace.level) ~(fuel : int)
-    ?limit ((name, u) : string * Cdcompiler.Ir.unit_) ~(input : string) :
-    Cdtrace.t =
+    ?limit (tp : Minic.Tast.tprogram)
+    ((profile, u) : Cdcompiler.Policy.profile * Cdcompiler.Ir.unit_)
+    ~(input : string) : Cdtrace.t =
   let l = Engine.Session.link session u in
+  let lines =
+    match level with
+    | Cdtrace.Steps -> Some (Cdcompiler.Pipeline.with_lines profile tp u)
+    | Cdtrace.Prints -> None
+  in
   let observer, finish =
-    Cdtrace.recorder ~level ?limit (Engine.Session.image l) ~impl:name ~input
-      ~fuel
+    Cdtrace.recorder ~level ?limit ?lines (Engine.Session.image l)
+      ~impl:profile.Cdcompiler.Policy.pname ~input ~fuel
   in
   finish (Engine.Session.run_traced session l ~observer ~input ~fuel)
 
@@ -308,14 +317,20 @@ let of_divergence ~(level : Cdtrace.level) ?limit (oracle : Oracle.t)
   match divergent_pair oracle obs with
   | None -> None
   | Some (name_a, name_b) -> (
-    let binaries = Oracle.binaries oracle in
-    match (List.assoc_opt name_a binaries, List.assoc_opt name_b binaries) with
-    | Some ua, Some ub -> (
+    let compiled =
+      List.map2
+        (fun p (name, u) -> (name, (p, u)))
+        (Oracle.profiles oracle) (Oracle.binaries oracle)
+    in
+    match (List.assoc_opt name_a compiled, List.assoc_opt name_b compiled) with
+    | Some a, Some b -> (
       let fuel = Oracle.verdict_fuel oracle obs in
       match
         Cdutil.Pool.map
-          (record (Oracle.session oracle) ~level ~fuel ?limit ~input)
-          [ (name_a, ua); (name_b, ub) ]
+          (fun side ->
+            record (Oracle.session oracle) ~level ~fuel ?limit
+              (Oracle.program oracle) side ~input)
+          [ a; b ]
       with
       | [ ta; tb ] -> Some (of_traces ~level ta tb)
       | _ -> assert false)

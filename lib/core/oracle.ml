@@ -70,6 +70,7 @@ type stats = {
 
 type t = {
   profiles : Policy.profile list;  (* what [binaries] were compiled with *)
+  program : Minic.Tast.tprogram;   (* what [binaries] were compiled from *)
   binaries : (string * Ir.unit_) list;
   session : Engine.Session.t;
       (* owns linking and plain execution; caching-disabled when the
@@ -141,6 +142,7 @@ let create ?session ?(profiles = Profiles.all) ?(normalize = Normalize.identity)
   let class_linked = Array.map (Engine.Session.link session) class_repr in
   {
     profiles;
+    program = tp;
     binaries;
     session;
     normalize;
@@ -183,6 +185,8 @@ let with_program t ?names (tp : Minic.Tast.tprogram) : t =
 
 let names t = List.map fst t.binaries
 let binaries t = t.binaries
+let profiles t = t.profiles
+let program t = t.program
 let session t = t.session
 let jobs t = t.jobs
 let base_fuel t = t.base_fuel

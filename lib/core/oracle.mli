@@ -89,7 +89,15 @@ val names : t -> string list
 (** Implementation names, in the order [Diverge] reports them. *)
 
 val binaries : t -> (string * Cdcompiler.Ir.unit_) list
-(** The compiled binaries, for re-execution (e.g. trace localization). *)
+(** The compiled binaries, for re-execution (e.g. trace localization).
+    Through a caching session they carry no rebuilt line tables
+    ({!Cdcompiler.Pipeline.with_lines} adds them). *)
+
+val profiles : t -> Cdcompiler.Policy.profile list
+(** The profiles the binaries were compiled with, in the same order. *)
+
+val program : t -> Minic.Tast.tprogram
+(** The program the binaries were compiled from. *)
 
 val session : t -> Engine.Session.t
 (** The engine session this oracle compiles, links and executes through

@@ -39,16 +39,20 @@
    stored observations stay valid.
 
    Below the unit cache sits the function memo ({!Pipeline.memo}): a
-   unit-cache miss still re-runs lowering, but the per-function pass
-   stacks and line-table rebuilds of every function the program shares
-   with an earlier compile are served from it.  Its keys are the exact
-   serialized stage inputs, so it needs no collision argument at all.
+   unit-cache miss still re-runs lowering (once per lowering policy in
+   [compile_profiles]), but the per-function pass stacks of every
+   function the program shares with an earlier compile are served from
+   it.  Its keys are the exact serialized stage inputs, so it needs no
+   collision argument at all.  Units skip the line-table rebuild, which
+   only instruction-level localization reads and asks for itself
+   ({!Pipeline.with_lines}).
 
    Bounded memory: each cache is an {!Lru} bounded in bytes; the
    [cache_mb] budget is split 12.5% units / 12.5% function memo / 25%
    images / 50% observations.  [cache_mb = 0] disables caching entirely —
-   every stage recomputes and no memo is consulted, which is the
-   reference behaviour cross-validation compares against. *)
+   every unit is a fresh, lined {!Pipeline.compile} and no memo is
+   consulted, which is the reference behaviour cross-validation
+   compares against. *)
 
 open Cdcompiler
 
@@ -349,8 +353,13 @@ let prog_key_memo t (tp : Minic.Tast.tprogram) : key =
 
 let unit_disk_kind = "unit"
 
+(* The unit of [profile] from the store, the disk cache, or compiled
+   from [lowering ()] (a lowering of [tp] under [profile]'s lowering
+   policy) through the function memo.  Session units carry no rebuilt
+   line tables ({!Pipeline.with_lines} adds them on demand); with
+   caching disabled the unit is the lined reference {!Pipeline.compile}. *)
 let compile_keyed t (pkey : key) (profile : Policy.profile)
-    (tp : Minic.Tast.tprogram) : Ir.unit_ =
+    ~(lowering : unit -> Lower.lowered) (tp : Minic.Tast.tprogram) : Ir.unit_ =
   if not t.caching then Pipeline.compile profile tp
   else begin
     let ik = (pkey, profile.Policy.pname) in
@@ -365,7 +374,7 @@ let compile_keyed t (pkey : key) (profile : Policy.profile)
           match from_disk with
           | Some u -> u
           | None ->
-              let u = Pipeline.compile ?memo:t.memo profile tp in
+              let u = Pipeline.optimize ?memo:t.memo profile (lowering ()) in
               (match t.disk with
               | Some d -> Diskcache.put d ~kind:unit_disk_kind dkey u
               | None -> ());
@@ -381,14 +390,45 @@ let compile_keyed t (pkey : key) (profile : Policy.profile)
 
 let compile t (profile : Policy.profile) (tp : Minic.Tast.tprogram) : Ir.unit_ =
   let pkey = if t.caching then prog_key_memo t tp else (0, 0, 0) in
-  compile_keyed t pkey profile tp
+  compile_keyed t pkey profile ~lowering:(fun () -> Pipeline.lower profile tp) tp
 
+(* [compute ()], computed by the first call and shared by every later
+   one.  Nothing blocks: calls that race on an empty cell each compute,
+   and all but the first to store drop theirs, so [compute] must be
+   deterministic. *)
+let once (compute : unit -> 'a) : unit -> 'a =
+  let v = Atomic.make None in
+  fun () ->
+    match Atomic.get v with
+    | Some x -> x
+    | None ->
+        let x = compute () in
+        if Atomic.compare_and_set v None (Some x) then x
+        else Option.get (Atomic.get v)
+
+(* Lowering reads only a profile's {!Policy.lowering}, so the profiles
+   share one lowering per distinct policy (the ten implementations have
+   four).  It is computed by the first compile that needs it, so a
+   profile whose unit is stored in memory or on disk never lowers, and
+   the unit counters see exactly one lookup per profile.  Lowering on
+   demand inside the one parallel map, rather than in a parallel phase of
+   its own, costs no extra pool round trip per program, and a domain
+   never waits for another's lowering: two compiles that need the same
+   policy at the same moment both lower it (DESIGN.md 10.5). *)
 let compile_profiles ?(jobs = Cdutil.Pool.default_jobs ()) t
     (profiles : Policy.profile list) (tp : Minic.Tast.tprogram) :
     (string * Ir.unit_) list =
   (* serialize the program once for all profiles *)
   let pkey = if t.caching then prog_key_memo t tp else (0, 0, 0) in
-  let one p = (p.Policy.pname, compile_keyed t pkey p tp) in
+  let lowerings =
+    List.map
+      (fun lw -> (lw, once (fun () -> Lower.lower_program lw tp)))
+      (List.sort_uniq compare (List.map Policy.lowering_of profiles))
+  in
+  let one p =
+    let lowering = List.assoc (Policy.lowering_of p) lowerings in
+    (p.Policy.pname, compile_keyed t pkey p ~lowering tp)
+  in
   if jobs > 1 then Cdutil.Pool.map one profiles else List.map one profiles
 
 (* --- link --- *)

@@ -6,9 +6,9 @@
       name) — a typed program is compiled at most once per profile per
       session;
     - a {b function memo} ({!Cdcompiler.Pipeline.memo}) behind it, keyed
-      by the exact serialized inputs of the per-function pass stack and
-      line-table rebuild — a unit-cache miss re-runs those stages only
-      for the functions that differ from an earlier compile;
+      by the exact serialized inputs of the per-function pass stack — a
+      unit-cache miss re-runs the passes only for the functions that
+      differ from an earlier compile;
     - a {b linked-image cache} keyed by the same (program, profile)
       identity when the unit came out of {!compile} (no re-serialization
       at link time), or by the unit's own content hash otherwise;
@@ -96,14 +96,21 @@ val prog_key : Minic.Tast.tprogram -> int * int * int
 
 val compile : t -> Cdcompiler.Policy.profile -> Minic.Tast.tprogram ->
   Cdcompiler.Ir.unit_
-(** Cached {!Cdcompiler.Pipeline.compile}; a miss compiles through the
-    session's function memo. *)
+(** Cached compile; a miss lowers the program and optimizes it through
+    the session's function memo ({!Cdcompiler.Pipeline.optimize}).  The
+    unit skips the line-table rebuild, which only instruction-level
+    localization reads ({!Cdcompiler.Pipeline.with_lines} adds it):
+    lined on demand, it equals {!Cdcompiler.Pipeline.compile}.  With
+    caching disabled it is {!Cdcompiler.Pipeline.compile}. *)
 
 val compile_profiles : ?jobs:int -> t -> Cdcompiler.Policy.profile list ->
   Minic.Tast.tprogram -> (string * Cdcompiler.Ir.unit_) list
-(** [compile_profiles t ps tp]: [(pname, unit)] per profile, in order;
-    the program is serialized once, misses go through the shared
-    {!Cdutil.Pool} when [jobs > 1]. *)
+(** [compile_profiles t ps tp]: [(pname, unit)] per profile, in order,
+    each as {!compile} gives it.  The program is serialized once and
+    lowered once per distinct {!Cdcompiler.Policy.lowering_of}, by the
+    first profile whose unit is not stored (twice when two domains reach
+    it at the same moment; neither waits for the other); misses go
+    through the shared {!Cdutil.Pool} when [jobs > 1]. *)
 
 val link : t -> Cdcompiler.Ir.unit_ -> linked
 (** Cached {!Cdvm.Image.link}.  Re-linking an evicted unit re-interns

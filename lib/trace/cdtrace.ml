@@ -327,9 +327,14 @@ type recorder_state = {
    recorded steps and [snapshot_every] spaces the snapshots.  At the
    [Prints] level only events are kept, up to [event_limit], with step
    -1; the step stream is the empty prologue group, so cursors and
-   [iter] see a zero-step trace. *)
+   [iter] see a zero-step trace.
+
+   The trace's pc -> line tables ({!line_of}) are those of [lines], a
+   unit with the same functions as [img]'s (default: [img]'s own unit).
+   Only [Steps] traces have pcs to map; a [Prints] trace needs no
+   tables, so its caller may pass a unit without them. *)
 let recorder ?(level = Steps) ?(limit = default_limit)
-    ?(snapshot_every = default_snapshot_every) (img : Cdvm.Image.t)
+    ?(snapshot_every = default_snapshot_every) ?lines (img : Cdvm.Image.t)
     ~(impl : string) ~(input : string) ~(fuel : int) :
     Cdvm.Observer.t * (Cdvm.Exec.result -> t) =
   if limit < 1 then invalid_arg "Cdtrace.recorder: limit < 1";
@@ -496,10 +501,11 @@ let recorder ?(level = Steps) ?(limit = default_limit)
           end
           else r.dropped <- true)
   in
-  (* pc -> line via the source unit: compiled units re-enter the image
-     with rebuilt line tables (Pipeline.restore_lines), and the image's
-     function array is positionally parallel to the unit's list *)
-  let src = Array.of_list img.Cdvm.Image.unit_.Ir.funcs in
+  (* pc -> line via [lines]: the image's function array is
+     positionally parallel to its unit's list, and so to that of any
+     unit with the same functions *)
+  let lines = Option.value lines ~default:img.Cdvm.Image.unit_ in
+  let src = Array.of_list lines.Ir.funcs in
   let funcs =
     Array.init (Array.length img.Cdvm.Image.funcs) (fun i ->
         let lf = img.Cdvm.Image.funcs.(i) in

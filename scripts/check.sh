@@ -383,6 +383,26 @@ for bad in "$trdir" "$trdir/truncated.ctr"; do
   fi
 done
 rm -rf "$trdir"
+# A caching session compiles without line tables and rebuilds the two
+# traced units' tables on demand; at --cache-mb 0 every unit comes from
+# the lined reference compile.  Both must print the same bytes, with a
+# source line at the first diverging instruction.
+set +e
+lines_out=$(dune exec bin/compdiff_cli.exe -- explore examples/unstable_uninit.c \
+  --input XYZQRS --profiles gccx-O2,clangx-O3 --json 2>&1)
+lines_ref=$(dune exec bin/compdiff_cli.exe -- explore examples/unstable_uninit.c \
+  --input XYZQRS --profiles gccx-O2,clangx-O3 --json --cache-mb 0 2>&1)
+set -e
+if [ "$lines_out" != "$lines_ref" ]; then
+  echo "FAIL explore --json: default cache and --cache-mb 0 differ"
+  status=1
+elif ! printf '%s\n' "$lines_out" | grep -q '"line": [0-9]'; then
+  echo "FAIL explore --json: no source line at the diverging instruction"
+  printf '%s\n' "$lines_out" | tail -3
+  status=1
+else
+  echo "ok   explore --json: on-demand line tables = --cache-mb 0 (line attributed)"
+fi
 
 echo "== localize smoke test"
 # Event-level localization of the uninit example must name the
@@ -446,12 +466,23 @@ dune exec bin/compdiff_cli.exe -- connect --socket "$nosock" --fuel=-1 \
 fuel_rc=$?
 nod_out=$(dune exec bin/compdiff_cli.exe -- connect --socket "$nosock" --ping 2>&1)
 nod_rc=$?
+# diff's --fuel is shared with the local path; the daemon path checks
+# the u32 range itself, before connecting
+dfuel_out=$(dune exec bin/compdiff_cli.exe -- diff --daemon "$nosock" --fuel=-1 \
+  examples/unstable_uninit.c 2>&1)
+dfuel_rc=$?
 set -e
 if [ "$fuel_rc" -ne 124 ]; then
   echo "FAIL connect --fuel=-1: exited $fuel_rc, expected 124"
   status=1
 else
   echo "ok   connect --fuel=-1 is a usage error (exit 124)"
+fi
+if [ "$dfuel_rc" -ne 124 ]; then
+  echo "FAIL diff --daemon --fuel=-1: exited $dfuel_rc, expected 124: $dfuel_out"
+  status=1
+else
+  echo "ok   diff --daemon --fuel=-1 is a usage error (exit 124)"
 fi
 if [ "$nod_rc" -ne 2 ] || ! printf '%s\n' "$nod_out" | grep -q '^cannot connect to '; then
   echo "FAIL connect without a daemon: exited $nod_rc: $nod_out"

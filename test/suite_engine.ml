@@ -383,10 +383,13 @@ let test_probe_is_memory_only () =
 
 (* --- the function-level compile memo ---
 
-   A memoized compile must be byte-identical to a fresh
-   [Pipeline.compile], line tables included.  Units are compared by
-   their [Marshal [No_sharing]] bytes: structural equality of every
-   field, whatever the memo shares physically. *)
+   A session compile (shared lowering, memoized passes, no line-table
+   rebuild) must be byte-identical to the memo-free compile that skips
+   the rebuild, and its tables rebuilt on demand
+   ([Pipeline.with_lines]) must give exactly [Pipeline.compile], the
+   memo-free lined reference.  Units are compared by their
+   [Marshal [No_sharing]] bytes: structural equality of every field,
+   whatever the memo and the shared lowering share physically. *)
 
 (* The image cache's weight is an estimate of what a handle keeps
    reachable; measure it on linked Juliet units (two tests per CWE, bad
@@ -420,9 +423,15 @@ let test_image_weight_tracks_reachable () =
 let unit_bytes (u : Cdcompiler.Ir.unit_) =
   Marshal.to_string u [ Marshal.No_sharing ]
 
+(* the session's unit is the line-free compile, and lined on demand it
+   is [Pipeline.compile] *)
+let memo_matches_fresh_unit profile tp u =
+  let open Cdcompiler.Pipeline in
+  unit_bytes u = unit_bytes (optimize profile (lower profile tp))
+  && unit_bytes (with_lines profile tp u) = unit_bytes (compile profile tp)
+
 let memo_matches_fresh s profile tp =
-  unit_bytes (Engine.Session.compile s profile tp)
-  = unit_bytes (Cdcompiler.Pipeline.compile profile tp)
+  memo_matches_fresh_unit profile tp (Engine.Session.compile s profile tp)
 
 (* random UB-free programs, printed and re-parsed so that their line
    tables are real; one small session across all cases, so the memo
@@ -437,9 +446,66 @@ let prop_memo_matches_pipeline =
         Minic.Pretty.program_to_string (Gen.Effgen.generate ~seed).Gen.Effgen.prog
       in
       let tp = frontend src in
-      List.for_all
-        (fun p -> memo_matches_fresh s p tp)
-        Cdcompiler.Profiles.extended_with_buggy)
+      let profiles = Cdcompiler.Profiles.extended_with_buggy in
+      List.for_all2
+        (fun p (_, u) -> memo_matches_fresh_unit p tp u)
+        profiles
+        (Engine.Session.compile_profiles s profiles tp))
+
+(* Profiles share one lowering per distinct [Policy.lowering_of].  Two
+   profiles with an equal lowering policy lower every program to
+   Marshal-identical functions, and [compile_profiles], which lowers once
+   per policy, gives each profile the unit of its own lowering.  The
+   sharing adds no lookup: the unit counters see one per profile. *)
+let test_shared_lowering () =
+  let open Cdcompiler in
+  let programs =
+    List.concat_map
+      (fun t -> [ Juliet.Testcase.frontend_bad t; Juliet.Testcase.frontend_good t ])
+      (Juliet.Suite.quick ())
+    @ List.map Projects.Project.frontend Projects.Registry.all
+    @ List.init 25 (fun seed ->
+          frontend
+            (Minic.Pretty.program_to_string
+               (Gen.Effgen.generate ~seed).Gen.Effgen.prog))
+  in
+  let profiles = Profiles.extended_with_buggy in
+  let nprofiles = List.length profiles in
+  let func_bytes (l : Lower.lowered) =
+    Marshal.to_string l.Lower.lfuncs [ Marshal.No_sharing ]
+  in
+  let s = Engine.Session.create () in
+  List.iter
+    (fun tp ->
+      let lowered = List.map (fun p -> (p, Pipeline.lower p tp)) profiles in
+      List.iter
+        (fun (p, lp) ->
+          List.iter
+            (fun (q, lq) ->
+              if Policy.lowering_of p = Policy.lowering_of q then
+                check_bool
+                  (Printf.sprintf "%s and %s lower alike" p.Policy.pname
+                     q.Policy.pname)
+                  true
+                  (func_bytes lp = func_bytes lq))
+            lowered)
+        lowered;
+      let before = (Engine.Session.stats s).Engine.Session.units in
+      List.iter2
+        (fun (p, lp) (name, u) ->
+          check_bool (name ^ ": the unit of its own lowering") true
+            (unit_bytes u = unit_bytes (Pipeline.optimize p lp)))
+        lowered
+        (Engine.Session.compile_profiles s profiles tp);
+      let after = (Engine.Session.stats s).Engine.Session.units in
+      check_int "one unit lookup per profile" nprofiles
+        (after.Engine.Session.hits + after.Engine.Session.misses
+        - before.Engine.Session.hits - before.Engine.Session.misses))
+    programs;
+  check_bool "four lowerings for the ten implementations" true
+    (List.length
+       (List.sort_uniq compare (List.map Policy.lowering_of Profiles.all))
+     = 4)
 
 (* a reducer's access pattern: a chain of one-step candidates on one
    session, where every function a candidate leaves alone is a memo hit *)
@@ -490,9 +556,8 @@ let test_memo_reduction_chain () =
 
 (* Two programs whose [f] optimizes to the same code from differently
    lined source.  The pass stack's output is shared through the memo;
-   each program must still get its own line table, so the line stage's
-   key has to carry the reference lines and no stage may write into a
-   shared function. *)
+   each program's on-demand lined unit must still get its own line
+   table, so the rebuild may not write into a shared function. *)
 let test_memo_line_tables_not_shared () =
   let a =
     "int f(int x) {\n  int y = x * 8;\n  return y + 1;\n}\n\
@@ -509,9 +574,11 @@ let test_memo_line_tables_not_shared () =
       let ua = Engine.Session.compile s p ta in
       let ub = Engine.Session.compile s p tb in
       check_bool "first program = fresh compile" true
-        (unit_bytes ua = unit_bytes (Cdcompiler.Pipeline.compile p ta));
+        (memo_matches_fresh_unit p ta ua);
       check_bool "second program = fresh compile" true
-        (unit_bytes ub = unit_bytes (Cdcompiler.Pipeline.compile p tb));
+        (memo_matches_fresh_unit p tb ub);
+      let ua = Cdcompiler.Pipeline.with_lines p ta ua
+      and ub = Cdcompiler.Pipeline.with_lines p tb ub in
       let fa = Option.get (Cdcompiler.Ir.func ua "f")
       and fb = Option.get (Cdcompiler.Ir.func ub "f") in
       if
@@ -818,6 +885,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_memo_matches_pipeline;
         tc "reduction candidate chain" test_memo_reduction_chain;
         tc "line tables are per program" test_memo_line_tables_not_shared;
+        tc "one lowering per lowering policy" test_shared_lowering;
       ] );
     ( "engine.diskcache",
       [

@@ -8,4 +8,5 @@ let () =
    @ Suite_juliet.suites @ Suite_projects.suites @ Suite_vm.suites
    @ Suite_passes.suites @ Suite_frontend_fuzz.suites
    @ Suite_metacheck.suites @ Suite_serve.suites @ Suite_gen.suites
-   @ Suite_trace.suites @ Suite_wire.suites @ Suite_golden.suites)
+   @ Suite_trace.suites @ Suite_wire.suites @ Suite_golden.suites
+   @ Suite_golden_localize.suites)
