@@ -12,21 +12,8 @@
      naive-vs-session verdict equality on a sample (the deduped/pooled
      oracle must be observationally identical to the sequential one).
 
-   Throughput is the best of a few trials (wall clock is one-sided
+   Throughput is the median of a few trials (wall clock is one-sided
    noisy); quality is deterministic given the seed range. *)
-
-let trials = 3
-
-let time f =
-  let best = ref infinity in
-  for _ = 1 to trials do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    f ();
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
 
 let run () =
   (* throughput: generate + print + re-elaborate [n] programs *)
@@ -40,13 +27,12 @@ let run () =
     | Error m -> failwith (Printf.sprintf "gen bench: seed %d: %s" seed m)
   in
   ignore (emit 0) (* warmup: touch the heap once *);
-  let dt =
-    time (fun () ->
+  let dt, () =
+    Record.time (fun () ->
         for seed = 0 to n - 1 do
           emit seed
         done)
   in
-  let per_sec = float_of_int n /. dt in
   (* corpus quality on a fixed sweep *)
   let sweep = 50 in
   let session = Engine.Session.create ~cache_mb:64 () in
@@ -63,31 +49,24 @@ let run () =
       (fun p -> Gen.Corpus.naive_agrees ~session p)
       (List.filteri (fun i _ -> i < 10) pairs)
   in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"programs\": %d,\n" n;
-  Printf.bprintf buf "  \"per_sec\": %.1f,\n" per_sec;
-  Printf.bprintf buf "  \"per_sec_target_met\": %b,\n" (per_sec >= 500.);
-  Printf.bprintf buf "  \"pairs\": %d,\n" (List.length pairs);
-  Printf.bprintf buf "  \"gen_failures\": %d,\n" gen_failures;
-  Printf.bprintf buf "  \"clean_divergences\": %d,\n"
-    report.Gen.Corpus.clean_divergences;
-  Printf.bprintf buf "  \"oracle_fn_rate\": %.4f,\n" fn_rate;
-  Printf.bprintf buf "  \"verdicts_match\": %b\n" verdicts_match;
-  Buffer.add_string buf "}\n";
-  let path = "BENCH_gen.json" in
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  Printf.printf
-    "Labeled-corpus generator bench:\n\
-    \  emission throughput: %.0f programs/s (floor 500)\n\
-    \  corpus: %d pairs, %d generation failures, %d clean-twin divergences\n\
-    \  oracle FN rate: %.4f\n\
-    \  naive/session verdicts match: %b\n\
-     wrote %s\n\n"
-    per_sec (List.length pairs) gen_failures
-    report.Gen.Corpus.clean_divergences fn_rate verdicts_match path;
+  let r =
+    Record.create ~bench:"gen"
+      ~about:
+        "programs/s = labeled programs generated, printed and re-typechecked \
+         per second; corpus quality over a fixed seed sweep"
+  in
+  Record.count r "programs" n;
+  Record.rate r "per_sec" "programs/s" n dt;
+  Record.count r "pairs" (List.length pairs);
+  Record.count r "gen_failures" gen_failures;
+  Record.count r "clean_divergences" report.Gen.Corpus.clean_divergences;
+  Record.value r "oracle_fn_rate" "ratio" fn_rate;
+  Record.at_least r "per_sec" 500.;
+  Record.at_most r "clean_divergences" 0.;
+  (* reported: a rate in [0, 1], not a missing row or NaN *)
+  Record.at_least r "oracle_fn_rate" 0.;
+  Record.holds r "verdicts_match" verdicts_match;
+  Record.emit r;
   if report.Gen.Corpus.clean_divergences > 0 then
     failwith "gen bench: a clean twin diverged (generator soundness)";
   if not verdicts_match then

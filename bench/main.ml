@@ -1,12 +1,15 @@
 (* Benchmark harness entry point: regenerates every table and figure of
    the paper's evaluation section, plus the Section 5 overhead numbers,
-   the parallel-oracle bench (BENCH_oracle.json) and the design-choice
-   ablations from DESIGN.md.
+   the sections that write a BENCH_<section>.json record (oracle vm
+   trace engine serve metacheck gen; see record.ml) and the
+   design-choice ablations from DESIGN.md.
 
    Usage:  dune exec bench/main.exe [--jobs N] [section...]
    Sections: table2 table3 figure1 table4 table5 table6 figure2 overhead
              oracle engine serve metacheck vm trace gen ablations
-             (default: all). *)
+             (default: all).
+   Exit status: 2 on an unknown section or a bad --jobs (before anything
+   runs), 1 if any gate of a section that ran failed, 0 otherwise. *)
 
 let sections : (string * (unit -> unit)) list =
   [
@@ -43,17 +46,16 @@ let () =
     | [] -> List.rev acc
   in
   let requested = parse [] args in
+  (match List.filter (fun name -> not (List.mem_assoc name sections)) requested with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown section %s (available: %s)\n"
+      (String.concat " " unknown)
+      (String.concat " " (List.map fst sections));
+    exit 2);
   let to_run =
-    if requested = [] then sections
-    else
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name sections with
-          | Some f -> Some (name, f)
-          | None ->
-            Printf.eprintf "unknown section %s (available: %s)\n" name
-              (String.concat " " (List.map fst sections));
-            None)
-        requested
+    if requested = [] then List.map snd sections
+    else List.map (fun name -> List.assoc name sections) requested
   in
-  List.iter (fun (_, f) -> f ()) to_run
+  List.iter (fun f -> f ()) to_run;
+  if Record.failed () then exit 1

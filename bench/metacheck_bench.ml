@@ -8,13 +8,6 @@
    Cross-validation: both paths must produce identical flag sets per
    program ({!Metacheck.Driver.essence}); a mismatch fails the bench. *)
 
-let json_escape = Overhead.json_escape
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
 (* one representative CWE per verdict family the meta-checker exercises *)
 let sample_cwes = [ 190; 369; 457; 476; 121; 758 ]
 
@@ -35,14 +28,14 @@ let run () =
   in
   let session = Engine.Session.create ~cache_mb:128 () in
   let naive_time, naive =
-    time (fun () ->
+    Record.time ~trials:1 (fun () ->
         List.map
           (fun (name, tp, inputs) ->
             Metacheck.Driver.analyze_naive ~session ~limit:2 ~name tp ~inputs)
           programs)
   in
   let batch_time, batched =
-    time (fun () ->
+    Record.time ~trials:1 (fun () ->
         List.map
           (fun (name, tp, inputs) ->
             Metacheck.Driver.analyze ~session ~limit:2 ~name tp ~inputs)
@@ -71,47 +64,22 @@ let run () =
         n + List.length r.Metacheck.Driver.mc_retype_failures)
       0 naive
   in
-  let tps t = float_of_int twins /. t in
-  let speedup = naive_time /. batch_time in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"metacheck\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"metric\": \"%s\",\n"
-       (json_escape
-          "twins/sec = metamorphic twins fully analyzed per second (erase + \
-           re-typecheck + 4 static tools + 3 sanitizers + oracle); speedup \
-           = pool-batched vs sequential naive path"));
-  Buffer.add_string buf (Printf.sprintf "  \"programs\": %d,\n" (List.length programs));
-  Buffer.add_string buf (Printf.sprintf "  \"twins\": %d,\n" twins);
-  Buffer.add_string buf (Printf.sprintf "  \"flags\": %d,\n" flags);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"retype_failures\": %d,\n" retype_failures);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"naive\": { \"seconds\": %.4f, \"twins_per_sec\": %.2f },\n"
-       naive_time (tps naive_time));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"batched\": { \"seconds\": %.4f, \"twins_per_sec\": %.2f },\n"
-       batch_time (tps batch_time));
-  Buffer.add_string buf (Printf.sprintf "  \"speedup\": %.2f,\n" speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"verdicts_match\": %b\n" verdicts_match);
-  Buffer.add_string buf "}\n";
-  let path = "BENCH_metacheck.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf
-    "Metacheck bench (%d programs, %d twins, %d flags):\n\
-    \  naive:   %.2f twins/s\n\
-    \  batched: %.2f twins/s (%.2fx)\n\
-    \  retype failures: %d\n\
-    \  verdicts match: %b\n\
-     wrote %s\n\n"
-    (List.length programs) twins flags (tps naive_time) (tps batch_time)
-    speedup retype_failures verdicts_match path;
+  let r =
+    Record.create ~bench:"metacheck"
+      ~about:
+        "twins/s = metamorphic twins fully analyzed per second (erase + \
+         re-typecheck + 4 static tools + 3 sanitizers + oracle); speedup = \
+         pool-batched vs sequential naive path"
+  in
+  Record.count r "programs" (List.length programs);
+  Record.count r "twins" twins;
+  Record.count r "flags" flags;
+  Record.count r "retype_failures" retype_failures;
+  Record.rate r "naive" "twins/s" twins naive_time;
+  Record.rate r "batched" "twins/s" twins batch_time;
+  Record.ratio r "speedup" "batched" "naive";
+  Record.holds r "verdicts_match" verdicts_match;
+  Record.emit r;
   if not verdicts_match then
     failwith "metacheck bench: batched flags differ from the naive path";
   if retype_failures > 0 then

@@ -21,9 +21,8 @@ let wallclock () =
         profiles;
       }
     in
-    let t0 = Unix.gettimeofday () in
-    let c = Fuzz.Compdiff_afl.run ~config tp in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt, c = Record.time ~trials:1 (fun () -> Fuzz.Compdiff_afl.run ~config tp) in
+    let dt = List.hd dt in
     (dt, float_of_int c.Fuzz.Compdiff_afl.fuzz.Fuzz.Fuzzer.execs /. dt)
   in
   (* k = 0: plain AFL++ (no differential binaries at all) *)
@@ -37,9 +36,8 @@ let wallclock () =
       }
     in
     let u = Cdcompiler.Pipeline.compile Cdcompiler.Profiles.fuzz_profile tp in
-    let t0 = Unix.gettimeofday () in
-    let c = Fuzz.Fuzzer.run ~config u in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt, c = Record.time ~trials:1 (fun () -> Fuzz.Fuzzer.run ~config u) in
+    let dt = List.hd dt in
     (dt, float_of_int c.Fuzz.Fuzzer.execs /. dt)
   in
   let pair =
@@ -174,18 +172,14 @@ let oracle_workload () =
   [ (Lazy.force listing1_tp, listing_inputs);
     (Lazy.force escalator_tp, escal_inputs) ]
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* [reps] rounds of [check] over every oracle's inputs, verdicts in order *)
+let check_rounds ~reps check oracles () =
+  List.concat_map
+    (fun _ ->
+      List.concat_map
+        (fun (o, inputs) -> List.map (fun input -> check o ~input) inputs)
+        oracles)
+    (List.init reps Fun.id)
 
 let oracle_bench () =
   let par_jobs = 4 in
@@ -197,145 +191,76 @@ let oracle_bench () =
   in
   (* one oracle pair per program: a sequential dedup-free baseline and
      the deduped pooled one; compilation happens outside the timers *)
-  let seq_oracles =
+  let oracles ~jobs ~dedup =
     List.map
       (fun (tp, inputs) ->
-        (Compdiff.Oracle.create ~fuel ~max_fuel ~jobs:1 ~dedup:false tp, inputs))
+        (Compdiff.Oracle.create ~fuel ~max_fuel ~jobs ~dedup tp, inputs))
       workload
   in
-  let par_oracles =
-    List.map
-      (fun (tp, inputs) ->
-        (Compdiff.Oracle.create ~fuel ~max_fuel ~jobs:par_jobs ~dedup:true tp,
-         inputs))
-      workload
-  in
+  let seq_oracles = oracles ~jobs:1 ~dedup:false in
+  let par_oracles = oracles ~jobs:par_jobs ~dedup:true in
   let reps = 3 in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
   let seq_time, seq_verdicts =
-    time (fun () ->
-        List.concat_map
-          (fun _ ->
-            List.concat_map
-              (fun (o, inputs) ->
-                List.map (fun input -> Compdiff.Oracle.check_naive o ~input) inputs)
-              seq_oracles)
-          (List.init reps Fun.id))
+    Record.time ~trials:1
+      (check_rounds ~reps Compdiff.Oracle.check_naive seq_oracles)
   in
   let par_time, par_verdicts =
-    time (fun () ->
-        List.concat_map
-          (fun _ ->
-            List.concat_map
-              (fun (o, inputs) ->
-                List.map (fun input -> Compdiff.Oracle.check o ~input) inputs)
-              par_oracles)
-          (List.init reps Fun.id))
+    Record.time ~trials:1 (check_rounds ~reps Compdiff.Oracle.check par_oracles)
   in
   let verdicts_match = seq_verdicts = par_verdicts in
   let total_checks = reps * nchecks in
-  let seq_cps = float_of_int total_checks /. seq_time in
-  let par_cps = float_of_int total_checks /. par_time in
-  let pstats =
-    List.fold_left
-      (fun (e, d, s) (o, _) ->
-        let st = Compdiff.Oracle.stats o in
-        ( e + st.Compdiff.Oracle.vm_execs,
-          d + st.Compdiff.Oracle.dedup_saved,
-          s + st.Compdiff.Oracle.escalation_saved ))
-      (0, 0, 0) par_oracles
+  let ps =
+    Compdiff.Oracle.sum_stats
+      (List.map (fun (o, _) -> Compdiff.Oracle.stats o) par_oracles)
   in
-  let par_execs, dedup_saved, escal_saved = pstats in
-  let naive_execs = par_execs + dedup_saved + escal_saved in
-  let class_info =
-    List.map
-      (fun (o, _) ->
-        (Compdiff.Oracle.class_count o, List.length (Compdiff.Oracle.binaries o)))
-      par_oracles
+  let r =
+    Record.create ~bench:"oracle"
+      ~about:
+        "checks/s = oracle checks per second (one check = one input judged \
+         against the full differential set)"
   in
+  Record.count r "jobs_parallel" par_jobs;
+  Record.count r "checks" total_checks;
+  Record.rate r "sequential" "checks/s" total_checks seq_time;
+  Record.count r "sequential.vm_execs"
+    (ps.Compdiff.Oracle.vm_execs + ps.Compdiff.Oracle.dedup_saved
+   + ps.Compdiff.Oracle.escalation_saved);
+  Record.rate r "parallel" "checks/s" total_checks par_time;
+  Record.count r "parallel.vm_execs" ps.Compdiff.Oracle.vm_execs;
+  Record.count r "parallel.dedup_saved" ps.Compdiff.Oracle.dedup_saved;
+  Record.count r "parallel.escalation_saved" ps.Compdiff.Oracle.escalation_saved;
+  Record.ratio r "speedup" "parallel" "sequential";
+  List.iter2
+    (fun prog (o, _) ->
+      Record.count r ("classes." ^ prog) (Compdiff.Oracle.class_count o);
+      Record.count r ("binaries." ^ prog)
+        (List.length (Compdiff.Oracle.binaries o)))
+    [ "listing1"; "escalator" ] par_oracles;
   (* binary-dedup ratio on Juliet CWE categories: fraction of binaries
      the oracle does not need to execute *)
-  let juliet_dedup =
-    List.map
-      (fun cwe ->
-        let tests =
-          List.filter
-            (fun (t : Juliet.Testcase.t) -> t.Juliet.Testcase.cwe = cwe)
-            (Juliet.Suite.quick ~per_cwe:2 ())
-        in
-        let ratios =
-          List.map
-            (fun (t : Juliet.Testcase.t) ->
-              let o =
-                Compdiff.Oracle.create ~jobs:1 (Juliet.Testcase.frontend_bad t)
-              in
-              let k = List.length (Compdiff.Oracle.binaries o) in
-              1. -. (float_of_int (Compdiff.Oracle.class_count o) /. float_of_int k))
-            tests
-        in
-        let avg =
-          if ratios = [] then 0.
-          else List.fold_left ( +. ) 0. ratios /. float_of_int (List.length ratios)
-        in
-        (cwe, avg))
-      [ 190; 369; 457; 476 ]
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"oracle\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"metric\": \"%s\",\n"
-       (json_escape
-          "execs/sec = oracle checks per second (one check = one input \
-           judged against the full differential set)"));
-  Buffer.add_string buf (Printf.sprintf "  \"jobs_parallel\": %d,\n" par_jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"checks\": %d,\n" total_checks);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"sequential\": { \"seconds\": %.4f, \"execs_per_sec\": %.1f, \
-        \"vm_execs\": %d },\n"
-       seq_time seq_cps naive_execs);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"parallel\": { \"seconds\": %.4f, \"execs_per_sec\": %.1f, \
-        \"vm_execs\": %d, \"dedup_saved\": %d, \"escalation_saved\": %d },\n"
-       par_time par_cps par_execs dedup_saved escal_saved);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"speedup\": %.2f,\n" (par_cps /. seq_cps));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"verdicts_match\": %b,\n" verdicts_match);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"class_counts\": [%s],\n"
-       (String.concat ", "
-          (List.map
-             (fun (c, k) -> Printf.sprintf "{ \"classes\": %d, \"k\": %d }" c k)
-             class_info)));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"juliet_dedup\": [%s]\n"
-       (String.concat ", "
-          (List.map
-             (fun (cwe, r) ->
-               Printf.sprintf "{ \"cwe\": %d, \"dedup_ratio\": %.3f }" cwe r)
-             juliet_dedup)));
-  Buffer.add_string buf "}\n";
-  let path = "BENCH_oracle.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf
-    "Parallel oracle bench (%d checks, %d jobs):\n\
-    \  sequential naive: %.1f checks/s (%d VM execs)\n\
-    \  deduped+parallel: %.1f checks/s (%d VM execs; %d saved by dedup, %d \
-     by incremental escalation)\n\
-    \  speedup: %.2fx   verdicts match: %b\n\
-     wrote %s\n\n"
-    total_checks par_jobs seq_cps naive_execs par_cps par_execs dedup_saved
-    escal_saved (par_cps /. seq_cps) verdicts_match path;
+  List.iter
+    (fun cwe ->
+      let tests =
+        List.filter
+          (fun (t : Juliet.Testcase.t) -> t.Juliet.Testcase.cwe = cwe)
+          (Juliet.Suite.quick ~per_cwe:2 ())
+      in
+      let ratios =
+        List.map
+          (fun (t : Juliet.Testcase.t) ->
+            let o =
+              Compdiff.Oracle.create ~jobs:1 (Juliet.Testcase.frontend_bad t)
+            in
+            let k = List.length (Compdiff.Oracle.binaries o) in
+            1. -. (float_of_int (Compdiff.Oracle.class_count o) /. float_of_int k))
+          tests
+      in
+      Record.value r
+        (Printf.sprintf "juliet_dedup.cwe%d" cwe)
+        "ratio" (Cdutil.Stats.mean ratios))
+    [ 190; 369; 457; 476 ];
+  Record.holds r "verdicts_match" verdicts_match;
+  Record.emit r;
   if not verdicts_match then failwith "oracle bench: verdict mismatch"
 
 let run () =

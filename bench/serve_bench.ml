@@ -29,8 +29,6 @@
    (program, input); any mismatch fails the bench.  Acceptance floor:
    4-client throughput at least 3x the baseline. *)
 
-let json_escape = Overhead.json_escape
-
 (* Distinct programs: same shape, different constants, so each is its
    own oracle key and compiles separately.  A mix of stable and unstable
    behaviour (the `+ n` variant of the unguarded store shifts which
@@ -173,45 +171,6 @@ let ctx_switches () : (int * int) option =
                (v + v', i + i'))
              (0, 0) tids)
 
-(* one client scenario: the median trial's window and rate, the range
-   over trials, and context switches per request over all trials *)
-type scenario = {
-  wall : float;
-  rps : float;
-  rps_min : float;
-  rps_max : float;
-  csw : (float * float) option;
-}
-
-let scenario_json base_rps n sc =
-  let csw =
-    match sc.csw with
-    | None -> ""
-    | Some (v, i) ->
-        Printf.sprintf
-          ", \"voluntary_csw_per_request\": %.2f, \
-           \"involuntary_csw_per_request\": %.2f"
-          v i
-  in
-  Printf.sprintf
-    "  \"clients_%d\": { \"seconds\": %.4f, \"requests_per_sec\": %.2f, \
-     \"min_requests_per_sec\": %.2f, \"max_requests_per_sec\": %.2f, \
-     \"trials\": %d, \"speedup\": %.2f%s },\n"
-    n sc.wall sc.rps sc.rps_min sc.rps_max trials (sc.rps /. base_rps) csw
-
-let time f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to trials do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    result := Some r
-  done;
-  (!best, Option.get !result)
-
 let run () =
   let sources = Array.init n_programs program in
   (* ground truth, computed directly (one warm session of its own) *)
@@ -249,7 +208,7 @@ let run () =
       workload
   in
   ignore (baseline_once ());
-  let base_time, () = time baseline_once in
+  let base_time, () = Record.time baseline_once in
   (* the daemon, served from a sibling thread in this process *)
   let socket_path =
     Filename.concat
@@ -331,82 +290,54 @@ let run () =
       in
       (wall, Atomic.get requests, csw)
     in
-    let trials = List.init trials (fun _ -> trial ()) in
-    let rate (wall, reqs, _) = float_of_int reqs /. wall in
-    let sorted = List.sort (fun a b -> compare (rate a) (rate b)) trials in
-    let wall, _, _ = List.nth sorted (List.length sorted / 2) in
-    let total_reqs = List.fold_left (fun a (_, r, _) -> a + r) 0 trials in
-    let csw =
+    List.init trials (fun _ -> trial ())
+  in
+  let scenarios = List.map (fun n -> (n, scenario n)) [ 1; 4; 8 ] in
+  let sched = Serve.Scheduler.sched_stats (Serve.Server.sched srv) in
+  Serve.Server.stop srv;
+  Thread.join server_thread;
+  let r =
+    Record.create ~bench:"serve"
+      ~about:
+        "requests/s = differential checks served per second through the \
+         daemon socket; baseline = fresh session + fresh oracle per request \
+         (cold-CLI cost floor); speedup = 4-client daemon vs baseline"
+  in
+  Record.count r "programs" n_programs;
+  Record.count r "inputs_per_program" (List.length inputs);
+  Record.rate r "baseline" "requests/s" (List.length workload) base_time;
+  List.iter
+    (fun (n, trials) ->
+      let name = Printf.sprintf "clients_%d" n in
+      Record.add r name "requests/s"
+        (List.map (fun (wall, reqs, _) -> float_of_int reqs /. wall) trials);
+      Record.add r (name ^ ".window") "s" (List.map (fun (wall, _, _) -> wall) trials);
+      Record.ratio r (name ^ ".speedup") name "baseline";
+      (* context switches per request over all trials, where counted *)
+      let reqs = List.fold_left (fun a (_, n, _) -> a + n) 0 trials in
+      let per x = float_of_int x /. float_of_int (max 1 reqs) in
       List.fold_left
         (fun acc (_, _, c) ->
           match (acc, c) with
           | Some (v, i), Some (v', i') -> Some (v + v', i + i')
           | _ -> None)
         (Some (0, 0)) trials
-      |> Option.map (fun (v, i) ->
-             let per x = float_of_int x /. float_of_int (max 1 total_reqs) in
-             (per v, per i))
-    in
-    {
-      wall;
-      rps = rate (List.nth sorted (List.length sorted / 2));
-      rps_min = rate (List.hd sorted);
-      rps_max = rate (List.nth sorted (List.length sorted - 1));
-      csw;
-    }
-  in
-  let s1 = scenario 1 in
-  let s4 = scenario 4 in
-  let s8 = scenario 8 in
-  let sched = Serve.Scheduler.sched_stats (Serve.Server.sched srv) in
-  Serve.Server.stop srv;
-  Thread.join server_thread;
-  let base_rps = float_of_int (List.length workload) /. base_time in
-  let speedup = s4.rps /. base_rps in
-  let batching_ratio =
-    float_of_int sched.Serve.Proto.sr_checks
-    /. float_of_int (max 1 sched.Serve.Proto.sr_flights)
-  in
-  let verdicts_match = Atomic.get mismatches = 0 in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"serve\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"metric\": \"%s\",\n"
-       (json_escape
-          "requests/sec = differential checks served per second through the \
-           daemon socket; baseline = fresh session + fresh oracle per \
-           request (cold-CLI cost floor); speedup = 4-client daemon vs \
-           baseline"));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"programs\": %d,\n  \"inputs_per_program\": %d,\n"
-       n_programs (List.length inputs));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"baseline\": { \"seconds\": %.4f, \"requests_per_sec\": %.2f },\n"
-       base_time base_rps);
+      |> Option.iter (fun (v, i) ->
+             Record.value r (name ^ ".voluntary_csw") "csw/request" (per v);
+             Record.value r (name ^ ".involuntary_csw") "csw/request" (per i)))
+    scenarios;
   List.iter
-    (fun (n, sc) -> Buffer.add_string buf (scenario_json base_rps n sc))
-    [ (1, s1); (4, s4); (8, s8) ];
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"scheduler\": { \"requests\": %d, \"flights\": %d, \"checks\": \
-        %d, \"joined\": %d, \"inline\": %d, \"shed\": %d, \
-        \"warm_oracles\": %d },\n"
-       sched.Serve.Proto.sr_requests sched.Serve.Proto.sr_flights
-       sched.Serve.Proto.sr_checks sched.Serve.Proto.sr_joined
-       sched.Serve.Proto.sr_inline sched.Serve.Proto.sr_shed sched.Serve.Proto.sr_oracles);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"batching_ratio\": %.3f,\n" batching_ratio);
-  Buffer.add_string buf (Printf.sprintf "  \"speedup\": %.2f,\n" speedup);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"speedup_target_met\": %b,\n" (speedup >= 3.0));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"verdicts_match\": %b\n" verdicts_match);
-  Buffer.add_string buf "}\n";
-  let path = "BENCH_serve.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
+    (fun (name, n) -> Record.count r ("scheduler." ^ name) n)
+    [ ("requests", sched.Serve.Proto.sr_requests);
+      ("flights", sched.Serve.Proto.sr_flights);
+      ("checks", sched.Serve.Proto.sr_checks);
+      ("joined", sched.Serve.Proto.sr_joined);
+      ("inline", sched.Serve.Proto.sr_inline);
+      ("shed", sched.Serve.Proto.sr_shed);
+      ("warm_oracles", sched.Serve.Proto.sr_oracles) ];
+  Record.value r "batching_ratio" "checks/flight"
+    (float_of_int sched.Serve.Proto.sr_checks
+    /. float_of_int (max 1 sched.Serve.Proto.sr_flights));
+  Record.at_least r "clients_4.speedup" 3.0;
+  Record.holds r "verdicts_match" (Atomic.get mismatches = 0);
+  Record.emit r

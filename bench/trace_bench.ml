@@ -2,12 +2,17 @@
    observation at each level of the unified [Observer] interface, and
    the payoff of snapshot-accelerated seeking in the trace store.
 
-   Three throughput rows over the BENCH_vm workload, all entered through
-   [Exec.run_linked]:
+   Throughput rows over the BENCH_vm workload (same programs, inputs and
+   fuel), all entered through [Exec.run_linked]:
 
-   - silent: the oracle's path, [Observer.silent] (the refactor's "no
-     observation costs nothing" claim -- bench.sh gates this against
-     BENCH_vm's linked execs/sec);
+   - linked: BENCH_vm's linked loop ([Vm_bench.linked]), timed here
+     with silent in alternating rounds (a round runs every input once;
+     a trial is [reps] rounds of each);
+   - silent: this harness's observer loop with [Observer.silent], the
+     oracle's path.  It makes the same call as linked, so the gate
+     (silent at least 95% of linked, medians of the alternating trials)
+     guards that the harness's silent row stays the executor's plain
+     path ("no observation costs nothing") under the same machine noise;
    - prints: a per-print callback, the level classic localization uses;
    - steps: full [Cdtrace] recording (every pc, register write, memory
      write, call/return), the time-travel explorer's input.  It runs on
@@ -22,16 +27,6 @@
    [seek]s with the periodic snapshots against [seek_slow]'s
    replay-from-zero, reporting per-seek latency for both. *)
 
-let fuel = 100_000
-
-let workload () =
-  [ (Lazy.force Overhead.listing1_tp,
-     List.init 32 (fun i -> String.make 1 (Char.chr (33 + i))));
-    (Lazy.force Overhead.escalator_tp,
-     List.init 8 (fun i -> String.make 1 (Char.chr (40 + i))) @ [ "z"; "~" ]) ]
-
-let trials = 3
-
 (* Ceiling on steps recording over silent.  Recording runs on the
    reference interpreter; six runs on a 2-vCPU machine measured 5.4x to
    6.8x (the old stepped executor measured 3.5x to 4.8x), and the ratio
@@ -39,22 +34,6 @@ let trials = 3
    the worst run, so a real recorder regression trips it and the
    spread does not. *)
 let steps_gate = 8.0
-
-let time ?(trials = trials) f =
-  let best = ref infinity in
-  let result = ref None in
-  for _ = 1 to trials do
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    (match !result with
-    | Some prev when prev <> r -> failwith "trace bench: trial results differ"
-    | _ -> ());
-    result := Some r
-  done;
-  (!best, Option.get !result)
 
 let run () =
   (* earlier bench sections leave idle pool domains behind, and every
@@ -69,86 +48,59 @@ let run () =
     List.map
       (fun (tp, inputs) ->
         (Cdvm.Image.link (Cdcompiler.Pipeline.compile profile tp), inputs))
-      (workload ())
+      (Vm_bench.workload ())
   in
   let nexecs_round =
     List.fold_left (fun a (_, inputs) -> a + List.length inputs) 0 images
   in
   let reps = 100 in
   let total = reps * nexecs_round in
-  (* silent: default observer, one arena per image -- BENCH_vm's linked
-     path *)
   let arenas =
     List.map (fun (img, inputs) -> (img, Cdvm.Arena.create img, inputs)) images
   in
-  let sil_time, sil_results =
-    time (fun () ->
-        let last = ref [] in
-        for _ = 1 to reps do
-          last :=
-            List.concat_map
-              (fun (img, arena, inputs) ->
-                List.map
-                  (fun input ->
-                    let config =
-                      { Cdvm.Exec.default_config with Cdvm.Exec.input; fuel }
-                    in
-                    Cdvm.Exec.run_linked ~config ~arena img)
-                  inputs)
-              arenas
-        done;
-        !last)
+  (* one round: every input once under [observer] *)
+  let observe observer () =
+    List.concat_map
+      (fun (img, arena, inputs) ->
+        List.map
+          (fun input ->
+            let config =
+              { Cdvm.Exec.default_config with
+                Cdvm.Exec.input; fuel = Vm_bench.fuel; observer }
+            in
+            Cdvm.Exec.run_linked ~config ~arena img)
+          inputs)
+      arenas
+  in
+  let lin_time, sil_time, sil_results =
+    match
+      Record.alternate ~rounds:reps
+        [ Vm_bench.linked ~reps:1 arenas; observe Cdvm.Observer.silent ]
+    with
+    | [ (lin_time, _); (sil_time, sil_results) ] -> (lin_time, sil_time, sil_results)
+    | _ -> assert false
   in
   (* prints: one callback per executed print statement *)
   let printed = ref 0 in
-  let prints_obs = Cdvm.Observer.prints (fun ~fn:_ _ -> incr printed) in
   let pr_time, pr_results =
-    time (fun () ->
-        let last = ref [] in
-        for _ = 1 to reps do
-          last :=
-            List.concat_map
-              (fun (img, arena, inputs) ->
-                List.map
-                  (fun input ->
-                    let config =
-                      {
-                        Cdvm.Exec.default_config with
-                        Cdvm.Exec.input;
-                        fuel;
-                        observer = prints_obs;
-                      }
-                    in
-                    Cdvm.Exec.run_linked ~config ~arena img)
-                  inputs)
-              arenas
-        done;
-        !last)
+    Record.time
+      (Vm_bench.repeat reps
+         (observe (Cdvm.Observer.prints (fun ~fn:_ _ -> incr printed))))
   in
   (* steps: a full Cdtrace recording per execution (fresh memory: the
      recorder mirrors the run, so no arena on this path) *)
   let st_time, st_results =
-    time (fun () ->
-        let last = ref [] in
-        for _ = 1 to reps do
-          last :=
-            List.concat_map
-              (fun (img, inputs) ->
-                List.map
-                  (fun input ->
-                    let _tr, r = Cdtrace.record ~fuel img ~impl:"bench" ~input in
-                    r)
-                  inputs)
-              images
-        done;
-        !last)
+    Record.time
+      (Vm_bench.repeat reps (fun () ->
+           List.concat_map
+             (fun (img, inputs) ->
+               List.map
+                 (fun input ->
+                   snd (Cdtrace.record ~fuel:Vm_bench.fuel img ~impl:"bench" ~input))
+                 inputs)
+             images))
   in
   let replay_match = sil_results = pr_results && sil_results = st_results in
-  let sil_eps = float_of_int total /. sil_time in
-  let pr_eps = float_of_int total /. pr_time in
-  let st_eps = float_of_int total /. st_time in
-  let steps_slowdown = st_time /. sil_time in
-  let steps_ok = steps_slowdown <= steps_gate in
   (* seek: one long trace, random positions, snapshots vs linear replay *)
   let seek_img, _ = List.nth images 1 in
   let tr, _ = Cdtrace.record ~fuel:2_000_000 seek_img ~impl:"bench" ~input:"z" in
@@ -162,68 +114,38 @@ let run () =
         !s mod max 1 nsteps)
   in
   let cur = Cdtrace.cursor tr in
-  let snap_time, _ =
-    time (fun () ->
-        Array.iter (fun k -> Cdtrace.seek cur k) positions;
-        Cdtrace.pos cur)
+  let seeks ?trials seek =
+    fst
+      (Record.time ?trials (fun () ->
+           Array.iter (fun k -> seek cur k) positions;
+           Cdtrace.pos cur))
+    |> List.map (fun s -> s /. float_of_int nseeks *. 1e6)
   in
-  let slow_time, _ =
-    time ~trials:1 (fun () ->
-        Array.iter (fun k -> Cdtrace.seek_slow cur k) positions;
-        Cdtrace.pos cur)
+  let snap_us = seeks Cdtrace.seek in
+  let slow_us = seeks ~trials:1 Cdtrace.seek_slow in
+  let r =
+    Record.create ~bench:"trace"
+      ~about:
+        "execs/s per observer level (linked, silent and prints on the linked \
+         executor, steps on the reference interpreter); seek latency is \
+         microseconds per random reposition of a replay cursor"
   in
-  let snap_us = snap_time /. float_of_int nseeks *. 1e6 in
-  let slow_us = slow_time /. float_of_int nseeks *. 1e6 in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"bench\": \"trace\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"metric\": \"%s\",\n"
-       (Overhead.json_escape
-          "execs/sec per observer level (silent and prints on the linked \
-           executor, steps on the reference interpreter); seek latency is \
-           microseconds per random reposition of a replay cursor"));
-  Buffer.add_string buf (Printf.sprintf "  \"execs\": %d,\n" total);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"silent\": { \"seconds\": %.4f, \"execs_per_sec\": %.1f },\n"
-       sil_time sil_eps);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"prints\": { \"seconds\": %.4f, \"execs_per_sec\": %.1f, \
-        \"ratio\": %.3f },\n"
-       pr_time pr_eps (pr_eps /. sil_eps));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"steps\": { \"seconds\": %.4f, \"execs_per_sec\": %.1f },\n"
-       st_time st_eps);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"steps_slowdown\": %.2f,\n" steps_slowdown);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"steps_slowdown_target_met\": %b,\n" steps_ok);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"seek\": { \"trace_steps\": %d, \"seeks\": %d, \"snapshot_us\": \
-        %.1f, \"linear_us\": %.1f, \"speedup\": %.1f },\n"
-       nsteps nseeks snap_us slow_us (slow_us /. max 1e-9 snap_us));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"replay_match\": %b\n" replay_match);
-  Buffer.add_string buf "}\n";
-  let path = "BENCH_trace.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf
-    "Trace recorder bench (%d execs, gccx-O0 binaries):\n\
-    \  silent observer:  %.0f execs/s\n\
-    \  prints observer:  %.0f execs/s (%.2fx of silent, %d prints)\n\
-    \  steps recording:  %.0f execs/s (%.2fx slowdown, target <= %.0fx: %b)\n\
-    \  seek (%d-step trace, %d seeks): %.1f us snapshot vs %.1f us linear \
-     (%.0fx)\n\
-    \  recorded results byte-identical to silent: %b\n\
-     wrote %s\n\n"
-    total sil_eps pr_eps (pr_eps /. sil_eps) !printed st_eps steps_slowdown
-    steps_gate steps_ok nsteps nseeks snap_us slow_us
-    (slow_us /. max 1e-9 snap_us)
-    replay_match path;
+  Record.count r "execs" total;
+  Record.rate r "linked" "execs/s" total lin_time;
+  Record.rate r "silent" "execs/s" total sil_time;
+  Record.rate r "prints" "execs/s" total pr_time;
+  Record.count r "prints.callbacks" !printed;
+  Record.rate r "steps" "execs/s" total st_time;
+  Record.ratio r "silent_over_linked" "silent" "linked";
+  Record.ratio r "prints_over_silent" "prints" "silent";
+  Record.ratio r "steps_slowdown" "silent" "steps";
+  Record.count r "seek.trace_steps" nsteps;
+  Record.count r "seek.seeks" nseeks;
+  Record.add r "seek.snapshot" "us/seek" snap_us;
+  Record.add r "seek.linear" "us/seek" slow_us;
+  Record.ratio r "seek.speedup" "seek.linear" "seek.snapshot";
+  Record.at_least r "silent_over_linked" 0.95;
+  Record.at_most r "steps_slowdown" steps_gate;
+  Record.holds r "replay_match" replay_match;
+  Record.emit r;
   if not replay_match then failwith "trace bench: observer perturbed execution"

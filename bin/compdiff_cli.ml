@@ -363,32 +363,6 @@ let vmcheck_cmd =
 
 (* --- diff --- *)
 
-(* The daemon's verdicts carry (impl, output, status-string) tuples; the
-   report below mirrors {!Compdiff.Oracle.report_to_string} exactly
-   (same grouping, same order) so daemon and direct runs print
-   byte-identical divergence reports. *)
-let proto_report_to_string ~(input : string) (obs : Serve.Proto.obs list) :
-    string =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "=== CompDiff divergence report ===\n";
-  Buffer.add_string buf
-    (Printf.sprintf "input (%d bytes): %S\n" (String.length input) input);
-  let by_output = Hashtbl.create 8 in
-  List.iter
-    (fun (o : Serve.Proto.obs) ->
-      let key = (o.Serve.Proto.ob_output, o.Serve.Proto.ob_status) in
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_output key) in
-      Hashtbl.replace by_output key (o.Serve.Proto.ob_impl :: cur))
-    obs;
-  Hashtbl.iter
-    (fun (out, status) names ->
-      Buffer.add_string buf
-        (Printf.sprintf "--- %s (status %s):\n%s\n"
-           (String.concat ", " (List.rev names))
-           status out))
-    by_output;
-  Buffer.contents buf
-
 (* Print one daemon verdict in the exact format of the local [diff]
    path; returns the matching exit code. *)
 let print_proto_verdict ~(input : string) ~(nimpls : int)
@@ -400,7 +374,13 @@ let print_proto_verdict ~(input : string) ~(nimpls : int)
       print_string obs.Serve.Proto.ob_output;
       0
   | Serve.Proto.V_diverge obs ->
-      print_string (proto_report_to_string ~input obs);
+      print_string
+        (Compdiff.Oracle.report_of_rows ~input
+           (List.map
+              (fun (o : Serve.Proto.obs) ->
+                (o.Serve.Proto.ob_impl, o.Serve.Proto.ob_output,
+                 o.Serve.Proto.ob_status))
+              obs));
       1
 
 let daemon_arg =
@@ -1088,7 +1068,9 @@ let juliet_cmd =
           (100. *. r.Juliet.Eval.r_reduction))
       rows;
     if c.co_stats then begin
-      print_oracle_stats ~c (Juliet.Eval.sum_oracle_stats evals);
+      print_oracle_stats ~c
+        (Compdiff.Oracle.sum_stats
+           (List.map (fun e -> e.Juliet.Eval.oracle_stats) evals));
       print_session_stats c
     end;
     0

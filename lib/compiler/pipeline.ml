@@ -235,12 +235,6 @@ let compile (profile : Policy.profile) (tp : Minic.Tast.tprogram) : unit_ =
   let l = lower profile tp in
   restore_lines l (optimize profile l)
 
-let compile_source (profile : Policy.profile) (src : string) :
-    (unit_, string) result =
-  match Minic.frontend_of_source src with
-  | Error _ as e -> e
-  | Ok tp -> Ok (compile profile tp)
-
 (* Compile one front-end result with every profile in the list. *)
 let compile_all ?(profiles = Profiles.all) (tp : Minic.Tast.tprogram) : unit_ list =
   List.map (fun p -> compile p tp) profiles

@@ -146,10 +146,6 @@ let memory_runtime_signature (r : runtime) =
     (match r.ptrcmp with Pabs -> "abs" | Pobjseq -> "seq")
     r.memcpy_backward
 
-let runtime_signature (r : runtime) =
-  Printf.sprintf "%s,ur%s" (memory_runtime_signature r)
-    (uninit_signature r.uninit_reg)
-
 (* Deterministic junk value for an uninitialized location. *)
 let uninit_value policy ~addr =
   match policy with

@@ -218,6 +218,18 @@ let reset_stats t =
   Atomic.set t.c_dedup_saved 0;
   Atomic.set t.c_escal_saved 0
 
+let sum_stats (ss : stats list) : stats =
+  List.fold_left
+    (fun a s ->
+      {
+        checks = a.checks + s.checks;
+        vm_execs = a.vm_execs + s.vm_execs;
+        dedup_saved = a.dedup_saved + s.dedup_saved;
+        escalation_saved = a.escalation_saved + s.escalation_saved;
+      })
+    { checks = 0; vm_execs = 0; dedup_saved = 0; escalation_saved = 0 }
+    ss
+
 let stats_to_json (s : stats) : string =
   Printf.sprintf
     "{\"checks\": %d, \"vm_execs\": %d, \"dedup_saved\": %d, \
@@ -455,18 +467,19 @@ let partition t (obs : (string * observation) list) : int array =
 
 (* human-readable divergence report, in the paper's bug-report format:
    input, reproducing configurations, divergent outputs *)
-let report_to_string ~(input : string) (obs : (string * observation) list) : string =
+let report_of_rows ~(input : string) (rows : (string * string * string) list) :
+    string =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "=== CompDiff divergence report ===\n";
   Buffer.add_string buf
     (Printf.sprintf "input (%d bytes): %S\n" (String.length input) input);
   let by_output = Hashtbl.create 8 in
   List.iter
-    (fun (name, o) ->
-      let key = (o.output, Cdvm.Trap.status_to_string o.status) in
+    (fun (name, output, status) ->
+      let key = (output, status) in
       let cur = Option.value ~default:[] (Hashtbl.find_opt by_output key) in
       Hashtbl.replace by_output key (name :: cur))
-    obs;
+    rows;
   Hashtbl.iter
     (fun (out, status) names ->
       Buffer.add_string buf
@@ -475,3 +488,9 @@ let report_to_string ~(input : string) (obs : (string * observation) list) : str
            status out))
     by_output;
   Buffer.contents buf
+
+let report_to_string ~(input : string) (obs : (string * observation) list) : string =
+  report_of_rows ~input
+    (List.map
+       (fun (name, o) -> (name, o.output, Cdvm.Trap.status_to_string o.status))
+       obs)

@@ -134,6 +134,9 @@ val classes : t -> int array
 val stats : t -> stats
 val reset_stats : t -> unit
 
+val sum_stats : stats list -> stats
+(** Field-wise sum of the counters (over a suite, or a warm table). *)
+
 val stats_to_json : stats -> string
 (** The execution counters as one JSON object (the [--stats-json]
     form, also embedded in serve-daemon stats responses). *)
@@ -199,3 +202,8 @@ val report_to_string : input:string -> (string * observation) list -> string
 (** Human-readable divergence report in the paper's bug-report format:
     the triggering input, the reproducing configurations, and the
     divergent outputs. *)
+
+val report_of_rows : input:string -> (string * string * string) list -> string
+(** {!report_to_string} over [(impl, output, status string)] rows: the
+    one renderer, also used for verdicts that arrive from a serve
+    daemon, so both print the same bytes. *)

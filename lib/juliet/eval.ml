@@ -58,16 +58,6 @@ let validate_oracle (oracle : Compdiff.Oracle.t) ~(inputs : string list) : unit 
              input))
     inputs
 
-let add_oracle_stats (a : Compdiff.Oracle.stats) (b : Compdiff.Oracle.stats) :
-    Compdiff.Oracle.stats =
-  {
-    Compdiff.Oracle.checks = a.Compdiff.Oracle.checks + b.Compdiff.Oracle.checks;
-    vm_execs = a.Compdiff.Oracle.vm_execs + b.Compdiff.Oracle.vm_execs;
-    dedup_saved = a.Compdiff.Oracle.dedup_saved + b.Compdiff.Oracle.dedup_saved;
-    escalation_saved =
-      a.Compdiff.Oracle.escalation_saved + b.Compdiff.Oracle.escalation_saved;
-  }
-
 let eval_compdiff ?session ?(fuel = 100_000) ?(validate = false)
     ?(reduce = true) ~(bad : Minic.Tast.tprogram)
     ~(good : Minic.Tast.tprogram) ~(inputs : string list) () :
@@ -94,9 +84,8 @@ let eval_compdiff ?session ?(fuel = 100_000) ?(validate = false)
     validate_oracle oracle_good ~inputs
   end;
   let ostats =
-    add_oracle_stats
-      (Compdiff.Oracle.stats oracle_bad)
-      (Compdiff.Oracle.stats oracle_good)
+    Compdiff.Oracle.sum_stats
+      [ Compdiff.Oracle.stats oracle_bad; Compdiff.Oracle.stats oracle_good ]
   in
   ((detected, fp), partition, reduction, ostats)
 
@@ -138,14 +127,6 @@ let evaluate_suite ?session ?fuel ?validate ?reduce
     test_eval list =
   let eval t = evaluate ?session ?fuel ?validate ?reduce t in
   if jobs > 1 then Cdutil.Pool.map eval tests else List.map eval tests
-
-(* combined oracle counters over the whole suite (juliet --stats) *)
-let sum_oracle_stats (evals : test_eval list) : Compdiff.Oracle.stats =
-  List.fold_left
-    (fun acc e -> add_oracle_stats acc e.oracle_stats)
-    { Compdiff.Oracle.checks = 0; vm_execs = 0; dedup_saved = 0;
-      escalation_saved = 0 }
-    evals
 
 (* --- Table 3 aggregation --- *)
 

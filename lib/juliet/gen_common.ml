@@ -38,6 +38,3 @@ let with_test_func ?(globals = []) ?(helpers = []) body =
         func Minic.Ast.Tint "main"
           [ expr (call "test_case" []); ret (int 0) ];
       ])
-
-(* variant selector: rotate through the shape list by index *)
-let pick_shape shapes ~index = List.nth shapes (index mod List.length shapes)

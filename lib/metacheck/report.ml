@@ -14,11 +14,6 @@ type t = {
 
 let compdiff_tool = "CompDiff"
 
-let tool_names =
-  List.map Staticcheck.Static_tools.name Staticcheck.Static_tools.all
-  @ List.map Sanitizers.San.name Sanitizers.San.all
-  @ [ compdiff_tool ]
-
 (* --- static extraction --- *)
 
 (* detection-grade findings of one tool as reports *)

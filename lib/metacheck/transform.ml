@@ -342,8 +342,6 @@ let outline tp k =
     | None -> None)
   | None -> None
 
-let preserving_rules = [ "dead-branch"; "stmt-reorder"; "loop-peel"; "arith-identity"; "call-outline" ]
-
 let preserving ?(limit_per_rule = 4) (tp : tprogram) : twin list =
   let take rule gen =
     let rec go k acc =

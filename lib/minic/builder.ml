@@ -33,7 +33,6 @@ let long64 v = e (ELong v)
 let flt f = e (EFloat f)
 let str s = e (EStr s)
 let var v = e (EVar v)
-let line_ () = e ELine
 
 let neg a = e (EUnop (Neg, a))
 let lnot a = e (EUnop (Lnot, a))
@@ -84,6 +83,10 @@ let decl_arr t name n = s (SDecl { dtyp = Tarr (t, n); dname = name; dinit = Non
 let if_ c t f = s (SIf (c, t, f))
 let while_ c b = s (SWhile (c, b))
 let ret ex = s (SReturn (Some ex))
+
+(* Unused, but not dead: like [break_] and [continue_] it is built at
+   module initialisation and takes a line from the counter (line 1), and
+   the lines of every program built later follow from it. *)
 let ret_void = s (SReturn None)
 let break_ = s SBreak
 let continue_ = s SContinue

@@ -228,7 +228,6 @@ let pp_program ppf p =
 
 let program_to_string p = Format.asprintf "%a\n" pp_program p
 let expr_to_string e = Format.asprintf "%a" pp_expr e
-let stmt_to_string s = Format.asprintf "%a" (pp_stmt 0) s
 
 (* Typed programs print through erasure: what you see is the MiniC
    source whose re-elaboration is the typed program (used to dump the

@@ -625,26 +625,7 @@ let oracle_stats t : Compdiff.Oracle.stats =
   Mutex.lock t.mutex;
   let os = Hashtbl.fold (fun _ (o, _) acc -> o :: acc) t.oracles [] in
   Mutex.unlock t.mutex;
-  List.fold_left
-    (fun (acc : Compdiff.Oracle.stats) o ->
-      let s = Compdiff.Oracle.stats o in
-      {
-        Compdiff.Oracle.checks =
-          acc.Compdiff.Oracle.checks + s.Compdiff.Oracle.checks;
-        vm_execs = acc.Compdiff.Oracle.vm_execs + s.Compdiff.Oracle.vm_execs;
-        dedup_saved =
-          acc.Compdiff.Oracle.dedup_saved + s.Compdiff.Oracle.dedup_saved;
-        escalation_saved =
-          acc.Compdiff.Oracle.escalation_saved
-          + s.Compdiff.Oracle.escalation_saved;
-      })
-    {
-      Compdiff.Oracle.checks = 0;
-      vm_execs = 0;
-      dedup_saved = 0;
-      escalation_saved = 0;
-    }
-    os
+  Compdiff.Oracle.sum_stats (List.map Compdiff.Oracle.stats os)
 
 let stats_reply t : Proto.response =
   Proto.Stats_reply

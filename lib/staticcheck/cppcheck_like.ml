@@ -142,14 +142,6 @@ let rec scan_expr env (e : expr) =
 and scan_base env (e : expr) =
   match e.e with EVar _ -> () | _ -> scan_expr env e
 
-and scan_lvalue_subexprs env (e : expr) =
-  match e.e with
-  | EIndex (a, i) ->
-    scan_base env a;
-    scan_expr env i
-  | EDeref a -> scan_base env a
-  | _ -> ()
-
 let rec scan_stmt env (s : stmt) =
   match s.s with
   | SExpr e -> scan_expr env e

@@ -18,9 +18,6 @@ type summary = {
   derefs_params : int list;    (* indices it dereferences unconditionally *)
 }
 
-let empty_summary =
-  { returns_fresh = false; returns_maybe_null = false; frees_params = []; derefs_params = [] }
-
 type pstate = Fresh | Checked | Freed | Null | MaybeNull | Unknown
 
 type env = {

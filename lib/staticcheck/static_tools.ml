@@ -76,11 +76,6 @@ let cross_to_string (c : cross) : string =
     (Format.asprintf "%a" Finding.pp c.cx_finding)
     (String.concat ", " (List.map name c.cx_tools))
 
-(* does the tool report anything at all on this program? Only
-   detection-grade ([Error]) findings count. *)
-let flags_program (t : tool) (p : Minic.Ast.program) : bool =
-  List.exists (fun f -> f.Finding.severity = Finding.Error) (check t p)
-
 (* does it report an [Error]-severity finding of one of the given kinds? *)
 let flags_kinds (t : tool) (p : Minic.Ast.program) (kinds : Finding.kind list) : bool =
   List.exists
