@@ -83,35 +83,20 @@ let at_least t name floor = t.gates <- (name, At_least floor) :: t.gates
 let at_most t name ceiling = t.gates <- (name, At_most ceiling) :: t.gates
 let holds t name ok = t.gates <- (name, Holds ok) :: t.gates
 
-(* JSON number; a missing or undefined value is null *)
-let num v =
-  if not (Float.is_finite v) then "null"
-  else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
+(* a number as the JSON prints it, so the table and the file agree; a
+   missing or undefined value is null *)
+let show v = Cdutil.Json.(to_string (Float v))
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 32 -> Printf.bprintf buf "\\u%04x" (Char.code c)
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-(* floor text, value text, verdict; a gate over a missing row fails *)
-let judge t (name, floor) =
+(* floor text, value, verdict; a gate over a missing row fails *)
+let judge t (name, floor) : string * Cdutil.Json.t * bool =
   match floor with
   | At_least f ->
     let v = median t name in
-    (">= " ^ num f, num v, v >= f)
+    (">= " ^ show f, Float v, v >= f)
   | At_most f ->
     let v = median t name in
-    ("<= " ^ num f, num v, v <= f)
-  | Holds ok -> ("holds", string_of_bool ok, ok)
+    ("<= " ^ show f, Float v, v <= f)
+  | Holds ok -> ("holds", Bool ok, ok)
 
 let any_failed = ref false
 let failed () = !any_failed
@@ -121,43 +106,42 @@ let emit t =
   let boxes = List.map (fun r -> (r, Cdutil.Stats.box_of r.samples)) rows in
   let verdicts = List.map (fun g -> (fst g, judge t g)) gates in
   let path = Printf.sprintf "BENCH_%s.json" t.bench in
-  let oc = open_out path in
-  let list items = String.concat ",\n    " items in
-  Printf.fprintf oc
-    "{\n  \"bench\": %s,\n  \"about\": %s,\n  \"rows\": [\n    %s\n  ],\n  \
-     \"gates\": [\n    %s\n  ]\n}\n"
-    (json_string t.bench) (json_string t.about)
-    (list
-       (List.map
-          (fun (r, (b : Cdutil.Stats.box)) ->
-            Printf.sprintf
-              "{ \"name\": %s, \"unit\": %s, \"trials\": %d, \"median\": %s, \
-               \"min\": %s, \"max\": %s }"
-              (json_string r.name) (json_string r.unit_) b.count
-              (num b.median) (num b.minimum) (num b.maximum))
-          boxes))
-    (list
-       (List.map
-          (fun (name, (floor, v, ok)) ->
-            Printf.sprintf
-              "{ \"name\": %s, \"floor\": %s, \"value\": %s, \"ok\": %b }"
-              (json_string name) (json_string floor) v ok)
-          verdicts));
-  close_out oc;
+  let open Cdutil.Json in
+  let row (r, (b : Cdutil.Stats.box)) =
+    Obj
+      [ ("name", String r.name); ("unit", String r.unit_); ("trials", Int b.count);
+        ("median", Float b.median); ("min", Float b.minimum);
+        ("max", Float b.maximum) ]
+  and gate (name, (floor, v, ok)) =
+    Obj
+      [ ("name", String name); ("floor", String floor); ("value", v); ("ok", Bool ok) ]
+  in
+  (* one object, written a member per line and a row or gate per line *)
+  let lines items =
+    "[\n    " ^ String.concat ",\n    " (List.map to_string items) ^ "\n  ]"
+  in
+  let members =
+    [ ("bench", to_string (String t.bench)); ("about", to_string (String t.about));
+      ("rows", lines (List.map row boxes)); ("gates", lines (List.map gate verdicts)) ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n"
+        (String.concat ",\n"
+           (List.map (fun (k, v) -> "  " ^ to_string (String k) ^ ": " ^ v) members)));
   Printf.printf "== %s bench (%s)\n%s\n\n" t.bench t.about
     (Cdutil.Tablefmt.render
        ~aligns:Cdutil.Tablefmt.[ Left; Left; Right; Right; Right; Right ]
        ~header:[ "row"; "unit"; "trials"; "median"; "min"; "max" ]
        (List.map
           (fun (r, (b : Cdutil.Stats.box)) ->
-            [ r.name; r.unit_; string_of_int b.count; num b.median;
-              num b.minimum; num b.maximum ])
+            [ r.name; r.unit_; string_of_int b.count; show b.median;
+              show b.minimum; show b.maximum ])
           boxes));
   List.iter
     (fun (name, (floor, v, ok)) ->
       if not ok then any_failed := true;
       Printf.printf "%s gate: %s %s = %s (floor %s)\n"
         (if ok then "ok  " else "FAIL")
-        t.bench name v floor)
+        t.bench name (to_string v) floor)
     verdicts;
   Printf.printf "wrote %s\n\n%!" path

@@ -74,14 +74,14 @@ let table5 () =
   (* §5 reporting workload: one oracle-validated reduction per signature
      representative, summarized across all campaigns *)
   let s = Projects.Campaign.summarize_reductions results in
-  if s.Projects.Campaign.rs_divergences > 0 then
+  if s.Compdiff.Reduce.sm_divergences > 0 then
     Printf.printf
       "reduced reproducers: %d divergences, %d -> %d bytes, median input \
        reduction %.0f%% (%d oracle checks)\n"
-      s.Projects.Campaign.rs_divergences s.Projects.Campaign.rs_raw_bytes
-      s.Projects.Campaign.rs_reduced_bytes
-      (100. *. s.Projects.Campaign.rs_median_ratio)
-      s.Projects.Campaign.rs_checks;
+      s.Compdiff.Reduce.sm_divergences s.sm_raw_bytes
+      s.sm_reduced_bytes
+      (100. *. s.sm_median_ratio)
+      s.sm_checks;
   print_newline ()
 
 let table6 () =

@@ -74,21 +74,7 @@ let profile_of_name name =
       exit 2
     end
 
-let json_escape (s : string) : string =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let print_json (j : Cdutil.Json.t) = print_endline (Cdutil.Json.to_string j)
 
 (* --- common args --- *)
 
@@ -197,9 +183,8 @@ let common_term =
       value & flag
       & info [ "stats-json" ]
           ~doc:
-            "Print the end-of-run statistics as JSON objects (one line for \
-             the oracle, one for the session) instead of text; implies \
-             $(b,--stats).")
+            "Print the end-of-run statistics as one JSON object on one \
+             line instead of text; implies $(b,--stats).")
   in
   let mk fuel jobs profiles cache_mb disk_cache stats stats_json =
     apply_jobs jobs;
@@ -222,28 +207,37 @@ let common_term =
     const mk $ fuel $ jobs $ profiles $ cache_mb $ disk_cache $ stats
     $ stats_json)
 
-let print_session_stats (c : common) =
-  if c.co_stats_json then begin
-    Printf.printf "%s\n"
-      (Engine.Session.stats_to_json (Engine.Session.stats c.co_session));
-    Printf.printf "{\"localize\": %s}\n" (Compdiff.Localize.stats_to_json ())
-  end
-  else begin
-    print_string
-      (Engine.Session.stats_to_string (Engine.Session.stats c.co_session));
-    print_string (Compdiff.Localize.stats_to_string ())
-  end
+(* One counter set of the end-of-run statistics: its member name in the
+   --stats-json object, and both renderings. *)
+type stat = { key : string; json : Cdutil.Json.t; text : string }
 
-let print_oracle_stats ?c (s : Compdiff.Oracle.stats) =
-  match (c : common option) with
-  | Some c when c.co_stats_json ->
-      Printf.printf "%s\n" (Compdiff.Oracle.stats_to_json s)
-  | _ ->
-      Printf.printf
-        "oracle: %d checks, %d observations requested, %d saved by dedup, %d \
-         saved by incremental escalation\n"
-        s.Compdiff.Oracle.checks s.Compdiff.Oracle.vm_execs
-        s.Compdiff.Oracle.dedup_saved s.Compdiff.Oracle.escalation_saved
+let oracle_stat (s : Compdiff.Oracle.stats) =
+  let text =
+    Printf.sprintf
+      "oracle: %d checks, %d observations requested, %d saved by dedup, %d \
+       saved by incremental escalation\n"
+      s.checks s.vm_execs s.dedup_saved s.escalation_saved
+  in
+  { key = "oracle"; json = Compdiff.Oracle.stats_json s; text }
+
+(* The end-of-run statistics, when --stats or --stats-json asked for
+   them: the command's own counter sets [own], then the session's and
+   localization's.  --stats-json prints them as one JSON object on one
+   line, --stats as text. *)
+let print_stats ?(own = []) (c : common) =
+  if c.co_stats then begin
+    let s = Engine.Session.stats c.co_session in
+    let stats =
+      own
+      @ [ { key = "session"; json = Engine.Session.stats_json s;
+            text = Engine.Session.stats_to_string s };
+          { key = "localize"; json = Compdiff.Localize.stats_json ();
+            text = Compdiff.Localize.stats_to_string () } ]
+    in
+    if c.co_stats_json then
+      print_json (Obj (List.map (fun s -> (s.key, s.json)) stats))
+    else List.iter (fun s -> print_string s.text) stats
+  end
 
 (* --- compile --- *)
 
@@ -457,10 +451,7 @@ let diff_cmd =
             print_string (Compdiff.Oracle.report_to_string ~input obs);
             1
         in
-        if c.co_stats then begin
-          print_oracle_stats ~c (Compdiff.Oracle.stats o);
-          print_session_stats c
-        end;
+        print_stats ~own:[ oracle_stat (Compdiff.Oracle.stats o) ] c;
         code
   in
   Cmd.v
@@ -515,21 +506,18 @@ let localize_cmd =
    With one profile, or a stored .ctr trace, there is one side: its
    events are listed and it replays the same way. *)
 
-let probe_json (p : Compdiff.Localize.probe option) : string =
-  match p with
-  | None -> "null"
+let probe_json : Compdiff.Localize.probe option -> Cdutil.Json.t = function
+  | None -> Null
   | Some p ->
-    Printf.sprintf
-      "{\"step\": %d, \"fn\": \"%s\", \"pc\": %d, \"line\": %s, \"kind\": \
-       \"%s\", \"value\": \"%s\"}"
-      p.Compdiff.Localize.pr_step
-      (json_escape p.Compdiff.Localize.pr_fn)
-      p.Compdiff.Localize.pr_pc
-      (match p.Compdiff.Localize.pr_line with
-      | Some l -> string_of_int l
-      | None -> "null")
-      (match p.Compdiff.Localize.pr_kind with `Reg -> "reg" | `Mem -> "mem")
-      (json_escape p.Compdiff.Localize.pr_value)
+    Obj
+      [ ("step", Int p.Compdiff.Localize.pr_step); ("fn", String p.pr_fn);
+        ("pc", Int p.pr_pc);
+        ("line", match p.pr_line with Some l -> Int l | None -> Null);
+        ("kind", String (match p.pr_kind with `Reg -> "reg" | `Mem -> "mem"));
+        ("value", String p.pr_value) ]
+
+let saved_json saved : Cdutil.Json.t =
+  List (List.map (fun f -> Cdutil.Json.String f) saved)
 
 (* replay to [k] and render; returns (clamped position, state) *)
 let replay_state (tr : Cdtrace.t) (k : int) : int * string =
@@ -627,16 +615,13 @@ let explore_cmd =
     let pos, state = replay_state tr (base - back) in
     let events = tr.Cdtrace.events in
     if json then
-      Printf.printf
-        "{\"impl\": \"%s\", \"input\": \"%s\", \"status\": \"%s\", \
-         \"steps\": %d, \"truncated\": %b, \"events\": %d, \"pos\": %d, \
-         \"state\": \"%s\", \"saved\": [%s]}\n"
-        (json_escape tr.Cdtrace.impl)
-        (json_escape tr.Cdtrace.input)
-        (json_escape (Cdvm.Trap.status_to_string tr.Cdtrace.status))
-        n tr.Cdtrace.truncated (Array.length events) pos (json_escape state)
-        (String.concat ", "
-           (List.map (fun f -> "\"" ^ json_escape f ^ "\"") saved))
+      print_json
+        (Obj
+           [ ("impl", String tr.Cdtrace.impl); ("input", String tr.input);
+             ("status", String (Cdvm.Trap.status_to_string tr.status));
+             ("steps", Int n); ("truncated", Bool tr.truncated);
+             ("events", Int (Array.length events)); ("pos", Int pos);
+             ("state", String state); ("saved", saved_json saved) ])
     else begin
       Printf.printf "trace: %s on input %S — %s, %d steps%s, %d events\n"
         tr.Cdtrace.impl tr.Cdtrace.input
@@ -685,7 +670,7 @@ let explore_cmd =
       in
       match Compdiff.Oracle.check o ~input with
       | Compdiff.Oracle.Agree _ ->
-        if json then Printf.printf "{\"divergence\": false}\n"
+        if json then print_json (Obj [ ("divergence", Bool false) ])
         else Printf.printf "no divergence on this input; nothing to explore\n";
         0
       | Compdiff.Oracle.Diverge obs -> (
@@ -711,28 +696,24 @@ let explore_cmd =
           in
           let pa, sa = side_pos d.Compdiff.Localize.deep_a ta in
           let pb, sb = side_pos d.Compdiff.Localize.deep_b tb in
-          if json then
-            Printf.printf
-              "{\"divergence\": true, \"impl_a\": \"%s\", \"impl_b\": \
-               \"%s\", \"anchor_event\": %d, \"diverging_event\": %s, \
-               \"probes\": %d, \"at_a\": %s, \"at_b\": %s, \"diff\": \
-               \"%s\", \"replay\": {\"a\": {\"pos\": %d, \"steps\": %d, \
-               \"state\": \"%s\"}, \"b\": {\"pos\": %d, \"steps\": %d, \
-               \"state\": \"%s\"}}, \"saved\": [%s]}\n"
-              (json_escape ta.Cdtrace.impl)
-              (json_escape tb.Cdtrace.impl)
-              d.Compdiff.Localize.anchor_event
-              (match d.Compdiff.Localize.diverging_event with
-              | Some e -> string_of_int e
-              | None -> "null")
-              d.Compdiff.Localize.probes
-              (probe_json d.Compdiff.Localize.deep_a.Compdiff.Localize.ds_at)
-              (probe_json d.Compdiff.Localize.deep_b.Compdiff.Localize.ds_at)
-              (json_escape d.Compdiff.Localize.diff)
-              pa (Cdtrace.length ta) (json_escape sa) pb (Cdtrace.length tb)
-              (json_escape sb)
-              (String.concat ", "
-                 (List.map (fun f -> "\"" ^ json_escape f ^ "\"") saved))
+          if json then begin
+            let replay tr pos state : Cdutil.Json.t =
+              Obj
+                [ ("pos", Int pos); ("steps", Int (Cdtrace.length tr));
+                  ("state", String state) ]
+            in
+            print_json
+              (Obj
+                 [ ("divergence", Bool true); ("impl_a", String ta.Cdtrace.impl);
+                   ("impl_b", String tb.impl);
+                   ("anchor_event", Int d.Compdiff.Localize.anchor_event);
+                   ( "diverging_event",
+                     match d.diverging_event with Some e -> Int e | None -> Null );
+                   ("probes", Int d.probes); ("at_a", probe_json d.deep_a.ds_at);
+                   ("at_b", probe_json d.deep_b.ds_at); ("diff", String d.diff);
+                   ("replay", Obj [ ("a", replay ta pa sa); ("b", replay tb pb sb) ]);
+                   ("saved", saved_json saved) ])
+          end
           else begin
             print_string (Compdiff.Localize.to_string d);
             List.iter (Printf.printf "saved trace: %s\n") saved;
@@ -747,10 +728,7 @@ let explore_cmd =
             show ta.Cdtrace.impl ta pa sa;
             show tb.Cdtrace.impl tb pb sb
           end;
-          if c.co_stats then begin
-            print_oracle_stats ~c (Compdiff.Oracle.stats o);
-            print_session_stats c
-          end;
+          print_stats ~own:[ oracle_stat (Compdiff.Oracle.stats o) ] c;
           1))
   in
   Cmd.v
@@ -915,39 +893,23 @@ let reduce_cmd =
         write path r.Compdiff.Reduce.red_input;
         write (path ^ ".orig") raw
       | _ -> ());
-      if c.co_stats then begin
-        let ratios =
-          List.sort compare
-            (List.map
-               (fun (_, (r : Compdiff.Reduce.result)) ->
-                 Compdiff.Reduce.input_ratio r.Compdiff.Reduce.red_stats)
-               reduced)
-        in
-        let median =
-          match ratios with
-          | [] -> 0.
-          | _ ->
-            let n = List.length ratios in
-            if n mod 2 = 1 then List.nth ratios (n / 2)
-            else (List.nth ratios ((n / 2) - 1) +. List.nth ratios (n / 2)) /. 2.
-        in
-        let sum f =
-          List.fold_left
-            (fun a (_, (r : Compdiff.Reduce.result)) ->
-              a + f r.Compdiff.Reduce.red_stats)
-            0 reduced
-        in
-        Printf.printf
+      let s =
+        Compdiff.Reduce.summarize
+          (List.map (fun (_, r) -> r.Compdiff.Reduce.red_stats) reduced)
+      in
+      let text =
+        Printf.sprintf
           "reduce stats: %d divergences, median input reduction %.0f%%, total \
            %d -> %d bytes, %d oracle checks\n"
-          (List.length reduced)
-          (100. *. median)
-          (sum (fun s -> s.Compdiff.Reduce.input_before))
-          (sum (fun s -> s.Compdiff.Reduce.input_after))
-          (sum (fun s -> s.Compdiff.Reduce.checks));
-        print_oracle_stats ~c (Compdiff.Oracle.stats oracle);
-        print_session_stats c
-      end;
+          s.Compdiff.Reduce.sm_divergences (100. *. s.sm_median_ratio)
+          s.sm_raw_bytes s.sm_reduced_bytes s.sm_checks
+      in
+      let reduce_stat =
+        { key = "reduce"; json = Compdiff.Reduce.summary_json s; text }
+      in
+      print_stats
+        ~own:[ reduce_stat; oracle_stat (Compdiff.Oracle.stats oracle) ]
+        c;
       1
     end
   in
@@ -1028,10 +990,9 @@ let fuzz_cmd =
                e.Compdiff.Triage.observations))
       (Compdiff.Triage.report_buckets c.Fuzz.Compdiff_afl.diffs
          c.Fuzz.Compdiff_afl.oracle ~program:(ast_of_file file) ());
-    if co.co_stats then begin
-      print_oracle_stats ~c:co (Compdiff.Oracle.stats c.Fuzz.Compdiff_afl.oracle);
-      print_session_stats co
-    end;
+    print_stats
+      ~own:[ oracle_stat (Compdiff.Oracle.stats c.Fuzz.Compdiff_afl.oracle) ]
+      co;
     if Compdiff.Triage.total_count c.Fuzz.Compdiff_afl.diffs > 0 then 1 else 0
   in
   Cmd.v
@@ -1067,12 +1028,11 @@ let juliet_cmd =
           r.Juliet.Eval.unique
           (100. *. r.Juliet.Eval.r_reduction))
       rows;
-    if c.co_stats then begin
-      print_oracle_stats ~c
-        (Compdiff.Oracle.sum_stats
-           (List.map (fun e -> e.Juliet.Eval.oracle_stats) evals));
-      print_session_stats c
-    end;
+    let oracle =
+      Compdiff.Oracle.sum_stats
+        (List.map (fun e -> e.Juliet.Eval.oracle_stats) evals)
+    in
+    print_stats ~own:[ oracle_stat oracle ] c;
     0
   in
   Cmd.v
@@ -1197,7 +1157,7 @@ let gen_cmd =
          each)\n%!"
         found (List.length pairs) fuzz_execs
     end;
-    if c.co_stats then print_session_stats c;
+    print_stats c;
     if failures <> [] || clean_divergences > 0 then 1 else 0
   in
   Cmd.v
@@ -1255,15 +1215,13 @@ let projects_cmd =
         targets
     in
     let s = Projects.Campaign.summarize_reductions results in
-    if s.Projects.Campaign.rs_divergences > 0 then
+    if s.Compdiff.Reduce.sm_divergences > 0 then
       Printf.printf
         "reduced %d divergence reproducers: %d -> %d bytes, median reduction \
          %.0f%% (%d oracle checks)\n"
-        s.Projects.Campaign.rs_divergences s.Projects.Campaign.rs_raw_bytes
-        s.Projects.Campaign.rs_reduced_bytes
-        (100. *. s.Projects.Campaign.rs_median_ratio)
-        s.Projects.Campaign.rs_checks;
-    if c.co_stats then print_session_stats c;
+        s.Compdiff.Reduce.sm_divergences s.sm_raw_bytes s.sm_reduced_bytes
+        (100. *. s.sm_median_ratio) s.sm_checks;
+    print_stats c;
     0
   in
   Cmd.v
@@ -1327,23 +1285,18 @@ let static_cmd =
           exit 2)
     in
     let finding_json ?tools (f : Staticcheck.Finding.t) =
-      Printf.sprintf
-        "{\"tool\": \"%s\", \"kind\": \"%s\", \"line\": %d, \"severity\": \
-         \"%s\", \"message\": \"%s\"%s}"
-        (json_escape f.Staticcheck.Finding.tool)
-        (Staticcheck.Finding.kind_to_string f.Staticcheck.Finding.kind)
-        f.Staticcheck.Finding.line
-        (Staticcheck.Finding.severity_to_string f.Staticcheck.Finding.severity)
-        (json_escape f.Staticcheck.Finding.message)
-        (match tools with
-        | None -> ""
-        | Some ts ->
-          Printf.sprintf ", \"agreed_by\": [%s]"
-            (String.concat ", "
-               (List.map
-                  (fun t ->
-                    Printf.sprintf "\"%s\"" (Staticcheck.Static_tools.name t))
-                  ts)))
+      let open Cdutil.Json in
+      let agreed_by ts =
+        let names = List.map Staticcheck.Static_tools.name ts in
+        ("agreed_by", List (List.map (fun n -> String n) names))
+      in
+      Obj
+        ([ ("tool", String f.Staticcheck.Finding.tool);
+           ("kind", String (Staticcheck.Finding.kind_to_string f.kind));
+           ("line", Int f.line);
+           ("severity", String (Staticcheck.Finding.severity_to_string f.severity));
+           ("message", String f.message) ]
+        @ Option.to_list (Option.map agreed_by tools))
     in
     let errors = ref 0 in
     let json_rows = ref [] in
@@ -1380,9 +1333,8 @@ let static_cmd =
             findings)
         tools;
     if json then
-      Printf.printf "{\"file\": \"%s\", \"findings\": [%s]}\n"
-        (json_escape file)
-        (String.concat ", " (List.rev !json_rows))
+      print_json
+        (Obj [ ("file", String file); ("findings", List (List.rev !json_rows)) ])
     else if !errors = 0 then Printf.printf "no detection-grade findings\n";
     if !errors = 0 then 0 else 1
   in
@@ -1429,27 +1381,22 @@ let metacheck_cmd =
       value & flag
       & info [ "json" ] ~doc:"Emit machine-readable JSON flags.")
   in
-  let flag_json (f : Metacheck.Driver.flag) =
-    Printf.sprintf
-      "{\"tool\": \"%s\", \"rule\": \"%s\", \"what\": \"%s\", \"kind\": %s, \
-       \"detail\": \"%s\"}"
-      (json_escape f.Metacheck.Driver.fl_tool)
-      (json_escape f.Metacheck.Driver.fl_rule)
-      (Metacheck.Driver.what_to_string f.Metacheck.Driver.fl_what)
-      (match f.Metacheck.Driver.fl_kind with
-      | Some k ->
-        Printf.sprintf "\"%s\"" (Staticcheck.Finding.kind_to_string k)
-      | None -> "null")
-      (json_escape f.Metacheck.Driver.fl_detail)
+  let flag_json (f : Metacheck.Driver.flag) : Cdutil.Json.t =
+    Obj
+      [ ("tool", String f.Metacheck.Driver.fl_tool); ("rule", String f.fl_rule);
+        ("what", String (Metacheck.Driver.what_to_string f.fl_what));
+        ( "kind",
+          match f.fl_kind with
+          | Some k -> String (Staticcheck.Finding.kind_to_string k)
+          | None -> Null );
+        ("detail", String f.fl_detail) ]
   in
-  let result_json (r : Metacheck.Driver.result) =
-    Printf.sprintf
-      "{\"name\": \"%s\", \"preserving\": %d, \"eliminating\": %d, \
-       \"retype_failures\": %d, \"flags\": [%s]}"
-      (json_escape r.Metacheck.Driver.mc_name)
-      r.Metacheck.Driver.mc_preserving r.Metacheck.Driver.mc_eliminating
-      (List.length r.Metacheck.Driver.mc_retype_failures)
-      (String.concat ", " (List.map flag_json r.Metacheck.Driver.mc_flags))
+  let result_json (r : Metacheck.Driver.result) : Cdutil.Json.t =
+    Obj
+      [ ("name", String r.Metacheck.Driver.mc_name);
+        ("preserving", Int r.mc_preserving); ("eliminating", Int r.mc_eliminating);
+        ("retype_failures", Int (List.length r.mc_retype_failures));
+        ("flags", List (List.map flag_json r.mc_flags)) ]
   in
   let action file_opt inputs per_cwe limit json (c : common) =
     let programs =
@@ -1506,11 +1453,11 @@ let metacheck_cmd =
       total (fun r -> List.length r.Metacheck.Driver.mc_retype_failures)
     in
     if json then
-      Printf.printf
-        "{\"programs\": %d, \"preserving\": %d, \"eliminating\": %d, \
-         \"retype_failures\": %d, \"results\": [%s]}\n"
-        (List.length results) preserving eliminating failures
-        (String.concat ", " (List.map result_json results))
+      print_json
+        (Obj
+           [ ("programs", Int (List.length results)); ("preserving", Int preserving);
+             ("eliminating", Int eliminating); ("retype_failures", Int failures);
+             ("results", List (List.map result_json results)) ])
     else begin
       Printf.printf "\nprograms: %d\n" (List.length results);
       Printf.printf "preserving twins: %d\n" preserving;
@@ -1524,7 +1471,7 @@ let metacheck_cmd =
         t.Compdiff.Triage.Tally.fp t.Compdiff.Triage.Tally.fn
         t.Compdiff.Triage.Tally.xfn t.Compdiff.Triage.Tally.drift
     end;
-    if c.co_stats then print_session_stats c;
+    print_stats c;
     if failures > 0 then 2 else 0
   in
   Cmd.v
@@ -1606,20 +1553,17 @@ let serve_cmd =
     in
     let srv = Serve.Server.create cfg in
     Serve.Server.serve srv;
-    if c.co_stats then begin
-      let sched = Serve.Server.sched srv in
-      print_oracle_stats ~c (Serve.Scheduler.oracle_stats sched);
+    let sched = Serve.Server.sched srv in
+    if c.co_stats_json then print_json (Serve.Scheduler.stats_json sched)
+    else if c.co_stats then begin
       let sc = Serve.Scheduler.sched_stats sched in
-      if c.co_stats_json then
-        Printf.printf "{\"scheduler\": %s}\n" (Serve.Client.sched_to_json sc)
-      else
-        Printf.printf
-          "scheduler: %d requests, %d flights, %d joined, %d answered inline, \
-           %d shed\n"
-          sc.Serve.Proto.sr_requests sc.Serve.Proto.sr_flights
-          sc.Serve.Proto.sr_joined sc.Serve.Proto.sr_inline
-          sc.Serve.Proto.sr_shed;
-      print_session_stats c
+      print_string (oracle_stat (Serve.Scheduler.oracle_stats sched)).text;
+      Printf.printf
+        "scheduler: %d requests, %d flights, %d joined, %d answered inline, \
+         %d shed\n"
+        sc.Serve.Proto.sr_requests sc.sr_flights sc.sr_joined sc.sr_inline
+        sc.sr_shed;
+      print_stats c
     end;
     0
   in
@@ -1725,7 +1669,7 @@ let connect_cmd =
         else if remote_stats then (
           match Serve.Client.stats cl with
           | Some s ->
-              print_endline (Serve.Client.stats_to_json s);
+              print_endline s;
               0
           | None ->
               Printf.eprintf "stats request failed\n";

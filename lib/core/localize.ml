@@ -31,14 +31,16 @@
    diverging instruction at the granularity the trace store can see. *)
 
 (* running counters over both recording levels, surfaced via
-   {!stats_to_json} (the --stats-json form) *)
+   {!stats_json} (the "localize" member of the --stats-json object) *)
 let stat_shallow = Atomic.make 0
 let stat_deep = Atomic.make 0
 let stat_probes = Atomic.make 0
 
-let stats_to_json () : string =
-  Printf.sprintf "{\"shallow\": %d, \"deep\": %d, \"bisection_probes\": %d}"
-    (Atomic.get stat_shallow) (Atomic.get stat_deep) (Atomic.get stat_probes)
+let stats_json () : Cdutil.Json.t =
+  Obj
+    [ ("shallow", Int (Atomic.get stat_shallow));
+      ("deep", Int (Atomic.get stat_deep));
+      ("bisection_probes", Int (Atomic.get stat_probes)) ]
 
 let stats_to_string () : string =
   Printf.sprintf

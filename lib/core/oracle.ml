@@ -230,11 +230,11 @@ let sum_stats (ss : stats list) : stats =
     { checks = 0; vm_execs = 0; dedup_saved = 0; escalation_saved = 0 }
     ss
 
-let stats_to_json (s : stats) : string =
-  Printf.sprintf
-    "{\"checks\": %d, \"vm_execs\": %d, \"dedup_saved\": %d, \
-     \"escalation_saved\": %d}"
-    s.checks s.vm_execs s.dedup_saved s.escalation_saved
+let stats_json (s : stats) : Cdutil.Json.t =
+  Obj
+    [ ("checks", Int s.checks); ("vm_execs", Int s.vm_execs);
+      ("dedup_saved", Int s.dedup_saved);
+      ("escalation_saved", Int s.escalation_saved) ]
 
 let observation_of t (r : Cdvm.Exec.result) : observation =
   {

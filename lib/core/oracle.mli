@@ -137,9 +137,9 @@ val reset_stats : t -> unit
 val sum_stats : stats list -> stats
 (** Field-wise sum of the counters (over a suite, or a warm table). *)
 
-val stats_to_json : stats -> string
-(** The execution counters as one JSON object (the [--stats-json]
-    form, also embedded in serve-daemon stats responses). *)
+val stats_json : stats -> Cdutil.Json.t
+(** The execution counters as one JSON object: the ["oracle"] member of
+    the [--stats-json] object and of the serve daemon's stats. *)
 
 val checksum : t -> observation -> int32
 (** The MurmurHash3 checksum CompDiff compares (paper §3.2, "Output

@@ -66,6 +66,32 @@ let input_ratio (s : stats) : float =
   if s.input_before = 0 then 0.
   else 1. -. (float_of_int s.input_after /. float_of_int s.input_before)
 
+type summary = {
+  sm_divergences : int;
+  sm_raw_bytes : int;
+  sm_reduced_bytes : int;
+  sm_median_ratio : float;
+  sm_checks : int;
+}
+
+let summarize (ss : stats list) : summary =
+  let sum f = List.fold_left (fun a s -> a + f s) 0 ss in
+  {
+    sm_divergences = List.length ss;
+    sm_raw_bytes = sum (fun s -> s.input_before);
+    sm_reduced_bytes = sum (fun s -> s.input_after);
+    sm_median_ratio =
+      (if ss = [] then 0.
+       else Cdutil.Stats.percentile 0.5 (List.map input_ratio ss));
+    sm_checks = sum (fun s -> s.checks);
+  }
+
+let summary_json (m : summary) : Cdutil.Json.t =
+  Obj
+    [ ("divergences", Int m.sm_divergences); ("raw_bytes", Int m.sm_raw_bytes);
+      ("reduced_bytes", Int m.sm_reduced_bytes);
+      ("median_ratio", Float m.sm_median_ratio); ("checks", Int m.sm_checks) ]
+
 (* --- input reduction: ddmin, then byte canonicalization --- *)
 
 (* ddmin in its complement-removal form: split the input into [n]

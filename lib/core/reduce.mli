@@ -65,6 +65,20 @@ val class_of :
 val input_ratio : stats -> float
 (** [1 - after/before] (0 when the input was already empty). *)
 
+type summary = {
+  sm_divergences : int;    (** reductions summarized *)
+  sm_raw_bytes : int;      (** input bytes before, summed *)
+  sm_reduced_bytes : int;  (** input bytes after, summed *)
+  sm_median_ratio : float; (** median {!input_ratio}; 0 on none *)
+  sm_checks : int;         (** oracle validations, summed *)
+}
+(** Many reductions at a glance (the paper's §5 reporting step). *)
+
+val summarize : stats list -> summary
+
+val summary_json : summary -> Cdutil.Json.t
+(** The ["reduce"] member of the [--stats-json] object. *)
+
 val count_stmts : Minic.Ast.program -> int
 (** Statements in pre-order, nested blocks included (the program-size
     metric of {!stats}). *)

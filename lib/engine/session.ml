@@ -697,30 +697,29 @@ let stats_to_string (s : stats) : string =
       (line "observations" s.observations)
       "admission" s.declined disk_line s.key_calls s.key_seconds
 
-(* machine-readable stats: one self-contained JSON object, so fleet
-   tooling (and the serve daemon's stats endpoint) can scrape a session
-   without parsing the human table above *)
-let cache_to_json (c : cache_stats) : string =
-  Printf.sprintf
-    "{\"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f, \"evictions\": %d, \
-     \"entries\": %d, \"bytes\": %d}"
-    c.hits c.misses (hit_rate c) c.evictions c.entries c.bytes
+(* machine-readable stats, so fleet tooling (and the serve daemon's
+   stats endpoint) can scrape a session without parsing the human table
+   above *)
+let cache_json (c : cache_stats) : Cdutil.Json.t =
+  Obj
+    [ ("hits", Int c.hits); ("misses", Int c.misses);
+      ("hit_rate", Float (hit_rate c)); ("evictions", Int c.evictions);
+      ("entries", Int c.entries); ("bytes", Int c.bytes) ]
 
-let stats_to_json (s : stats) : string =
-  let disk =
+let stats_json (s : stats) : Cdutil.Json.t =
+  let disk : Cdutil.Json.t =
     match s.disk with
-    | None -> "null"
+    | None -> Null
     | Some d ->
-        Printf.sprintf
-          "{\"hits\": %d, \"misses\": %d, \"stores\": %d, \"bytes\": %d, \
-           \"entries\": %d}"
-          d.disk_hits d.disk_misses d.disk_stores d.disk_bytes d.disk_entries
+        Obj
+          [ ("hits", Int d.disk_hits); ("misses", Int d.disk_misses);
+            ("stores", Int d.disk_stores); ("bytes", Int d.disk_bytes);
+            ("entries", Int d.disk_entries) ]
   in
-  Printf.sprintf
-    "{\"caching\": %b, \"budget_bytes\": %d, \"units\": %s, \"funcs\": %s, \
-     \"images\": %s, \"observations\": %s, \"declined\": %d, \"disk\": %s, \
-     \"key_calls\": %d, \"key_seconds\": %.6f}"
-    s.caching s.budget_bytes (cache_to_json s.units) (cache_to_json s.funcs)
-    (cache_to_json s.images)
-    (cache_to_json s.observations)
-    s.declined disk s.key_calls s.key_seconds
+  Obj
+    [ ("caching", Bool s.caching); ("budget_bytes", Int s.budget_bytes);
+      ("units", cache_json s.units); ("funcs", cache_json s.funcs);
+      ("images", cache_json s.images);
+      ("observations", cache_json s.observations);
+      ("declined", Int s.declined); ("disk", disk);
+      ("key_calls", Int s.key_calls); ("key_seconds", Float s.key_seconds) ]

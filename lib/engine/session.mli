@@ -201,6 +201,6 @@ val reset_stats : t -> unit
 val hit_rate : cache_stats -> float
 val stats_to_string : stats -> string
 
-val stats_to_json : stats -> string
-(** The same stats block as one JSON object (the [--stats-json] form,
-    also embedded in the serve daemon's stats responses). *)
+val stats_json : stats -> Cdutil.Json.t
+(** The same stats block as one JSON object: the ["session"] member of
+    the [--stats-json] object and of the serve daemon's stats. *)

@@ -18,7 +18,6 @@ type config = {
   profiles : Policy.profile list;   (* the differential implementations *)
   sanitizer : Sanitizers.San.kind option; (* on B_fuzz only *)
   normalize : Compdiff.Normalize.filter;
-  diff_every : int;                 (* run the oracle on every nth input; 1 = paper *)
   divergence_feedback : bool;
       (* the paper's Section 5 proposal (NEZHA-style): treat an input
          exhibiting a previously unseen divergence signature as
@@ -43,7 +42,6 @@ let default_config =
     profiles = Profiles.all;
     sanitizer = None;
     normalize = Compdiff.Normalize.identity;
-    diff_every = 1;
     divergence_feedback = false;
     jobs = 0;
     reduce_on_save = true;
@@ -147,24 +145,19 @@ let run ?(config = default_config) (tp : Minic.Tast.tprogram) : campaign =
           Cdutil.Pool.async ~pool (fun () ->
               Compdiff.Oracle.check_batch oracle ~inputs) )
   in
-  let counter = ref 0 in
   let checks = ref 0 in
   let on_input input =
-    incr counter;
-    if !counter mod config.diff_every = 0 then begin
-      incr checks;
-      pending.(!npending) <- input;
-      incr npending;
-      if config.divergence_feedback then begin
-        submit ();
-        settle ()
-      end
-      else begin
-        if !npending = batch then submit ();
-        Fuzzer.Boring
-      end
+    incr checks;
+    pending.(!npending) <- input;
+    incr npending;
+    if config.divergence_feedback then begin
+      submit ();
+      settle ()
     end
-    else Fuzzer.Boring
+    else begin
+      if !npending = batch then submit ();
+      Fuzzer.Boring
+    end
   in
   let hooks =
     match config.sanitizer with

@@ -28,9 +28,6 @@ type config = {
       (** instrument [B_fuzz] with this sanitizer, as AFL++ would *)
   normalize : Compdiff.Normalize.filter;
       (** per-target output normalization (RQ5) *)
-  diff_every : int;
-      (** run the oracle on every [n]-th generated input; [1] is the
-          paper's configuration *)
   divergence_feedback : bool;
       (** the paper's Section 5 proposal (NEZHA-style): an input with a
           previously unseen divergence signature is fed back into the

@@ -117,39 +117,9 @@ let run_all ?session ?max_execs ?rng_seed ?reduce
   if jobs > 1 then Cdutil.Pool.map run Registry.all
   else List.map run Registry.all
 
-(* --- reduction reporting (the §5 workload summary) --- *)
-
-type reduction_summary = {
-  rs_divergences : int;       (* representatives reduced *)
-  rs_raw_bytes : int;
-  rs_reduced_bytes : int;
-  rs_median_ratio : float;    (* median per-divergence input reduction *)
-  rs_checks : int;            (* oracle validations spent reducing *)
-}
-
-let summarize_reductions (results : project_result list) : reduction_summary =
-  let all = List.concat_map (fun r -> r.reductions) results in
-  let ratios =
-    List.sort compare (List.map Compdiff.Reduce.input_ratio all)
-  in
-  let median =
-    match ratios with
-    | [] -> 0.
-    | _ ->
-      let n = List.length ratios in
-      if n mod 2 = 1 then List.nth ratios (n / 2)
-      else (List.nth ratios ((n / 2) - 1) +. List.nth ratios (n / 2)) /. 2.
-  in
-  {
-    rs_divergences = List.length all;
-    rs_raw_bytes =
-      List.fold_left (fun a (s : Compdiff.Reduce.stats) -> a + s.input_before) 0 all;
-    rs_reduced_bytes =
-      List.fold_left (fun a (s : Compdiff.Reduce.stats) -> a + s.input_after) 0 all;
-    rs_median_ratio = median;
-    rs_checks =
-      List.fold_left (fun a (s : Compdiff.Reduce.stats) -> a + s.checks) 0 all;
-  }
+(* the §5 workload summary: every campaign's reductions *)
+let summarize_reductions (results : project_result list) =
+  Compdiff.Reduce.summarize (List.concat_map (fun r -> r.reductions) results)
 
 (* --- Table 5 aggregation --- *)
 

@@ -130,42 +130,11 @@ let ping (t : t) : bool = match call t Proto.Ping with
   | Proto.Pong -> true
   | _ -> false
 
-let stats (t : t) : Proto.stats_reply option =
+(* the daemon's stats object ({!Scheduler.stats_json}), as one JSON line *)
+let stats (t : t) : string option =
   match call t Proto.Get_stats with
   | Proto.Stats_reply s -> Some s
   | _ -> None
-
-(* The scheduler's counters as one JSON object.  [batching_ratio] is
-   checks per executor flight — the cross-client coalescing payoff the
-   bench gates on (1.0 = no coalescing ever happened); [inline] counts
-   the checks answered without a flight. *)
-let sched_to_json (sc : Proto.sched_stats) : string =
-  let ratio =
-    float_of_int sc.Proto.sr_checks /. float_of_int (max 1 sc.Proto.sr_flights)
-  in
-  let clients =
-    String.concat ","
-      (List.map
-         (fun (c : Proto.client_stat) ->
-           Printf.sprintf
-             "{\"id\":%d,\"outstanding\":%d,\"completed\":%d,\"shed\":%d}"
-             c.Proto.cs_id c.Proto.cs_outstanding c.Proto.cs_completed
-             c.Proto.cs_shed)
-         sc.Proto.sr_clients)
-  in
-  Printf.sprintf
-    "{\"requests\":%d,\"shed\":%d,\"flights\":%d,\"checks\":%d,\"joined\":%d,\"inline\":%d,\"batching_ratio\":%.3f,\"queue_depth\":%d,\"pool_pending\":%d,\"warm_oracles\":%d,\"clients\":[%s]}"
-    sc.Proto.sr_requests sc.Proto.sr_shed sc.Proto.sr_flights
-    sc.Proto.sr_checks sc.Proto.sr_joined sc.Proto.sr_inline ratio
-    sc.Proto.sr_queue_depth sc.Proto.sr_pool_pending sc.Proto.sr_oracles
-    clients
-
-(* One JSON object for the whole daemon: the session and oracle members
-   are the server-rendered JSON, embedded verbatim; the scheduler member
-   is rendered here from the structured reply. *)
-let stats_to_json (s : Proto.stats_reply) : string =
-  Printf.sprintf "{\"session\":%s,\"oracle\":%s,\"scheduler\":%s}"
-    s.Proto.st_session s.Proto.st_oracle (sched_to_json s.Proto.st_sched)
 
 let check (t : t) ?(profiles = []) ?(fuel = 0) ?(strip = false) ~source
     ~(inputs : string list) () : (Proto.verdict list, string) result =

@@ -27,7 +27,7 @@
 
 exception Malformed = Cdutil.Wire.Malformed
 
-let version = 3
+let version = 4
 let hello_magic = "CDS1"
 let hello_bytes = 8  (* magic + u32 version *)
 
@@ -100,6 +100,8 @@ type verdict =
   | V_agree of obs           (* ob_impl = "" : shared by every impl *)
   | V_diverge of obs list    (* per-implementation, in impl order *)
 
+(* the scheduler's counters ({!Scheduler.sched_stats}); they cross the
+   wire only inside the rendered stats JSON of a [Stats_reply] *)
 type client_stat = {
   cs_id : int;
   cs_outstanding : int;      (* queued + executing requests (credits used) *)
@@ -119,12 +121,6 @@ type sched_stats = {
   sr_pool_pending : int;     (* Cdutil.Pool backlog *)
   sr_oracles : int;          (* warm oracles resident *)
   sr_clients : client_stat list;
-}
-
-type stats_reply = {
-  st_session : string;       (* Engine.Session.stats_to_json *)
-  st_oracle : string;        (* aggregate Oracle.stats_to_json *)
-  st_sched : sched_stats;
 }
 
 type fuzz_reply = {
@@ -163,7 +159,7 @@ type explore_reply = {
 
 type response =
   | Pong
-  | Stats_reply of stats_reply
+  | Stats_reply of string     (* Scheduler.stats_json, rendered *)
   | Check_reply of verdict list
   | Fuzz_reply of fuzz_reply
   | Metacheck_reply of metacheck_reply
@@ -265,35 +261,6 @@ let verdict =
         (function V_diverge os -> Some os | _ -> None);
     ]
 
-let client_stat =
-  wrap
-    (fun (cs_id, cs_outstanding, cs_completed, cs_shed) ->
-      { cs_id; cs_outstanding; cs_completed; cs_shed })
-    (fun s -> (s.cs_id, s.cs_outstanding, s.cs_completed, s.cs_shed))
-    (tup4 u32 u32 u32 u32)
-
-let stats_reply =
-  let u32x3 = tup3 u32 u32 u32 in
-  wrap
-    (fun ( st_session,
-           st_oracle,
-           ( (sr_requests, sr_shed, sr_flights),
-             (sr_checks, sr_joined, sr_inline) ),
-           ((sr_queue_depth, sr_pool_pending, sr_oracles), sr_clients) ) ->
-      let st_sched =
-        { sr_requests; sr_shed; sr_flights; sr_checks; sr_joined; sr_inline;
-          sr_queue_depth; sr_pool_pending; sr_oracles; sr_clients }
-      in
-      { st_session; st_oracle; st_sched })
-    (fun s ->
-      let h = s.st_sched in
-      ( s.st_session,
-        s.st_oracle,
-        ( (h.sr_requests, h.sr_shed, h.sr_flights),
-          (h.sr_checks, h.sr_joined, h.sr_inline) ),
-        ((h.sr_queue_depth, h.sr_pool_pending, h.sr_oracles), h.sr_clients) ))
-    (tup4 string string (pair u32x3 u32x3) (pair u32x3 (list client_stat)))
-
 let fuzz_reply =
   wrap
     (fun (fr_execs, fr_divergent, fr_unique, fr_reports) ->
@@ -339,7 +306,7 @@ let response_frame =
     (union ~what:"response"
        [
          const Pong;
-         case stats_reply
+         case string
            (fun s -> Stats_reply s)
            (function Stats_reply s -> Some s | _ -> None);
          case (list verdict)

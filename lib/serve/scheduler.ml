@@ -627,14 +627,37 @@ let oracle_stats t : Compdiff.Oracle.stats =
   Mutex.unlock t.mutex;
   Compdiff.Oracle.sum_stats (List.map Compdiff.Oracle.stats os)
 
+(* [batching_ratio] is checks per executor flight, the cross-client
+   coalescing payoff the bench gates on (1 = no coalescing ever
+   happened); [inline] counts the checks answered without a flight *)
+let sched_json (sc : Proto.sched_stats) : Cdutil.Json.t =
+  let client (c : Proto.client_stat) : Cdutil.Json.t =
+    Obj
+      [ ("id", Int c.cs_id); ("outstanding", Int c.cs_outstanding);
+        ("completed", Int c.cs_completed); ("shed", Int c.cs_shed) ]
+  in
+  let ratio = float_of_int sc.sr_checks /. float_of_int (max 1 sc.sr_flights) in
+  Obj
+    [ ("requests", Int sc.sr_requests); ("shed", Int sc.sr_shed);
+      ("flights", Int sc.sr_flights); ("checks", Int sc.sr_checks);
+      ("joined", Int sc.sr_joined); ("inline", Int sc.sr_inline);
+      ("batching_ratio", Float ratio); ("queue_depth", Int sc.sr_queue_depth);
+      ("pool_pending", Int sc.sr_pool_pending);
+      ("warm_oracles", Int sc.sr_oracles);
+      ("clients", List (List.map client sc.sr_clients)) ]
+
+(* The daemon's statistics: the CLI's --stats-json object with a
+   "scheduler" member.  [serve --stats-json] prints it at exit, and a
+   [Get_stats] request gets it rendered. *)
+let stats_json t : Cdutil.Json.t =
+  Obj
+    [ ("oracle", Compdiff.Oracle.stats_json (oracle_stats t));
+      ("session", Engine.Session.stats_json (Engine.Session.stats t.cfg.session));
+      ("localize", Compdiff.Localize.stats_json ());
+      ("scheduler", sched_json (sched_stats t)) ]
+
 let stats_reply t : Proto.response =
-  Proto.Stats_reply
-    {
-      Proto.st_session =
-        Engine.Session.stats_to_json (Engine.Session.stats t.cfg.session);
-      st_oracle = Compdiff.Oracle.stats_to_json (oracle_stats t);
-      st_sched = sched_stats t;
-    }
+  Proto.Stats_reply (Cdutil.Json.to_string (stats_json t))
 
 (* Queue an admitted item for the executors.  Under [t.mutex]; false
    once the daemon is stopping, as the executors may have exited. *)

@@ -404,6 +404,52 @@ else
   echo "ok   explore --json: on-demand line tables = --cache-mb 0 (line attributed)"
 fi
 
+echo "== JSON output smoke test"
+# Every JSON text the CLI prints must parse (python3 -m json.tool), raw
+# input bytes above 0x7f included, and --stats-json must print its
+# statistics as one object on the output's last line, with a member per
+# counter set the command has.  Python reads stdin as strict UTF-8, as
+# a JSON reader must: by default it lets undecodable bytes through.
+PYTHONIOENCODING=utf-8:strict
+export PYTHONIOENCODING
+# json_ok NAME TEXT: TEXT is one JSON value
+json_ok() {
+  if printf '%s\n' "$2" | python3 -m json.tool > /dev/null 2>&1; then
+    echo "ok   $1 is valid JSON"
+  else
+    echo "FAIL $1 is not valid JSON: $(printf '%s\n' "$2" | head -c 200)"
+    status=1
+  fi
+}
+# stats_ok NAME OUTPUT MEMBERS: OUTPUT holds one JSON line, its last,
+# an object whose members are MEMBERS (comma-separated, in order)
+stats_ok() {
+  got_members=$(printf '%s\n' "$2" | tail -n 1 | python3 -c \
+    'import json, sys; print(",".join(json.loads(sys.stdin.read())))' 2>/dev/null)
+  objects=$(printf '%s\n' "$2" | grep -c '^{' || true)
+  if [ "$got_members" != "$3" ] || [ "$objects" -ne 1 ]; then
+    echo "FAIL $1: want one {$3} line, got $objects object line(s), members {$got_members}"
+    status=1
+  else
+    echo "ok   $1 prints one stats line {$3}"
+  fi
+}
+set +e
+CLI="dune exec bin/compdiff_cli.exe --"
+json_ok "explore --json (pair)" "$lines_out"
+json_ok "explore --json (one profile, input bytes 0xff 0xc0)" \
+  "$($CLI explore examples/unstable_uninit.c --input "$(printf 'A\377\300Z')" \
+    --profiles gccx-O2 --json 2>&1)"
+json_ok "static --json" "$($CLI static examples/unstable_uninit.c --json --warnings 2>&1)"
+json_ok "metacheck --json" "$($CLI metacheck examples/unstable_uninit.c --json 2>&1)"
+stats_ok "diff --stats-json" \
+  "$($CLI diff examples/unstable_uninit.c --input XYZQRS --stats-json 2>&1)" \
+  "oracle,session,localize"
+stats_ok "reduce --stats-json" \
+  "$($CLI reduce examples/unstable_uninit.c --input XYZQRS --stats-json 2>&1)" \
+  "reduce,oracle,session,localize"
+set -e
+
 echo "== localize smoke test"
 # Event-level localization of the uninit example must name the
 # function and UnstableCheck's root cause.
@@ -557,9 +603,10 @@ else
       repeat_status=1
     fi
   done
-  inline=$("$BIN" connect --socket "$sock" --remote-stats 2>/dev/null \
-    | grep -o '"inline":[0-9]*' | cut -d: -f2)
+  remote=$("$BIN" connect --socket "$sock" --remote-stats 2>/dev/null)
+  inline=$(printf '%s\n' "$remote" | grep -o '"inline": [0-9]*' | cut -d' ' -f2)
   set -e
+  stats_ok "connect --remote-stats" "$remote" "oracle,session,localize,scheduler"
   if [ "$repeat_status" -ne 0 ]; then
     echo "FAIL serve: repeated daemon checks of $repeat_f differ"
     status=1

@@ -550,7 +550,7 @@ let test_memo_reduction_chain () =
         (st.Engine.Session.hits > st.Engine.Session.misses);
       check_bool "memo counters in the stats JSON" true
         (Suite_gen.contains
-           (Engine.Session.stats_to_json stats)
+           (Cdutil.Json.to_string (Engine.Session.stats_json stats))
            (Printf.sprintf "\"funcs\": {\"hits\": %d," st.Engine.Session.hits)))
     (List.filteri (fun i _ -> i < 2) Projects.Registry.all)
 

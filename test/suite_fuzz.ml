@@ -344,20 +344,6 @@ let test_compdiff_afl_stable_program_clean () =
   check_int "no divergence on stable program" 0
     (Compdiff.Triage.total_count c.Fuzz.Compdiff_afl.diffs)
 
-let test_compdiff_afl_diff_every () =
-  let c =
-    Fuzz.Compdiff_afl.run
-      ~config:
-        {
-          Fuzz.Compdiff_afl.default_config with
-          Fuzz.Compdiff_afl.max_execs = 400;
-          diff_every = 4;
-        }
-      (frontend branchy_src)
-  in
-  check_bool "reduced oracle rate" true
-    (c.Fuzz.Compdiff_afl.diff_checks * 4 <= c.Fuzz.Compdiff_afl.fuzz.Fuzz.Fuzzer.execs + 4)
-
 (* the Section 5 extension: a previously-unseen divergence signature
    makes the input interesting even without coverage gain *)
 let test_divergence_feedback_mechanism () =
@@ -404,31 +390,27 @@ let per_input_campaign (config : Fuzz.Compdiff_afl.config) tp =
       ~jobs:(Cdutil.Pool.default_jobs ()) tp
   in
   let triage = Compdiff.Triage.create () in
-  let counter = ref 0 and checks = ref 0 in
+  let checks = ref 0 in
   let on_input input =
-    incr counter;
-    if !counter mod config.diff_every <> 0 then Fuzz.Fuzzer.Boring
-    else begin
-      incr checks;
-      match Compdiff.Oracle.check oracle ~input with
-      | Compdiff.Oracle.Agree _ -> Fuzz.Fuzzer.Boring
-      | Compdiff.Oracle.Diverge obs ->
-          let freshness = Compdiff.Triage.add triage oracle ~input obs in
-          if freshness = `New && config.reduce_on_save then
-            Option.iter
-              (fun (r : Compdiff.Reduce.result) ->
-                Compdiff.Triage.attach_reduced triage ~input
-                  {
-                    Compdiff.Triage.red_input = r.Compdiff.Reduce.red_input;
-                    red_observations = r.red_observations;
-                    red_checks = r.red_stats.Compdiff.Reduce.checks;
-                  })
-              (Compdiff.Reduce.reduce ~max_checks:config.reduce_checks oracle
-                 ~input obs);
-          if config.divergence_feedback && freshness = `New then
-            Fuzz.Fuzzer.Interesting
-          else Fuzz.Fuzzer.Boring
-    end
+    incr checks;
+    match Compdiff.Oracle.check oracle ~input with
+    | Compdiff.Oracle.Agree _ -> Fuzz.Fuzzer.Boring
+    | Compdiff.Oracle.Diverge obs ->
+        let freshness = Compdiff.Triage.add triage oracle ~input obs in
+        if freshness = `New && config.reduce_on_save then
+          Option.iter
+            (fun (r : Compdiff.Reduce.result) ->
+              Compdiff.Triage.attach_reduced triage ~input
+                {
+                  Compdiff.Triage.red_input = r.Compdiff.Reduce.red_input;
+                  red_observations = r.red_observations;
+                  red_checks = r.red_stats.Compdiff.Reduce.checks;
+                })
+            (Compdiff.Reduce.reduce ~max_checks:config.reduce_checks oracle
+               ~input obs);
+        if config.divergence_feedback && freshness = `New then
+          Fuzz.Fuzzer.Interesting
+        else Fuzz.Fuzzer.Boring
   in
   let fuzz =
     Fuzz.Fuzzer.run
@@ -502,7 +484,6 @@ let test_batched_checks_match_per_input () =
       ("defaults", base);
       ( "divergence feedback",
         { base with Fuzz.Compdiff_afl.divergence_feedback = true } );
-      ("diff_every 3", { base with Fuzz.Compdiff_afl.diff_every = 3 });
       ("max_execs 517", { base with Fuzz.Compdiff_afl.max_execs = 517 });
     ]
 
@@ -605,7 +586,6 @@ let suites =
       [
         tc "finds divergence" test_compdiff_afl_finds_divergence;
         tc "stable program clean" test_compdiff_afl_stable_program_clean;
-        tc "diff_every" test_compdiff_afl_diff_every;
         tc "divergence feedback" test_divergence_feedback_mechanism;
         tc "batched checks = per-input checks"
           test_batched_checks_match_per_input;

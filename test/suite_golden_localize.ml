@@ -39,6 +39,17 @@ let test_explore_json () =
   let out0, _ = run_cli (explore_args @ [ "--cache-mb"; "0" ]) in
   Alcotest.(check string) "explore --json at --cache-mb 0" explore_json out0
 
+(* input bytes above 0x7f print as code points, so the line is JSON *)
+let test_explore_json_bytes () =
+  let out, code =
+    run_cli
+      [ "explore"; "../examples/unstable_uninit.c"; "--input"; "A\xff\xc0Z";
+        "--profiles"; "gccx-O2"; "--json" ]
+  in
+  Alcotest.(check int) "one profile: exit 0" 0 code;
+  Alcotest.(check bool) "input as code points" true
+    (Suite_gen.contains out {|"input": "A\u00ff\u00c0Z"|})
+
 let project = "exiv2"
 let bug = 0
 
@@ -85,6 +96,8 @@ let suites =
     ( "golden.localize",
       [
         Alcotest.test_case "explore --json" `Quick test_explore_json;
+        Alcotest.test_case "explore --json on bytes above 0x7f" `Quick
+          test_explore_json_bytes;
         Alcotest.test_case "entry_deep on a Table 4 witness" `Quick
           test_entry_deep;
       ] );

@@ -1,5 +1,5 @@
 (* Tests for Cdutil: deterministic RNG, MurmurHash3 reference vectors,
-   descriptive statistics. *)
+   descriptive statistics, JSON output. *)
 
 open Cdutil
 
@@ -357,6 +357,30 @@ let test_table_pct () =
 
 let tc name f = Alcotest.test_case name `Quick f
 
+(* --- Json --- *)
+
+let json = Alcotest.(check string)
+
+(* any bytes render as printable ASCII, byte n as code point n *)
+let test_json_bytes () =
+  let all = String.init 256 Char.chr in
+  let out = Json.(to_string (String all)) in
+  check_bool "all 256 bytes: printable ASCII" true
+    (String.for_all (fun c -> c >= ' ' && c <= '~') out);
+  json "quote" {|"\""|} Json.(to_string (String "\""));
+  json "backslash" {|"\\"|} Json.(to_string (String "\\"));
+  json "newline" {|"\n"|} Json.(to_string (String "\n"));
+  json "0x01" {|"\u0001"|} Json.(to_string (String "\x01"));
+  json "0xff" {|"\u00ff"|} Json.(to_string (String "\xff"))
+
+let test_json_numbers_layout () =
+  json "nan" "null" Json.(to_string (Float nan));
+  json "infinity" "null" Json.(to_string (Float infinity));
+  json "integral float" "3" Json.(to_string (Float 3.));
+  json "fraction" "0.666667" Json.(to_string (Float (2. /. 3.)));
+  json "layout" {|{"a": [1, true, null], "b": {}}|}
+    Json.(to_string (Obj [ ("a", List [ Int 1; Bool true; Null ]); ("b", Obj []) ]))
+
 let suites =
   [
     ( "util.rng",
@@ -405,4 +429,9 @@ let suites =
       @ List.map QCheck_alcotest.to_alcotest stats_props );
     ( "util.tablefmt",
       [ tc "render alignment" test_table_render; tc "pct" test_table_pct ] );
+    ( "util.json",
+      [
+        tc "bytes render as printable ASCII" test_json_bytes;
+        tc "numbers and layout" test_json_numbers_layout;
+      ] );
   ]
