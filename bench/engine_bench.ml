@@ -19,7 +19,15 @@
    Cross-validation: all three passes must produce structurally
    identical verdicts (detections, partitions, sanitizer results); a
    mismatch fails the bench.  The headline speedup is warm vs nocache
-   and the acceptance floor is 1.5x. *)
+   and the acceptance floor is 1.5x.
+
+   [reduce_chain] prices a reducer's access pattern: along a chain of
+   [Reduce.candidates] on two Table 4 targets, every typed candidate is
+   compiled under the target's profiles, and every unit signed and
+   linked, on a fresh 64 MiB session (the per-function memo), beside the
+   same work on a caching-disabled one.  Its gate is a count that
+   machine noise cannot move: a one-statement candidate after its
+   parent lowers at most one function per lowering policy. *)
 
 let sample () = Juliet.Suite.quick ~per_cwe:2 ()
 
@@ -31,6 +39,113 @@ let essence (e : Juliet.Eval.test_eval) =
     e.Juliet.Eval.asan,
     e.Juliet.Eval.ubsan,
     e.Juliet.Eval.msan )
+
+let chain_targets = [ "exiv2"; "gpac" ]
+
+let typed_candidates (p : Minic.Ast.program) : (Minic.Ast.program * Minic.Tast.tprogram) Seq.t =
+  Seq.filter_map
+    (fun c ->
+      match Minic.Typecheck.check_program_result c with
+      | Ok tp -> Some (c, tp)
+      | Error _ -> None)
+    (Compdiff.Reduce.candidates p)
+
+(* four steps of six typed candidates each, stepping to the last one as
+   an accepted reduction would *)
+let candidate_chain (p : Minic.Ast.program) : Minic.Tast.tprogram list =
+  let rec steps n cur =
+    if n = 0 then []
+    else
+      let batch = List.of_seq (Seq.take 6 (typed_candidates cur)) in
+      List.map snd batch
+      @ match List.rev batch with (c, _) :: _ -> steps (n - 1) c | [] -> []
+  in
+  steps 4 p
+
+(* every unit of [tp] under [profiles], signed and linked through [s]:
+   the signatures, in profile order *)
+let compile_sign_link s profiles tp =
+  List.map
+    (fun (_, u) ->
+      let signature =
+        Compdiff.Binsig.signature ?memo:(Engine.Session.facts_memo s u) u
+      in
+      ignore (Engine.Session.link s u);
+      signature)
+    (Engine.Session.compile_profiles ~jobs:1 s profiles tp)
+
+(* Functions lowered for the second candidate after [p]'s parent
+   program that edits one typed function and keeps the globals, after
+   the parent and the first one (a lowering is stored on its second
+   request). *)
+let lowered_per_candidate (p : Projects.Project.t) profiles : int =
+  let parent = Projects.Project.frontend p in
+  let funcs tp =
+    List.map (fun f -> Marshal.to_string f [ Marshal.No_sharing ]) tp.Minic.Tast.tfuncs
+  in
+  let edits_one tp =
+    tp.Minic.Tast.tglobals = parent.Minic.Tast.tglobals
+    && List.length tp.Minic.Tast.tfuncs = List.length parent.Minic.Tast.tfuncs
+    && List.length (List.filter not (List.map2 String.equal (funcs tp) (funcs parent)))
+       = 1
+  in
+  let earlier, candidate =
+    match
+      List.of_seq
+        (Seq.take 2
+           (Seq.filter (fun (_, tp) -> edits_one tp)
+              (typed_candidates p.Projects.Project.program)))
+    with
+    | [ (_, earlier); (_, candidate) ] -> (earlier, candidate)
+    | _ -> failwith "engine bench: fewer than two one-function candidates"
+  in
+  let s = Engine.Session.create ~cache_mb:64 () in
+  ignore (compile_sign_link s profiles parent);
+  ignore (compile_sign_link s profiles earlier);
+  Engine.Session.reset_stats s;
+  ignore (compile_sign_link s profiles candidate);
+  (List.assoc "lower" (Engine.Session.stats s).Engine.Session.stages)
+    .Engine.Session.stage_misses
+
+let reduce_chain r =
+  let chains =
+    List.map
+      (fun name ->
+        let p = Option.get (Projects.Registry.by_name name) in
+        (p, Projects.Project.profiles_for p, candidate_chain p.Projects.Project.program))
+      chain_targets
+  in
+  let ncandidates = List.fold_left (fun n (_, _, c) -> n + List.length c) 0 chains in
+  let pass cache_mb () =
+    List.map
+      (fun (_, profiles, chain) ->
+        let s = Engine.Session.create ~cache_mb () in
+        List.map (compile_sign_link s profiles) chain)
+      chains
+  in
+  let memo_time, memo_sigs, ref_time, ref_sigs =
+    match Record.alternate [ pass 64; pass 0 ] with
+    | [ (memo_time, memo_sigs); (ref_time, ref_sigs) ] ->
+        (memo_time, memo_sigs, ref_time, ref_sigs)
+    | _ -> assert false
+  in
+  let lowered, policies =
+    List.fold_left
+      (fun (lowered, policies) (p, profiles, _) ->
+        ( max lowered (lowered_per_candidate p profiles),
+          max policies
+            (List.length
+               (List.sort_uniq compare (List.map Cdcompiler.Policy.lowering_of profiles)))
+        ))
+      (0, 0) chains
+  in
+  Record.count r "reduce_chain.candidates" ncandidates;
+  Record.rate r "reduce_chain" "candidates/s" ncandidates memo_time;
+  Record.rate r "reduce_chain.nocache" "candidates/s" ncandidates ref_time;
+  Record.ratio r "reduce_chain.speedup" "reduce_chain" "reduce_chain.nocache";
+  Record.count r "reduce_chain.lowered_per_candidate" lowered;
+  Record.at_most r "reduce_chain.lowered_per_candidate" (float_of_int policies);
+  memo_sigs = ref_sigs
 
 (* Regimes that must start empty (cold, restart) construct a fresh
    session inside every trial; each trial of {!Record.time} starts from
@@ -128,6 +243,8 @@ let run () =
     [ ("unit_cache", st.Engine.Session.units);
       ("image_cache", st.Engine.Session.images);
       ("observation_store", st.Engine.Session.observations) ];
+  let chain_signatures_match = reduce_chain r in
+  let verdicts_match = verdicts_match && chain_signatures_match in
   Record.at_least r "warm.speedup" 1.5;
   Record.at_least r "restart_warm.disk_hits" 1.;
   Record.holds r "verdicts_match" verdicts_match;

@@ -12,10 +12,11 @@
    two executors must stay byte-identical, so every timed run is also
    compared against the reference result.
 
-   The reference row depends on the pool domains an earlier section
-   leaves behind (each joins every stop-the-world minor collection of
-   the allocation-heavy reference interpreter), so it moves with the
-   section order bench/main.exe is given. *)
+   Idle pool domains that an earlier section leaves behind join every
+   stop-the-world minor collection, which taxes the allocation-heavy
+   reference interpreter more than the linked executor, so the section
+   quiesces the pool first, and the two rows the [speedup] gate divides
+   are timed in alternating rounds under the same machine noise. *)
 
 let workload () =
   [ (Lazy.force Overhead.listing1_tp, List.init 32 (fun i -> String.make 1 (Char.chr (33 + i))));
@@ -53,7 +54,15 @@ let time_words n f =
   let secs, r = Record.time ~trials f in
   (secs, r, (Gc.minor_words () -. w0) /. float_of_int (trials * n))
 
+(* minor words per exec of one call of [f], which runs [n] execs *)
+let words_per_exec n f =
+  let w0 = Gc.minor_words () in
+  ignore (f ());
+  (Gc.minor_words () -. w0) /. float_of_int n
+
 let run () =
+  Cdutil.Pool.quiesce ();
+  Gc.compact ();
   let profile = Cdcompiler.Profiles.gccx "O0" in
   let units =
     List.map
@@ -66,13 +75,11 @@ let run () =
   let reps = 400 in
   let total = reps * nexecs_round in
   (* reference: tree-walking interpreter, fresh state per run *)
-  let ref_time, ref_results, ref_words =
-    time_words total
-      (repeat reps (fun () ->
-           List.concat_map
-             (fun (u, inputs) ->
-               List.map (fun input -> Cdvm.Exec.run ~config:(config input) u) inputs)
-             units))
+  let reference () =
+    List.concat_map
+      (fun (u, inputs) ->
+        List.map (fun input -> Cdvm.Exec.run ~config:(config input) u) inputs)
+      units
   in
   (* linked: pre-resolved image + one persistent arena per image *)
   let arenas =
@@ -82,7 +89,14 @@ let run () =
         (img, Cdvm.Arena.create img, inputs))
       units
   in
-  let lin_time, lin_results, lin_words = time_words total (linked ~reps arenas) in
+  let ref_words = words_per_exec nexecs_round reference
+  and lin_words = words_per_exec nexecs_round (linked ~reps:1 arenas) in
+  let ref_time, ref_results, lin_time, lin_results =
+    match Record.alternate ~trials ~rounds:reps [ reference; linked ~reps:1 arenas ] with
+    | [ (ref_time, ref_results); (lin_time, lin_results) ] ->
+        (ref_time, ref_results, lin_time, lin_results)
+    | _ -> assert false
+  in
   (* batched: whole per-image input sets through one [Exec.run_batch]
      call (single arena validation, amortized reset) *)
   let batch_inputs =

@@ -621,14 +621,46 @@ let lower_func (lowering : Policy.lowering) globals (f : Tast.tfunc) : ifunc =
 (* A lowered program: a unit without the run-time policies and the name
    of the implementation it is for, which {!Pipeline} stamps per
    profile.  One lowering serves every profile with the same
-   {!Policy.lowering}. *)
-type lowered = { lfuncs : (string * ifunc) list; lglobals : iglobal list }
+   {!Policy.lowering}.  A lowering through a memo also carries the key
+   of every lowered function, in order, so the stages after it derive
+   their keys from it instead of serializing the lowered code. *)
+type lowered = {
+  lfuncs : (string * ifunc) list;
+  lglobals : iglobal list;
+  lkeys : Fmemo.key list;  (* [] unless lowered through a memo *)
+}
 
-let lower_program (lowering : Policy.lowering) (tp : Tast.tprogram) : lowered =
+(* The root keys of [tp]'s functions, in order: each typed function's
+   exact bytes, serialized once per program; a memo for
+   {!lower_program} is keyed by them. *)
+let sources (tp : Tast.tprogram) : Fmemo.key list =
+  List.map (fun f -> Fmemo.root ~stage:"tfunc" (Fmemo.bytes f)) tp.Tast.tfuncs
+
+(* [?memo] carries the {!sources} of [tp] and changes the cost, never
+   the result.  A function's lowering reads the lowering policy, the
+   global names and types, and the function itself, so those key the
+   memo, and the key names the lowered function for the stages after
+   it. *)
+let lower_program ?(memo : ifunc Fmemo.keyed option) (lowering : Policy.lowering)
+    (tp : Tast.tprogram) : lowered =
   let globals = Hashtbl.create 16 in
   List.iter (fun g -> Hashtbl.replace globals g.Ast.gname g.Ast.gtyp) tp.Tast.tglobals;
-  let lfuncs =
-    List.map (fun f -> (f.Tast.tfname, lower_func lowering globals f)) tp.Tast.tfuncs
+  let lower1 f = lower_func lowering globals f in
+  let lfuncs, lkeys =
+    match memo with
+    | None -> (List.map (fun f -> (f.Tast.tfname, lower1 f)) tp.Tast.tfuncs, [])
+    | Some { Fmemo.keys; memo } ->
+        let ctx =
+          Fmemo.context
+            ( lowering,
+              List.map (fun g -> (g.Ast.gname, g.Ast.gtyp)) tp.Tast.tglobals )
+        in
+        let keys = List.map (Fmemo.derive ~stage:"lower" ~ctx) keys in
+        ( List.map2
+            (fun f k ->
+              (f.Tast.tfname, memo.Fmemo.find_or_compute k (fun () -> lower1 f)))
+            tp.Tast.tfuncs keys,
+          keys )
   in
   let lglobals =
     List.map
@@ -636,4 +668,4 @@ let lower_program (lowering : Policy.lowering) (tp : Tast.tprogram) : lowered =
         { g_name = g.Ast.gname; g_size = Ast.sizeof g.Ast.gtyp; g_init = g.Ast.ginit })
       tp.Tast.tglobals
   in
-  { lfuncs; lglobals }
+  { lfuncs; lglobals; lkeys }

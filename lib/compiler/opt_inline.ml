@@ -138,8 +138,10 @@ let run ~limit (u : unit_) : unit_ =
     let funcs =
       List.map
         (fun (name, f) ->
-          let f', _ = inline_into ~limit u.funcs f in
-          (name, f'))
+          (* a caller with no call inlined is returned as it is, so a
+             memo keeps its key ({!Pipeline.optimize}) *)
+          let f', changed = inline_into ~limit u.funcs f in
+          (name, if changed then f' else f))
         u.funcs
     in
     { u with funcs }

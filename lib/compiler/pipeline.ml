@@ -8,8 +8,8 @@
    (an {!Ir.unit_}) that the VM executes; [compile_all] builds the full
    differential set.  A caller that compiles many programs under many
    profiles (an engine session) runs the stages itself: one lowering per
-   distinct lowering policy, the pass stack behind a memo, and line
-   tables only where a source line is read. *)
+   distinct lowering policy, every per-function stage behind a memo
+   ({!Fmemo}), and line tables only where a source line is read. *)
 
 open Ir
 
@@ -136,14 +136,22 @@ let rebuild_lines ~(reference : ifunc) (f : ifunc) : ifunc =
    The pass stack is a pure function of one function's data and
    dominates a compile.  A caller that compiles many near-identical
    programs (a reducer's candidates differ in one statement of one
-   function) supplies a memo, and every function it did not change is
-   served from it.  The key is the exact [Marshal [No_sharing]] bytes of
-   the stage's inputs, not a hash of them, so a hit can only return the
-   output computed for an identical input.  Memo values are shared
-   between units, profiles and domains, which is why no stage writes
-   into an [ifunc]. *)
+   function) supplies a memo ({!Fmemo}), and every function it did not
+   change is served from it.  A pass stack's key derives from the key of
+   its input function, so a function is never serialized to look it up.
+   A function the stack changes is keyed by its own bytes
+   ({!Fmemo.of_func}), computed once, when it is first produced: the
+   memo stores each output with its key.  An output the stack left
+   unchanged is the input itself and keeps the input's key.  Keys of
+   content, rather than of the derivation that produced it, let inputs
+   that converge share their outputs: two lowerings that the first
+   round optimizes to the same code share the rest of the pipeline, and
+   a function at its fixpoint keeps its key through every round.  Memo
+   values are shared between units, profiles and domains, which is why
+   no stage writes into an [ifunc]. *)
 
-type memo = { find_or_compute : string -> (unit -> ifunc) -> ifunc }
+(* a store of pass-stack outputs, each with its key *)
+type memo = (ifunc * Fmemo.key) Fmemo.t
 
 (** The projection of [flags] that {!apply_func_passes} reads: [flags]
     with [inline_limit] (read by the inliner) and [promote_scalars] (read
@@ -154,19 +162,99 @@ type memo = { find_or_compute : string -> (unit -> ifunc) -> ifunc }
 let pass_flags (flags : Policy.opt_flags) : Policy.opt_flags =
   { flags with Policy.inline_limit = 0; promote_scalars = false }
 
-let func_passes ?memo flags f =
+(* A unit's functions in order, each with its key when compiled through
+   a memo. *)
+type kfunc = { fname : string; func : ifunc; fkey : Fmemo.key option }
+
+(* [flags]' pass stack over every function of [fs], through [memo] when
+   there is one *)
+let passes ?memo (flags : Policy.opt_flags) (fs : kfunc list) : kfunc list =
   match memo with
-  | None -> apply_func_passes flags f
-  | Some m ->
-    let flags = pass_flags flags in
-    m.find_or_compute
-      (Marshal.to_string (flags, f) [ Marshal.No_sharing ])
-      (fun () -> apply_func_passes flags f)
+  | None -> List.map (fun kf -> { kf with func = apply_func_passes flags kf.func }) fs
+  | Some (m : memo) ->
+    let ctx = Fmemo.context (pass_flags flags) in
+    List.map
+      (fun kf ->
+        let input =
+          match kf.fkey with Some k -> k | None -> Fmemo.of_func kf.func
+        in
+        let key = Fmemo.derive ~stage:"passes" ~ctx input in
+        let func, fkey =
+          m.Fmemo.find_or_compute key (fun () ->
+              let f = apply_func_passes flags kf.func in
+              (f, if f == kf.func then input else Fmemo.of_func f))
+        in
+        { kf with func; fkey = Some fkey })
+      fs
+
+(* [kf] without a line table; a function that had one is a new value,
+   keyed by derivation *)
+let strip_kfunc (kf : kfunc) : kfunc =
+  let func = strip_lines kf.func in
+  if func == kf.func then kf
+  else
+    {
+      kf with
+      func;
+      fkey =
+        Option.map (Fmemo.derive ~stage:"strip lines" ~ctx:Fmemo.no_context) kf.fkey;
+    }
 
 (* --- the stages --- *)
 
 let lower (profile : Policy.profile) (tp : Minic.Tast.tprogram) : Lower.lowered =
   Lower.lower_program (Policy.lowering_of profile) tp
+
+(* [profile]'s unit over the lowering [l], with the keys of its
+   functions when [memo] is given: its run-time policies and name
+   stamped on, then its pass stack. *)
+let optimize_funcs ?memo (profile : Policy.profile) (l : Lower.lowered) :
+    unit_ * Fmemo.key option list =
+  let flags = profile.Policy.flags in
+  let u_of fs =
+    {
+      funcs = List.map (fun kf -> (kf.fname, kf.func)) fs;
+      globals = l.Lower.lglobals;
+      runtime = profile.Policy.runtime;
+      impl_name = profile.Policy.pname;
+    }
+  in
+  let keys =
+    if Option.is_none memo || l.Lower.lkeys = [] then
+      List.map (fun _ -> None) l.Lower.lfuncs
+    else List.map Option.some l.Lower.lkeys
+  in
+  let fs0 =
+    List.map2 (fun (fname, func) fkey -> { fname; func; fkey }) l.Lower.lfuncs keys
+  in
+  let fs =
+    (* with no pass enabled nothing runs and no line table is stripped,
+       so the lowering's functions and keys are the unit's *)
+    if pass_flags flags = pass_flags Policy.no_opt then fs0
+    else begin
+      (* first round of local optimization *)
+      let fs1 = passes ?memo flags fs0 in
+      (* inlining, then a local round to clean the inlined bodies; a
+         second inline+cleanup round resolves call chains (an inlined
+         body may itself contain calls that only now become
+         inlinable/foldable) *)
+      if flags.Policy.inline_limit > 0 then begin
+        let round fs =
+          let u' = Opt_inline.run ~limit:flags.Policy.inline_limit (u_of fs) in
+          let inlined =
+            List.map2
+              (fun kf (_, f') ->
+                if f' == kf.func then kf else { kf with func = f'; fkey = None })
+              fs u'.funcs
+          in
+          List.map strip_kfunc (passes ?memo flags inlined)
+        in
+        round (round fs1)
+      end
+      else fs1
+    end
+  in
+  (u_of fs, List.map (fun kf -> kf.fkey) fs)
 
 (* [profile]'s unit over the lowering [l]: its run-time policies and
    name stamped on, then its pass stack.  Functions the passes changed
@@ -174,38 +262,18 @@ let lower (profile : Policy.profile) (tp : Minic.Tast.tprogram) : Lower.lowered 
    several profiles, also from several domains.  [?memo] changes the
    cost, never the result. *)
 let optimize ?memo (profile : Policy.profile) (l : Lower.lowered) : unit_ =
-  let u0 =
-    {
-      funcs = l.Lower.lfuncs;
-      globals = l.Lower.lglobals;
-      runtime = profile.Policy.runtime;
-      impl_name = profile.Policy.pname;
-    }
-  in
-  let flags = profile.Policy.flags in
-  (* with no pass enabled nothing runs and no line table is stripped:
-     a memo would only store copies of the lowering *)
-  let memo = if pass_flags flags = pass_flags Policy.no_opt then None else memo in
-  (* first round of local optimization *)
-  let u1 =
-    { u0 with funcs = List.map (fun (n, f) -> (n, func_passes ?memo flags f)) u0.funcs }
-  in
-  (* inlining, then a local round to clean the inlined bodies; a second
-     inline+cleanup round resolves call chains (an inlined body may itself
-     contain calls that only now become inlinable/foldable) *)
-  if flags.Policy.inline_limit > 0 then begin
-    let round u =
-      let u' = Opt_inline.run ~limit:flags.Policy.inline_limit u in
-      { u' with
-        funcs =
-          List.map
-            (fun (n, f) -> (n, strip_lines (func_passes ?memo flags f)))
-            u'.funcs;
-      }
-    in
-    round (round u1)
-  end
-  else u1
+  fst (optimize_funcs ?memo profile l)
+
+(* [optimize] through [memo], with the key of every function of the
+   unit, in order: the inputs of {!Fmemo.keyed} memos for the stages
+   after it (linking, signatures). *)
+let optimize_keyed (memo : memo) (profile : Policy.profile) (l : Lower.lowered) :
+    unit_ * Fmemo.key list =
+  let u, keys = optimize_funcs ~memo profile l in
+  ( u,
+    List.map2
+      (fun (_, f) k -> match k with Some k -> k | None -> Fmemo.of_func f)
+      u.funcs keys )
 
 (* every stripped table of [u] rebuilt from the lowering [l] it was
    optimized from *)

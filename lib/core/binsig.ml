@@ -116,13 +116,11 @@ let instr_touches_memory = function
         items
   | _ -> false
 
+let func_touches_memory (f : Ir.ifunc) : bool =
+  Array.length f.Ir.slots > 0 || Array.exists instr_touches_memory f.Ir.code
+
 let touches_memory (u : Ir.unit_) : bool =
-  u.Ir.globals <> []
-  || List.exists
-       (fun (_, f) ->
-         Array.length f.Ir.slots > 0
-         || Array.exists instr_touches_memory f.Ir.code)
-       u.Ir.funcs
+  u.Ir.globals <> [] || List.exists (fun (_, f) -> func_touches_memory f) u.Ir.funcs
 
 (* --- serialization --- *)
 
@@ -161,13 +159,31 @@ let projection (u : Ir.unit_) : projection =
     globals = u.Ir.globals;
   }
 
-let signature (u : Ir.unit_) : string =
+(* Whether [fact] holds of some function of [u], each function's fact
+   served by [?memo] under [stage] when it has one.  It stops at the
+   first function that has the fact, as the signature needs no more. *)
+let exists_func ?(memo : bool Fmemo.keyed option) ~stage (fact : Ir.ifunc -> bool)
+    (u : Ir.unit_) : bool =
+  match memo with
+  | None -> List.exists (fun (_, f) -> fact f) u.Ir.funcs
+  | Some { Fmemo.keys; memo } ->
+      List.exists2
+        (fun (_, f) k ->
+          memo.Fmemo.find_or_compute
+            (Fmemo.derive ~stage ~ctx:Fmemo.no_context k)
+            (fun () -> fact f))
+        u.Ir.funcs keys
+
+let signature ?(memo : bool Fmemo.keyed option) (u : Ir.unit_) : string =
   let mem =
-    if touches_memory u then Some (Policy.memory_runtime_signature u.Ir.runtime)
+    if
+      u.Ir.globals <> []
+      || exists_func ?memo ~stage:"touches memory" func_touches_memory u
+    then Some (Policy.memory_runtime_signature u.Ir.runtime)
     else None
   in
   let ureg =
-    if may_read_uninit_reg u then
+    if exists_func ?memo ~stage:"may read uninit" may_read_uninit_func u then
       Some (Policy.uninit_signature u.Ir.runtime.Policy.uninit_reg)
     else None
   in

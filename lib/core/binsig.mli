@@ -5,12 +5,15 @@
     input when executed by the plain VM without hooks — the oracle uses
     this to execute one representative per equivalence class. *)
 
-val signature : Cdcompiler.Ir.unit_ -> string
+val signature : ?memo:bool Cdcompiler.Fmemo.keyed -> Cdcompiler.Ir.unit_ -> string
 (** Canonical serialization of the unit's code, globals and the
     behaviorally relevant subset of its runtime policy, as one [Marshal]
     string.  Compare with string equality (not a hash) for soundness,
     and only within one process: the bytes follow the running OCaml's
-    [Marshal] format. *)
+    [Marshal] format.  [?memo] (the keys of the unit's functions and a
+    store) serves the two per-function facts the signature reads, as
+    {!may_read_uninit_reg} and {!touches_memory} decide them, for
+    functions analysed before; it changes the cost, never the bytes. *)
 
 val may_read_uninit_reg : Cdcompiler.Ir.unit_ -> bool
 (** Whether some register of some function may be read before being

@@ -96,7 +96,7 @@ type t = {
 
 (* Partition the binaries into behavioral equivalence classes by their
    canonical signature (exact string equality: no hash-collision risk). *)
-let build_classes ~dedup (binaries : (string * Ir.unit_) list) =
+let build_classes session ~dedup (binaries : (string * Ir.unit_) list) =
   let n = List.length binaries in
   let class_of = Array.make n 0 in
   if not dedup then begin
@@ -109,7 +109,9 @@ let build_classes ~dedup (binaries : (string * Ir.unit_) list) =
     let reprs = ref [] and nclasses = ref 0 in
     List.iteri
       (fun i (_, u) ->
-        let key = Binsig.signature u in
+        let key =
+          Binsig.signature ?memo:(Engine.Session.facts_memo session u) u
+        in
         match Hashtbl.find_opt table key with
         | Some ci -> class_of.(i) <- ci
         | None ->
@@ -135,7 +137,7 @@ let create ?session ?(profiles = Profiles.all) ?(normalize = Normalize.identity)
     (tp : Minic.Tast.tprogram) : t =
   let session = match session with Some s -> s | None -> private_session () in
   let binaries = Engine.Session.compile_profiles ~jobs session profiles tp in
-  let class_of, class_repr, class_size = build_classes ~dedup binaries in
+  let class_of, class_repr, class_size = build_classes session ~dedup binaries in
   (* link each class representative once through the session; every
      execution of the class runs the image (the reference interpreter
      stays on [observe_naive]) *)

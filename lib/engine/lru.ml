@@ -180,10 +180,11 @@ let put t key value ~weight =
   let s = stripe t h in
   locked s (fun () -> insert t s h key value weight)
 
-(* [find_or_compute t key ~weight compute]: cached value for [key], or
-   [compute ()] (run unlocked) inserted with [weight value] bytes. *)
-let find_or_compute t key ~weight compute =
-  let h = Hashtbl.hash key in
+(* [find_or_compute_hashed t h key ~weight compute]: cached value for
+   [key], whose hash the caller computed as [h], or [compute ()] (run
+   unlocked) inserted with [weight value] bytes.  [h] must be a function
+   of [key] alone, and equal keys must get equal hashes. *)
+let find_or_compute_hashed t h key ~weight compute =
   match find_hashed t h key with
   | Some v -> v
   | None ->
@@ -192,6 +193,9 @@ let find_or_compute t key ~weight compute =
       let s = stripe t h in
       locked s (fun () -> insert t s h key v w);
       v
+
+let find_or_compute t key ~weight compute =
+  find_or_compute_hashed t (Hashtbl.hash key) key ~weight compute
 
 let stats t =
   let entries, bytes =

@@ -11,7 +11,9 @@
 
    Cache keys are content hashes: a typed program or compiled unit is
    keyed by (length, murmur3 seed A, murmur3 seed B) of its [Marshal]
-   serialization.  Both types are pure data (no closures, no custom
+   serialization (a program's as its globals and each typed function,
+   length-prefixed, so the function bytes also root the function memo's
+   keys).  Both types are pure data (no closures, no custom
    blocks), so equal serializations imply structural equality, which
    implies behavioural equality of everything derived from them — a hit
    can only substitute an identical artefact, up to the ~2^-64 residual
@@ -38,14 +40,15 @@
    evicted from the cache and re-linked later gets the same id and its
    stored observations stay valid.
 
-   Below the unit cache sits the function memo ({!Pipeline.memo}): a
-   unit-cache miss still re-runs lowering (once per lowering policy in
-   [compile_profiles]), but the per-function pass stacks of every
-   function the program shares with an earlier compile are served from
-   it.  Its keys are the exact serialized stage inputs, so it needs no
-   collision argument at all.  Units skip the line-table rebuild, which
-   only instruction-level localization reads and asks for itself
-   ({!Pipeline.with_lines}).
+   Below the unit cache sits the function memo ({!Cdcompiler.Fmemo}):
+   every per-function stage -- lowering, the pass stack, linking and the
+   signature's dataflow facts -- is looked up per function, so a
+   unit-cache miss recomputes only the functions the program does not
+   share with an earlier compile.  Each typed function is serialized
+   once per program; those bytes root its keys and derive the unit key.
+   Memo keys are exact paths, so the memo needs no collision argument at
+   all.  Units skip the line-table rebuild, which only instruction-level
+   localization reads and asks for itself ({!Pipeline.with_lines}).
 
    Bounded memory: each cache is an {!Lru} bounded in bytes; the
    [cache_mb] budget is split 12.5% units / 12.5% function memo / 25%
@@ -72,14 +75,19 @@ type disk_stats = Diskcache.stats = {
   disk_entries : int;
 }
 
+(* lookups of one per-function stage in the function memo *)
+type stage_stats = { stage_hits : int; stage_misses : int }
+
 type stats = {
   units : cache_stats;
-  funcs : cache_stats;   (* the per-function compile memo *)
+  funcs : cache_stats;   (* the per-function memo, every stage *)
+  stages : (string * stage_stats) list;  (* lower, passes, link, sign *)
   images : cache_stats;
   observations : cache_stats;
   budget_bytes : int;
   caching : bool;
-  key_calls : int;       (* content-key computations (Marshal + hash) *)
+  key_calls : int;       (* serializations for keys: one per typed function
+                            of a program, one per unit keyed by content *)
   key_seconds : float;   (* wall time spent computing content keys *)
   declined : int;        (* executed observations the doorkeeper kept out *)
   disk : disk_stats option;  (* None when no --disk-cache directory *)
@@ -197,12 +205,47 @@ module Doorkeeper = struct
     end
 end
 
+(* [compute ()], computed by the first call and shared by every later
+   one.  Nothing blocks: calls that race on an empty cell each compute,
+   and all but the first to store drop theirs, so [compute] must be
+   deterministic. *)
+let once (compute : unit -> 'a) : unit -> 'a =
+  let v = Atomic.make None in
+  fun () ->
+    match Atomic.get v with
+    | Some x -> x
+    | None ->
+        let x = compute () in
+        if Atomic.compare_and_set v None (Some x) then x
+        else Option.get (Atomic.get v)
+
+(* A function-memo entry: the output of one per-function stage.  Keys
+   of different stages differ in their tag, so a key always finds the
+   constructor of its own stage. *)
+type fvalue =
+  | Lowered of Ir.ifunc             (* lowering *)
+  | Passed of Ir.ifunc * Fmemo.key  (* a pass stack: the function and its
+                                       key (its bytes', or the input's
+                                       when unchanged) *)
+  | Lfunc of Cdvm.Image.lfunc       (* linking *)
+  | Fact of bool                    (* a signature's per-function fact *)
+
+type counter = { c_hits : int Atomic.t; c_misses : int Atomic.t }
+
+(* a program as the stores see it: its unit-store key and the root keys
+   of its functions *)
+type source = { pkey : key; sources : Fmemo.key list }
+
 type t = {
   caching : bool;
   budget_bytes : int;
   unit_cache : (ikey, Ir.unit_) Lru.t;
-  func_cache : (string, Ir.ifunc) Lru.t;  (* behind [memo] *)
-  memo : Pipeline.memo option;  (* None when caching is disabled *)
+  func_cache : (Fmemo.key, fvalue) Lru.t;  (* every per-function stage *)
+  counters : (string * counter) list;  (* per stage, in [stage_names] order *)
+  lower_memo : Ir.ifunc Fmemo.t;
+  pass_memo : Pipeline.memo;
+  link_memo : Cdvm.Image.lfunc Fmemo.t;
+  sign_memo : bool Fmemo.t;
   image_cache : (ikey, linked) Lru.t;
   obs_cache : (int * int * string, Cdvm.Exec.result) Lru.t;
       (* raw, NOT normalized *)
@@ -211,38 +254,131 @@ type t = {
   ids : (ikey, int) Hashtbl.t;  (* interned image ids, never evicted *)
   ids_mutex : Mutex.t;
   mutable next_id : int;
-  prog_memo : key Memo.t;       (* tprogram (by identity) -> content key *)
-  unit_memo : ikey Memo.t;      (* unit (by identity) -> image key *)
+  prog_memo : source Memo.t;    (* tprogram (by identity) -> its keys *)
+  unit_memo : (ikey * Fmemo.key list option) Memo.t;
+      (* unit (by identity) -> image key, and its function keys when
+         this session compiled it *)
   key_calls : int Atomic.t;
   key_micros : int Atomic.t;
   disk : Diskcache.t option;
 }
 
+let key_seed_b = 0x9747b28cl
+
 let key_of_string (s : string) : key =
   ( String.length s,
     Cdutil.Murmur3.hash s,
-    Cdutil.Murmur3.hash ~seed:0x9747b28cl s )
+    Cdutil.Murmur3.hash ~seed:key_seed_b s )
+
+(* [key_of_string] of the parts, each prefixed by its length so the
+   encoding is injective, without building the concatenation *)
+let key_of_parts (parts : string list) : key =
+  let framed =
+    List.concat_map (fun p -> [ string_of_int (String.length p) ^ ":"; p ]) parts
+  in
+  let h seed = Int32.to_int (Cdutil.Murmur3.hash32_parts ?seed framed) land 0x3FFFFFFF in
+  ( List.fold_left (fun n p -> n + String.length p) 0 framed,
+    h None,
+    h (Some key_seed_b) )
+
+(* [f ()]'s value, counted as key work: its wall time, and the number of
+   serializations it reports *)
+let timed t (f : unit -> 'a * int) : 'a =
+  let t0 = Unix.gettimeofday () in
+  let x, calls = f () in
+  let dt = Unix.gettimeofday () -. t0 in
+  ignore (Atomic.fetch_and_add t.key_calls calls);
+  ignore (Atomic.fetch_and_add t.key_micros (int_of_float (dt *. 1e6)));
+  x
 
 let timed_key t (serialize : unit -> string) : key =
-  let t0 = Unix.gettimeofday () in
-  let k = key_of_string (serialize ()) in
-  let dt = Unix.gettimeofday () -. t0 in
-  Atomic.incr t.key_calls;
-  ignore (Atomic.fetch_and_add t.key_micros (int_of_float (dt *. 1e6)));
-  k
+  timed t (fun () -> (key_of_string (serialize ()), 1))
 
-let prog_key (tp : Minic.Tast.tprogram) : key =
-  key_of_string (Marshal.to_string tp [])
+(* [tp]'s function keys, each typed function serialized once, and its
+   unit-store key: a content key of the globals and those bytes *)
+let source_of (tp : Minic.Tast.tprogram) : source =
+  let sources = Lower.sources tp in
+  {
+    pkey =
+      key_of_parts
+        (Fmemo.bytes tp.Minic.Tast.tglobals :: List.map Fmemo.root_bytes sources);
+    sources;
+  }
+
+let prog_key (tp : Minic.Tast.tprogram) : key = (source_of tp).pkey
 
 (* the smallest weight of a stored observation (see [obs_weight]) *)
 let obs_overhead_bytes = 64
 
-(* a memo entry holds its key bytes besides the function *)
-let func_weight (key : string) (f : Ir.ifunc) : int =
-  String.length key + 160
+let func_weight (f : Ir.ifunc) : int =
+  160
   + (Array.length f.Ir.code * 120)
   + (Array.length f.Ir.slots * 48)
   + (Array.length f.Ir.code_lines * 8)
+
+(* as a function's share of [image_weight] below *)
+let lfunc_weight (lf : Cdvm.Image.lfunc) : int =
+  128
+  + (Array.length lf.Cdvm.Image.l_ops * 128)
+  + (Array.length lf.Cdvm.Image.l_slots * 48)
+
+let fvalue_weight = function
+  | Lowered f -> func_weight f
+  | Passed (f, k) -> func_weight f + Fmemo.weight k
+  | Lfunc lf -> lfunc_weight lf
+  | Fact _ -> 16
+
+let stage_names = [ "lower"; "passes"; "link"; "sign" ]
+
+(* the smallest weight of a function-memo entry: a fact and its key *)
+let func_overhead_bytes = 128
+
+(* the doorkeeper's second probe of a function-memo key *)
+let func_door_seed = 0x2545f491
+
+(* One stage's view of the function memo, counting its own hits and
+   misses.  An entry weighs its value and its key ([Fmemo.weight]);
+   [roots] adds the bytes of the root its key derives from, for the
+   lowering, whose entries hold the program's serialized functions.
+   With [door], a key is admitted on its second request, as in the
+   observation store: its first is computed, counted as a miss, and
+   neither looked up nor stored. *)
+let stage_memo ?(roots = false) ?door func_cache (c : counter)
+    (wrap : 'a -> fvalue) (unwrap : fvalue -> 'a option) : 'a Fmemo.t =
+  let admitted (key : Fmemo.key) =
+    match door with
+    | None -> true
+    | Some door ->
+        Doorkeeper.admit (door ()) key.Fmemo.hash
+          (Hashtbl.hash (key.Fmemo.hash lxor func_door_seed))
+  in
+  let stored key compute =
+    let fresh = ref false in
+    let key_weight =
+      Fmemo.weight key + if roots then String.length (Fmemo.root_bytes key) else 0
+    in
+    let v =
+      Lru.find_or_compute_hashed func_cache key.Fmemo.hash key
+        ~weight:(fun v -> key_weight + fvalue_weight v)
+        (fun () ->
+          fresh := true;
+          wrap (compute ()))
+    in
+    Atomic.incr (if !fresh then c.c_misses else c.c_hits);
+    match unwrap v with
+    | Some x -> x
+    | None -> invalid_arg "Session: a function-memo key of another stage"
+  in
+  {
+    Fmemo.find_or_compute =
+      (fun key compute ->
+        if admitted key then stored key compute
+        else begin
+          Lru.count_miss func_cache;
+          Atomic.incr c.c_misses;
+          compute ()
+        end);
+  }
 
 let create ?(cache_mb = 128) ?disk_dir ?(disk_mb = 512) () : t =
   let cache_mb = max 0 cache_mb in
@@ -253,21 +389,39 @@ let create ?(cache_mb = 128) ?disk_dir ?(disk_mb = 512) () : t =
   let func_cache =
     Lru.create_striped ~stripes:16 ~budget_bytes:(budget_bytes / 8)
   in
+  let counters =
+    List.map
+      (fun n -> (n, { c_hits = Atomic.make 0; c_misses = Atomic.make 0 }))
+      stage_names
+  in
+  (* the stages after the pass stack admit on the second request; the
+     bitmap is made on first use, so a session that never compiles pays
+     nothing for it *)
+  let door =
+    once (fun () -> Doorkeeper.create ~nbits:(budget_bytes / 8 / func_overhead_bytes))
+  in
+  let memo ?roots ?door name =
+    stage_memo ?roots ?door func_cache (List.assoc name counters)
+  in
+
   {
     caching;
     budget_bytes;
     unit_cache = Lru.create ~budget_bytes:(budget_bytes / 8);
     func_cache;
-    memo =
-      (if caching then
-         Some
-           {
-             Pipeline.find_or_compute =
-               (fun key compute ->
-                 Lru.find_or_compute func_cache key ~weight:(func_weight key)
-                   compute);
-           }
-       else None);
+    counters;
+    lower_memo =
+      memo ~roots:true ~door "lower"
+        (fun f -> Lowered f)
+        (function Lowered f -> Some f | _ -> None);
+    pass_memo =
+      memo "passes"
+        (fun (f, k) -> Passed (f, k))
+        (function Passed (f, k) -> Some (f, k) | _ -> None);
+    link_memo =
+      memo ~door "link" (fun lf -> Lfunc lf) (function Lfunc lf -> Some lf | _ -> None);
+    sign_memo =
+      memo ~door "sign" (fun x -> Fact x) (function Fact x -> Some x | _ -> None);
     image_cache = Lru.create ~budget_bytes:(budget_bytes / 4);
     obs_cache = Lru.create ~budget_bytes:(budget_bytes / 2);
     (* one bit per smallest entry the observation budget holds *)
@@ -329,12 +483,7 @@ let unit_weight (u : Ir.unit_) : int =
    the estimate is 0.76-1.52x the measured bytes, with a median of 1.01
    on both (DESIGN.md 10.3; [suite_engine] checks it stays within 2x). *)
 let image_weight (img : Cdvm.Image.t) : int =
-  Array.fold_left
-    (fun acc (lf : Cdvm.Image.lfunc) ->
-      acc + 128
-      + (Array.length lf.Cdvm.Image.l_ops * 128)
-      + (Array.length lf.Cdvm.Image.l_slots * 48))
-    1024 img.Cdvm.Image.funcs
+  Array.fold_left (fun acc lf -> acc + lfunc_weight lf) 1024 img.Cdvm.Image.funcs
 
 (* stable rendering of an image key for cross-process disk addressing *)
 let skey_of_ikey (((len, h1, h2), pname) : ikey) : string =
@@ -342,69 +491,71 @@ let skey_of_ikey (((len, h1, h2), pname) : ikey) : string =
 
 (* --- compile --- *)
 
-let prog_key_memo t (tp : Minic.Tast.tprogram) : key =
+(* [tp]'s keys, remembered by identity: a program is serialized once
+   however many profiles and lookups ask for it *)
+let source_memo t (tp : Minic.Tast.tprogram) : source =
   let r = Obj.repr tp in
   match Memo.find t.prog_memo r with
-  | Some k -> k
+  | Some src -> src
   | None ->
-      let k = timed_key t (fun () -> Marshal.to_string tp []) in
-      Memo.add t.prog_memo r k;
-      k
+      let src =
+        timed t (fun () ->
+            let src = source_of tp in
+            (src, List.length src.sources))
+      in
+      Memo.add t.prog_memo r src;
+      src
+
+(* [tp] lowered under [lw], each function through the memo *)
+let lower_memoized t (src : source) lw tp : Lower.lowered =
+  Lower.lower_program ~memo:{ Fmemo.keys = src.sources; memo = t.lower_memo } lw tp
 
 let unit_disk_kind = "unit"
 
 (* The unit of [profile] from the store, the disk cache, or compiled
-   from [lowering ()] (a lowering of [tp] under [profile]'s lowering
-   policy) through the function memo.  Session units carry no rebuilt
-   line tables ({!Pipeline.with_lines} adds them on demand); with
-   caching disabled the unit is the lined reference {!Pipeline.compile}. *)
-let compile_keyed t (pkey : key) (profile : Policy.profile)
-    ~(lowering : unit -> Lower.lowered) (tp : Minic.Tast.tprogram) : Ir.unit_ =
-  if not t.caching then Pipeline.compile profile tp
-  else begin
-    let ik = (pkey, profile.Policy.pname) in
-    let u =
-      Lru.find_or_compute t.unit_cache ik ~weight:unit_weight (fun () ->
-          let dkey = skey_of_ikey ik in
-          let from_disk =
-            match t.disk with
-            | Some d -> (Diskcache.get d ~kind:unit_disk_kind dkey : Ir.unit_ option)
-            | None -> None
-          in
-          match from_disk with
-          | Some u -> u
-          | None ->
-              let u = Pipeline.optimize ?memo:t.memo profile (lowering ()) in
-              (match t.disk with
-              | Some d -> Diskcache.put d ~kind:unit_disk_kind dkey u
-              | None -> ());
-              u)
-    in
-    (* the unit's image key is known here for free: remember it so [link]
-       never has to serialize the unit *)
-    (match Memo.find t.unit_memo (Obj.repr u) with
-    | Some _ -> ()
-    | None -> Memo.add t.unit_memo (Obj.repr u) ik);
-    u
-  end
+   from [lowering ()] (a lowering of the program [src] keys under
+   [profile]'s lowering policy) through the function memo.  Session
+   units carry no rebuilt line tables ({!Pipeline.with_lines} adds them
+   on demand).  Caching sessions only: a caching-disabled one compiles
+   with the lined reference {!Pipeline.compile}. *)
+let compile_keyed t (src : source) (profile : Policy.profile)
+    ~(lowering : unit -> Lower.lowered) : Ir.unit_ =
+  let ik = (src.pkey, profile.Policy.pname) in
+  let fkeys = ref None in
+  let u =
+    Lru.find_or_compute t.unit_cache ik ~weight:unit_weight (fun () ->
+        let dkey = skey_of_ikey ik in
+        let from_disk =
+          match t.disk with
+          | Some d -> (Diskcache.get d ~kind:unit_disk_kind dkey : Ir.unit_ option)
+          | None -> None
+        in
+        match from_disk with
+        | Some u -> u
+        | None ->
+            let u, keys = Pipeline.optimize_keyed t.pass_memo profile (lowering ()) in
+            fkeys := Some keys;
+            (match t.disk with
+            | Some d -> Diskcache.put d ~kind:unit_disk_kind dkey u
+            | None -> ());
+            u)
+  in
+  (* the unit's image key is known here for free, and its function keys
+     when it was just compiled: remember them so [link] never has to
+     serialize the unit, and links and signs it through the memo.  A
+     stored unit no longer remembered here, or read from disk, has no
+     function keys and is linked and signed without the memo. *)
+  (match Memo.find t.unit_memo (Obj.repr u) with
+  | Some _ -> ()
+  | None -> Memo.add t.unit_memo (Obj.repr u) (ik, !fkeys));
+  u
 
 let compile t (profile : Policy.profile) (tp : Minic.Tast.tprogram) : Ir.unit_ =
-  let pkey = if t.caching then prog_key_memo t tp else (0, 0, 0) in
-  compile_keyed t pkey profile ~lowering:(fun () -> Pipeline.lower profile tp) tp
-
-(* [compute ()], computed by the first call and shared by every later
-   one.  Nothing blocks: calls that race on an empty cell each compute,
-   and all but the first to store drop theirs, so [compute] must be
-   deterministic. *)
-let once (compute : unit -> 'a) : unit -> 'a =
-  let v = Atomic.make None in
-  fun () ->
-    match Atomic.get v with
-    | Some x -> x
-    | None ->
-        let x = compute () in
-        if Atomic.compare_and_set v None (Some x) then x
-        else Option.get (Atomic.get v)
+  if not t.caching then Pipeline.compile profile tp
+  else
+    let src = source_memo t tp in
+    compile_keyed t src profile
+      ~lowering:(fun () -> lower_memoized t src (Policy.lowering_of profile) tp)
 
 (* Lowering reads only a profile's {!Policy.lowering}, so the profiles
    share one lowering per distinct policy (the ten implementations have
@@ -418,23 +569,28 @@ let once (compute : unit -> 'a) : unit -> 'a =
 let compile_profiles ?(jobs = Cdutil.Pool.default_jobs ()) t
     (profiles : Policy.profile list) (tp : Minic.Tast.tprogram) :
     (string * Ir.unit_) list =
-  (* serialize the program once for all profiles *)
-  let pkey = if t.caching then prog_key_memo t tp else (0, 0, 0) in
-  let lowerings =
-    List.map
-      (fun lw -> (lw, once (fun () -> Lower.lower_program lw tp)))
-      (List.sort_uniq compare (List.map Policy.lowering_of profiles))
-  in
-  let one p =
-    let lowering = List.assoc (Policy.lowering_of p) lowerings in
-    (p.Policy.pname, compile_keyed t pkey p ~lowering tp)
+  let one =
+    if not t.caching then fun p -> (p.Policy.pname, Pipeline.compile p tp)
+    else begin
+      (* serialize the program once for all profiles *)
+      let src = source_memo t tp in
+      let lowerings =
+        List.map
+          (fun lw -> (lw, once (fun () -> lower_memoized t src lw tp)))
+          (List.sort_uniq compare (List.map Policy.lowering_of profiles))
+      in
+      fun p ->
+        let lowering = List.assoc (Policy.lowering_of p) lowerings in
+        (p.Policy.pname, compile_keyed t src p ~lowering)
+    end
   in
   if jobs > 1 then Cdutil.Pool.map one profiles else List.map one profiles
 
 (* --- link --- *)
 
-let link_fresh t key_opt (u : Ir.unit_) : linked =
-  let image = Cdvm.Image.link u in
+let link_fresh t key_opt (memo : Cdvm.Image.lfunc Fmemo.keyed option)
+    (u : Ir.unit_) : linked =
+  let image = Cdvm.Image.link ?memo u in
   let image_id, skey =
     match key_opt with
     | Some key -> (intern t key, skey_of_ikey key)
@@ -442,25 +598,39 @@ let link_fresh t key_opt (u : Ir.unit_) : linked =
   in
   { image; image_id; skey }
 
-let ikey_of_unit t (u : Ir.unit_) : ikey =
+(* [u]'s image key and, when this session compiled it, its function
+   keys *)
+let unit_keys t (u : Ir.unit_) : ikey * Fmemo.key list option =
   let r = Obj.repr u in
   match Memo.find t.unit_memo r with
-  | Some ik -> ik
+  | Some keys -> keys
   | None ->
       (* a unit that never went through [compile]: key it by its own
          content, tagged with an empty profile name so it cannot collide
          with a (program, profile) key *)
-      let ik = (timed_key t (fun () -> Marshal.to_string u []), "") in
-      Memo.add t.unit_memo r ik;
-      ik
+      let keys = ((timed_key t (fun () -> Marshal.to_string u []), ""), None) in
+      Memo.add t.unit_memo r keys;
+      keys
 
 let link t (u : Ir.unit_) : linked =
-  if not t.caching then link_fresh t None u
+  if not t.caching then link_fresh t None None u
   else
-    let key = ikey_of_unit t u in
+    let key, fkeys = unit_keys t u in
     Lru.find_or_compute t.image_cache key
       ~weight:(fun l -> image_weight l.image)
-      (fun () -> link_fresh t (Some key) u)
+      (fun () ->
+        link_fresh t (Some key)
+          (Option.map (fun keys -> { Fmemo.keys; memo = t.link_memo }) fkeys)
+          u)
+
+(* The signature memo for [u]: its function keys and the session's
+   store of per-function facts, when this session compiled [u]. *)
+let facts_memo t (u : Ir.unit_) : bool Fmemo.keyed option =
+  if not t.caching then None
+  else
+    match Memo.find t.unit_memo (Obj.repr u) with
+    | Some (_, Some keys) -> Some { Fmemo.keys; memo = t.sign_memo }
+    | Some (_, None) | None -> None
 
 let image (l : linked) = l.image
 
@@ -645,6 +815,11 @@ let stats t =
   {
     units = Lru.stats t.unit_cache;
     funcs = Lru.stats t.func_cache;
+    stages =
+      List.map
+        (fun (n, c) ->
+          (n, { stage_hits = Atomic.get c.c_hits; stage_misses = Atomic.get c.c_misses }))
+        t.counters;
     images = Lru.stats t.image_cache;
     observations = Lru.stats t.obs_cache;
     budget_bytes = t.budget_bytes;
@@ -658,6 +833,11 @@ let stats t =
 let reset_stats t =
   Lru.reset_stats t.unit_cache;
   Lru.reset_stats t.func_cache;
+  List.iter
+    (fun (_, c) ->
+      Atomic.set c.c_hits 0;
+      Atomic.set c.c_misses 0)
+    t.counters;
   Lru.reset_stats t.image_cache;
   Lru.reset_stats t.obs_cache;
   Atomic.set t.key_calls 0;
@@ -689,11 +869,19 @@ let stats_to_string (s : stats) : string =
             "disk" d.disk_hits d.disk_misses d.disk_stores d.disk_entries
             (float_of_int d.disk_bytes /. 1024.)
     in
+    let stages =
+      String.concat ""
+        (List.map
+           (fun (n, st) ->
+             Printf.sprintf "    %-10s %7d hits %7d misses\n" n st.stage_hits
+               st.stage_misses)
+           s.stages)
+    in
     Printf.sprintf
-      "engine session caches (budget %d MiB):\n%s%s%s%s  %-12s %7d declined \
+      "engine session caches (budget %d MiB):\n%s%s%s%s%s  %-12s %7d declined \
        (executed once, not stored)\n%s  key time: %d keys in %.4fs\n"
       (s.budget_bytes / (1024 * 1024))
-      (line "units" s.units) (line "func memo" s.funcs) (line "images" s.images)
+      (line "units" s.units) (line "func memo" s.funcs) stages (line "images" s.images)
       (line "observations" s.observations)
       "admission" s.declined disk_line s.key_calls s.key_seconds
 
@@ -719,6 +907,12 @@ let stats_json (s : stats) : Cdutil.Json.t =
   Obj
     [ ("caching", Bool s.caching); ("budget_bytes", Int s.budget_bytes);
       ("units", cache_json s.units); ("funcs", cache_json s.funcs);
+      ( "stages",
+        Obj
+          (List.map
+             (fun (n, st) ->
+               (n, Cdutil.Json.Obj [ ("hits", Int st.stage_hits); ("misses", Int st.stage_misses) ]))
+             s.stages) );
       ("images", cache_json s.images);
       ("observations", cache_json s.observations);
       ("declined", Int s.declined); ("disk", disk);

@@ -5,10 +5,12 @@
     - a {b compiled-unit cache} keyed by (program content hash, profile
       name) — a typed program is compiled at most once per profile per
       session;
-    - a {b function memo} ({!Cdcompiler.Pipeline.memo}) behind it, keyed
-      by the exact serialized inputs of the per-function pass stack — a
-      unit-cache miss re-runs the passes only for the functions that
-      differ from an earlier compile;
+    - a {b function memo} ({!Cdcompiler.Fmemo}) behind it and behind
+      the image cache and the signatures, keyed by exact paths rooted in
+      each typed function's bytes — lowering, the pass stack, linking
+      and the signature's dataflow facts run only for the functions that
+      differ from an earlier compile (lowering, linking and facts are
+      stored on their key's second request);
     - a {b linked-image cache} keyed by the same (program, profile)
       identity when the unit came out of {!compile} (no re-serialization
       at link time), or by the unit's own content hash otherwise;
@@ -19,8 +21,10 @@
       one-shot executions do not occupy it.
 
     Content keys are (length, murmur3{_A}, murmur3{_B}) over the value's
-    [Marshal] serialization; both program types are pure data, so equal
-    keys substitute structurally identical artefacts.  Hot paths never
+    [Marshal] serialization (for a program: its globals and each typed
+    function's bytes, each length-prefixed); both program types are
+    pure data, so equal keys substitute structurally identical
+    artefacts.  Hot paths never
     re-serialize: bounded identity memos remember the key of recently
     seen programs/units, so a cold cache pass costs one serialization
     per distinct program rather than one per lookup.  Observations are
@@ -57,14 +61,23 @@ type disk_stats = Diskcache.stats = {
   disk_entries : int;  (** running on-disk entry count (advisory) *)
 }
 
+type stage_stats = { stage_hits : int; stage_misses : int }
+(** Lookups of one per-function stage in the function memo; a key's
+    first request to an admitting stage is a miss. *)
+
 type stats = {
   units : cache_stats;
-  funcs : cache_stats;  (** the per-function compile memo *)
+  funcs : cache_stats;  (** the per-function memo, every stage together *)
+  stages : (string * stage_stats) list;
+      (** per stage: ["lower"], ["passes"] (the first round and the
+          inline cleanups), ["link"], ["sign"] *)
   images : cache_stats;
   observations : cache_stats;
   budget_bytes : int;
   caching : bool;
-  key_calls : int;  (** content-key computations (Marshal + hash) *)
+  key_calls : int;
+      (** serializations for keys: one per typed function of each new
+          program, one per unit keyed by its own content *)
   key_seconds : float;  (** wall time spent computing content keys *)
   declined : int;
       (** executed observations the admission filter kept out of the
@@ -92,12 +105,15 @@ val caching : t -> bool
 val budget_bytes : t -> int
 
 val prog_key : Minic.Tast.tprogram -> int * int * int
-(** Content key of a typed program (exposed for diagnostics/tests). *)
+(** Content key of a typed program, the program half of its unit-store
+    key: (length, murmur3{_A}, murmur3{_B}) of the globals and each
+    typed function's exact bytes (exposed for diagnostics/tests). *)
 
 val compile : t -> Cdcompiler.Policy.profile -> Minic.Tast.tprogram ->
   Cdcompiler.Ir.unit_
 (** Cached compile; a miss lowers the program and optimizes it through
-    the session's function memo ({!Cdcompiler.Pipeline.optimize}).  The
+    the session's function memo ({!Cdcompiler.Lower.lower_program} and
+    {!Cdcompiler.Pipeline.optimize_keyed}), each function looked up.  The
     unit skips the line-table rebuild, which only instruction-level
     localization reads ({!Cdcompiler.Pipeline.with_lines} adds it):
     lined on demand, it equals {!Cdcompiler.Pipeline.compile}.  With
@@ -115,7 +131,17 @@ val compile_profiles : ?jobs:int -> t -> Cdcompiler.Policy.profile list ->
 val link : t -> Cdcompiler.Ir.unit_ -> linked
 (** Cached {!Cdvm.Image.link}.  Re-linking an evicted unit re-interns
     the same image id, so stored observations survive eviction.  Units
-    produced by {!compile} on this session link without serializing. *)
+    produced by {!compile} on this session link without serializing,
+    and only their functions missing from the function memo are linked
+    ([Image.link ?memo]). *)
+
+val facts_memo : t -> Cdcompiler.Ir.unit_ ->
+  bool Cdcompiler.Fmemo.keyed option
+(** The memo for {!Compdiff.Binsig.signature} of [u]: its function keys
+    and the session's store of per-function facts, when [u] came out of
+    {!compile} on this caching session (recently enough that its keys
+    are still remembered); [None] otherwise, and the signature is
+    computed without one. *)
 
 val image_weight : Cdvm.Image.t -> int
 (** The image cache's weight of a linked handle, in bytes: an estimate

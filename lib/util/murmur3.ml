@@ -1,58 +1,53 @@
-let rotl32 x r =
-  Int32.logor (Int32.shift_left x r) (Int32.shift_right_logical x (32 - r))
+(* The arithmetic is on native ints holding 32-bit values: an [int32]
+   kept in a [ref] or a record field is boxed, and hashing allocated a
+   box per block.  Products wrap modulo 2^63, which leaves their low 32
+   bits exact, so masking after each step gives the 32-bit results. *)
 
-let c1 = 0xcc9e2d51l
-let c2 = 0x1b873593l
+let mask = 0xFFFF_FFFF
 
-let mix_k1 k1 =
-  let k1 = Int32.mul k1 c1 in
-  let k1 = rotl32 k1 15 in
-  Int32.mul k1 c2
+let rotl32 x r = ((x lsl r) lor (x lsr (32 - r))) land mask
 
-let mix_h1 h1 k1 =
-  let h1 = Int32.logxor h1 k1 in
-  let h1 = rotl32 h1 13 in
-  Int32.add (Int32.mul h1 5l) 0xe6546b64l
+let c1 = 0xcc9e2d51
+let c2 = 0x1b873593
+
+let mix_k1 k1 = rotl32 ((k1 * c1) land mask) 15 * c2 land mask
+
+let mix_h1 h1 k1 = ((rotl32 (h1 lxor k1) 13 * 5) + 0xe6546b64) land mask
 
 let fmix32 h =
-  let h = Int32.logxor h (Int32.shift_right_logical h 16) in
-  let h = Int32.mul h 0x85ebca6bl in
-  let h = Int32.logxor h (Int32.shift_right_logical h 13) in
-  let h = Int32.mul h 0xc2b2ae35l in
-  Int32.logxor h (Int32.shift_right_logical h 16)
+  let h = h lxor (h lsr 16) in
+  let h = h * 0x85ebca6b land mask in
+  let h = h lxor (h lsr 13) in
+  let h = h * 0xc2b2ae35 land mask in
+  h lxor (h lsr 16)
 
-let byte s i = Int32.of_int (Char.code (String.unsafe_get s i))
+let byte s i = Char.code (String.unsafe_get s i)
 
-let block s i =
-  let b0 = byte s i
-  and b1 = byte s (i + 1)
-  and b2 = byte s (i + 2)
-  and b3 = byte s (i + 3) in
-  Int32.logor b0
-    (Int32.logor (Int32.shift_left b1 8)
-       (Int32.logor (Int32.shift_left b2 16) (Int32.shift_left b3 24)))
+let block s i = Int32.to_int (String.get_int32_le s i) land mask
 
-let hash32 ?(seed = 0l) s =
+let of_seed = function None -> 0 | Some seed -> Int32.to_int seed land mask
+
+let hash_int ?seed s =
   let len = String.length s in
   let nblocks = len / 4 in
-  let h1 = ref seed in
+  let h1 = ref (of_seed seed) in
   for i = 0 to nblocks - 1 do
-    let k1 = block s (i * 4) in
-    h1 := mix_h1 !h1 (mix_k1 k1)
+    h1 := mix_h1 !h1 (mix_k1 (block s (i * 4)))
   done;
   let tail = nblocks * 4 in
-  let k1 = ref 0l in
+  let k1 = ref 0 in
   let rem = len land 3 in
-  if rem >= 3 then k1 := Int32.logxor !k1 (Int32.shift_left (byte s (tail + 2)) 16);
-  if rem >= 2 then k1 := Int32.logxor !k1 (Int32.shift_left (byte s (tail + 1)) 8);
+  if rem >= 3 then k1 := !k1 lxor (byte s (tail + 2) lsl 16);
+  if rem >= 2 then k1 := !k1 lxor (byte s (tail + 1) lsl 8);
   if rem >= 1 then begin
-    k1 := Int32.logxor !k1 (byte s tail);
-    h1 := Int32.logxor !h1 (mix_k1 !k1)
+    k1 := !k1 lxor byte s tail;
+    h1 := !h1 lxor mix_k1 !k1
   end;
-  let h1 = Int32.logxor !h1 (Int32.of_int len) in
-  fmix32 h1
+  fmix32 (!h1 lxor (len land mask))
 
-let hash ?seed s = Int32.to_int (hash32 ?seed s) land 0x3FFFFFFF
+let hash32 ?seed s = Int32.of_int (hash_int ?seed s)
+
+let hash ?seed s = hash_int ?seed s land 0x3FFFFFFF
 
 (* Streaming interface.  Feeding parts [p1; p2; ...] must produce the
    exact bits of [hash32 (p1 ^ p2 ^ ...)], so pending bytes that do not
@@ -60,13 +55,13 @@ let hash ?seed s = Int32.to_int (hash32 ?seed s) land 0x3FFFFFFF
    completed by the next [feed]. *)
 module Stream = struct
   type t = {
-    mutable h1 : int32;
+    mutable h1 : int;     (* 32-bit value *)
     mutable tail : int;   (* 0-3 pending bytes, little-endian packed *)
     mutable ntail : int;  (* number of pending bytes *)
     mutable total : int;  (* total bytes fed so far *)
   }
 
-  let init ?(seed = 0l) () = { h1 = seed; tail = 0; ntail = 0; total = 0 }
+  let init ?seed () = { h1 = of_seed seed; tail = 0; ntail = 0; total = 0 }
 
   let feed st s =
     let len = String.length s in
@@ -79,7 +74,7 @@ module Stream = struct
         incr i
       done;
       if st.ntail = 4 then begin
-        st.h1 <- mix_h1 st.h1 (mix_k1 (Int32.of_int st.tail));
+        st.h1 <- mix_h1 st.h1 (mix_k1 st.tail);
         st.tail <- 0;
         st.ntail <- 0
       end
@@ -96,10 +91,9 @@ module Stream = struct
 
   let finalize st =
     let h1 =
-      if st.ntail > 0 then Int32.logxor st.h1 (mix_k1 (Int32.of_int st.tail))
-      else st.h1
+      if st.ntail > 0 then st.h1 lxor mix_k1 st.tail else st.h1
     in
-    fmix32 (Int32.logxor h1 (Int32.of_int st.total))
+    Int32.of_int (fmix32 (h1 lxor (st.total land mask)))
 end
 
 let hash32_parts ?seed parts =

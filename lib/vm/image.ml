@@ -386,7 +386,13 @@ let link_func ~(fidx : (string, int) Hashtbl.t)
     l_entry_block = Coverage.block_id ~fname ~label:(-1);
   }
 
-let link (u : Ir.unit_) : t =
+(* [?memo] carries the keys of [u]'s functions and changes the cost,
+   never the result.  A function's linked form reads, besides the
+   function and its name, only the unit's layout, its function-index
+   table and its global ids: those, as the exact bytes of the layout,
+   the function names in order and the global ids, are the unit's link
+   context.  Memoized functions are shared between images. *)
+let link ?(memo : lfunc Fmemo.keyed option) (u : Ir.unit_) : t =
   let runtime = u.Ir.runtime in
   let fidx = index_funcs u.Ir.funcs in
   let layout = runtime.Policy.layout in
@@ -404,12 +410,24 @@ let link (u : Ir.unit_) : t =
         Hashtbl.add builtins name b;
         b
   in
+  let link1 (name, f) = link_func ~fidx ~gids ~layout ~intern_builtin name f in
   let funcs =
-    Array.of_list
-      (List.map
-         (fun (name, f) ->
-           link_func ~fidx ~gids ~layout ~intern_builtin name f)
-         u.Ir.funcs)
+    match memo with
+    | None -> Array.of_list (List.map link1 u.Ir.funcs)
+    | Some { Fmemo.keys; memo } ->
+        let ctx =
+          Fmemo.context
+            ( layout,
+              List.map fst u.Ir.funcs,
+              List.sort compare (List.of_seq (Hashtbl.to_seq gids)) )
+        in
+        Array.of_list
+          (List.map2
+             (fun ((name, _) as nf) k ->
+               memo.Fmemo.find_or_compute
+                 (Fmemo.derive ~stage:("link " ^ name) ~ctx k)
+                 (fun () -> link1 nf))
+             u.Ir.funcs keys)
   in
   let entry =
     match Hashtbl.find_opt fidx "main" with Some i -> i | None -> -1

@@ -433,6 +433,39 @@ let memo_matches_fresh_unit profile tp u =
 let memo_matches_fresh s profile tp =
   memo_matches_fresh_unit profile tp (Engine.Session.compile s profile tp)
 
+let image_bytes (img : Cdvm.Image.t) = Marshal.to_string img [ Marshal.No_sharing ]
+
+(* Every per-function stage of a session compile of [tp] equals its
+   memo-free counterpart: each unit as [memo_matches_fresh_unit], its
+   image as [Image.link] of the same unit by bytes, and its signature
+   as [Binsig.signature] without a memo. *)
+let stages_match s profiles tp =
+  List.for_all2
+    (fun p (_, u) ->
+      memo_matches_fresh_unit p tp u
+      && image_bytes (Engine.Session.image (Engine.Session.link s u))
+         = image_bytes (Cdvm.Image.link u)
+      && Compdiff.Binsig.signature ?memo:(Engine.Session.facts_memo s u) u
+         = Compdiff.Binsig.signature u)
+    profiles
+    (Engine.Session.compile_profiles s profiles tp)
+
+(* a memo over a table, counting the outputs it computed *)
+let table_memo () : 'a Cdcompiler.Fmemo.t * int ref =
+  let table = Hashtbl.create 64 and computed = ref 0 in
+  ( {
+      Cdcompiler.Fmemo.find_or_compute =
+        (fun k compute ->
+          match Hashtbl.find_opt table k with
+          | Some v -> v
+          | None ->
+            incr computed;
+            let v = compute () in
+            Hashtbl.add table k v;
+            v);
+    },
+    computed )
+
 (* random UB-free programs, printed and re-parsed so that their line
    tables are real; one small session across all cases, so the memo
    fills, is shared between programs and evicts *)
@@ -446,11 +479,151 @@ let prop_memo_matches_pipeline =
         Minic.Pretty.program_to_string (Gen.Effgen.generate ~seed).Gen.Effgen.prog
       in
       let tp = frontend src in
-      let profiles = Cdcompiler.Profiles.extended_with_buggy in
-      List.for_all2
-        (fun p (_, u) -> memo_matches_fresh_unit p tp u)
-        profiles
-        (Engine.Session.compile_profiles s profiles tp))
+      stages_match s Cdcompiler.Profiles.extended_with_buggy tp)
+
+let lowered_bytes (l : Cdcompiler.Lower.lowered) =
+  Marshal.to_string (l.Cdcompiler.Lower.lfuncs, l.Cdcompiler.Lower.lglobals)
+    [ Marshal.No_sharing ]
+
+let stage_misses s name =
+  (List.assoc name (Engine.Session.stats s).Engine.Session.stages)
+    .Engine.Session.stage_misses
+
+(* The per-function stages through a memo equal the memo-free stages on
+   the quick Juliet suite and every Table 4 target: lowerings by bytes
+   (through a table memo, where a second lowering of the same program
+   computes nothing), and, through one session, units, images and
+   signatures ([stages_match]) and the oracle's behaviour classes
+   against a caching-disabled session's. *)
+let test_memo_stages_match () =
+  let open Cdcompiler in
+  let programs =
+    List.concat_map
+      (fun t -> [ Juliet.Testcase.frontend_bad t; Juliet.Testcase.frontend_good t ])
+      (Juliet.Suite.quick ())
+    @ List.map Projects.Project.frontend Projects.Registry.all
+  in
+  let s = Engine.Session.create () in
+  List.iter
+    (fun tp ->
+      List.iter
+        (fun lw ->
+          let memo, computed = table_memo () in
+          let memo = { Fmemo.keys = Lower.sources tp; memo } in
+          let reference = lowered_bytes (Lower.lower_program lw tp) in
+          check_bool "memoized lowering = Lower.lower_program" true
+            (lowered_bytes (Lower.lower_program ~memo lw tp) = reference);
+          let before = !computed in
+          check_bool "second lowering equal" true
+            (lowered_bytes (Lower.lower_program ~memo lw tp) = reference);
+          check_int "second lowering computes nothing" before !computed)
+        (List.sort_uniq compare (List.map Policy.lowering_of Profiles.all));
+      check_bool "units, images and signatures" true
+        (stages_match s Profiles.extended_with_buggy tp);
+      let classes session =
+        Compdiff.Oracle.classes (Compdiff.Oracle.create ~session ~jobs:1 tp)
+      in
+      check_bool "oracle classes" true
+        (classes s = classes (Engine.Session.create ~cache_mb:0 ())))
+    programs
+
+(* Two programs whose function [f] lowers to the same code, where the
+   dropped global moves [b]'s object id: [f] is linked twice, once per
+   unit context, and each image equals a fresh link of its unit. *)
+let test_link_context () =
+  let src globals =
+    globals
+    ^ " int f() { b = 7; return b; }\n\
+       int main() { print(\"%d\\n\", f()); return 0; }"
+  in
+  let s = Engine.Session.create ~cache_mb:16 () in
+  List.iter
+    (fun g ->
+      check_bool g true
+        (stages_match s Cdcompiler.Profiles.all (frontend (src g))))
+    [ "int a; int b;"; "int b;"; "int a; int b;" ]
+
+(* A one-statement candidate after its parent and an earlier candidate
+   (a function's lowering, link and facts are stored on their second
+   request): lowering runs for the edited function only, once per
+   distinct lowering policy, and linking and signing run only for
+   functions whose final code is new.  Each candidate edits one function
+   and keeps the globals, so no other typed function changes. *)
+let test_candidate_recomputes_one_function () =
+  let open Cdcompiler in
+  List.iter
+    (fun name ->
+      let p = Option.get (Projects.Registry.by_name name) in
+      let profiles = Projects.Project.profiles_for p in
+      let nlowerings =
+        List.length (List.sort_uniq compare (List.map Policy.lowering_of profiles))
+      in
+      let parent = Projects.Project.frontend p in
+      let func_bytes tp =
+        List.map (fun f -> Marshal.to_string f [ Marshal.No_sharing ]) tp.Minic.Tast.tfuncs
+      in
+      let lowered tp =
+        lowered_bytes (Lower.lower_program (Policy.lowering_of (List.hd profiles)) tp)
+      in
+      let edits_one_function tp =
+        tp.Minic.Tast.tglobals = parent.Minic.Tast.tglobals
+        && List.length tp.Minic.Tast.tfuncs = List.length parent.Minic.Tast.tfuncs
+        && List.length
+             (List.filter not (List.map2 String.equal (func_bytes tp) (func_bytes parent)))
+           = 1
+        && lowered tp <> lowered parent
+      in
+      let earlier, candidate =
+        match
+          List.of_seq
+            (Seq.take 2
+               (Seq.filter_map
+                  (fun c ->
+                    match Minic.Typecheck.check_program_result c with
+                    | Ok tp when edits_one_function tp -> Some tp
+                    | Ok _ | Error _ -> None)
+                  (Compdiff.Reduce.candidates p.Projects.Project.program)))
+        with
+        | [ earlier; candidate ] -> (earlier, candidate)
+        | _ -> Alcotest.fail "two one-function candidates"
+      in
+      let s = Engine.Session.create ~cache_mb:64 () in
+      let link_all tp =
+        List.map
+          (fun (_, u) ->
+            ignore (Engine.Session.link s u);
+            ignore (Compdiff.Binsig.signature ?memo:(Engine.Session.facts_memo s u) u);
+            u)
+          (Engine.Session.compile_profiles ~jobs:1 s profiles tp)
+      in
+      let parent_units = link_all parent in
+      ignore (link_all earlier);
+      Engine.Session.reset_stats s;
+      let units = link_all candidate in
+      check_int (name ^ ": one function lowered per lowering policy") nlowerings
+        (stage_misses s "lower");
+      (* the functions of each candidate unit whose code the parent's unit
+         of the same profile does not have *)
+      let changed =
+        List.fold_left2
+          (fun n (u : Ir.unit_) (pu : Ir.unit_) ->
+            n
+            + List.length
+                (List.filter
+                   (fun (fname, f) ->
+                     Marshal.to_string f [ Marshal.No_sharing ]
+                     <> Marshal.to_string (List.assoc fname pu.Ir.funcs)
+                          [ Marshal.No_sharing ])
+                   u.Ir.funcs))
+          0 units parent_units
+      in
+      check_bool (name ^ ": some final code changed") true (changed > 0);
+      check_bool (name ^ ": links only functions whose code changed") true
+        (stage_misses s "link" <= changed);
+      (* two facts per function at most *)
+      check_bool (name ^ ": signs only functions whose code changed") true
+        (stage_misses s "sign" <= 2 * changed))
+    [ "exiv2"; "gpac" ]
 
 (* Profiles share one lowering per distinct [Policy.lowering_of].  Two
    profiles with an equal lowering policy lower every program to
@@ -508,11 +681,13 @@ let test_shared_lowering () =
      = 4)
 
 (* a reducer's access pattern: a chain of one-step candidates on one
-   session, where every function a candidate leaves alone is a memo hit *)
+   session, where every function a candidate leaves alone is a memo hit,
+   and every stage equals the memo-free one; on an 8 MiB session the
+   memo evicts functions the chain meets again *)
 let test_memo_reduction_chain () =
   List.iter
-    (fun (p : Projects.Project.t) ->
-      let s = Engine.Session.create ~cache_mb:32 () in
+    (fun ((p : Projects.Project.t), cache_mb) ->
+      let s = Engine.Session.create ~cache_mb () in
       let profiles = Projects.Project.profiles_for p in
       let compiled = ref 0 in
       let cur = ref p.Projects.Project.program in
@@ -528,15 +703,11 @@ let test_memo_reduction_chain () =
         let batch = List.of_seq (Seq.take 6 typed) in
         List.iter
           (fun (_, tp) ->
-            List.iter
-              (fun prof ->
-                incr compiled;
-                check_bool
-                  (Printf.sprintf "%s %s: memoized = fresh"
-                     p.Projects.Project.pname prof.Cdcompiler.Policy.pname)
-                  true
-                  (memo_matches_fresh s prof tp))
-              profiles)
+            compiled := !compiled + List.length profiles;
+            check_bool
+              (Printf.sprintf "%s: memoized stages = fresh" p.Projects.Project.pname)
+              true
+              (stages_match s profiles tp))
           batch;
         (* step to the last candidate, as an accepted reduction would *)
         match List.rev batch with (c, _) :: _ -> cur := c | [] -> ()
@@ -544,15 +715,32 @@ let test_memo_reduction_chain () =
       check_bool "candidates were compiled" true (!compiled > 0);
       let stats = Engine.Session.stats s in
       let st = stats.Engine.Session.funcs in
-      check_bool
-        (p.Projects.Project.pname ^ ": unchanged functions hit the memo")
-        true
-        (st.Engine.Session.hits > st.Engine.Session.misses);
+      (* a small session evicts functions it meets again; the others are
+         served what a candidate leaves alone *)
+      if cache_mb <= 8 then
+        check_bool "the small session evicts" true (st.Engine.Session.evictions > 0)
+      else
+        check_bool
+          (p.Projects.Project.pname ^ ": unchanged functions hit the memo")
+          true
+          (st.Engine.Session.hits > st.Engine.Session.misses);
+      let json = Cdutil.Json.to_string (Engine.Session.stats_json stats) in
       check_bool "memo counters in the stats JSON" true
-        (Suite_gen.contains
-           (Cdutil.Json.to_string (Engine.Session.stats_json stats))
-           (Printf.sprintf "\"funcs\": {\"hits\": %d," st.Engine.Session.hits)))
-    (List.filteri (fun i _ -> i < 2) Projects.Registry.all)
+        (Suite_gen.contains json
+           (Printf.sprintf "\"funcs\": {\"hits\": %d," st.Engine.Session.hits));
+      List.iter
+        (fun (name, (c : Engine.Session.stage_stats)) ->
+          check_bool (name ^ " was looked up") true (c.Engine.Session.stage_hits > 0);
+          check_bool (name ^ " counters in the stats JSON") true
+            (Suite_gen.contains json
+               (Printf.sprintf "\"%s\": {\"hits\": %d, \"misses\": %d}" name
+                  c.Engine.Session.stage_hits c.Engine.Session.stage_misses)))
+        stats.Engine.Session.stages;
+      check_bool "one key per typed function of each program" true
+        (stats.Engine.Session.key_calls > 0))
+    (match Projects.Registry.all with
+    | p0 :: p1 :: _ -> [ (p0, 32); (p1, 32); (p0, 8) ]
+    | _ -> assert false)
 
 (* Two programs whose [f] optimizes to the same code from differently
    lined source.  The pass stack's output is shared through the memo;
@@ -886,6 +1074,10 @@ let suites =
         tc "reduction candidate chain" test_memo_reduction_chain;
         tc "line tables are per program" test_memo_line_tables_not_shared;
         tc "one lowering per lowering policy" test_shared_lowering;
+        tc "memoized stages = memo-free stages" test_memo_stages_match;
+        tc "a candidate recomputes one function"
+          test_candidate_recomputes_one_function;
+        tc "global ids are part of the link context" test_link_context;
       ] );
     ( "engine.diskcache",
       [

@@ -9,4 +9,4 @@ let () =
    @ Suite_passes.suites @ Suite_frontend_fuzz.suites
    @ Suite_metacheck.suites @ Suite_serve.suites @ Suite_gen.suites
    @ Suite_trace.suites @ Suite_wire.suites @ Suite_golden.suites
-   @ Suite_golden_localize.suites)
+   @ Suite_golden_localize.suites @ Suite_golden_reduce.suites)
