@@ -1578,6 +1578,23 @@ let serve_cmd =
       const action $ socket_arg $ quota $ executors $ max_oracles
       $ idle_timeout $ client_timeout $ quiet $ common_term)
 
+(* one request to the daemon: [on_reply] prints the reply it expects
+   and returns the exit code, or [None] for a reply of another kind *)
+let call_daemon cl req on_reply =
+  match Serve.Client.call cl req with
+  | Serve.Proto.Err m ->
+      Printf.eprintf "daemon error: %s\n" m;
+      2
+  | Serve.Proto.Busy _ ->
+      Printf.eprintf "daemon busy\n";
+      2
+  | reply -> (
+      match on_reply reply with
+      | Some code -> code
+      | None ->
+          Printf.eprintf "unexpected response\n";
+          2)
+
 let connect_cmd =
   let file_opt =
     Arg.(
@@ -1682,102 +1699,72 @@ let connect_cmd =
                 Printf.eprintf "FILE required (or --ping/--remote-stats)\n";
                 exit 2
           in
-          if fuzz_execs > 0 then (
-            match
-              Serve.Client.call cl
-                (Serve.Proto.Fuzz
-                   {
-                     Serve.Proto.fz_source = source;
-                     fz_execs = fuzz_execs;
-                     fz_seed = 1;
-                     fz_seeds = (if input = "" then [] else [ input ]);
-                     fz_profiles = profile_names;
-                     fz_fuel = fuel;
-                   })
-            with
-            | Serve.Proto.Fuzz_reply r ->
-                Printf.printf "%d execs, %d divergent, %d unique\n"
-                  r.Serve.Proto.fr_execs r.Serve.Proto.fr_divergent
-                  r.Serve.Proto.fr_unique;
-                List.iter
-                  (fun (_, report) -> print_string report)
-                  r.Serve.Proto.fr_reports;
-                if r.Serve.Proto.fr_unique > 0 then 1 else 0
-            | Serve.Proto.Err m ->
-                Printf.eprintf "daemon error: %s\n" m;
-                2
-            | Serve.Proto.Busy _ ->
-                Printf.eprintf "daemon busy\n";
-                2
-            | _ ->
-                Printf.eprintf "unexpected response\n";
-                2)
-          else if metacheck then (
-            match
-              Serve.Client.call cl
-                (Serve.Proto.Metacheck
-                   {
-                     Serve.Proto.mc_source = source;
-                     mc_inputs = (if input = "" then [] else [ input ]);
-                     mc_limit = 4;
-                     mc_profiles = profile_names;
-                     mc_fuel = fuel;
-                   })
-            with
-            | Serve.Proto.Metacheck_reply r ->
-                Printf.printf
-                  "preserving twins: %d\neliminating twins: %d\nretype \
-                   failures: %d\n"
-                  r.Serve.Proto.mr_preserving r.Serve.Proto.mr_eliminating
-                  r.Serve.Proto.mr_retype_failures;
-                List.iter
-                  (fun (tool, rule, what, detail) ->
-                    Printf.printf "%s %s %s: %s\n" tool rule what detail)
-                  r.Serve.Proto.mr_flags;
-                0
-            | Serve.Proto.Err m ->
-                Printf.eprintf "daemon error: %s\n" m;
-                2
-            | Serve.Proto.Busy _ ->
-                Printf.eprintf "daemon busy\n";
-                2
-            | _ ->
-                Printf.eprintf "unexpected response\n";
-                2)
-          else if reduce then (
-            match
-              Serve.Client.call cl
-                (Serve.Proto.Reduce
-                   {
-                     Serve.Proto.rd_source = source;
-                     rd_input = input;
-                     rd_max_checks = 2_000;
-                     rd_profiles = profile_names;
-                     rd_fuel = fuel;
-                   })
-            with
-            | Serve.Proto.Reduce_reply r ->
-                if not r.Serve.Proto.rr_found then begin
-                  Printf.printf "input does not diverge\n";
-                  0
-                end
-                else begin
-                  Printf.printf "reduced %d -> %d bytes in %d checks\n"
-                    (String.length r.Serve.Proto.rr_input)
-                    (String.length r.Serve.Proto.rr_reduced)
-                    r.Serve.Proto.rr_checks;
-                  print_string r.Serve.Proto.rr_report;
-                  1
-                end
-            | Serve.Proto.Err m ->
-                Printf.eprintf "daemon error: %s\n" m;
-                2
-            | Serve.Proto.Busy _ ->
-                Printf.eprintf "daemon busy\n";
-                2
-            | _ ->
-                Printf.eprintf "unexpected response\n";
-                2)
+          if fuzz_execs > 0 then
+            call_daemon cl
+              (Serve.Proto.Fuzz
+                 {
+                   Serve.Proto.fz_source = source;
+                   fz_execs = fuzz_execs;
+                   fz_seed = 1;
+                   fz_seeds = (if input = "" then [] else [ input ]);
+                   fz_profiles = profile_names;
+                   fz_fuel = fuel;
+                 })
+              (function
+                | Serve.Proto.Fuzz_reply r ->
+                    Printf.printf "%d execs, %d divergent, %d unique\n"
+                      r.Serve.Proto.fr_execs r.Serve.Proto.fr_divergent
+                      r.Serve.Proto.fr_unique;
+                    List.iter
+                      (fun (_, report) -> print_string report)
+                      r.Serve.Proto.fr_reports;
+                    Some (if r.Serve.Proto.fr_unique > 0 then 1 else 0)
+                | _ -> None)
+          else if metacheck then
+            call_daemon cl
+              (Serve.Proto.Metacheck
+                 {
+                   Serve.Proto.mc_source = source;
+                   mc_inputs = (if input = "" then [] else [ input ]);
+                   mc_limit = 4;
+                   mc_profiles = profile_names;
+                   mc_fuel = fuel;
+                 })
+              (function
+                | Serve.Proto.Metacheck_reply r ->
+                    Printf.printf
+                      "preserving twins: %d\neliminating twins: %d\nretype \
+                       failures: %d\n"
+                      r.Serve.Proto.mr_preserving r.Serve.Proto.mr_eliminating
+                      r.Serve.Proto.mr_retype_failures;
+                    List.iter
+                      (fun (tool, rule, what, detail) ->
+                        Printf.printf "%s %s %s: %s\n" tool rule what detail)
+                      r.Serve.Proto.mr_flags;
+                    Some 0
+                | _ -> None)
+          else if reduce then
+            call_daemon cl
+              (Serve.Proto.Reduce
+                 {
+                   Serve.Proto.rd_source = source;
+                   rd_input = input;
+                   rd_max_checks = 2_000;
+                   rd_profiles = profile_names;
+                   rd_fuel = fuel;
+                 })
+              (function
+                | Serve.Proto.Reduce_reply r when not r.Serve.Proto.rr_found ->
+                    Printf.printf "input does not diverge\n";
+                    Some 0
+                | Serve.Proto.Reduce_reply r ->
+                    Printf.printf "reduced %d -> %d bytes in %d checks\n"
+                      (String.length r.Serve.Proto.rr_input)
+                      (String.length r.Serve.Proto.rr_reduced)
+                      r.Serve.Proto.rr_checks;
+                    print_string r.Serve.Proto.rr_report;
+                    Some 1
+                | _ -> None)
           else if explore then (
             match
               Serve.Client.explore cl ~profiles:profile_names ~fuel ~source

@@ -378,7 +378,6 @@ let gen_helper g =
   end
 
 let generate ~seed : result =
-  B.line_counter := 0;
   let g =
     {
       rng = Rng.create (Rng.mix seed 0x9e11);
@@ -412,4 +411,4 @@ let generate ~seed : result =
   in
   let main_body = List.rev !body @ prints @ [ B.ret (B.int 0) ] in
   let funcs = Option.to_list helper @ [ B.func Ast.Tint "main" main_body ] in
-  { prog = { Ast.globals; funcs }; sites = List.rev g.sites_rev }
+  { prog = B.program ~globals funcs; sites = List.rev g.sites_rev }

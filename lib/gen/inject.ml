@@ -174,7 +174,7 @@ let inject ~seed (r : Effgen.result) (cls : ub_class) : injected =
   let site = Rng.choose_list rng r.Effgen.sites in
   let stmts = defect_stmts rng site cls in
   {
-    inj_prog = splice_at r.Effgen.prog site.Effgen.site_id stmts;
+    inj_prog = Pretty.locate (splice_at r.Effgen.prog site.Effgen.site_id stmts);
     cls;
     site;
     marker = line_marker cls;

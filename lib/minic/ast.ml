@@ -9,7 +9,8 @@
    a [__LINE__] construct whose interpretation is implementation-defined.
 
    Programs are produced either by the hand-written parser ({!Parser}) or
-   programmatically through {!Builder}. *)
+   programmatically through {!Builder}, which locates them by their
+   printed text ({!Pretty.locate}). *)
 
 type typ =
   | Tint                   (* 32-bit signed *)
@@ -31,10 +32,13 @@ type binop =
   | Band | Bor | Bxor
   | Land | Lor             (* short-circuit && and || *)
 
-(* Source position: [line] is the physical line of the token, [stmt_line]
-   the line on which the enclosing statement began. C compilers are free
-   to report either for [__LINE__]-style constructs spanning several lines
-   (C17 6.10.4), which is the "LINE" bug category of Table 5. *)
+(* Source position in a MiniC text: for an expression, [line] is the line
+   of its last token and [stmt_line] the line on which the enclosing
+   statement began; a statement or function is at its first line in
+   both. C compilers are free to report either for [__LINE__]-style
+   constructs spanning several lines (C17 6.10.4), which is the "LINE"
+   bug category of Table 5. The parser and {!Pretty.locate} are the only
+   places locations come from. *)
 type loc = { line : int; stmt_line : int }
 
 let no_loc = { line = 0; stmt_line = 0 }

@@ -12,19 +12,16 @@
      ]
    ]}
 
-   Locations: [at] wraps a statement with an explicit line; otherwise a
-   builder-wide counter assigns consecutive lines so that [__LINE__]
-   behaviour is still meaningful in generated programs. *)
+   Locations: built nodes carry [no_loc]. [program] and [main_program]
+   finish a program with {!Pretty.locate}, which puts every node on the
+   line it has in the program's printed text; code that assembles a
+   program record itself calls [Pretty.locate] the same way. So a built
+   program's lines depend only on the program, not on what else the
+   process built before it. *)
 
 open Ast
 
-let line_counter = ref 0
-
-let next_loc () =
-  incr line_counter;
-  { line = !line_counter; stmt_line = !line_counter }
-
-let e d = { e = d; eloc = next_loc () }
+let e d = { e = d; eloc = no_loc }
 
 let int n = e (EInt (Int64.of_int n))
 let int64 v = e (EInt v)
@@ -66,9 +63,7 @@ let assign l r = e (EAssign (l, r))
 let cast t a = e (ECast (t, a))
 let cond c t f = e (ECond (c, t, f))
 
-let s d = { s = d; sloc = next_loc () }
-
-let at line stmt = { stmt with sloc = { line; stmt_line = line } }
+let s d = { s = d; sloc = no_loc }
 
 let expr ex = s (SExpr ex)
 let set name ex = s (SExpr (assign (var name) ex))
@@ -84,10 +79,6 @@ let if_ c t f = s (SIf (c, t, f))
 let while_ c b = s (SWhile (c, b))
 let ret ex = s (SReturn (Some ex))
 
-(* Unused, but not dead: like [break_] and [continue_] it is built at
-   module initialisation and takes a line from the counter (line 1), and
-   the lines of every program built later follow from it. *)
-let ret_void = s (SReturn None)
 let break_ = s SBreak
 let continue_ = s SContinue
 let print fmt args = s (SPrint (fmt, args))
@@ -102,13 +93,13 @@ let for_up i lo hi body =
     ]
 
 let func ?(params = []) fret fname body =
-  { fname; params; fret; body; floc = next_loc () }
+  { fname; params; fret; body; floc = no_loc }
 
 let global ?(init = []) gname gtyp = { gname; gtyp; ginit = init }
 let global_arr ?(init = []) gname t n = { gname; gtyp = Tarr (t, n); ginit = init }
 
-let program ?(globals = []) funcs = { globals; funcs }
+let program ?(globals = []) funcs = Pretty.locate { globals; funcs }
 
 (* Convenience: a whole program with just a [main]. *)
 let main_program ?(globals = []) ?(funcs = []) body =
-  { globals; funcs = funcs @ [ func Tint "main" body ] }
+  program ~globals (funcs @ [ func Tint "main" body ])

@@ -6,7 +6,9 @@
    - prefix [++e]/[--e] desugar to assignments; postfix increments are only
      accepted in expression-statement position;
    - a parenthesized type name starts a cast, resolved with one token of
-     lookahead. *)
+     lookahead;
+   - "-" directly before a literal is a negative literal, as
+     {!Pretty} prints one. *)
 
 open Lexer
 
@@ -33,7 +35,11 @@ let fail st msg = raise (Error (msg, line st))
 let expect st tok what =
   if peek st = tok then advance st else fail st (Printf.sprintf "expected %s" what)
 
-let mkloc st = { Ast.line = line st; stmt_line = st.stmt_line }
+(* An expression ends on the line of its last token, already consumed
+   when the node is built; [stmt_line] is where its statement began. *)
+let mkloc st =
+  let last = st.toks.(max 0 (st.idx - 1)).tline in
+  { Ast.line = last; stmt_line = st.stmt_line }
 
 let mke st desc = { Ast.e = desc; eloc = mkloc st }
 
@@ -143,29 +149,43 @@ and parse_binary st level =
   end
 
 and parse_unary st =
-  match peek st with
-  | MINUS | BANG | TILDE ->
+  match (peek st, peek_ahead st 1) with
+  (* "-" on a literal is a negative literal, as the printer writes one;
+     an int literal above INT_MAX stays a negation *)
+  | MINUS, INT v when v <= Int64.of_int32 Int32.max_int ->
+    advance st;
+    advance st;
+    mke st (Ast.EInt (Int64.neg v))
+  | MINUS, LONGLIT v ->
+    advance st;
+    advance st;
+    mke st (Ast.ELong (Int64.neg v))
+  | MINUS, FLOAT f ->
+    advance st;
+    advance st;
+    mke st (Ast.EFloat (Float.neg f))
+  | (MINUS | BANG | TILDE), _ ->
     let op = Option.get (unop_of_token (peek st)) in
     advance st;
     let e = parse_unary st in
     mke st (Ast.EUnop (op, e))
-  | STAR ->
+  | STAR, _ ->
     advance st;
     let e = parse_unary st in
     mke st (Ast.EDeref e)
-  | AMP ->
+  | AMP, _ ->
     advance st;
     let e = parse_unary st in
     mke st (Ast.EAddr e)
-  | PLUSPLUS ->
+  | PLUSPLUS, _ ->
     advance st;
     let e = parse_unary st in
     mke st (Ast.EAssign (e, mke st (Ast.EBinop (Ast.Add, e, mke st (Ast.EInt 1L)))))
-  | MINUSMINUS ->
+  | MINUSMINUS, _ ->
     advance st;
     let e = parse_unary st in
     mke st (Ast.EAssign (e, mke st (Ast.EBinop (Ast.Sub, e, mke st (Ast.EInt 1L)))))
-  | LPAREN when is_type_kw (peek_ahead st 1) ->
+  | LPAREN, next when is_type_kw next ->
     advance st;
     let t = parse_type st in
     expect st RPAREN ")";
@@ -190,25 +210,20 @@ and parse_postfix st =
 and parse_primary st =
   match peek st with
   | INT v ->
-    let r = mke st (Ast.EInt v) in
     advance st;
-    r
+    mke st (Ast.EInt v)
   | LONGLIT v ->
-    let r = mke st (Ast.ELong v) in
     advance st;
-    r
+    mke st (Ast.ELong v)
   | FLOAT f ->
-    let r = mke st (Ast.EFloat f) in
     advance st;
-    r
+    mke st (Ast.EFloat f)
   | STR s ->
-    let r = mke st (Ast.EStr s) in
     advance st;
-    r
+    mke st (Ast.EStr s)
   | LINEKW ->
-    let r = mke st Ast.ELine in
     advance st;
-    r
+    mke st Ast.ELine
   | IDENT name ->
     advance st;
     if peek st = LPAREN then begin
@@ -246,38 +261,42 @@ and parse_args st =
 
 (* --- statements --- *)
 
-let mks st desc = { Ast.s = desc; sloc = mkloc st }
-
+(* A statement is located at the line of its first token: [parse_stmt]
+   reads it once, before the statement's own sub-statements move
+   [st.stmt_line] on, and every node the statement desugars into
+   shares it. *)
 let rec parse_stmt st =
-  st.stmt_line <- line st;
+  let start = line st in
+  st.stmt_line <- start;
+  let sloc = { Ast.line = start; stmt_line = start } in
+  { Ast.s = parse_stmt_desc st sloc; sloc }
+
+and parse_stmt_desc st sloc =
   match peek st with
   | KW "static" -> parse_decl st
   | KW ("int" | "long" | "double") -> parse_decl st
   | KW "if" -> parse_if st
   | KW "while" -> parse_while st
-  | KW "for" -> parse_for st
+  | KW "for" -> parse_for st sloc
   | KW "return" ->
-    let loc_stmt = mks st in
     advance st;
     if peek st = SEMI then begin
       advance st;
-      loc_stmt (Ast.SReturn None)
+      Ast.SReturn None
     end
     else begin
       let e = parse_expr st in
       expect st SEMI ";";
-      loc_stmt (Ast.SReturn (Some e))
+      Ast.SReturn (Some e)
     end
   | KW "break" ->
-    let r = mks st Ast.SBreak in
     advance st;
     expect st SEMI ";";
-    r
+    Ast.SBreak
   | KW "continue" ->
-    let r = mks st Ast.SContinue in
     advance st;
     expect st SEMI ";";
-    r
+    Ast.SContinue
   | KW "print" ->
     advance st;
     expect st LPAREN "(";
@@ -305,12 +324,12 @@ let rec parse_stmt st =
     in
     expect st RPAREN ")";
     expect st SEMI ";";
-    mks st (Ast.SPrint (fmt, args))
-  | LBRACE -> mks st (Ast.SBlock (parse_block st))
+    Ast.SPrint (fmt, args)
+  | LBRACE -> Ast.SBlock (parse_block st)
   | _ ->
     let e = parse_expr_statement st in
     expect st SEMI ";";
-    mks st (Ast.SExpr e)
+    Ast.SExpr e
 
 (* Expression statements additionally allow postfix ++/--. *)
 and parse_expr_statement st =
@@ -360,10 +379,9 @@ and parse_decl st =
     else None
   in
   expect st SEMI ";";
-  mks st (Ast.SDecl { dtyp; dname = name; dinit; dstatic })
+  Ast.SDecl { dtyp; dname = name; dinit; dstatic }
 
 and parse_if st =
-  let mk = mks st in
   advance st;
   expect st LPAREN "(";
   let cond = parse_expr st in
@@ -376,19 +394,20 @@ and parse_if st =
     end
     else []
   in
-  mk (Ast.SIf (cond, then_b, else_b))
+  Ast.SIf (cond, then_b, else_b)
 
 and parse_while st =
-  let mk = mks st in
   advance st;
   expect st LPAREN "(";
   let cond = parse_expr st in
   expect st RPAREN ")";
   let body = parse_branch st in
-  mk (Ast.SWhile (cond, body))
+  Ast.SWhile (cond, body)
 
-and parse_for st =
-  let mk = mks st in
+(* [for (init; cond; incr) body] is [{ init; while (cond) { body incr } }],
+   every part at the [for]'s location [sloc] *)
+and parse_for st sloc =
+  let mk desc = { Ast.s = desc; sloc } in
   advance st;
   expect st LPAREN "(";
   let init =
@@ -398,7 +417,7 @@ and parse_for st =
     end
     else begin
       match peek st with
-      | KW ("int" | "long" | "double" | "static") -> Some (parse_decl st)
+      | KW ("int" | "long" | "double" | "static") -> Some (mk (parse_decl st))
       | _ ->
         let e = parse_expr st in
         expect st SEMI ";";
@@ -417,7 +436,7 @@ and parse_for st =
   let body = parse_branch st in
   let while_body = body @ Option.to_list incr in
   let loop = mk (Ast.SWhile (cond, while_body)) in
-  mk (Ast.SBlock (Option.to_list init @ [ loop ]))
+  Ast.SBlock (Option.to_list init @ [ loop ])
 
 and parse_branch st =
   if peek st = LBRACE then parse_block st else [ parse_stmt st ]
@@ -493,6 +512,8 @@ let parse_global_init st =
   else []
 
 let parse_toplevel st =
+  let start = line st in
+  st.stmt_line <- start;
   let base = parse_type st in
   let name =
     match peek st with
@@ -502,8 +523,8 @@ let parse_toplevel st =
     | _ -> fail st "expected a name at top level"
   in
   if peek st = LPAREN then begin
-    (* function definition *)
-    let floc = mkloc st in
+    (* function definition, located at its header's first line *)
+    let floc = { Ast.line = start; stmt_line = start } in
     advance st;
     let params =
       if peek st = RPAREN || (peek st = KW "void" && peek_ahead st 1 = RPAREN)

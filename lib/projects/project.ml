@@ -57,8 +57,8 @@ let profiles_for (p : t) =
   else Cdcompiler.Profiles.all
 
 let loc (p : t) =
-  (* lines of the rendered MiniC source *)
+  (* lines of the rendered MiniC source, each ended by a newline *)
   let src = Minic.Pretty.program_to_string p.program in
-  List.length (String.split_on_char '\n' src)
+  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 src
 
 let find_bug (p : t) (id : string) = List.find_opt (fun b -> b.bug_id = id) p.bugs

@@ -41,7 +41,7 @@ let build ?(banner = []) ~(uid : string) (handlers : Templates.handler list) :
         ]
       @ dispatch)
   in
-  let program = { globals; funcs = helper_funcs @ handler_funcs @ [ main_f ] } in
+  let program = program ~globals (helper_funcs @ handler_funcs @ [ main_f ]) in
   let bugs = List.filter_map (fun h -> h.Templates.bug) handlers in
   let seeds =
     (* every tag appears in the corpus with a small payload, as a real

@@ -285,8 +285,9 @@ fi
 echo "== explore smoke test"
 # Time-travel the divergence the reducer just minimized: explore must
 # record both sides at instruction granularity, pin a first diverging
-# instruction on each (with a source-line attribution), and print a
-# value diff for it.
+# instruction on each at the source line of the print that reads the
+# uninitialized count, and print a value diff for it.
+count_line=$(grep -n 'print("count' examples/unstable_uninit.c | cut -d: -f1)
 set +e
 explore_out=$(dune exec bin/compdiff_cli.exe -- explore examples/unstable_uninit.c \
   --input-file "$red" 2>&1)
@@ -297,8 +298,8 @@ if [ "$got" -ne 1 ]; then
   printf '%s\n' "$explore_out" | tail -5
   status=1
 elif ! printf '%s\n' "$explore_out" \
-    | grep -q 'first diverging instruction: step [0-9]*, .*(line [0-9]*)'; then
-  echo "FAIL explore: no line-attributed first diverging instruction"
+    | grep -q "first diverging instruction: step [0-9]*, .*(line $count_line)"; then
+  echo "FAIL explore: first diverging instruction not at line $count_line"
   printf '%s\n' "$explore_out" | tail -8
   status=1
 elif ! printf '%s\n' "$explore_out" | grep -q 'diff (.* probes): .* writes '; then
@@ -308,7 +309,7 @@ elif ! printf '%s\n' "$explore_out" | grep -q 'diff (.* probes): .* writes '; th
 else
   at=$(printf '%s\n' "$explore_out" \
     | sed -n 's/.*first diverging instruction: step \([0-9]*\).*/\1/p' | head -1)
-  echo "ok   explore (first diverging instruction at step $at, value diff shown)"
+  echo "ok   explore (first diverging instruction at step $at, line $count_line, value diff shown)"
 fi
 rm -f "$red" "$red.orig"
 # Save the diverging pair's traces into a directory that does not exist
@@ -616,6 +617,36 @@ else
   else
     echo "ok   serve (3 identical repeated checks, $inline answered inline)"
   fi
+  # connect's request kinds beyond a check: each prints its reply and
+  # exits by it, and a daemon error exits 2 with the daemon's message
+  bad_src=$(mktemp)
+  printf 'int main(void) { return undeclared; }\n' > "$bad_src"
+  connect_kind() {
+    # $1 label, $2 expected exit code, $3 pattern the output must match,
+    # the rest connect's arguments
+    label=$1 want=$2 pattern=$3
+    shift 3
+    set +e
+    kind_out=$("$BIN" connect --socket "$sock" "$@" 2>&1)
+    kind_rc=$?
+    set -e
+    if [ "$kind_rc" -ne "$want" ] || ! printf '%s\n' "$kind_out" | grep -q "$pattern"; then
+      echo "FAIL connect $label: exited $kind_rc (expected $want) or no '$pattern'"
+      printf '%s\n' "$kind_out" | tail -5
+      status=1
+    else
+      echo "ok   connect $label (exit $kind_rc)"
+    fi
+  }
+  connect_kind "--fuzz-execs" 1 '^200 execs, [0-9]* divergent, [1-9][0-9]* unique$' \
+    examples/unstable_uninit.c --fuzz-execs 200
+  connect_kind "--metacheck" 0 '^preserving twins: [0-9]*$' \
+    examples/unstable_uninit.c --metacheck
+  connect_kind "--reduce" 1 '^reduced 6 -> [0-9]* bytes in [0-9]* checks$' \
+    examples/unstable_uninit.c --reduce --input XYZQRS
+  connect_kind "--reduce on a type error" 2 '^daemon error: .*unbound variable undeclared' \
+    "$bad_src" --reduce --input A
+  rm -f "$bad_src"
 fi
 # with no clients left, the idle timeout must shut the daemon down
 set +e

@@ -54,9 +54,10 @@ let project = "exiv2"
 let bug = 0
 
 (* the oracle leaves out the O0 profiles, so both traced units are
-   optimized and both lines come from rebuilt tables *)
+   optimized and both lines come from rebuilt tables; line 37 is the
+   [print] of [exiv2_handle_C] in the target's printed text *)
 let entry_deep_text =
-  "deep localization: gccx-O1 vs clangx-O1\n  aligned on 0 shared observable events; event #0 differs\n  gccx-O1      26 steps, searched window [0, 24)\n               first diverging instruction: step 23, exiv2_handle_C@19 (line 4192)\n  clangx-O1    26 steps, searched window [0, 24)\n               first diverging instruction: step 23, exiv2_handle_C@19 (line 4192)\n  diff (4 bisection probes): observable event #0 differs: [exiv2_handle_C] \"field value -20510\\n\" vs [exiv2_handle_C] \"field value -25183\\n\"\n"
+  "deep localization: gccx-O1 vs clangx-O1\n  aligned on 0 shared observable events; event #0 differs\n  gccx-O1      26 steps, searched window [0, 24)\n               first diverging instruction: step 23, exiv2_handle_C@19 (line 37)\n  clangx-O1    26 steps, searched window [0, 24)\n               first diverging instruction: step 23, exiv2_handle_C@19 (line 37)\n  diff (4 bisection probes): observable event #0 differs: [exiv2_handle_C] \"field value -20510\\n\" vs [exiv2_handle_C] \"field value -25183\\n\"\n"
 
 (* the exiv2 witness divergence, localized through a session with
    [cache_mb] of cache *)

@@ -163,10 +163,16 @@ let test_wireshark_normalization () =
 let test_loc_counts () =
   List.iter
     (fun (p : Projects.Project.t) ->
-      check_bool
-        (p.Projects.Project.pname ^ " has a non-trivial program")
-        true
-        (Projects.Project.loc p > 40))
+      let name = p.Projects.Project.pname in
+      let loc = Projects.Project.loc p in
+      check_bool (name ^ " has a non-trivial program") true (loc > 40);
+      (* main is printed last, so its closing brace is line LOC *)
+      let lines =
+        String.split_on_char '\n'
+          (Minic.Pretty.program_to_string p.Projects.Project.program)
+      in
+      Alcotest.(check string) (name ^ ": line LOC is main's closing brace") "}"
+        (List.nth lines (loc - 1)))
     Projects.Registry.all
 
 let tc name f = Alcotest.test_case name `Quick f
