@@ -160,7 +160,8 @@ let common_term =
       & info [ "cache-mb" ] ~docv:"MB"
           ~doc:
             "Engine session cache budget in MiB (compiled units, linked \
-             images, observations); 0 disables caching.")
+             images, observations); 0 disables caching.  $(b,serve) keeps \
+             its warm oracles in a further eighth of it.")
   in
   let disk_cache =
     Arg.(
@@ -1506,13 +1507,6 @@ let serve_cmd =
       & info [ "executors" ] ~docv:"N"
           ~doc:"Executor domains draining the request queue.")
   in
-  let max_oracles =
-    Arg.(
-      value & opt int 32
-      & info [ "max-oracles" ] ~docv:"N"
-          ~doc:
-            "Warm compiled-oracle table bound (LRU-evicted beyond this).")
-  in
   let idle_timeout =
     Arg.(
       value & opt float 0.
@@ -1532,8 +1526,8 @@ let serve_cmd =
   let quiet =
     Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress connection logging.")
   in
-  let action socket quota executors max_oracles idle_timeout client_timeout
-      quiet (c : common) =
+  let action socket quota executors idle_timeout client_timeout quiet
+      (c : common) =
     let cfg =
       {
         Serve.Server.socket_path = socket;
@@ -1542,7 +1536,6 @@ let serve_cmd =
             Serve.Scheduler.session = c.co_session;
             quota;
             executors;
-            max_oracles;
             default_fuel = Option.value c.co_fuel ~default:200_000;
             default_profiles = c.co_profiles;
           };
@@ -1575,8 +1568,8 @@ let serve_cmd =
           session, same-program checks coalesce into batched flights, and \
           per-client quotas shed overload.")
     Term.(
-      const action $ socket_arg $ quota $ executors $ max_oracles
-      $ idle_timeout $ client_timeout $ quiet $ common_term)
+      const action $ socket_arg $ quota $ executors $ idle_timeout
+      $ client_timeout $ quiet $ common_term)
 
 (* one request to the daemon: [on_reply] prints the reply it expects
    and returns the exit code, or [None] for a reply of another kind *)

@@ -68,6 +68,19 @@ type stats = {
   escalation_saved : int;  (* executions avoided by incremental escalation *)
 }
 
+(* The atomics behind [stats]; oracles created with one set count into
+   it together *)
+type counters = {
+  c_checks : int Atomic.t;
+  c_execs : int Atomic.t;
+  c_dedup_saved : int Atomic.t;
+  c_escal_saved : int Atomic.t;
+}
+
+let counters () =
+  { c_checks = Atomic.make 0; c_execs = Atomic.make 0;
+    c_dedup_saved = Atomic.make 0; c_escal_saved = Atomic.make 0 }
+
 type t = {
   profiles : Policy.profile list;  (* what [binaries] were compiled with *)
   program : Minic.Tast.tprogram;   (* what [binaries] were compiled from *)
@@ -88,10 +101,7 @@ type t = {
   class_linked : Engine.Session.linked array;
       (* linked once per class through the session (image cache +
          observation store) *)
-  c_checks : int Atomic.t;
-  c_execs : int Atomic.t;
-  c_dedup_saved : int Atomic.t;
-  c_escal_saved : int Atomic.t;
+  counters : counters;
 }
 
 (* Partition the binaries into behavioral equivalence classes by their
@@ -134,7 +144,7 @@ let private_session () = Engine.Session.create ~cache_mb:0 ()
 let create ?session ?(profiles = Profiles.all) ?(normalize = Normalize.identity)
     ?(fuel = 200_000) ?(max_fuel = 3_200_000) ?(compare_status = true)
     ?(jobs = Cdutil.Pool.default_jobs ()) ?(dedup = true)
-    (tp : Minic.Tast.tprogram) : t =
+    ?(counters = counters ()) (tp : Minic.Tast.tprogram) : t =
   let session = match session with Some s -> s | None -> private_session () in
   let binaries = Engine.Session.compile_profiles ~jobs session profiles tp in
   let class_of, class_repr, class_size = build_classes session ~dedup binaries in
@@ -158,10 +168,7 @@ let create ?session ?(profiles = Profiles.all) ?(normalize = Normalize.identity)
     class_repr;
     class_size;
     class_linked;
-    c_checks = Atomic.make 0;
-    c_execs = Atomic.make 0;
-    c_dedup_saved = Atomic.make 0;
-    c_escal_saved = Atomic.make 0;
+    counters;
   }
 
 (* Same settings and session, another program: compiles go through the
@@ -205,20 +212,22 @@ let verdict_fuel t (obs : (string * observation) list) : int =
   List.fold_left (fun acc (_, o) -> max acc o.fuel_used) t.base_fuel obs
 let class_count t = Array.length t.class_repr
 let classes t = Array.copy t.class_of
+let class_images t = Array.map Engine.Session.image t.class_linked
 
-let stats t =
+let counted c =
   {
-    checks = Atomic.get t.c_checks;
-    vm_execs = Atomic.get t.c_execs;
-    dedup_saved = Atomic.get t.c_dedup_saved;
-    escalation_saved = Atomic.get t.c_escal_saved;
+    checks = Atomic.get c.c_checks;
+    vm_execs = Atomic.get c.c_execs;
+    dedup_saved = Atomic.get c.c_dedup_saved;
+    escalation_saved = Atomic.get c.c_escal_saved;
   }
 
-let reset_stats t =
-  Atomic.set t.c_checks 0;
-  Atomic.set t.c_execs 0;
-  Atomic.set t.c_dedup_saved 0;
-  Atomic.set t.c_escal_saved 0
+let stats t = counted t.counters
+
+let reset_stats { counters = c; _ } =
+  List.iter
+    (fun a -> Atomic.set a 0)
+    [ c.c_checks; c.c_execs; c.c_dedup_saved; c.c_escal_saved ]
 
 let sum_stats (ss : stats list) : stats =
   List.fold_left
@@ -276,9 +285,9 @@ let observe_naive t ~(input : string) : (string * observation) list =
    so dedup saved the members beyond each representative and
    incremental escalation the binaries not re-run at all *)
 let account t ~inputs ~execs ~covered =
-  ignore (Atomic.fetch_and_add t.c_execs execs);
-  ignore (Atomic.fetch_and_add t.c_dedup_saved (covered - execs));
-  ignore (Atomic.fetch_and_add t.c_escal_saved ((inputs * t.nbinaries) - covered))
+  ignore (Atomic.fetch_and_add t.counters.c_execs execs);
+  ignore (Atomic.fetch_and_add t.counters.c_dedup_saved (covered - execs));
+  ignore (Atomic.fetch_and_add t.counters.c_escal_saved (inputs * t.nbinaries - covered))
 
 (* [class_obs.(ci).(k)] is input [k]'s latest observation by class [ci].
    The classes input [k] re-runs after a round at [fuel]: its hung
@@ -317,7 +326,7 @@ let fan_out t (class_obs : observation array array) k =
 let observe_batch t ~(inputs : string array) :
     (string * observation) list array =
   let ninputs = Array.length inputs in
-  ignore (Atomic.fetch_and_add t.c_checks ninputs);
+  ignore (Atomic.fetch_and_add t.counters.c_checks ninputs);
   let nclasses = Array.length t.class_repr in
   (* the first round overwrites every placeholder *)
   let class_obs =
@@ -407,7 +416,7 @@ let check_stored t ~(inputs : string array) : verdict array option =
            (Seq.init ninputs Fun.id)
       then None
       else begin
-        ignore (Atomic.fetch_and_add t.c_checks ninputs);
+        ignore (Atomic.fetch_and_add t.counters.c_checks ninputs);
         account t ~inputs:ninputs ~execs:(nclasses * ninputs)
           ~covered:(t.nbinaries * ninputs);
         Engine.Session.count_hits t.session (nclasses * ninputs);

@@ -50,6 +50,13 @@ type stats = {
     [vm_execs + dedup_saved + escalation_saved] is what the naive oracle
     would have executed for the same checks. *)
 
+type counters
+(** A set of execution counters, the source of {!stats}: {!counters}
+    makes one at zero, {!counted} reads it. *)
+
+val counters : unit -> counters
+val counted : counters -> stats
+
 type t
 
 val create :
@@ -61,6 +68,7 @@ val create :
   ?compare_status:bool ->
   ?jobs:int ->
   ?dedup:bool ->
+  ?counters:counters ->
   Minic.Tast.tprogram ->
   t
 (** [create tp] compiles [tp] with every profile (default: the paper's ten
@@ -75,7 +83,9 @@ val create :
     stdout only (the ablation of DESIGN.md). [jobs] (default
     {!Cdutil.Pool.default_jobs}) enables pooled compilation and
     execution when [> 1]; [dedup:false] disables equivalence-class
-    grouping. *)
+    grouping.  The oracle counts into [counters] (default: a fresh set);
+    oracles given one set count into it together, so its {!counted}
+    outlives any one of them. *)
 
 val with_program : t -> ?names:string list -> Minic.Tast.tprogram -> t
 (** [with_program t tp] is {!create} of [tp] with [t]'s session,
@@ -131,11 +141,18 @@ val class_count : t -> int
 val classes : t -> int array
 (** Class index per binary, in implementation order. *)
 
+val class_images : t -> Cdvm.Image.t array
+(** The linked image each class executes, by class index. *)
+
 val stats : t -> stats
+(** What the oracle's counter set has counted: with a shared set, every
+    sharing oracle's work. *)
+
 val reset_stats : t -> unit
+(** Zeroes the oracle's counter set. *)
 
 val sum_stats : stats list -> stats
-(** Field-wise sum of the counters (over a suite, or a warm table). *)
+(** Field-wise sum of the counters (over a suite). *)
 
 val stats_json : stats -> Cdutil.Json.t
 (** The execution counters as one JSON object: the ["oracle"] member of

@@ -4,10 +4,11 @@
    The map lives behind a mutex; values are computed OUTSIDE the lock
    ([find_or_compute] releases it around the thunk), so a slow compile
    or VM run never serializes unrelated lookups.  The price is a benign
-   race: two domains missing on the same key both compute, and the
-   second insert is dropped in favour of the first — wasted work, never
-   an inconsistency (all cached artefacts are deterministic functions of
-   their key).
+   race: two domains missing on the same key both compute, the second
+   insert is dropped in favour of the first, and its caller gets the
+   first's value — wasted work, never an inconsistency (all cached
+   artefacts are deterministic functions of their key), and one
+   resident object per key for callers that memoize by identity.
 
    Keys are hashed before any lock is taken: a stripe maps a key's
    [Hashtbl.hash] to the bucket of entries with that hash, so a critical
@@ -137,15 +138,20 @@ let evict_to t s target =
       oldest_first
   end
 
-(* under the mutex *)
+(* under the mutex: the resident value of [key], marked used, or
+   [value] inserted when there is none *)
 let insert t s h key value weight =
-  if lookup s h key = None then begin
-    let bucket = Option.value ~default:[] (Buckets.find_opt s.table h) in
-    Buckets.replace s.table h ({ key; value; weight; stamp = tick s } :: bucket);
-    s.bytes <- s.bytes + weight;
-    s.entries <- s.entries + 1;
-    if s.bytes > s.budget_bytes then evict_to t s (s.budget_bytes * 3 / 4)
-  end
+  match lookup s h key with
+  | Some e ->
+      e.stamp <- tick s;
+      e.value
+  | None ->
+      let bucket = Option.value ~default:[] (Buckets.find_opt s.table h) in
+      Buckets.replace s.table h ({ key; value; weight; stamp = tick s } :: bucket);
+      s.bytes <- s.bytes + weight;
+      s.entries <- s.entries + 1;
+      if s.bytes > s.budget_bytes then evict_to t s (s.budget_bytes * 3 / 4);
+      value
 
 (* [find_hashed] without counting: a caller that may abandon the
    lookup (and repeat it through [find_hashed]) counts its hits itself,
@@ -178,12 +184,14 @@ let count_miss t = Atomic.incr t.misses
 let put t key value ~weight =
   let h = Hashtbl.hash key in
   let s = stripe t h in
-  locked s (fun () -> insert t s h key value weight)
+  ignore (locked s (fun () -> insert t s h key value weight))
 
 (* [find_or_compute_hashed t h key ~weight compute]: cached value for
    [key], whose hash the caller computed as [h], or [compute ()] (run
-   unlocked) inserted with [weight value] bytes.  [h] must be a function
-   of [key] alone, and equal keys must get equal hashes. *)
+   unlocked) inserted with [weight value] bytes.  When a concurrent
+   insert of [key] won while [compute] ran, the resident value is
+   returned and the computed one dropped.  [h] must be a function of
+   [key] alone, and equal keys must get equal hashes. *)
 let find_or_compute_hashed t h key ~weight compute =
   match find_hashed t h key with
   | Some v -> v
@@ -191,8 +199,7 @@ let find_or_compute_hashed t h key ~weight compute =
       let v = compute () in
       let w = weight v in
       let s = stripe t h in
-      locked s (fun () -> insert t s h key v w);
-      v
+      locked s (fun () -> insert t s h key v w)
 
 let find_or_compute t key ~weight compute =
   find_or_compute_hashed t (Hashtbl.hash key) key ~weight compute

@@ -19,11 +19,12 @@
    can only substitute an identical artefact, up to the ~2^-64 residual
    collision probability of the double 32-bit hash over equal lengths.
 
-   The observation store memoizes [run_batch] keyed by (image id, fuel,
-   input).  The VM is deterministic: a linked image run on a given input
-   under a given fuel budget produces exactly one (stdout, status,
-   fuel_used) triple, so replaying from the store is observationally
-   identical to re-executing.  Two restrictions keep this sound:
+   The observation store memoizes [run_batch] keyed by (image key, fuel,
+   input), the image key in its stable rendering, the one the disk tier
+   addresses observations by.  The VM is deterministic: a linked image
+   run on a given input under a given fuel budget produces exactly one
+   (stdout, status, fuel_used) triple, so replaying from the store is
+   observationally identical to re-executing.  Two restrictions keep this sound:
    - observations are stored RAW (pre-normalization); callers apply
      their own output filter on retrieval, so oracles with different
      normalizers can share a store;
@@ -36,9 +37,9 @@
    doorkeeper below): most executions of a fuzzing campaign are never
    requested again, and keeping them only fed the GC.
 
-   Image ids are interned per unit key and never reused, so an image
-   evicted from the cache and re-linked later gets the same id and its
-   stored observations stay valid.
+   An image evicted from the cache and re-linked later has the same key,
+   a function of the unit that produced it, so its stored observations
+   stay valid with no table of ids.
 
    Below the unit cache sits the function memo ({!Cdcompiler.Fmemo}):
    every per-function stage -- lowering, the pass stack, linking and the
@@ -105,10 +106,10 @@ type ikey = key * string
 
 type linked = {
   image : Cdvm.Image.t;
-  image_id : int;
   skey : string;
-      (* stable (cross-process) rendering of the image key, used to
-         address the disk observation store; "" for detached images *)
+      (* stable (cross-process) rendering of the image key, which keys
+         its observations in memory and on disk; "" for the detached
+         images of a caching-disabled session, which store nothing *)
 }
 
 (* A bounded identity memo: physical value -> key, so re-keying the same
@@ -247,13 +248,10 @@ type t = {
   link_memo : Cdvm.Image.lfunc Fmemo.t;
   sign_memo : bool Fmemo.t;
   image_cache : (ikey, linked) Lru.t;
-  obs_cache : (int * int * string, Cdvm.Exec.result) Lru.t;
-      (* raw, NOT normalized *)
+  obs_cache : (string * int * string, Cdvm.Exec.result) Lru.t;
+      (* (skey, fuel, input) -> raw, NOT normalized *)
   door : Doorkeeper.t;          (* admission to [obs_cache] *)
   declined : int Atomic.t;
-  ids : (ikey, int) Hashtbl.t;  (* interned image ids, never evicted *)
-  ids_mutex : Mutex.t;
-  mutable next_id : int;
   prog_memo : source Memo.t;    (* tprogram (by identity) -> its keys *)
   unit_memo : (ikey * Fmemo.key list option) Memo.t;
       (* unit (by identity) -> image key, and its function keys when
@@ -427,9 +425,6 @@ let create ?(cache_mb = 128) ?disk_dir ?(disk_mb = 512) () : t =
     (* one bit per smallest entry the observation budget holds *)
     door = Doorkeeper.create ~nbits:(budget_bytes / 2 / obs_overhead_bytes);
     declined = Atomic.make 0;
-    ids = Hashtbl.create 64;
-    ids_mutex = Mutex.create ();
-    next_id = 0;
     prog_memo = Memo.create ();
     unit_memo = Memo.create ();
     key_calls = Atomic.make 0;
@@ -445,24 +440,6 @@ let create ?(cache_mb = 128) ?disk_dir ?(disk_mb = 512) () : t =
 
 let caching t = t.caching
 let budget_bytes t = t.budget_bytes
-
-let intern t (key : ikey) : int =
-  Mutex.lock t.ids_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.ids_mutex)
-    (fun () ->
-      match Hashtbl.find_opt t.ids key with
-      | Some id -> id
-      | None ->
-          let id = t.next_id in
-          t.next_id <- t.next_id + 1;
-          Hashtbl.add t.ids key id;
-          id)
-
-(* ids for detached (uncached) images: negative, never interned, so they
-   cannot collide with stored observations *)
-let detached_ids = Atomic.make (-1)
-let fresh_detached_id () = Atomic.fetch_and_add detached_ids (-1)
 
 (* Cheap structural size estimates (bytes).  [Obj.reachable_words] was
    accurate but traversed the whole artefact on every insert — on a cold
@@ -588,16 +565,6 @@ let compile_profiles ?(jobs = Cdutil.Pool.default_jobs ()) t
 
 (* --- link --- *)
 
-let link_fresh t key_opt (memo : Cdvm.Image.lfunc Fmemo.keyed option)
-    (u : Ir.unit_) : linked =
-  let image = Cdvm.Image.link ?memo u in
-  let image_id, skey =
-    match key_opt with
-    | Some key -> (intern t key, skey_of_ikey key)
-    | None -> (fresh_detached_id (), "")
-  in
-  { image; image_id; skey }
-
 (* [u]'s image key and, when this session compiled it, its function
    keys *)
 let unit_keys t (u : Ir.unit_) : ikey * Fmemo.key list option =
@@ -613,15 +580,14 @@ let unit_keys t (u : Ir.unit_) : ikey * Fmemo.key list option =
       keys
 
 let link t (u : Ir.unit_) : linked =
-  if not t.caching then link_fresh t None None u
+  if not t.caching then { image = Cdvm.Image.link u; skey = "" }
   else
     let key, fkeys = unit_keys t u in
     Lru.find_or_compute t.image_cache key
       ~weight:(fun l -> image_weight l.image)
       (fun () ->
-        link_fresh t (Some key)
-          (Option.map (fun keys -> { Fmemo.keys; memo = t.link_memo }) fkeys)
-          u)
+        let memo = Option.map (fun keys -> { Fmemo.keys; memo = t.link_memo }) fkeys in
+        { image = Cdvm.Image.link ?memo u; skey = skey_of_ikey key })
 
 (* The signature memo for [u]: its function keys and the session's
    store of per-function facts, when this session compiled [u]. *)
@@ -645,19 +611,15 @@ let obs_disk_kind = "obs"
 let obs_dkey (l : linked) ~(fuel : int) ~(input : string) : string =
   Printf.sprintf "%s|%d|%s" l.skey fuel input
 
-let disk_of t (l : linked) =
-  (* detached images have no stable key to address the store with *)
+(* a caching-disabled session has no disk tier, so a detached image
+   never reaches one *)
+let disk_get t (l : linked) ~fuel input : Cdvm.Exec.result option =
   match t.disk with
-  | Some d when l.skey <> "" -> Some d
-  | Some _ | None -> None
-
-let disk_get disk (l : linked) ~fuel input : Cdvm.Exec.result option =
-  match disk with
   | None -> None
   | Some d -> Diskcache.get d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input)
 
-let disk_put disk (l : linked) ~fuel input (o : Cdvm.Exec.result) =
-  match disk with
+let disk_put t (l : linked) ~fuel input (o : Cdvm.Exec.result) =
+  match t.disk with
   | Some d -> Diskcache.put d ~kind:obs_disk_kind (obs_dkey l ~fuel ~input) o
   | None -> ()
 
@@ -667,7 +629,7 @@ let door_seed = 0x2545f491
 (* An input's observation key, its LRU hash, and whether the doorkeeper
    has seen the key; [record] also records an unseen one (admission). *)
 let door_key t (l : linked) ~fuel ~record input =
-  let mkey = (l.image_id, fuel, input) in
+  let mkey = (l.skey, fuel, input) in
   let h = Hashtbl.hash mkey in
   let h2 = Hashtbl.seeded_hash door_seed mkey in
   ( mkey,
@@ -707,7 +669,6 @@ let lookup t (l : linked) ~(inputs : string array) ~(fuel : int) : lookup =
       admitted = Array.make n false;
     }
   else begin
-    let disk = disk_of t l in
     let found = Array.make n None
     and misses = ref []
     and admitted = ref [] in
@@ -720,7 +681,7 @@ let lookup t (l : linked) ~(inputs : string array) ~(fuel : int) : lookup =
           | Some _ as hit -> hit
           | None ->
               (* a disk hit of an admitted key is promoted into memory *)
-              let o = disk_get disk l ~fuel input in
+              let o = disk_get t l ~fuel input in
               Option.iter
                 (fun o ->
                   Lru.put t.obs_cache mkey o ~weight:(obs_weight input o))
@@ -728,7 +689,7 @@ let lookup t (l : linked) ~(inputs : string array) ~(fuel : int) : lookup =
               o
         else begin
           Lru.count_miss t.obs_cache;
-          disk_get disk l ~fuel input
+          disk_get t l ~fuel input
         end
       in
       match o with
@@ -754,16 +715,15 @@ let run_misses t (l : linked) ~(inputs : string array) ~(fuel : int)
       Cdvm.Exec.run_batch ~config l.image
         ~inputs:(Array.map (fun i -> inputs.(i)) lk.misses)
     in
-    let disk = disk_of t l in
     Array.iteri
       (fun j i ->
         let input = inputs.(i) and o = fresh.(j) in
         if t.caching then begin
           if lk.admitted.(j) then
-            Lru.put t.obs_cache (l.image_id, fuel, input) o
+            Lru.put t.obs_cache (l.skey, fuel, input) o
               ~weight:(obs_weight input o)
           else Atomic.incr t.declined;
-          disk_put disk l ~fuel input o
+          disk_put t l ~fuel input o
         end;
         out.(i) <- Some o)
       lk.misses

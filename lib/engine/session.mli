@@ -14,7 +14,7 @@
     - a {b linked-image cache} keyed by the same (program, profile)
       identity when the unit came out of {!compile} (no re-serialization
       at link time), or by the unit's own content hash otherwise;
-    - an {b observation store} keyed by (image id, fuel, input) that
+    - an {b observation store} keyed by (image key, fuel, input) that
       turns replayed executions (reduction re-validation, localization,
       escalation replays, triage) into lookups.  It admits an
       observation on its key's second request (see {!lookup}), so
@@ -86,9 +86,9 @@ type stats = {
 }
 
 type linked
-(** A linked executable image plus its interned id.  A handle holds no
-    execution scratch: runs use the calling domain's arena
-    ({!Cdvm.Exec.run_linked}).  Handles from a caching session are
+(** A linked executable image plus the stable rendering of its key.  A
+    handle holds no execution scratch: runs use the calling domain's
+    arena ({!Cdvm.Exec.run_linked}).  Handles from a caching session are
     shared: callers must not mutate the underlying image. *)
 
 type t
@@ -129,11 +129,11 @@ val compile_profiles : ?jobs:int -> t -> Cdcompiler.Policy.profile list ->
     through the shared {!Cdutil.Pool} when [jobs > 1]. *)
 
 val link : t -> Cdcompiler.Ir.unit_ -> linked
-(** Cached {!Cdvm.Image.link}.  Re-linking an evicted unit re-interns
-    the same image id, so stored observations survive eviction.  Units
-    produced by {!compile} on this session link without serializing,
-    and only their functions missing from the function memo are linked
-    ([Image.link ?memo]). *)
+(** Cached {!Cdvm.Image.link}.  An image's key is a function of its
+    unit, so re-linking an evicted unit finds the observations stored
+    under the same key.  Units produced by {!compile} on this session
+    link without serializing, and only their functions missing from the
+    function memo are linked ([Image.link ?memo]). *)
 
 val facts_memo : t -> Cdcompiler.Ir.unit_ ->
   bool Cdcompiler.Fmemo.keyed option
@@ -142,6 +142,10 @@ val facts_memo : t -> Cdcompiler.Ir.unit_ ->
     {!compile} on this caching session (recently enough that its keys
     are still remembered); [None] otherwise, and the signature is
     computed without one. *)
+
+val unit_weight : Cdcompiler.Ir.unit_ -> int
+(** The unit cache's weight of a compiled unit, in bytes: a structural
+    estimate of what the unit keeps reachable. *)
 
 val image_weight : Cdvm.Image.t -> int
 (** The image cache's weight of a linked handle, in bytes: an estimate
@@ -226,6 +230,10 @@ val reset_stats : t -> unit
 
 val hit_rate : cache_stats -> float
 val stats_to_string : stats -> string
+
+val cache_json : cache_stats -> Cdutil.Json.t
+(** One cache's counters as a JSON object, as {!stats_json} renders each
+    of its caches. *)
 
 val stats_json : stats -> Cdutil.Json.t
 (** The same stats block as one JSON object: the ["session"] member of

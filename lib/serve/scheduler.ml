@@ -30,10 +30,10 @@
    thread answers it in [submit] ({!Compdiff.Oracle.check_stored}), with
    the verdicts and counter increments of the flight it replaces.  Only
    while few clients are connected, though: the readers share one
-   domain, so under several busy connections the executor domains
-   answer in parallel instead.  Any miss, a cold oracle, more than
-   [inline_max_clients] connections or held dispatch queues the check
-   as above.  An inline answer is not a flight: [sr_flights],
+   domain (the server's reader domain), so under several busy
+   connections the executor domains answer in parallel instead.  Any
+   miss, a cold oracle, more than [inline_max_clients] connections or
+   held dispatch queues the check as above.  An inline answer is not a flight: [sr_flights],
    [sr_checks] and [sr_joined] count executor work, [sr_inline] the
    inline answers.
 
@@ -47,18 +47,20 @@
    vanish with it — a wedged client cannot pin queue slots forever.
 
    Oracles are compiled programs; compiling ten profiles dwarfs a check.
-   A bounded warm table keyed by (source, profiles, fuel, strip) keeps
-   recently used oracles alive across requests and clients — the
-   daemon's reason to exist — and evicts least-recently-used beyond
-   [max_oracles].  Heavy requests (fuzz campaigns, metacheck sweeps,
-   reductions) run unbatched, one executor each, through the same shared
-   session, so their compiles and observations warm the same caches. *)
+   A warm table keyed by (source, profiles, fuel, strip), defaults
+   resolved, keeps recently used oracles alive across requests and
+   clients — the daemon's reason to exist.  It is an {!Engine.Lru} with
+   an eighth of the session's budget, the unit cache's share, and an
+   oracle weighs the session's estimates of the binaries and class
+   images it pins, so [--cache-mb] bounds it too.  Heavy requests (fuzz
+   campaigns, metacheck sweeps, reductions) run unbatched, one executor
+   each, through the same shared session, so their compiles and
+   observations warm the same caches. *)
 
 type config = {
   session : Engine.Session.t;
   quota : int;            (* credits per client *)
   executors : int;        (* executor domains draining the queue *)
-  max_oracles : int;      (* warm-oracle table bound *)
   default_fuel : int;
   default_profiles : Cdcompiler.Policy.profile list;
 }
@@ -71,7 +73,6 @@ let default_config ?session () =
       | None -> Engine.Session.create ~cache_mb:128 ());
     quota = 32;
     executors = 2;
-    max_oracles = 32;
     default_fuel = 200_000;
     default_profiles = Cdcompiler.Profiles.all;
   }
@@ -88,11 +89,16 @@ type client = {
   mutable cl_dead : bool;
 }
 
+(* An oracle key: the fuel, strip flag and profile names an oracle is
+   built with, and its exact source.  Two requests with equal keys are
+   served by one oracle with identical verdicts. *)
+type okey = int * bool * string list * string
+
 type item = {
   it_client : client;
   it_id : int;                   (* request id, echoed in the response *)
   it_req : Proto.request;
-  it_okey : string option;       (* oracle key for coalescible checks *)
+  it_okey : okey option;         (* oracle key for coalescible checks *)
 }
 
 type t = {
@@ -105,9 +111,9 @@ type t = {
   mutable executors : unit Domain.t list;
   mutable next_client : int;
   mutable clients : client list;
-  oracles : (string, Compdiff.Oracle.t * int ref) Hashtbl.t;
-      (* okey -> (oracle, last-use tick); under [mutex] *)
-  mutable oracle_clock : int;
+  oracles : (okey, Compdiff.Oracle.t) Engine.Lru.t;
+  counted : Compdiff.Oracle.counters;
+      (* every warm oracle's counters, evicted ones' included *)
   (* counters (atomic: read by the stats path without the mutex) *)
   c_requests : int Atomic.t;
   c_shed : int Atomic.t;
@@ -119,21 +125,35 @@ type t = {
 
 (* --- oracle key / construction --- *)
 
-let okey_of_check (k : Proto.check_req) : string =
-  (* exact source + exact profile list + fuel + strip: two requests with
-     equal keys are served by one oracle with identical verdicts *)
-  Printf.sprintf "%d|%b|%s|%s" k.ck_fuel k.ck_strip
-    (String.concat "," k.ck_profiles)
-    k.ck_source
-
 exception Refused of string
 
+let fuel_or cfg fuel = if fuel <= 0 then cfg.default_fuel else fuel
+
+(* An oracle key with the daemon's defaults resolved, so requests that
+   spell a default out share an oracle with those that leave it to the
+   daemon.  The oracle is built from the key alone ([oracle_for]); an
+   unknown name stays in it as given, and building the oracle refuses
+   it. *)
+let okey cfg ~fuel ~profiles ~strip source : okey =
+  let names =
+    match profiles with
+    | [] -> List.map (fun p -> p.Cdcompiler.Policy.pname) cfg.default_profiles
+    | names -> names
+  in
+  (fuel_or cfg fuel, strip, names, source)
+
+let okey_of_check cfg (k : Proto.check_req) : okey =
+  okey cfg ~fuel:k.ck_fuel ~profiles:k.ck_profiles ~strip:k.ck_strip k.ck_source
+
+(* A name is one of the daemon's default profiles, which may be outside
+   [Profiles.all] (serve --profiles clangx-Os-buggy), or of [Profiles.all] *)
 let profiles_of_names cfg = function
   | [] -> cfg.default_profiles
   | names ->
+      let known = cfg.default_profiles @ Cdcompiler.Profiles.all in
       List.map
         (fun n ->
-          match Cdcompiler.Profiles.by_name n with
+          match List.find_opt (fun p -> p.Cdcompiler.Policy.pname = n) known with
           | Some p -> p
           | None -> raise (Refused (Printf.sprintf "unknown profile %s" n)))
         names
@@ -143,70 +163,32 @@ let frontend source =
   | Ok tp -> tp
   | Error msg -> raise (Refused (Printf.sprintf "parse error: %s" msg))
 
-let fuel_or cfg fuel = if fuel <= 0 then cfg.default_fuel else fuel
+(* A warm oracle's weight: the session's estimates of what it pins, its
+   binaries and its classes' images *)
+let oracle_weight o =
+  List.fold_left
+    (fun acc (_, u) -> acc + Engine.Session.unit_weight u)
+    0 (Compdiff.Oracle.binaries o)
+  + Array.fold_left
+      (fun acc img -> acc + Engine.Session.image_weight img)
+      0
+      (Compdiff.Oracle.class_images o)
 
-(* under [t.mutex] *)
-let evict_oracles_locked t =
-  if Hashtbl.length t.oracles >= t.cfg.max_oracles then begin
-    (* evict the least recently used warm oracle *)
-    let victim = ref None in
-    Hashtbl.iter
-      (fun key (_, tick) ->
-        match !victim with
-        | Some (_, vt) when vt <= !tick -> ()
-        | _ -> victim := Some (key, !tick))
-      t.oracles;
-    match !victim with
-    | Some (vkey, _) -> Hashtbl.remove t.oracles vkey
-    | None -> ()
-  end
-
-(* the warm oracle of [key], if any, marked used; under [t.mutex] *)
-let warm_locked t key : Compdiff.Oracle.t option =
-  t.oracle_clock <- t.oracle_clock + 1;
-  match Hashtbl.find_opt t.oracles key with
-  | Some (o, tick) ->
-      tick := t.oracle_clock;
-      Some o
-  | None -> None
-
-(* Warm-table lookup.  A miss compiles OUTSIDE the mutex — oracle
-   construction compiles every profile and must not block submit, stats
-   or the other executors.  Two executors racing on the same key both
-   compile (the loser's work is cheap: the session's unit/image caches
-   absorb the duplicate) and the first insertion wins, so every rider of
-   a key uses one oracle object. *)
-let oracle_for t ~key (k : Proto.check_req) : Compdiff.Oracle.t =
-  Mutex.lock t.mutex;
-  let hit = warm_locked t key in
-  Mutex.unlock t.mutex;
-  match hit with
-  | Some o -> o
-  | None -> (
-      let profiles = profiles_of_names t.cfg k.ck_profiles in
+(* The warm oracle of [key], or one built from it and kept warm.  A miss
+   compiles outside every lock — oracle construction compiles every
+   profile and must not block submit, stats or the other executors.  Two
+   executors missing on one key both compile (the session's unit and
+   image caches absorb the duplicate) and both get the oracle inserted
+   first, so every rider of a key uses one oracle object. *)
+let oracle_for t ((fuel, strip, names, source) as key : okey) : Compdiff.Oracle.t =
+  Engine.Lru.find_or_compute t.oracles key ~weight:oracle_weight (fun () ->
       let normalize =
-        if k.ck_strip then Compdiff.Normalize.strip_hex_addresses
+        if strip then Compdiff.Normalize.strip_hex_addresses
         else Compdiff.Normalize.identity
       in
-      let o =
-        Compdiff.Oracle.create ~session:t.cfg.session ~profiles ~normalize
-          ~fuel:(fuel_or t.cfg k.ck_fuel) (frontend k.ck_source)
-      in
-      Mutex.lock t.mutex;
-      t.oracle_clock <- t.oracle_clock + 1;
-      let r =
-        match Hashtbl.find_opt t.oracles key with
-        | Some (o', tick) ->
-            (* lost the race: keep the established oracle *)
-            tick := t.oracle_clock;
-            o'
-        | None ->
-            evict_oracles_locked t;
-            Hashtbl.add t.oracles key (o, ref t.oracle_clock);
-            o
-      in
-      Mutex.unlock t.mutex;
-      r)
+      Compdiff.Oracle.create ~session:t.cfg.session
+        ~profiles:(profiles_of_names t.cfg names) ~normalize ~fuel
+        ~counters:t.counted (frontend source))
 
 (* --- response construction --- *)
 
@@ -253,7 +235,7 @@ let run_check_flight t key (riders : (item * Proto.check_req) list) : unit =
   let joined = List.length riders - 1 in
   if joined > 0 then ignore (Atomic.fetch_and_add t.c_joined joined);
   match
-    let oracle = oracle_for t ~key (snd (List.hd riders)) in
+    let oracle = oracle_for t key in
     let inputs =
       Array.of_list (List.concat_map (fun (_, k) -> k.Proto.ck_inputs) riders)
     in
@@ -339,16 +321,11 @@ let run_metacheck t (it : item) (m : Proto.metacheck_req) : unit =
 let run_reduce t (it : item) (r : Proto.reduce_req) : unit =
   Atomic.incr t.c_flights;
   guarded t it (fun () ->
-      let check : Proto.check_req =
-        {
-          Proto.ck_source = r.Proto.rd_source;
-          ck_inputs = [];
-          ck_profiles = r.Proto.rd_profiles;
-          ck_fuel = r.Proto.rd_fuel;
-          ck_strip = false;
-        }
+      let oracle =
+        oracle_for t
+          (okey t.cfg ~fuel:r.Proto.rd_fuel ~profiles:r.Proto.rd_profiles
+             ~strip:false r.Proto.rd_source)
       in
-      let oracle = oracle_for t ~key:(okey_of_check check) check in
       let input = r.Proto.rd_input in
       Atomic.incr t.c_checks;
       match Compdiff.Oracle.check oracle ~input with
@@ -398,16 +375,11 @@ let run_reduce t (it : item) (r : Proto.reduce_req) : unit =
 let run_explore t (it : item) (e : Proto.explore_req) : unit =
   Atomic.incr t.c_flights;
   guarded t it (fun () ->
-      let check : Proto.check_req =
-        {
-          Proto.ck_source = e.Proto.ex_source;
-          ck_inputs = [];
-          ck_profiles = e.Proto.ex_profiles;
-          ck_fuel = e.Proto.ex_fuel;
-          ck_strip = false;
-        }
+      let oracle =
+        oracle_for t
+          (okey t.cfg ~fuel:e.Proto.ex_fuel ~profiles:e.Proto.ex_profiles
+             ~strip:false e.Proto.ex_source)
       in
-      let oracle = oracle_for t ~key:(okey_of_check check) check in
       let input = e.Proto.ex_input in
       let limit =
         if e.Proto.ex_limit > 0 then Some e.Proto.ex_limit else None
@@ -464,7 +436,7 @@ let run_explore t (it : item) (e : Proto.explore_req) : unit =
 (* pop one item; if it is a coalescible check, also claim every queued
    check with the same oracle key (cross-client batching) *)
 let claim_flight t :
-    [ `Stop | `Checks of string * (item * Proto.check_req) list | `One of item ]
+    [ `Stop | `Checks of okey * (item * Proto.check_req) list | `One of item ]
     =
   Mutex.lock t.mutex;
   let rec wait () =
@@ -536,8 +508,9 @@ let create (cfg : config) : t =
       executors = [];
       next_client = 0;
       clients = [];
-      oracles = Hashtbl.create 16;
-      oracle_clock = 0;
+      oracles =
+        Engine.Lru.create ~budget_bytes:(Engine.Session.budget_bytes cfg.session / 8);
+      counted = Compdiff.Oracle.counters ();
       c_requests = Atomic.make 0;
       c_shed = Atomic.make 0;
       c_flights = Atomic.make 0;
@@ -591,10 +564,17 @@ let release_client t (cl : client) : unit =
   t.clients <- List.filter (fun c -> c != cl) t.clients;
   Mutex.unlock t.mutex
 
-let sched_stats t : Proto.sched_stats =
+(* what every warm oracle, evicted or resident, has counted *)
+let oracle_stats t = Compdiff.Oracle.counted t.counted
+
+(* [warm]: the warm table's counters, when the caller read them to
+   print them too, so both show one reading *)
+let sched_stats ?warm t : Proto.sched_stats =
+  let warm =
+    match warm with Some w -> w | None -> Engine.Lru.stats t.oracles
+  in
   Mutex.lock t.mutex;
   let depth = Queue.length t.queue in
-  let oracles = Hashtbl.length t.oracles in
   let clients =
     List.map
       (fun cl ->
@@ -616,21 +596,16 @@ let sched_stats t : Proto.sched_stats =
     sr_inline = Atomic.get t.c_inline;
     sr_queue_depth = depth;
     sr_pool_pending = Cdutil.Pool.pending (Cdutil.Pool.global ());
-    sr_oracles = oracles;
+    sr_oracles = warm.entries;
     sr_clients = clients;
   }
 
-(* aggregate oracle counters across the warm table *)
-let oracle_stats t : Compdiff.Oracle.stats =
-  Mutex.lock t.mutex;
-  let os = Hashtbl.fold (fun _ (o, _) acc -> o :: acc) t.oracles [] in
-  Mutex.unlock t.mutex;
-  Compdiff.Oracle.sum_stats (List.map Compdiff.Oracle.stats os)
-
 (* [batching_ratio] is checks per executor flight, the cross-client
    coalescing payoff the bench gates on (1 = no coalescing ever
-   happened); [inline] counts the checks answered without a flight *)
-let sched_json (sc : Proto.sched_stats) : Cdutil.Json.t =
+   happened); [inline] counts the checks answered without a flight;
+   [warm] is the warm table's cache counters *)
+let sched_json (sc : Proto.sched_stats) (warm : Engine.Lru.stats) :
+    Cdutil.Json.t =
   let client (c : Proto.client_stat) : Cdutil.Json.t =
     Obj
       [ ("id", Int c.cs_id); ("outstanding", Int c.cs_outstanding);
@@ -643,18 +618,19 @@ let sched_json (sc : Proto.sched_stats) : Cdutil.Json.t =
       ("joined", Int sc.sr_joined); ("inline", Int sc.sr_inline);
       ("batching_ratio", Float ratio); ("queue_depth", Int sc.sr_queue_depth);
       ("pool_pending", Int sc.sr_pool_pending);
-      ("warm_oracles", Int sc.sr_oracles);
+      ("warm", Engine.Session.cache_json warm);
       ("clients", List (List.map client sc.sr_clients)) ]
 
 (* The daemon's statistics: the CLI's --stats-json object with a
    "scheduler" member.  [serve --stats-json] prints it at exit, and a
    [Get_stats] request gets it rendered. *)
 let stats_json t : Cdutil.Json.t =
+  let warm = Engine.Lru.stats t.oracles in
   Obj
     [ ("oracle", Compdiff.Oracle.stats_json (oracle_stats t));
       ("session", Engine.Session.stats_json (Engine.Session.stats t.cfg.session));
       ("localize", Compdiff.Localize.stats_json ());
-      ("scheduler", sched_json (sched_stats t)) ]
+      ("scheduler", sched_json (sched_stats ~warm t) warm) ]
 
 let stats_reply t : Proto.response =
   Proto.Stats_reply (Cdutil.Json.to_string (stats_json t))
@@ -671,16 +647,16 @@ let enqueue_locked t (it : item) : bool =
 
 let shutting_down = Proto.Err "daemon shutting down"
 
-(* The fast path's load gate.  Every connection's reader, and an
-   in-process caller's clients, are systhreads of one domain, so a check
-   answered on a reader runs one after another with every other
-   connection's work while the executor domains idle.  On two vCPUs,
-   with closed-loop clients answered inline, that domain had another
-   thread waiting to run never under one connection, about half the
-   time under two and nine times in ten under four.  Probing it per
-   request cost more than inline answers saved (DESIGN.md 13.2), so the
-   gate counts open connections: above [inline_max_clients], checks
-   take the executor path. *)
+(* The fast path's load gate.  Every connection's reader is a systhread
+   of one domain, so a check answered on a reader runs one after another
+   with every other connection's work while the executor domains idle.
+   On two vCPUs, with closed-loop clients answered inline and their
+   threads on the readers' domain, that domain had another thread
+   waiting to run never under one connection, about half the time under
+   two and nine times in ten under four.  Probing it per request cost
+   more than inline answers saved (DESIGN.md 13.2), so the gate counts
+   open connections: above [inline_max_clients], checks take the
+   executor path. *)
 let inline_max_clients = 2
 
 (* [submit]: called from the server's per-client reader threads.  Ping
@@ -703,7 +679,7 @@ let submit t (cl : client) ~(id : int) (req : Proto.request) : unit =
   | Proto.Explore _ -> (
       let okey =
         match req with
-        | Proto.Check k -> Some (okey_of_check k)
+        | Proto.Check k -> Some (okey_of_check t.cfg k)
         | _ -> None
       in
       let it = { it_client = cl; it_id = id; it_req = req; it_okey = okey } in
@@ -722,7 +698,9 @@ let submit t (cl : client) ~(id : int) (req : Proto.request) : unit =
             | Proto.Check k, Some key
               when List.compare_length_with t.clients inline_max_clients <= 0
                    && not t.paused ->
-                Option.map (fun o -> (o, k)) (warm_locked t key)
+                Option.map
+                  (fun o -> (o, k))
+                  (Engine.Lru.peek_hashed t.oracles (Hashtbl.hash key) key)
             | _ -> None
           in
           match warm with
@@ -746,6 +724,9 @@ let submit t (cl : client) ~(id : int) (req : Proto.request) : unit =
               ~inputs:(Array.of_list k.Proto.ck_inputs)
           with
           | Some vs ->
+              (* the warm lookup is counted once it is kept; a fallback's
+                 flight counts its own *)
+              Engine.Lru.count_hits t.oracles 1;
               Atomic.incr t.c_requests;
               Atomic.incr t.c_inline;
               respond t it (check_reply vs)

@@ -1,5 +1,6 @@
 (* The serve daemon's socket layer: a Unix-domain listener, one reader
-   thread per connection, and a housekeeping thread for timeouts.
+   thread per connection, and a housekeeping thread for timeouts, all on
+   a domain of their own (see [serve]).
 
    Each connection gets a dedicated reader thread that performs the
    handshake, then loops decoding frames and handing requests to the
@@ -211,9 +212,7 @@ let create (cfg : config) : t =
 
 let sched t = t.sched
 
-(* Blocking accept loop; returns when the daemon shuts down (idle
-   timeout or [stop]).  Call from the main thread after [create]. *)
-let serve (t : t) : unit =
+let serve_on_this_domain (t : t) : unit =
   let hk = Thread.create housekeeping_loop t in
   t.threads <- hk :: t.threads;
   let rec accept_loop () =
@@ -267,6 +266,18 @@ let serve (t : t) : unit =
   (try Unix.close t.listen_fd with _ -> ());
   (try Unix.unlink t.cfg.socket_path with _ -> ());
   logf t "[serve] shut down\n%!"
+
+(* Blocking accept loop; returns when the daemon shuts down (idle
+   timeout or [stop]).  Call from the main thread after [create].
+
+   The accept loop, the readers and the housekeeping thread run on a
+   domain spawned here, the reader domain.  Systhreads of one domain
+   take turns on its runtime lock, and every blocking call hands it
+   over: on the caller's domain, a reader's inline answer would wait on
+   whatever else runs there, such as an in-process caller's clients
+   (DESIGN.md 13.3). *)
+let serve (t : t) : unit =
+  Domain.join (Domain.spawn (fun () -> serve_on_this_domain t))
 
 (* Request shutdown from another thread (tests). *)
 let stop (t : t) : unit =

@@ -617,6 +617,24 @@ else
   else
     echo "ok   serve (3 identical repeated checks, $inline answered inline)"
   fi
+  # The warm-oracle table is an LRU cache within the session's budget:
+  # the scheduler member reports its counters, and the checks above
+  # left at least one oracle warm.
+  set +e
+  warm=$(printf '%s\n' "$remote" | tail -n 1 | python3 -c '
+import json, sys
+w = json.loads(sys.stdin.read())["scheduler"]["warm"]
+counts = [w[k] for k in ("entries", "bytes", "evictions")]
+assert all(isinstance(c, int) for c in counts) and counts[0] >= 1 and counts[1] > 0
+print("%d entries, %d bytes, %d evictions" % tuple(counts))' 2>/dev/null)
+  warm_rc=$?
+  set -e
+  if [ "$warm_rc" -ne 0 ]; then
+    echo "FAIL serve: --remote-stats has no warm-table counters (entries, bytes, evictions)"
+    status=1
+  else
+    echo "ok   serve (warm table: $warm)"
+  fi
   # connect's request kinds beyond a check: each prints its reply and
   # exits by it, and a daemon error exits 2 with the daemon's message
   bad_src=$(mktemp)

@@ -100,6 +100,39 @@ let test_lru_striped_concurrent () =
   check_bool "within budget" true (s.Engine.Lru.bytes <= 4000);
   check_int "ten bytes an entry" (10 * s.Engine.Lru.entries) s.Engine.Lru.bytes
 
+(* Two domains miss on one key: the one whose insert comes second gets
+   the resident value, not its own, so every caller of a key holds one
+   object *)
+let test_lru_concurrent_insert_adopts () =
+  let l = Engine.Lru.create ~budget_bytes:1000 in
+  let computing = Atomic.make false and inserted = Atomic.make false in
+  let wait flag = while not (Atomic.get flag) do Domain.cpu_relax () done in
+  let other =
+    Domain.spawn (fun () ->
+        wait computing;
+        let v =
+          Engine.Lru.find_or_compute l "k" ~weight:(fun _ -> 10) (fun () -> ref "second")
+        in
+        Atomic.set inserted true;
+        v)
+  in
+  let mine =
+    Engine.Lru.find_or_compute l "k" ~weight:(fun _ -> 10) (fun () ->
+        Atomic.set computing true;
+        wait inserted;
+        ref "first")
+  in
+  let theirs = Domain.join other in
+  check_bool "the loser gets the resident value" true (mine == theirs);
+  check_bool "which is the winner's" true (!mine = "second");
+  check_bool "and stays resident" true
+    (match Engine.Lru.find_opt l "k" with Some v -> v == mine | None -> false);
+  let s = Engine.Lru.stats l in
+  check_int "two misses" 2 s.Engine.Lru.misses;
+  check_int "one hit" 1 s.Engine.Lru.hits;
+  check_int "one entry" 1 s.Engine.Lru.entries;
+  check_int "its weight once" 10 s.Engine.Lru.bytes
+
 (* --- session caches --- *)
 
 let profile0 = List.hd Cdcompiler.Profiles.all
@@ -1053,6 +1086,8 @@ let suites =
         tc "LRU eviction order" test_lru_eviction_lru_order;
         tc "hash collisions share a bucket" test_lru_bucket_collisions;
         tc "striped, two domains" test_lru_striped_concurrent;
+        tc "a concurrent insert's loser adopts the resident value"
+          test_lru_concurrent_insert_adopts;
       ] );
     ( "engine.session",
       [

@@ -45,7 +45,7 @@ let temp_socket () =
 (* a daemon on a fresh socket; returns (socket path, server, its thread) *)
 let start_server ?(quota = 32) ?(executors = 2) ?(idle_timeout = 0.)
     ?(client_timeout = 0.) ?(session = Engine.Session.create ~cache_mb:64 ())
-    () =
+    ?(profiles = Cdcompiler.Profiles.all) () =
   let socket_path = temp_socket () in
   let srv =
     Serve.Server.create
@@ -57,6 +57,7 @@ let start_server ?(quota = 32) ?(executors = 2) ?(idle_timeout = 0.)
             with
             Serve.Scheduler.quota;
             executors;
+            default_profiles = profiles;
           };
         client_timeout;
         idle_timeout;
@@ -916,12 +917,229 @@ let test_refusals_after_release_and_stop () =
   check_bool "no client shed count" true
     (List.for_all (fun c -> c.Serve.Proto.cs_shed = 0) st.Serve.Proto.sr_clients)
 
+(* Frames written in pieces that straddle frame boundaries, and in
+   pieces larger than a frame, are read back whole and in order; EOF
+   after the last is a clean end. *)
+let test_frames_read_whole () =
+  let payloads =
+    [ ""; "a"; String.make 70_000 'b'; "tail"; String.init 300 Char.unsafe_chr ]
+  in
+  let bytes =
+    String.concat ""
+      (List.map
+         (fun p -> Cdutil.Wire.encode ~size:(4 + String.length p) Cdutil.Wire.string p)
+         payloads)
+  in
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Thread.create
+      (fun () ->
+        let pos = ref 0 and k = ref 0 in
+        while !pos < String.length bytes do
+          let n = min (String.length bytes - !pos) [| 1; 3; 7; 90_001 |].(!k mod 4) in
+          Serve.Proto.really_write w (String.sub bytes !pos n);
+          pos := !pos + n;
+          incr k
+        done;
+        Unix.close w)
+      ()
+  in
+  List.iter
+    (fun p ->
+      check_bool
+        (Printf.sprintf "a %d-byte frame" (String.length p))
+        true
+        (Serve.Proto.read_frame r = Some p))
+    payloads;
+  check_bool "clean EOF" true (Serve.Proto.read_frame r = None);
+  Thread.join writer;
+  Unix.close r
+
+(* --- the warm-oracle table --- *)
+
+let warm_table srv = (Serve.Server.sched srv).Serve.Scheduler.oracles
+
+let juliet_sources n =
+  List.filteri
+    (fun i _ -> i < n)
+    (List.map
+       (fun (tc : Juliet.Testcase.t) ->
+         (Minic.Pretty.program_to_string tc.Juliet.Testcase.bad, tc.Juliet.Testcase.inputs))
+       (Juliet.Suite.quick ~per_cwe:2 ()))
+
+(* The daemon's default fuel and profiles, spelled out or left to the
+   daemon, key one warm oracle.  An unknown profile is still refused,
+   also one whose name is a warm profile list joined by a comma. *)
+let test_equivalent_requests_share_an_oracle () =
+  let path, srv, th = start_server ~executors:1 () in
+  let cl = Serve.Client.connect path in
+  let check ~fuel ~profiles =
+    Serve.Client.call cl
+      (Serve.Proto.Check
+         {
+           Serve.Proto.ck_source = unstable_src;
+           ck_inputs = [ "A" ];
+           ck_profiles = profiles;
+           ck_fuel = fuel;
+           ck_strip = false;
+         })
+  in
+  let defaults = List.map (fun p -> p.Cdcompiler.Policy.pname) Cdcompiler.Profiles.all in
+  let implicit = verdicts_of "implicit" (check ~fuel:0 ~profiles:[]) in
+  let explicit = verdicts_of "explicit" (check ~fuel:200_000 ~profiles:defaults) in
+  check_bool "one verdict" true (implicit = explicit);
+  check_int "one warm oracle" 1 (sched_stats srv).Serve.Proto.sr_oracles;
+  let refused profiles =
+    match check ~fuel:0 ~profiles with
+    | Serve.Proto.Err m ->
+        check_bool "names the profile" true
+          (Suite_gen.contains m (List.nth profiles (List.length profiles - 1)))
+    | _ -> Alcotest.failf "%s was not refused" (String.concat "," profiles)
+  in
+  refused [ "gccx-O0"; "no-such-cc" ];
+  check_int "still one warm oracle" 1 (sched_stats srv).Serve.Proto.sr_oracles;
+  ignore (verdicts_of "pair" (check ~fuel:0 ~profiles:[ "gccx-O0"; "clangx-O0" ]));
+  refused [ "gccx-O0,clangx-O0" ];
+  Serve.Client.close cl;
+  stop_server (srv, th)
+
+(* More distinct sources than a 4 MiB session's warm share holds: the
+   table stays within its share by evicting, and a source asked again
+   after its oracle was evicted gets the direct oracle's verdict.  The
+   bytes it accounts are 1-3x what the resident oracles' binaries,
+   images and program keep reachable ([Obj.reachable_words]; the session
+   each oracle points to is left out), so the share bounds their memory:
+   on these 40 sources the ratio is about 2. *)
+let test_warm_table_within_share () =
+  let session = Engine.Session.create ~cache_mb:4 () in
+  let share = Engine.Session.budget_bytes session / 8 in
+  let path, srv, th = start_server ~session () in
+  let cl = Serve.Client.connect path in
+  let sources = juliet_sources 40 in
+  let ask (src, inputs) =
+    verdicts_of "juliet check" (Serve.Client.call cl (check_req ~inputs src))
+  in
+  List.iter
+    (fun source ->
+      ignore (ask source);
+      let w = Engine.Lru.stats (warm_table srv) in
+      check_bool
+        (Printf.sprintf "%d warm bytes within the %d share" w.Engine.Lru.bytes share)
+        true (w.Engine.Lru.bytes <= share))
+    sources;
+  let w = Engine.Lru.stats (warm_table srv) in
+  check_bool "evicted" true (w.Engine.Lru.evictions > 0);
+  check_bool "fewer resident than asked" true (w.Engine.Lru.entries < List.length sources);
+  let key (src, inputs) =
+    Serve.Scheduler.okey_of_check (Serve.Server.sched srv).Serve.Scheduler.cfg
+      { Serve.Proto.ck_source = src; ck_inputs = inputs; ck_profiles = [];
+        ck_fuel = 100_000; ck_strip = false }
+  in
+  let peek source =
+    let k = key source in
+    Engine.Lru.peek_hashed (warm_table srv) (Hashtbl.hash k) k
+  in
+  let resident = List.filter_map peek sources in
+  check_int "every resident oracle found" w.Engine.Lru.entries
+    (List.length resident);
+  let reachable =
+    List.fold_left
+      (fun acc o ->
+        acc
+        + Obj.reachable_words
+            (Obj.repr
+               ( Compdiff.Oracle.binaries o,
+                 Compdiff.Oracle.class_images o,
+                 Compdiff.Oracle.program o ))
+          * (Sys.word_size / 8))
+      0 resident
+  in
+  let ratio = float_of_int w.Engine.Lru.bytes /. float_of_int reachable in
+  check_bool
+    (Printf.sprintf "accounted / reachable = %.2f, within [1, 3]" ratio)
+    true
+    (ratio >= 1. && ratio <= 3.);
+  let first, inputs = List.hd sources in
+  check_bool "the first source was evicted" true (peek (first, inputs) = None);
+  check_bool "asked again, it gets the direct verdict" true
+    (ask (first, inputs) = direct_verdicts first inputs);
+  Serve.Client.close cl;
+  stop_server (srv, th)
+
+(* A caching-disabled session leaves the warm table no share: nothing
+   stays warm, and every verdict is the direct oracle's.  The oracles'
+   counters outlive them: the daemon's [oracle] member counts every
+   check its flights served. *)
+let test_uncached_daemon_keeps_no_oracle () =
+  let path, srv, th =
+    start_server ~session:(Engine.Session.create ~cache_mb:0 ()) ()
+  in
+  let cl = Serve.Client.connect path in
+  List.iter
+    (fun (src, inputs) ->
+      for _ = 1 to 2 do
+        check_bool "verdict = direct" true
+          (verdicts_of "check" (Serve.Client.call cl (check_req ~inputs src))
+          = direct_verdicts src inputs)
+      done;
+      check_int "no warm oracle" 0 (sched_stats srv).Serve.Proto.sr_oracles)
+    (juliet_sources 4 @ [ (unstable_src, [ "A"; "" ]) ]);
+  check_int "no warm bytes" 0 (Engine.Lru.stats (warm_table srv)).Engine.Lru.bytes;
+  let sched = Serve.Server.sched srv in
+  let checks = (Serve.Scheduler.sched_stats sched).Serve.Proto.sr_checks in
+  check_bool "checks were served" true (checks > 0);
+  check_int "oracle checks = scheduler checks" checks
+    (Serve.Scheduler.oracle_stats sched).Compdiff.Oracle.checks;
+  Serve.Client.close cl;
+  stop_server (srv, th)
+
+(* A daemon's default profiles may include one outside [Profiles.all]
+   (serve --profiles gccx-O0,clangx-Os-buggy): a check that leaves the
+   profiles to the daemon, or names them, is answered with those
+   profiles' verdict from one warm oracle. *)
+let test_defaults_outside_the_registry () =
+  let profiles =
+    [ Option.get (Cdcompiler.Profiles.by_name "gccx-O0");
+      Cdcompiler.Profiles.clangx_os_buggy ]
+  in
+  let path, srv, th = start_server ~profiles () in
+  let cl = Serve.Client.connect path in
+  let inputs = [ "A"; "" ] in
+  let o =
+    Compdiff.Oracle.create ~session:(Engine.Session.create ~cache_mb:0 ())
+      ~profiles ~fuel:100_000 (frontend unstable_src)
+  in
+  let want =
+    List.map (fun input -> canon_direct (Compdiff.Oracle.check o ~input)) inputs
+  in
+  let ask names =
+    verdicts_of "check"
+      (Serve.Client.call cl
+         (Serve.Proto.Check
+            {
+              Serve.Proto.ck_source = unstable_src;
+              ck_inputs = inputs;
+              ck_profiles = names;
+              ck_fuel = 100_000;
+              ck_strip = false;
+            }))
+  in
+  check_bool "defaults left to the daemon" true (ask [] = want);
+  check_bool "defaults named" true
+    (ask (List.map (fun p -> p.Cdcompiler.Policy.pname) profiles) = want);
+  check_int "one warm oracle" 1 (sched_stats srv).Serve.Proto.sr_oracles;
+  Serve.Client.close cl;
+  stop_server (srv, th)
+
 let tc name f = Alcotest.test_case name `Quick f
 
 let suites =
   [
     ( "serve.proto",
-      [ tc "request/response codecs round-trip" test_proto_roundtrip ] );
+      [
+        tc "request/response codecs round-trip" test_proto_roundtrip;
+        tc "frames are read back whole from pieces" test_frames_read_whole;
+      ] );
     ( "serve.daemon",
       [
         tc "ping and stats" test_ping_and_stats;
@@ -953,5 +1171,15 @@ let suites =
           test_many_clients_queue_stored_checks;
         tc "released and stopping refusals are Err, not shed"
           test_refusals_after_release_and_stop;
+      ] );
+    ( "serve.warm",
+      [
+        tc "equivalent requests share one warm oracle"
+          test_equivalent_requests_share_an_oracle;
+        tc "the warm table stays within its share" test_warm_table_within_share;
+        tc "a cache-mb 0 daemon keeps no warm oracle"
+          test_uncached_daemon_keeps_no_oracle;
+        tc "default profiles outside the registry"
+          test_defaults_outside_the_registry;
       ] );
   ]
