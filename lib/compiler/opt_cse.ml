@@ -25,35 +25,68 @@ type key =
   | Klea of sym
   | Kload of int * operand (* epoch, address *)
 
+(* the registers a key reads *)
+let key_regs (k : key) : reg list =
+  let op acc = function Reg s -> s :: acc | ImmI _ | ImmF _ | Nullptr -> acc in
+  match k with
+  | Kbin (_, _, a, b) | Kfbin (_, a, b) | Kcmp (_, _, a, b) | Kfcmp (_, a, b)
+  | Kpcmp (_, a, b) | Kpadd (a, b) | Kpdiff (a, b) ->
+    op (op [] b) a
+  | Kneg (_, a) | Knot (_, a) | Kcast (_, a) | Kload (_, a) -> op [] a
+  | Klea _ -> []
+
+(* A kill of [r] drops every entry that names [r]: the keys whose value
+   is [r] or that read it, and the canon entries that point to it.  Two
+   reverse indexes list them, so a kill touches those entries, not the
+   tables: [keys_of] maps a register to the keys recorded with it as
+   value or operand, [canon_of] to the registers recorded as equal to
+   it.  An index entry may be stale (its table entry since replaced or
+   removed), so a kill re-checks each one against the table. *)
 let run ~unsafe (f : ifunc) : ifunc =
   let table : (key, reg) Hashtbl.t = Hashtbl.create 32 in
   (* canonical representative for registers proven equal by an earlier CSE
      hit, so chained redundancies (lea; load; lea'; load') fold in one
      pass *)
   let canon : (reg, reg) Hashtbl.t = Hashtbl.create 16 in
+  let keys_of : (reg, key list) Hashtbl.t = Hashtbl.create 32 in
+  let canon_of : (reg, reg list) Hashtbl.t = Hashtbl.create 16 in
   let epoch = ref 0 in
   let reset () =
     Hashtbl.reset table;
     Hashtbl.reset canon;
+    Hashtbl.reset keys_of;
+    Hashtbl.reset canon_of;
     incr epoch
   in
-  let mentions r (k : key) =
-    let op = function Reg s -> s = r | ImmI _ | ImmF _ | Nullptr -> false in
-    match k with
-    | Kbin (_, _, a, b) | Kfbin (_, a, b) | Kcmp (_, _, a, b) | Kfcmp (_, a, b)
-    | Kpcmp (_, a, b) | Kpadd (a, b) | Kpdiff (a, b) ->
-      op a || op b
-    | Kneg (_, a) | Knot (_, a) | Kcast (_, a) | Kload (_, a) -> op a
-    | Klea _ -> false
+  let mentions r (k : key) = List.mem r (key_regs k) in
+  let index tbl r x =
+    Hashtbl.replace tbl r (x :: Option.value ~default:[] (Hashtbl.find_opt tbl r))
+  in
+  let take tbl r =
+    match Hashtbl.find_opt tbl r with
+    | None -> []
+    | Some xs ->
+      Hashtbl.remove tbl r;
+      xs
+  in
+  let record k r =
+    Hashtbl.replace table k r;
+    List.iter (fun s -> index keys_of s k) (r :: key_regs k)
   in
   let kill r =
-    let dead = Hashtbl.fold (fun k v acc -> if v = r || mentions r k then k :: acc else acc) table [] in
-    List.iter (Hashtbl.remove table) dead;
+    List.iter
+      (fun k ->
+        match Hashtbl.find_opt table k with
+        | Some v when v = r || mentions r k -> Hashtbl.remove table k
+        | _ -> ())
+      (take keys_of r);
     Hashtbl.remove canon r;
-    let stale =
-      Hashtbl.fold (fun k v acc -> if v = r then k :: acc else acc) canon []
-    in
-    List.iter (Hashtbl.remove canon) stale
+    List.iter
+      (fun k ->
+        match Hashtbl.find_opt canon k with
+        | Some v when v = r -> Hashtbl.remove canon k
+        | _ -> ())
+      (take canon_of r)
   in
   let key_of = function
     | Ibin (op, w, _, _, a, b) -> Some (Kbin (op, w, a, b))
@@ -92,6 +125,7 @@ let run ~unsafe (f : ifunc) : ifunc =
       | Some prev when prev <> r ->
         kill r;
         Hashtbl.replace canon r prev;
+        index canon_of prev r;
         [ Imov (r, Reg prev) ]
       | Some _ ->
         kill r;
@@ -100,7 +134,7 @@ let run ~unsafe (f : ifunc) : ifunc =
         kill r;
         (* never record a key whose operands mention the destination: the
            key would describe the pre-assignment value of r *)
-        if not (mentions r k) then Hashtbl.replace table k r;
+        if not (mentions r k) then record k r;
         [ ins ])
     | _, Some r ->
       kill r;

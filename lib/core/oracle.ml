@@ -20,11 +20,13 @@
      executed through the session's cached-run path (linked executor
      on the running domain's arena), the observation fanned out to
      every member;
-   - every class of a fuel round is first looked up in the session's
-     observation store, inline ({!Engine.Session.lookup}); only the
-     classes with store misses execute, through the shared
-     {!Cdutil.Pool} when [jobs > 1] and there are several of them, so
-     a round the store answers whole never wakes the pool;
+   - a fuel round is one task per class that runs in it, through the
+     shared {!Cdutil.Pool} when [jobs > 1] and there are several: the
+     task looks its inputs up in the session's observation store and
+     executes the misses (one {!Engine.Session.run_batch}), normalizes
+     every observation and checksums it once.  A verdict then compares one checksum per
+     class, not per binary: every member of a class has the class's
+     observation, so all binaries agree exactly when all classes do;
    - fuel escalation is incremental: only classes whose last observation
      hung are re-run at the higher budget.  This is observationally
      identical to re-running everything because the VM is deterministic
@@ -32,12 +34,13 @@
      any sufficient budget — finished observations (including their
      [fuel_used]) can simply be reused.
 
-   All of this lives in one escalation loop, [observe_batch]; [observe]
-   and [check] are its one-input case.  [check_stored] is not a second
-   loop: it answers only a check whose first round the session's memory
-   holds whole and that needs no second round, and leaves everything
-   else to [check_batch] (the serve daemon's reader thread uses it,
-   DESIGN.md §13.2).
+   All of this lives in one escalation loop, [observe_classes], under
+   [observe_batch] and [check_batch]; [observe] and [check] are their
+   one-input case.  [check_stored] is not a second loop: it answers
+   only a check whose first round the session's memory holds whole and
+   that needs no second round, inline on the calling thread, and
+   leaves everything else to [check_batch] (the serve daemon's reader
+   thread uses it, DESIGN.md §13.2).
 
    [observe_naive]/[check_naive] keep the sequential, dedup-free
    reference semantics for cross-validation; they bypass the session
@@ -313,25 +316,44 @@ let reruns_of t (class_obs : observation array array) fuel k =
 let fan_out t (class_obs : observation array array) k =
   List.mapi (fun i (name, _) -> (name, class_obs.(t.class_of.(i)).(k))) t.binaries
 
+(* Per class [ci] and input [k]: the latest observation and its
+   {!checksum}, which every member of the class shares. *)
+type classes = { obs : observation array array; sums : int32 array array }
+
+(* Input [k]'s verdict from its per-class checksums: all binaries agree
+   exactly when all classes do, as every binary has its class's
+   observation.  [Agree] carries binary 0's observation, [Diverge]
+   every binary's. *)
+let verdict_of_classes t (c : classes) k : verdict =
+  if t.nbinaries = 0 then invalid_arg "Oracle: no binaries";
+  let s0 = c.sums.(0).(k) in
+  if Array.for_all (fun row -> Int32.equal row.(k) s0) c.sums then
+    Agree c.obs.(t.class_of.(0)).(k)
+  else Diverge (fan_out t c.obs k)
+
 (* The escalation loop: deduped, pooled, incrementally escalating
    observation of many inputs.  Every round runs, per class, the inputs
-   that still need the class at the current fuel level as ONE session
-   batch ({!Engine.Session.lookup}, then {!Engine.Session.run_misses}
-   for the misses: one arena acquisition, amortized reset); the
-   first round's set is every class for every input.
+   that still need the class at the current fuel level as ONE task:
+   one session batch ({!Engine.Session.run_batch}: the store lookups,
+   then the misses on one arena acquisition, amortized reset), then
+   each observation normalized and checksummed.
+   The first round's set is every class for every input.
    Escalation is level-synchronous — every input walks the same base,
    ×4, ×16, … fuel sequence as [observe_naive], dropping out when its
-   hang set stabilizes — so element [k] of the result equals
+   hang set stabilizes — so input [k]'s observations, fanned out, equal
    [observe_naive t ~input:inputs.(k)]. *)
-let observe_batch t ~(inputs : string array) :
-    (string * observation) list array =
+let observe_classes t ~(inputs : string array) : classes =
   let ninputs = Array.length inputs in
   ignore (Atomic.fetch_and_add t.counters.c_checks ninputs);
   let nclasses = Array.length t.class_repr in
   (* the first round overwrites every placeholder *)
-  let class_obs =
-    Array.make_matrix nclasses ninputs
-      { output = ""; status = Cdvm.Trap.Hang; fuel_used = 0 }
+  let c =
+    {
+      obs =
+        Array.make_matrix nclasses ninputs
+          { output = ""; status = Cdvm.Trap.Hang; fuel_used = 0 };
+      sums = Array.make_matrix nclasses ninputs 0l;
+    }
   in
   (* run every class on the inputs that [pending] lists it for *)
   let run_round fuel (pending : int list array) =
@@ -345,40 +367,38 @@ let observe_batch t ~(inputs : string array) :
           ~covered:(List.fold_left (fun a ci -> a + t.class_size.(ci)) 0 pend)
       end
     done;
-    let run_class (ci, ks, ins, lk) =
+    (* a task writes only its own class's rows *)
+    let run_class (ci, ks) =
+      let ins = Array.map (fun k -> inputs.(k)) ks in
       Array.iteri
-        (fun j r -> class_obs.(ci).(ks.(j)) <- observation_of t r)
-        (Engine.Session.run_misses t.session t.class_linked.(ci) ~inputs:ins
-           ~fuel lk)
+        (fun j r ->
+          let o = observation_of t r in
+          c.obs.(ci).(ks.(j)) <- o;
+          c.sums.(ci).(ks.(j)) <- checksum t o)
+        (Engine.Session.run_batch t.session t.class_linked.(ci) ~inputs:ins ~fuel)
     in
-    (* every class is looked up in the stores here, inline: a class
-       without misses is complete at once, and only the classes with
-       misses execute, through the pool when there are several *)
-    let misses = ref [] in
+    let tasks = ref [] in
     for ci = nclasses - 1 downto 0 do
-      if not (List.is_empty by_class.(ci)) then begin
-        let ks = Array.of_list by_class.(ci) in
-        let ins = Array.map (fun k -> inputs.(k)) ks in
-        let lk =
-          Engine.Session.lookup t.session t.class_linked.(ci) ~inputs:ins ~fuel
-        in
-        if Array.length lk.Engine.Session.misses = 0 then
-          run_class (ci, ks, ins, lk)
-        else misses := (ci, ks, ins, lk) :: !misses
-      end
+      if not (List.is_empty by_class.(ci)) then
+        tasks := (ci, Array.of_list by_class.(ci)) :: !tasks
     done;
-    if t.jobs > 1 && List.compare_length_with !misses 1 > 0 then
-      ignore (Cdutil.Pool.map run_class !misses)
-    else List.iter run_class !misses
+    if t.jobs > 1 && List.compare_length_with !tasks 1 > 0 then
+      ignore (Cdutil.Pool.map run_class !tasks)
+    else List.iter run_class !tasks
   in
   let rec escalate fuel pending =
     if not (Array.for_all List.is_empty pending) then begin
       run_round fuel pending;
-      escalate (fuel * 4) (Array.init ninputs (reruns_of t class_obs fuel))
+      escalate (fuel * 4) (Array.init ninputs (reruns_of t c.obs fuel))
     end
   in
   escalate t.base_fuel (Array.make ninputs (List.init nclasses Fun.id));
-  Array.init ninputs (fan_out t class_obs)
+  c
+
+let observe_batch t ~(inputs : string array) :
+    (string * observation) list array =
+  let c = observe_classes t ~inputs in
+  Array.init (Array.length inputs) (fan_out t c.obs)
 
 let verdict_of_observations t (obs : (string * observation) list) : verdict =
   match obs with
@@ -391,11 +411,11 @@ let verdict_of_observations t (obs : (string * observation) list) : verdict =
 (* [check_batch]'s first round answered from memory alone: every class's
    base-fuel observation of every input must be in the session's
    in-memory store ({!Engine.Session.probe}), and no input may need a
-   second round.  Then the verdicts are [check_batch]'s and the counters
-   grow by what its all-hit round adds: one store hit per class and
-   input, [nclasses] observations and the dedup savings per input.
-   Otherwise nothing is counted, so a caller that falls back to
-   [check_batch] counts every lookup once. *)
+   second round.  Then the verdicts are [check_batch]'s, compared per
+   class the same way, and the counters grow by what its all-hit round
+   adds: one store hit per class and input, [nclasses] observations and
+   the dedup savings per input.  Otherwise nothing is counted, so a
+   caller that falls back to [check_batch] counts every lookup once. *)
 let check_stored t ~(inputs : string array) : verdict array option =
   let fuel = t.base_fuel in
   let nclasses = Array.length t.class_repr in
@@ -420,16 +440,18 @@ let check_stored t ~(inputs : string array) : verdict array option =
         account t ~inputs:ninputs ~execs:(nclasses * ninputs)
           ~covered:(t.nbinaries * ninputs);
         Engine.Session.count_hits t.session (nclasses * ninputs);
-        Some
-          (Array.init ninputs (fun k ->
-               verdict_of_observations t (fan_out t class_obs k)))
+        let c =
+          { obs = class_obs; sums = Array.map (Array.map (checksum t)) class_obs }
+        in
+        Some (Array.init ninputs (verdict_of_classes t c))
       end
 
 let check_naive t ~(input : string) : verdict =
   verdict_of_observations t (observe_naive t ~input)
 
 let check_batch t ~(inputs : string array) : verdict array =
-  Array.map (verdict_of_observations t) (observe_batch t ~inputs)
+  let c = observe_classes t ~inputs in
+  Array.init (Array.length inputs) (verdict_of_classes t c)
 
 (* a single input is the one-input batch: one escalation loop *)
 let observe t ~(input : string) : (string * observation) list =

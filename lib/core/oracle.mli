@@ -14,11 +14,14 @@
 
     Execution is optimized without changing verdicts: binaries with
     equal {!Binsig.signature} are grouped into equivalence classes and
-    executed once per class, class runs go through the shared
-    {!Cdutil.Pool} when [jobs > 1], and fuel escalation re-runs only the
+    executed once per class, and fuel escalation re-runs only the
     classes that hung, reusing finished observations (and their
-    [fuel_used]).  One escalation loop, {!observe_batch}, does all of
-    this; {!observe}/{!check} are its one-input case.
+    [fuel_used]).  A round runs one task per class, through the shared
+    {!Cdutil.Pool} when [jobs > 1]: it looks the class's inputs up in
+    the session, executes the misses, normalizes and checksums each
+    observation, so a verdict compares one checksum per class.  One
+    escalation loop, under {!observe_batch} and {!check_batch}, does all
+    of this; {!observe}/{!check} are their one-input case.
     {!observe_naive}/{!check_naive} provide the
     sequential dedup-free reference for cross-validation; both paths
     produce structurally identical results. *)
@@ -187,7 +190,9 @@ val check_naive : t -> input:string -> verdict
 (** [observe_naive] followed by checksum comparison. *)
 
 val check_batch : t -> inputs:string array -> verdict array
-(** {!observe_batch} followed by per-input checksum comparison. *)
+(** {!observe_batch}'s observations judged per input: element [k]
+    equals [check_naive t ~input:inputs.(k)].  The checksums are taken
+    once per class, in the class's task, and compared across classes. *)
 
 val check_stored : t -> inputs:string array -> verdict array option
 (** [check_stored t ~inputs]: {!check_batch}'s verdicts when its first

@@ -641,10 +641,8 @@ let door_key t (l : linked) ~fuel ~record input =
    stores for every input and counts each as one hit or one miss;
    [run_misses] executes what they lacked -- all misses as ONE VM batch
    on the calling domain's arena ({!Cdvm.Exec.run_batch}) instead of an
-   acquire/validate/reset cycle per input -- and writes it back.  A
-   caller that holds several batches looks them all up first and only
-   schedules the ones with misses (the oracle's rounds); everyone else
-   calls [run_batch], the two phases back to back.  A single run is the
+   acquire/validate/reset cycle per input -- and writes it back.
+   [run_batch] is the two phases back to back.  A single run is the
    one-input batch, so the loops below avoid per-call closures.
 
    Admission: the in-memory store only holds keys requested at least
@@ -715,6 +713,8 @@ let run_misses t (l : linked) ~(inputs : string array) ~(fuel : int)
       Cdvm.Exec.run_batch ~config l.image
         ~inputs:(Array.map (fun i -> inputs.(i)) lk.misses)
     in
+    (* counted once per batch: batches of several domains share it *)
+    let declined = ref 0 in
     Array.iteri
       (fun j i ->
         let input = inputs.(i) and o = fresh.(j) in
@@ -722,11 +722,12 @@ let run_misses t (l : linked) ~(inputs : string array) ~(fuel : int)
           if lk.admitted.(j) then
             Lru.put t.obs_cache (l.skey, fuel, input) o
               ~weight:(obs_weight input o)
-          else Atomic.incr t.declined;
+          else incr declined;
           disk_put t l ~fuel input o
         end;
         out.(i) <- Some o)
-      lk.misses
+      lk.misses;
+    if !declined > 0 then ignore (Atomic.fetch_and_add t.declined !declined)
   end;
   Array.map Option.get out
 

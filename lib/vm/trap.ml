@@ -30,10 +30,17 @@ let status_to_string = function
   | Hang -> "hang"
   | San_report msg -> Printf.sprintf "sanitizer(%s)" msg
 
+(* [exit_signatures.(c)] is ["exit(c)"]: every exit status the VM
+   produces (it keeps the low 8 bits), rendered once instead of on every
+   checksum.  A status read back from a disk-cache entry is not the
+   VM's, so any other code is still rendered. *)
+let exit_signatures = Array.init 256 (Printf.sprintf "exit(%d)")
+
 (* What an external observer (the oracle) can distinguish: the faulting
    address of a segfault is internal diagnostic detail -- a real process
    just dies with SIGSEGV -- so it is excluded from the signature. *)
 let signature = function
+  | Exit c when c land 0xff = c -> exit_signatures.(c)
   | Exit c -> Printf.sprintf "exit(%d)" c
   | Trap (Segfault _) -> "trap(segfault)"
   | Trap t -> Printf.sprintf "trap(%s)" (to_string t)

@@ -677,6 +677,94 @@ let prop_check_stored_matches_batch =
     (make ~print:print_cases Gen.(list_size (int_range 1 4) case))
     stored_check_matches_batch
 
+(* --- class tasks ---
+
+   A fuel round is one task per class (lookup, execution, normalization
+   and checksum), and a verdict compares the per-class checksums.  On
+   Juliet programs whose dedup classes have several members, and on one
+   batch that escalates, three [check_batch] passes (the first requests
+   every key, the second stores it, the third hits; §10.6) run at jobs 1
+   and at jobs 2: every verdict equals [check_naive], the session and
+   oracle counters are equal at both widths, and [vm_execs +
+   dedup_saved + escalation_saved] is the naive count.  After them,
+   [check_stored] answers with [check_batch]'s verdicts when no input
+   escalates. *)
+let with_jobs n f =
+  let prev = Cdutil.Pool.default_jobs () in
+  Cdutil.Pool.set_default_jobs n;
+  Fun.protect ~finally:(fun () -> Cdutil.Pool.set_default_jobs prev) f
+
+let class_task_passes ~jobs ~fuel ~max_fuel tp inputs =
+  with_jobs jobs (fun () ->
+      let session = Engine.Session.create ~cache_mb:16 () in
+      let o = Oracle.create ~session ~jobs ~fuel ~max_fuel tp in
+      let passes = List.init 3 (fun _ -> Oracle.check_batch o ~inputs) in
+      let counts = (session_counts session, Oracle.stats o) in
+      (o, passes, counts, Oracle.check_stored o ~inputs))
+
+(* the checks above for one program and batch; [check_stored]'s answer
+   after the passes *)
+let class_tasks_match what ~fuel ~max_fuel tp inputs =
+  let o, passes1, counts1, stored1 =
+    class_task_passes ~jobs:1 ~fuel ~max_fuel tp inputs
+  in
+  let _, passes2, counts2, stored2 =
+    class_task_passes ~jobs:2 ~fuel ~max_fuel tp inputs
+  in
+  let naive = Array.map (fun input -> Oracle.check_naive o ~input) inputs in
+  List.iter
+    (fun verdicts -> check_bool (what ^ ": jobs 1 = naive") true (verdicts = naive))
+    passes1;
+  List.iter
+    (fun verdicts -> check_bool (what ^ ": jobs 2 = naive") true (verdicts = naive))
+    passes2;
+  check_bool (what ^ ": same counters at jobs 1 and 2") true (counts1 = counts2);
+  let rounds =
+    Array.fold_left
+      (fun a input -> a + naive_rounds ~base:fuel (Oracle.observe_naive o ~input))
+      0 inputs
+  in
+  let st = snd counts1 in
+  check_int (what ^ ": vm_execs + saved = naive execs")
+    (3 * List.length (Oracle.names o) * rounds)
+    (st.Oracle.vm_execs + st.Oracle.dedup_saved + st.Oracle.escalation_saved);
+  check_bool (what ^ ": check_stored the same at jobs 1 and 2") true
+    (stored1 = stored2);
+  Option.iter
+    (fun verdicts ->
+      check_bool (what ^ ": check_stored = check_batch") true (verdicts = naive))
+    stored1;
+  stored1
+
+let test_class_tasks () =
+  let merged = ref 0 in
+  List.iter
+    (fun (name, tp) ->
+      let o = Oracle.create tp in
+      let nclasses = Oracle.class_count o in
+      if nclasses > 1 && nclasses < List.length (Oracle.names o) then begin
+        incr merged;
+        let stored =
+          class_tasks_match name ~fuel:20_000 ~max_fuel:80_000 tp
+            [| ""; "A"; "zz"; "7"; "" |]
+        in
+        check_bool (name ^ ": the stored pass is answered") true (stored <> None)
+      end)
+    (List.concat_map
+       (fun (t : Juliet.Testcase.t) ->
+         [ (t.Juliet.Testcase.name ^ " bad", Juliet.Testcase.frontend_bad t);
+           (t.Juliet.Testcase.name ^ " good", Juliet.Testcase.frontend_good t) ])
+       (Juliet.Suite.quick ~per_cwe:1 ()));
+  check_bool "some programs have merged classes" true (!merged >= 10);
+  let stored =
+    class_tasks_match "escalating batch" ~fuel:300_000 ~max_fuel:4_800_000
+      (frontend mixed_src) [| "s"; "e"; "h"; "e"; "" |]
+  in
+  check_bool "an escalating batch is not answered stored" true (stored = None);
+  let none = Oracle.create ~profiles:[] (frontend stable_src) in
+  Alcotest.check_raises "no binaries" (Invalid_argument "Oracle: no binaries")
+    (fun () -> ignore (Oracle.check_batch none ~inputs:[| "A" |]))
+
 (* --- binary signatures ---
 
    The signature encoding before it became one [Marshal] of a triple:
@@ -819,6 +907,7 @@ let suites =
         QCheck_alcotest.to_alcotest prop_prewarmed_batch_matches_naive;
         tc "check_stored answers all-stored checks" test_check_stored;
         QCheck_alcotest.to_alcotest prop_check_stored_matches_batch;
+        tc "class tasks: jobs 1 = jobs 2 = naive" test_class_tasks;
         tc "signature partition = reference (Juliet)" test_binsig_partition_juliet;
         QCheck_alcotest.to_alcotest prop_binsig_partition_random;
       ] );

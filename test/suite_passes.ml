@@ -305,6 +305,361 @@ let test_promote_mul_pattern () =
   check_bool "widened to a 64-bit multiply" true
     (has f' (function Ibin (Bmul, W64, _, 2, _, _) -> true | _ -> false))
 
+(* --- the whole-table reference passes ---
+
+   Copy propagation, CSE and DCE as they were before their kills read a
+   reverse index and DCE peeled dead definitions in layers: each kill
+   scans its whole table, and DCE reruns both removals to a fixpoint of
+   at most 16 rounds.  The passes in the pipeline must give exactly
+   their output. *)
+
+module Ref_copyprop = struct
+  let run (f : ifunc) : ifunc =
+    let copies : (reg, operand) Hashtbl.t = Hashtbl.create 32 in
+    let reset () = Hashtbl.reset copies in
+    let lookup r = Hashtbl.find_opt copies r in
+    let kill r =
+      Hashtbl.remove copies r;
+      Hashtbl.iter
+        (fun k v -> match v with Reg s when s = r -> Hashtbl.remove copies k | _ -> ())
+        copies
+    in
+    let rewrite ins =
+      let ins = Opt_common.map_operands (Opt_common.subst_operand lookup) ins in
+      (match Ir.def ins with Some r -> kill r | None -> ());
+      (match ins with
+      | Imov (r, src) | Iconst (r, src) ->
+        (match src with
+        | Reg s when s = r -> ()
+        | _ -> Hashtbl.replace copies r src)
+      | _ -> ());
+      [ ins ]
+    in
+    { f with code = Opt_common.rewrite_local ~reset rewrite f.code }
+end
+
+module Ref_cse = struct
+  type key =
+    | Kbin of ibin * width * operand * operand
+    | Kneg of width * operand
+    | Knot of width * operand
+    | Kfbin of fbin * operand * operand
+    | Kcmp of cmp * width * operand * operand
+    | Kfcmp of cmp * operand * operand
+    | Kpcmp of cmp * operand * operand
+    | Kpadd of operand * operand
+    | Kpdiff of operand * operand
+    | Kcast of cast * operand
+    | Klea of sym
+    | Kload of int * operand (* epoch, address *)
+
+  let run ~unsafe (f : ifunc) : ifunc =
+    let table : (key, reg) Hashtbl.t = Hashtbl.create 32 in
+    (* canonical representative for registers proven equal by an earlier CSE
+       hit, so chained redundancies (lea; load; lea'; load') fold in one
+       pass *)
+    let canon : (reg, reg) Hashtbl.t = Hashtbl.create 16 in
+    let epoch = ref 0 in
+    let reset () =
+      Hashtbl.reset table;
+      Hashtbl.reset canon;
+      incr epoch
+    in
+    let mentions r (k : key) =
+      let op = function Reg s -> s = r | ImmI _ | ImmF _ | Nullptr -> false in
+      match k with
+      | Kbin (_, _, a, b) | Kfbin (_, a, b) | Kcmp (_, _, a, b) | Kfcmp (_, a, b)
+      | Kpcmp (_, a, b) | Kpadd (a, b) | Kpdiff (a, b) ->
+        op a || op b
+      | Kneg (_, a) | Knot (_, a) | Kcast (_, a) | Kload (_, a) -> op a
+      | Klea _ -> false
+    in
+    let kill r =
+      let dead = Hashtbl.fold (fun k v acc -> if v = r || mentions r k then k :: acc else acc) table [] in
+      List.iter (Hashtbl.remove table) dead;
+      Hashtbl.remove canon r;
+      let stale =
+        Hashtbl.fold (fun k v acc -> if v = r then k :: acc else acc) canon []
+      in
+      List.iter (Hashtbl.remove canon) stale
+    in
+    let key_of = function
+      | Ibin (op, w, _, _, a, b) -> Some (Kbin (op, w, a, b))
+      | Ineg (w, _, _, a) -> Some (Kneg (w, a))
+      | Inot (w, _, a) -> Some (Knot (w, a))
+      | Ifbin (op, _, a, b) -> Some (Kfbin (op, a, b))
+      | Icmp (c, w, _, a, b) -> Some (Kcmp (c, w, a, b))
+      | Ifcmp (c, _, a, b) -> Some (Kfcmp (c, a, b))
+      | Ipcmp (c, _, a, b) -> Some (Kpcmp (c, a, b))
+      | Ipadd (_, a, b) -> Some (Kpadd (a, b))
+      | Ipdiff (_, a, b) -> Some (Kpdiff (a, b))
+      | Icast (k, _, a) -> Some (Kcast (k, a))
+      | Ilea (_, s) -> Some (Klea s)
+      | Iload (_, p) -> Some (Kload (!epoch, p))
+      | _ -> None
+    in
+    let rewrite ins =
+      (* canonicalize operands through known equivalences first *)
+      let ins =
+        Opt_common.map_operands
+          (fun o ->
+            match o with
+            | Reg s -> (
+              match Hashtbl.find_opt canon s with Some c -> Reg c | None -> o)
+            | _ -> o)
+          ins
+      in
+      (* memory effects: conservative epoch bump *)
+      (match ins with
+      | Istore _ -> if not unsafe then incr epoch
+      | Icall _ | Ibuiltin _ -> incr epoch
+      | _ -> ());
+      match (key_of ins, Ir.def ins) with
+      | Some k, Some r ->
+        (match Hashtbl.find_opt table k with
+        | Some prev when prev <> r ->
+          kill r;
+          Hashtbl.replace canon r prev;
+          [ Imov (r, Reg prev) ]
+        | Some _ ->
+          kill r;
+          [ ins ]
+        | None ->
+          kill r;
+          (* never record a key whose operands mention the destination: the
+             key would describe the pre-assignment value of r *)
+          if not (mentions r k) then Hashtbl.replace table k r;
+          [ ins ])
+      | _, Some r ->
+        kill r;
+        [ ins ]
+      | _, None -> [ ins ]
+    in
+    { f with code = Opt_common.rewrite_local ~reset rewrite f.code }
+end
+
+module Ref_dce = struct
+  (* indices of instructions reachable from the entry *)
+  let reachable (code : instr array) : bool array =
+    let n = Array.length code in
+    let label_pos = Hashtbl.create 16 in
+    Array.iteri
+      (fun i ins -> match ins with Ilabel l -> Hashtbl.replace label_pos l i | _ -> ())
+      code;
+    let seen = Array.make n false in
+    let rec walk i =
+      if i < n && not seen.(i) then begin
+        seen.(i) <- true;
+        match code.(i) with
+        | Ijmp l -> (match Hashtbl.find_opt label_pos l with Some j -> walk j | None -> ())
+        | Ibr (_, t, e) ->
+          (match Hashtbl.find_opt label_pos t with Some j -> walk j | None -> ());
+          (match Hashtbl.find_opt label_pos e with Some j -> walk j | None -> ())
+        | Iret _ | Itrap _ -> ()
+        | _ -> walk (i + 1)
+      end
+    in
+    if n > 0 then walk 0;
+    seen
+
+  let remove_unreachable (f : ifunc) : ifunc * bool =
+    let seen = reachable f.code in
+    let changed = ref false in
+    let out = ref [] in
+    Array.iteri
+      (fun i ins ->
+        if seen.(i) then out := ins :: !out
+        else
+          match ins with
+          | Ilabel _ -> out := ins :: !out (* keep labels: cheap and safe *)
+          | _ -> changed := true)
+      f.code;
+    ({ f with code = Array.of_list (List.rev !out) }, !changed)
+
+  let remove_dead_defs (f : ifunc) : ifunc * bool =
+    let use_count = Hashtbl.create 64 in
+    let bump r = Hashtbl.replace use_count r (1 + Option.value ~default:0 (Hashtbl.find_opt use_count r)) in
+    Array.iter (fun ins -> List.iter bump (Ir.uses ins)) f.code;
+    let changed = ref false in
+    let keep ins =
+      match Ir.def ins with
+      | Some r when Ir.removable_if_dead ins && not (Hashtbl.mem use_count r) ->
+        changed := true;
+        false
+      | _ -> true
+    in
+    let code = Array.of_list (List.filter keep (Array.to_list f.code)) in
+    ({ f with code }, !changed)
+
+  let run (f : ifunc) : ifunc =
+    let rec fixpoint f n =
+      if n = 0 then f
+      else begin
+        let f1, c1 = remove_unreachable f in
+        let f2, c2 = remove_dead_defs f1 in
+        if c1 || c2 then fixpoint f2 (n - 1) else f2
+      end
+    in
+    fixpoint f 16
+end
+
+(* [flags]' pass stack over [f] exactly as {!Pipeline.apply_func_passes}
+   runs it, with each copyprop, CSE and DCE run also as its reference on
+   the same input; a pass whose output differs is added to [bad] *)
+let checked_passes bad (flags : Policy.opt_flags) (f : ifunc) : ifunc =
+  let checked name pass reference f =
+    let out = pass f in
+    if compare out (reference f) <> 0 then bad := (name, f.name) :: !bad;
+    out
+  in
+  let copyprop = checked "copyprop" Opt_copyprop.run Ref_copyprop.run in
+  let cse =
+    let unsafe = flags.Policy.unsafe_copyprop in
+    checked "cse" (Opt_cse.run ~unsafe) (Ref_cse.run ~unsafe)
+  in
+  let dce = checked "dce" Opt_dce.run Ref_dce.run in
+  let ( |>? ) f (cond, pass) = if cond then pass f else f in
+  let f' =
+    f
+    |>? (flags.Policy.constfold, Opt_constfold.run)
+    |>? (flags.Policy.copyprop, copyprop)
+    |>? (flags.Policy.cse, cse)
+    |>? ( flags.Policy.ub_branch_fold || flags.Policy.null_deref_trap,
+          Opt_ubfold.run ~null_trap:flags.Policy.null_deref_trap
+            ~null_fold:flags.Policy.null_check_fold )
+    |>? (flags.Policy.constfold, Opt_constfold.run)
+    |>? (flags.Policy.copyprop, copyprop)
+    |>? (flags.Policy.promote_mul, Opt_peephole.promote_mul)
+    |>? (flags.Policy.strength, Opt_peephole.strength)
+    |>? (flags.Policy.fp_contract, Opt_peephole.fp_contract)
+    |>? (flags.Policy.pow_to_exp2, Opt_peephole.pow_to_exp2)
+    |>? (flags.Policy.dce, dce)
+  in
+  if f' == f then f else Pipeline.strip_lines f'
+
+(* Whether, under every profile, [tp]'s functions optimized as
+   {!Pipeline.optimize} does (first local round, two inline+cleanup
+   rounds) through [checked_passes] met no pass that differed from its
+   reference, and came out as {!Pipeline.optimize}'s: the second shows
+   the walk fed every pass what the pipeline feeds it.  A differing pass
+   is printed. *)
+let passes_match_reference (tp : Minic.Tast.tprogram) : bool =
+  List.for_all
+    (fun (profile : Policy.profile) ->
+      let bad = ref [] in
+      let flags = profile.Policy.flags in
+      let l = Pipeline.lower profile tp in
+      let pass_all fs = List.map (fun (n, f) -> (n, checked_passes bad flags f)) fs in
+      let funcs =
+        if Pipeline.pass_flags flags = Pipeline.pass_flags Policy.no_opt then
+          l.Lower.lfuncs
+        else begin
+          let fs1 = pass_all l.Lower.lfuncs in
+          if flags.Policy.inline_limit > 0 then begin
+            let round fs =
+              let u =
+                Opt_inline.run ~limit:flags.Policy.inline_limit
+                  {
+                    funcs = fs;
+                    globals = l.Lower.lglobals;
+                    runtime = profile.Policy.runtime;
+                    impl_name = profile.Policy.pname;
+                  }
+              in
+              List.map (fun (n, f) -> (n, Pipeline.strip_lines f)) (pass_all u.funcs)
+            in
+            round (round fs1)
+          end
+          else fs1
+        end
+      in
+      let expected = (Pipeline.optimize profile l).funcs in
+      List.iter
+        (fun (pass, fn) ->
+          Printf.printf "%s differs from its reference on %s under %s\n" pass fn
+            profile.Policy.pname)
+        !bad;
+      !bad = [] && compare funcs expected = 0)
+    Profiles.extended_with_buggy
+
+let prop_passes_match_reference =
+  QCheck.Test.make ~name:"copyprop, cse and dce = the reference on effgen programs"
+    ~count:30
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun seed ->
+      passes_match_reference
+        (Minic.frontend_exn (Gen.Effgen.generate ~seed).Gen.Effgen.prog))
+
+(* random functions over five registers and three labels, dense in
+   redefinitions of registers that earlier copies, keys and canon
+   entries name: the kills compiled programs seldom reach *)
+let gen_ir_func =
+  let open QCheck.Gen in
+  let reg = int_bound 4 and label = int_bound 2 in
+  let operand =
+    frequency [ (3, map (fun r -> Reg r) reg); (1, map (fun k -> ImmI (Int64.of_int k)) (int_bound 3)) ]
+  in
+  let instr =
+    frequency
+      [
+        (3, map2 (fun r k -> Iconst (r, ImmI (Int64.of_int k))) reg (int_bound 3));
+        (4, map2 (fun r o -> Imov (r, o)) reg operand);
+        (4, map3 (fun r a b -> Ibin (Badd, W32, Csigned, r, a, b)) reg operand operand);
+        (2, map3 (fun r a b -> Icmp (Clt, W32, r, a, b)) reg operand operand);
+        (1, map2 (fun r a -> Ineg (W32, Csigned, r, a)) reg operand);
+        (2, map2 (fun r k -> Ilea (r, Sslot k)) reg (int_bound 1));
+        (3, map2 (fun r a -> Iload (r, a)) reg operand);
+        (2, map2 (fun a b -> Istore (a, b)) operand operand);
+        (1, map2 (fun r a -> Icall (Some r, "g", [ a ])) reg operand);
+        (1, map (fun a -> Iprint [ Fint a ]) operand);
+        (1, map (fun l -> Ilabel l) label);
+        (1, map (fun l -> Ijmp l) label);
+        (1, map3 (fun a l1 l2 -> Ibr (a, l1, l2)) operand label label);
+        (1, map (fun a -> Iret (Some a)) operand);
+      ]
+  in
+  let* n = int_range 1 40 in
+  let* code = list_repeat n instr in
+  return (mk_func code 5)
+
+let prop_passes_match_reference_ir =
+  QCheck.Test.make ~name:"copyprop, cse and dce = the reference on random IR"
+    ~count:2000
+    (QCheck.make ~print:(fun f -> Format.asprintf "%d instructions" (Array.length f.code))
+       gen_ir_func)
+    (fun f ->
+      compare (Opt_copyprop.run f) (Ref_copyprop.run f) = 0
+      && compare (Opt_cse.run ~unsafe:false f) (Ref_cse.run ~unsafe:false f) = 0
+      && compare (Opt_cse.run ~unsafe:true f) (Ref_cse.run ~unsafe:true f) = 0
+      && compare (Opt_dce.run f) (Ref_dce.run f) = 0)
+
+(* a dead chain r1 <- r0, r2 <- r1, ..., r17 <- r16 is one layer per
+   link: sixteen are peeled, and the first link stays *)
+let test_dce_layer_cap () =
+  let chain =
+    List.init 17 (fun i -> Ibin (Badd, W32, Csigned, i + 1, Reg i, ImmI 1L))
+  in
+  let f = mk_func (chain @ [ Iret None ]) 18 in
+  let f' = Opt_dce.run f in
+  check_bool "= the reference" true (compare f' (Ref_dce.run f) = 0);
+  check_int "one link left" 1 (count f' (function Ibin _ -> true | _ -> false))
+
+let test_passes_match_reference_juliet () =
+  List.iter
+    (fun (t : Juliet.Testcase.t) ->
+      check_bool (t.Juliet.Testcase.name ^ " bad") true
+        (passes_match_reference (Juliet.Testcase.frontend_bad t));
+      check_bool (t.Juliet.Testcase.name ^ " good") true
+        (passes_match_reference (Juliet.Testcase.frontend_good t)))
+    (Juliet.Suite.quick ())
+
+let test_passes_match_reference_targets () =
+  List.iter
+    (fun (p : Projects.Project.t) ->
+      check_bool p.Projects.Project.pname true
+        (passes_match_reference (Projects.Project.frontend p)))
+    Projects.Registry.all
+
 (* --- whole-pipeline agreement property --- *)
 
 (* random "parser-like" programs: loops over input with guarded array
@@ -405,4 +760,12 @@ let suites =
       ] );
     ( "passes.agreement",
       [ QCheck_alcotest.to_alcotest prop_parsers_agree ] );
+    ( "passes.reference",
+      [
+        QCheck_alcotest.to_alcotest prop_passes_match_reference;
+        QCheck_alcotest.to_alcotest prop_passes_match_reference_ir;
+        tc "sixteen dead layers" test_dce_layer_cap;
+        tc "Juliet quick" test_passes_match_reference_juliet;
+        tc "the 23 targets" test_passes_match_reference_targets;
+      ] );
   ]

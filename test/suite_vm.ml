@@ -170,6 +170,14 @@ let test_segfault_signature_ignores_address () =
   check_bool "exit codes compare" false
     (Trap.equal_status (Trap.Exit 0) (Trap.Exit 1))
 
+(* the exit signatures come from a table: the same bytes as rendering
+   them, so checksums and partitions do not move *)
+let test_exit_signature_table () =
+  for c = 0 to 255 do
+    Alcotest.(check string) "exit signature" (Printf.sprintf "exit(%d)" c)
+      (Trap.signature (Trap.Exit c))
+  done
+
 (* --- coverage --- *)
 
 let test_coverage_buckets () =
@@ -954,7 +962,11 @@ let suites =
         tc "object resolution" test_object_at_resolution;
         tc "wild pointers" test_wild_pointer_roundtrip;
       ] );
-    ("vm.trap", [ tc "signatures" test_segfault_signature_ignores_address ]);
+    ( "vm.trap",
+      [
+        tc "signatures" test_segfault_signature_ignores_address;
+        tc "exit signatures" test_exit_signature_table;
+      ] );
     ( "vm.coverage",
       [
         tc "buckets" test_coverage_buckets;
