@@ -1,8 +1,8 @@
 (* Benchmark harness entry point: regenerates every table and figure of
-   the paper's evaluation section, plus the Section 5 overhead numbers,
-   the sections that write a BENCH_<section>.json record (oracle vm
-   trace engine serve metacheck gen; see record.ml) and the
-   design-choice ablations from DESIGN.md.
+   the paper's evaluation section, the sections that write a
+   BENCH_<section>.json record (overhead oracle vm trace engine serve
+   metacheck gen; see record.ml) and the design-choice ablations from
+   DESIGN.md.
 
    Usage:  dune exec bench/main.exe [--jobs N] [section...]
    Sections: table2 table3 figure1 table4 table5 table6 figure2 overhead

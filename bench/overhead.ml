@@ -1,65 +1,23 @@
-(* Section 5 "Overhead": differential execution with k implementations
-   costs ~k x a plain execution; a well-chosen pair retains most of the
-   detection at ~2x. Measured two ways: a wall-clock fuzzing-throughput
-   comparison, and Bechamel micro-benchmarks of the building blocks. *)
+(* Section 5 "Overhead" (emits BENCH_overhead.json): differential
+   execution with k implementations costs about k times a plain
+   execution, and a well-chosen pair keeps most of the detection at
+   about 2x.  Two sets of rows, each timed by one {!Record.alternate}:
 
-open Bechamel
-open Toolkit
+   - campaigns: a readelf campaign (1,500 execs on B_fuzz, fuel 60k,
+     reduction on save) at k = 0 (plain AFL++, no differential
+     binaries), k = 2 ({gccx-O0, clangx-O3}) and k = 10 (every
+     implementation), in B_fuzz execs/s, with the k = 2 and k = 10
+     slowdowns over k = 0;
+   - building blocks, in ops/s: murmur3 over 1 KiB, a gccx-O0 and a
+     clangx-O3 compile, one linked VM execution and an oracle check at
+     k = 2 and k = 10, all on the Listing 1 program, with the k10/k2
+     check and O3/O0 compile cost ratios.
 
-let sample_project () = Option.get (Projects.Registry.by_name "readelf")
-
-let wallclock () =
-  let p = sample_project () in
-  let tp = Projects.Project.frontend p in
-  let time_campaign profiles =
-    let config =
-      {
-        Fuzz.Compdiff_afl.default_config with
-        Fuzz.Compdiff_afl.seeds = p.Projects.Project.seeds;
-        max_execs = 1_500;
-        fuel = 60_000;
-        profiles;
-      }
-    in
-    let dt, c = Record.time ~trials:1 (fun () -> Fuzz.Compdiff_afl.run ~config tp) in
-    let dt = List.hd dt in
-    (dt, float_of_int c.Fuzz.Compdiff_afl.fuzz.Fuzz.Fuzzer.execs /. dt)
-  in
-  (* k = 0: plain AFL++ (no differential binaries at all) *)
-  let t_plain =
-    let config =
-      {
-        Fuzz.Fuzzer.default_config with
-        Fuzz.Fuzzer.seeds = p.Projects.Project.seeds;
-        max_execs = 1_500;
-        fuel = 60_000;
-      }
-    in
-    let u = Cdcompiler.Pipeline.compile Cdcompiler.Profiles.fuzz_profile tp in
-    let dt, c = Record.time ~trials:1 (fun () -> Fuzz.Fuzzer.run ~config u) in
-    let dt = List.hd dt in
-    (dt, float_of_int c.Fuzz.Fuzzer.execs /. dt)
-  in
-  let pair =
-    [ Cdcompiler.Profiles.gccx "O0"; Cdcompiler.Profiles.clangx "O3" ]
-  in
-  let t_pair = time_campaign pair in
-  let t_full = time_campaign Cdcompiler.Profiles.all in
-  let row name (dt, eps) base =
-    [ name; Printf.sprintf "%.2fs" dt; Printf.sprintf "%.0f" eps;
-      Printf.sprintf "%.1fx" (base /. eps) ]
-  in
-  let _, base_eps = t_plain in
-  Cdutil.Tablefmt.print
-    ~title:"Overhead (Section 5): fuzzing throughput vs differential set size"
-    ~header:[ "configuration"; "time"; "execs/s"; "slowdown" ]
-    [
-      row "plain AFL++ (k=0)" t_plain base_eps;
-      row "CompDiff {gccx-O0, clangx-O3} (k=2)" t_pair base_eps;
-      row "CompDiff all implementations (k=10)" t_full base_eps;
-    ]
-
-(* --- Bechamel micro-benchmarks --- *)
+   A CompDiff campaign runs without an engine session, as [compdiff
+   fuzz] does by default: it compiles its binaries and executes every
+   input.  The k = 0 campaign's B_fuzz is compiled once, outside the
+   timer.  A thunk returns a summary every trial must repeat (execs and
+   unique divergence signatures); the campaign record holds closures. *)
 
 let listing1_tp =
   lazy
@@ -75,65 +33,98 @@ let listing1_tp =
     | Ok tp -> tp
     | Error e -> failwith e)
 
-let bench_tests () =
-  let tp = Lazy.force listing1_tp in
-  let unit_O0 = Cdcompiler.Pipeline.compile (Cdcompiler.Profiles.gccx "O0") tp in
-  let oracle2 =
-    Compdiff.Oracle.create
-      ~profiles:[ Cdcompiler.Profiles.gccx "O0"; Cdcompiler.Profiles.clangx "O3" ]
-      ~fuel:50_000 tp
-  in
-  let oracle10 = Compdiff.Oracle.create ~fuel:50_000 tp in
-  [
-    Test.make ~name:"murmur3 (1KiB)"
-      (Staged.stage
-         (let s = String.make 1024 'x' in
-          fun () -> ignore (Cdutil.Murmur3.hash32 s)));
-    Test.make ~name:"frontend+compile gccx-O0"
-      (Staged.stage (fun () ->
-           ignore (Cdcompiler.Pipeline.compile (Cdcompiler.Profiles.gccx "O0") tp)));
-    Test.make ~name:"frontend+compile clangx-O3"
-      (Staged.stage (fun () ->
-           ignore (Cdcompiler.Pipeline.compile (Cdcompiler.Profiles.clangx "O3") tp)));
-    Test.make ~name:"vm exec (one binary)"
-      (Staged.stage (fun () ->
-           ignore
-             (Cdvm.Exec.run
-                ~config:{ Cdvm.Exec.default_config with Cdvm.Exec.input = "A" }
-                unit_O0)));
-    Test.make ~name:"oracle check k=2"
-      (Staged.stage (fun () -> ignore (Compdiff.Oracle.check oracle2 ~input:"A")));
-    Test.make ~name:"oracle check k=10"
-      (Staged.stage (fun () -> ignore (Compdiff.Oracle.check oracle10 ~input:"A")));
-  ]
+let pair = [ Cdcompiler.Profiles.gccx "O0"; Cdcompiler.Profiles.clangx "O3" ]
 
-let microbench () =
-  print_endline "Bechamel micro-benchmarks (monotonic clock):";
-  print_endline "============================================";
-  let instances = [ Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:(Some 100) ()
+(* The three campaigns, [rounds] of each per trial: a trial of the k = 0
+   one lasts at least 0.5 s on a 2-vCPU VM *)
+let campaigns r =
+  let p = Option.get (Projects.Registry.by_name "readelf") in
+  let tp = Projects.Project.frontend p in
+  let seeds = p.Projects.Project.seeds and max_execs = 1_500 and fuel = 60_000 in
+  let plain =
+    let config =
+      { Fuzz.Fuzzer.default_config with Fuzz.Fuzzer.seeds; max_execs; fuel }
+    in
+    let u = Cdcompiler.Pipeline.compile Cdcompiler.Profiles.fuzz_profile tp in
+    fun () -> ((Fuzz.Fuzzer.run ~config u).Fuzz.Fuzzer.execs, 0)
   in
-  let grouped =
-    Test.make_grouped ~name:"compdiff" ~fmt:"%s %s" (bench_tests ())
+  let compdiff profiles () =
+    let config =
+      { Fuzz.Compdiff_afl.default_config with
+        Fuzz.Compdiff_afl.seeds; max_execs; fuel; profiles }
+    in
+    let c = Fuzz.Compdiff_afl.run ~config tp in
+    (c.Fuzz.Compdiff_afl.fuzz.Fuzz.Fuzzer.execs,
+     Compdiff.Triage.unique_count c.Fuzz.Compdiff_afl.diffs)
   in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results =
-    List.map (fun i -> Analyze.all ols i raw) instances
+  let configs =
+    [ ("k0", plain); ("k2", compdiff pair); ("k10", compdiff Cdcompiler.Profiles.all) ]
   in
-  let merged = Analyze.merge ols instances results in
-  Hashtbl.iter
-    (fun measure tbl ->
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Printf.printf "  %-40s %14.1f ns/run (%s)\n" name est measure
-          | _ -> ())
-        tbl)
-    merged;
-  print_newline ()
+  let rounds = 60 in
+  let timed = Record.alternate ~trials:5 ~rounds (List.map snd configs) in
+  List.iter2
+    (fun (name, _) (secs, (execs, unique)) ->
+      Record.rate r name "execs/s" (rounds * execs) secs;
+      (* plain AFL++ has no differential check to diverge *)
+      if name <> "k0" then Record.count r (name ^ ".unique") unique)
+    configs timed;
+  Record.ratio r "slowdown.k2" "k0" "k2";
+  Record.ratio r "slowdown.k10" "k0" "k10";
+  (* the form of the claim noise cannot flip: more implementations cost
+     more per input *)
+  Record.ratio r "slowdown.k10_over_k2" "k2" "k10";
+  Record.at_least r "slowdown.k10_over_k2" 1.
+
+(* Each block runs [n] times per call, so that a call lasts about 20 ms
+   on a 2-vCPU VM, and [rounds] calls per trial *)
+let blocks r =
+  let tp = Lazy.force listing1_tp in
+  let o0 = Cdcompiler.Profiles.gccx "O0" and o3 = Cdcompiler.Profiles.clangx "O3" in
+  let image = Cdvm.Image.link (Cdcompiler.Pipeline.compile o0 tp) in
+  let oracle2 = Compdiff.Oracle.create ~profiles:pair ~fuel:50_000 tp in
+  let oracle10 = Compdiff.Oracle.create ~fuel:50_000 tp in
+  let kib = String.make 1024 'x' in
+  let config = { Cdvm.Exec.default_config with Cdvm.Exec.input = "A" } in
+  let blocks =
+    [ ("murmur3_1kib", 10_000, fun () -> Hashtbl.hash (Cdutil.Murmur3.hash32 kib));
+      ("compile.gccx_O0", 5_000,
+       fun () -> Hashtbl.hash (Cdcompiler.Pipeline.compile o0 tp));
+      ("compile.clangx_O3", 160,
+       fun () -> Hashtbl.hash (Cdcompiler.Pipeline.compile o3 tp));
+      ("exec", 15_000, fun () -> Hashtbl.hash (Cdvm.Exec.run_linked ~config image));
+      ("check.k2", 5_000,
+       fun () -> Hashtbl.hash (Compdiff.Oracle.check oracle2 ~input:"A"));
+      ("check.k10", 1_500,
+       fun () -> Hashtbl.hash (Compdiff.Oracle.check oracle10 ~input:"A")) ]
+  in
+  (* [n] calls of [f], the last one's hash *)
+  let repeat n f () =
+    let h = ref (f ()) in
+    for _ = 2 to n do h := f () done;
+    !h
+  in
+  let rounds = 2 in
+  let timed =
+    Record.alternate ~trials:5 ~rounds
+      (List.map (fun (_, n, f) -> repeat n f) blocks)
+  in
+  List.iter2
+    (fun (name, n, _) (secs, _) -> Record.rate r name "ops/s" (rounds * n) secs)
+    blocks timed;
+  Record.ratio r "check.k10_over_k2" "check.k2" "check.k10";
+  Record.ratio r "compile.O3_over_O0" "compile.gccx_O0" "compile.clangx_O3"
+
+let run () =
+  let r =
+    Record.create ~bench:"overhead"
+      ~about:
+        "execs/s = B_fuzz executions per second of a readelf campaign at k \
+         implementations; ops/s = building blocks per second; x = cost \
+         ratios"
+  in
+  campaigns r;
+  blocks r;
+  Record.emit r
 
 (* --- parallel-oracle benchmark (emits BENCH_oracle.json) ---
 
@@ -189,16 +180,16 @@ let oracle_bench () =
   let nchecks =
     List.fold_left (fun a (_, inputs) -> a + List.length inputs) 0 workload
   in
-  (* one oracle pair per program: a sequential dedup-free baseline and
-     the deduped pooled one; compilation happens outside the timers *)
-  let oracles ~jobs ~dedup =
+  (* one oracle pair per program: a sequential one, checked by the
+     dedup-free reference, and the pooled one; compilation happens
+     outside the timers *)
+  let oracles ~jobs =
     List.map
-      (fun (tp, inputs) ->
-        (Compdiff.Oracle.create ~fuel ~max_fuel ~jobs ~dedup tp, inputs))
+      (fun (tp, inputs) -> (Compdiff.Oracle.create ~fuel ~max_fuel ~jobs tp, inputs))
       workload
   in
-  let seq_oracles = oracles ~jobs:1 ~dedup:false in
-  let par_oracles = oracles ~jobs:par_jobs ~dedup:true in
+  let seq_oracles = oracles ~jobs:1 in
+  let par_oracles = oracles ~jobs:par_jobs in
   let reps = 3 in
   let seq_time, seq_verdicts =
     Record.time ~trials:1
@@ -262,7 +253,3 @@ let oracle_bench () =
   Record.holds r "verdicts_match" verdicts_match;
   Record.emit r;
   if not verdicts_match then failwith "oracle bench: verdict mismatch"
-
-let run () =
-  wallclock ();
-  microbench ()

@@ -56,7 +56,9 @@ let evaluate_full_suite =
         "[juliet] done in %.1fs (cached oracle cross-validated against \
          the naive session-free oracle on all tests)\n%!"
         (Unix.gettimeofday () -. t0);
-      print_string (Engine.Session.stats_to_string (Engine.Session.stats session));
+      print_endline
+        (Cdutil.Json.to_string
+           (Engine.Session.stats_json (Engine.Session.stats session)));
       cache := Some evals;
       evals
 

@@ -151,7 +151,7 @@ let run () =
   let oracles =
     List.map
       (fun (tp, inputs) ->
-        (Compdiff.Oracle.create ~fuel ~jobs:1 ~dedup:true tp, inputs))
+        (Compdiff.Oracle.create ~fuel ~jobs:1 tp, inputs))
       (workload ())
   in
   let oreps = 8 in

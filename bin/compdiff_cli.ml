@@ -123,7 +123,6 @@ type common = {
   co_profiles : Cdcompiler.Policy.profile list;
   co_session : Engine.Session.t;
   co_stats : bool;
-  co_stats_json : bool;       (* machine-readable stats (implies co_stats) *)
 }
 
 let common_term =
@@ -177,17 +176,12 @@ let common_term =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Print oracle and engine-session cache statistics at the end.")
-  in
-  let stats_json =
-    Arg.(
-      value & flag
-      & info [ "stats-json" ]
           ~doc:
-            "Print the end-of-run statistics as one JSON object on one \
-             line instead of text; implies $(b,--stats).")
+            "Print the end-of-run statistics (oracle, engine session, \
+             localization and the command's own counters) as one JSON \
+             object on the output's last line.")
   in
-  let mk fuel jobs profiles cache_mb disk_cache stats stats_json =
+  let mk fuel jobs profiles cache_mb disk_cache co_stats =
     apply_jobs jobs;
     let co_profiles =
       match profiles with
@@ -200,45 +194,25 @@ let common_term =
       co_fuel = fuel;
       co_profiles;
       co_session = Engine.Session.create ~cache_mb ?disk_dir:disk_cache ();
-      co_stats = stats || stats_json;
-      co_stats_json = stats_json;
+      co_stats;
     }
   in
-  Term.(
-    const mk $ fuel $ jobs $ profiles $ cache_mb $ disk_cache $ stats
-    $ stats_json)
-
-(* One counter set of the end-of-run statistics: its member name in the
-   --stats-json object, and both renderings. *)
-type stat = { key : string; json : Cdutil.Json.t; text : string }
+  Term.(const mk $ fuel $ jobs $ profiles $ cache_mb $ disk_cache $ stats)
 
 let oracle_stat (s : Compdiff.Oracle.stats) =
-  let text =
-    Printf.sprintf
-      "oracle: %d checks, %d observations requested, %d saved by dedup, %d \
-       saved by incremental escalation\n"
-      s.checks s.vm_execs s.dedup_saved s.escalation_saved
-  in
-  { key = "oracle"; json = Compdiff.Oracle.stats_json s; text }
+  ("oracle", Compdiff.Oracle.stats_json s)
 
-(* The end-of-run statistics, when --stats or --stats-json asked for
-   them: the command's own counter sets [own], then the session's and
-   localization's.  --stats-json prints them as one JSON object on one
-   line, --stats as text. *)
+(* The end-of-run statistics, when --stats asked for them: the command's
+   own counter sets [own] (member name, counters), then the session's
+   and localization's, as one JSON object on one line. *)
 let print_stats ?(own = []) (c : common) =
-  if c.co_stats then begin
+  if c.co_stats then
     let s = Engine.Session.stats c.co_session in
-    let stats =
-      own
-      @ [ { key = "session"; json = Engine.Session.stats_json s;
-            text = Engine.Session.stats_to_string s };
-          { key = "localize"; json = Compdiff.Localize.stats_json ();
-            text = Compdiff.Localize.stats_to_string () } ]
-    in
-    if c.co_stats_json then
-      print_json (Obj (List.map (fun s -> (s.key, s.json)) stats))
-    else List.iter (fun s -> print_string s.text) stats
-  end
+    print_json
+      (Obj
+         (own
+         @ [ ("session", Engine.Session.stats_json s);
+             ("localize", Compdiff.Localize.stats_json ()) ]))
 
 (* --- compile --- *)
 
@@ -898,18 +872,10 @@ let reduce_cmd =
         Compdiff.Reduce.summarize
           (List.map (fun (_, r) -> r.Compdiff.Reduce.red_stats) reduced)
       in
-      let text =
-        Printf.sprintf
-          "reduce stats: %d divergences, median input reduction %.0f%%, total \
-           %d -> %d bytes, %d oracle checks\n"
-          s.Compdiff.Reduce.sm_divergences (100. *. s.sm_median_ratio)
-          s.sm_raw_bytes s.sm_reduced_bytes s.sm_checks
-      in
-      let reduce_stat =
-        { key = "reduce"; json = Compdiff.Reduce.summary_json s; text }
-      in
       print_stats
-        ~own:[ reduce_stat; oracle_stat (Compdiff.Oracle.stats oracle) ]
+        ~own:
+          [ ("reduce", Compdiff.Reduce.summary_json s);
+            oracle_stat (Compdiff.Oracle.stats oracle) ]
         c;
       1
     end
@@ -1547,17 +1513,7 @@ let serve_cmd =
     let srv = Serve.Server.create cfg in
     Serve.Server.serve srv;
     let sched = Serve.Server.sched srv in
-    if c.co_stats_json then print_json (Serve.Scheduler.stats_json sched)
-    else if c.co_stats then begin
-      let sc = Serve.Scheduler.sched_stats sched in
-      print_string (oracle_stat (Serve.Scheduler.oracle_stats sched)).text;
-      Printf.printf
-        "scheduler: %d requests, %d flights, %d joined, %d answered inline, \
-         %d shed\n"
-        sc.Serve.Proto.sr_requests sc.sr_flights sc.sr_joined sc.sr_inline
-        sc.sr_shed;
-      print_stats c
-    end;
+    if c.co_stats then print_json (Serve.Scheduler.stats_json sched);
     0
   in
   Cmd.v

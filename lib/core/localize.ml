@@ -31,7 +31,7 @@
    diverging instruction at the granularity the trace store can see. *)
 
 (* running counters over both recording levels, surfaced via
-   {!stats_json} (the "localize" member of the --stats-json object) *)
+   {!stats_json} (the "localize" member of the --stats object) *)
 let stat_shallow = Atomic.make 0
 let stat_deep = Atomic.make 0
 let stat_probes = Atomic.make 0
@@ -41,12 +41,6 @@ let stats_json () : Cdutil.Json.t =
     [ ("shallow", Int (Atomic.get stat_shallow));
       ("deep", Int (Atomic.get stat_deep));
       ("bisection_probes", Int (Atomic.get stat_probes)) ]
-
-let stats_to_string () : string =
-  Printf.sprintf
-    "localize: %d event-level, %d instruction-level localizations, %d \
-     bisection probes\n"
-    (Atomic.get stat_shallow) (Atomic.get stat_deep) (Atomic.get stat_probes)
 
 type probe = {
   pr_step : int;               (* step index in that binary's trace *)
@@ -287,7 +281,8 @@ let diverging_fn (l : t) : string option =
   | None, None -> None
 
 (* Record one implementation's run of [input] at [level]: linked through
-   the session's image cache, executed on its traced-run path.  [limit]
+   the session's image cache and run on the image itself, as an observed
+   run is more than a function of (image, input, fuel).  [limit]
    caps a [Steps] recording.  [u] is [profile]'s compile of [tp].  A
    [Steps] trace maps pcs to source lines, so it reads [u]'s line tables
    rebuilt against a fresh lowering ({!Cdcompiler.Pipeline.with_lines}):
@@ -306,7 +301,10 @@ let record (session : Engine.Session.t) ~(level : Cdtrace.level) ~(fuel : int)
     Cdtrace.recorder ~level ?limit ?lines (Engine.Session.image l)
       ~impl:profile.Cdcompiler.Policy.pname ~input ~fuel
   in
-  finish (Engine.Session.run_traced session l ~observer ~input ~fuel)
+  finish
+    (Cdvm.Exec.run_linked
+       ~config:{ Cdvm.Exec.default_config with Cdvm.Exec.input; fuel; observer }
+       (Engine.Session.image l))
 
 (* Pick the divergent pair of an oracle divergence, record both sides at
    [level] (through the shared pool) and localize between them.  Traces

@@ -84,8 +84,3 @@ let strip_lines_containing (marker : string) : filter =
   String.split_on_char '\n' s
   |> List.filter (fun line -> not (contains line))
   |> String.concat "\n"
-
-(* Keep only the first [n] characters: a cheap way to compare prefixes of
-   runaway outputs. *)
-let truncate_to (n : int) : filter =
- fun s -> if String.length s <= n then s else String.sub s 0 n

@@ -23,6 +23,3 @@ val strip_hex_addresses : filter
 
 val strip_lines_containing : string -> filter
 (** Drop whole lines containing the marker. *)
-
-val truncate_to : int -> filter
-(** Keep only the first [n] characters. *)

@@ -96,7 +96,6 @@ type t = {
   max_fuel : int;
   compare_status : bool;    (* ablation knob: include exit/trap status *)
   jobs : int;
-  dedup : bool;
   nbinaries : int;
   class_of : int array;        (* binary index -> class index *)
   class_repr : Ir.unit_ array; (* class index -> representative binary *)
@@ -109,36 +108,26 @@ type t = {
 
 (* Partition the binaries into behavioral equivalence classes by their
    canonical signature (exact string equality: no hash-collision risk). *)
-let build_classes session ~dedup (binaries : (string * Ir.unit_) list) =
-  let n = List.length binaries in
-  let class_of = Array.make n 0 in
-  if not dedup then begin
-    let repr = Array.of_list (List.map snd binaries) in
-    Array.iteri (fun i _ -> class_of.(i) <- i) repr;
-    (class_of, repr, Array.make n 1)
-  end
-  else begin
-    let table : (string, int) Hashtbl.t = Hashtbl.create 16 in
-    let reprs = ref [] and nclasses = ref 0 in
-    List.iteri
-      (fun i (_, u) ->
-        let key =
-          Binsig.signature ?memo:(Engine.Session.facts_memo session u) u
-        in
-        match Hashtbl.find_opt table key with
-        | Some ci -> class_of.(i) <- ci
-        | None ->
-            let ci = !nclasses in
-            incr nclasses;
-            Hashtbl.add table key ci;
-            reprs := u :: !reprs;
-            class_of.(i) <- ci)
-      binaries;
-    let repr = Array.of_list (List.rev !reprs) in
-    let size = Array.make (max 1 !nclasses) 0 in
-    Array.iter (fun ci -> size.(ci) <- size.(ci) + 1) class_of;
-    (class_of, repr, size)
-  end
+let build_classes session (binaries : (string * Ir.unit_) list) =
+  let class_of = Array.make (List.length binaries) 0 in
+  let table : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let reprs = ref [] and nclasses = ref 0 in
+  List.iteri
+    (fun i (_, u) ->
+      let key = Binsig.signature ?memo:(Engine.Session.facts_memo session u) u in
+      match Hashtbl.find_opt table key with
+      | Some ci -> class_of.(i) <- ci
+      | None ->
+          let ci = !nclasses in
+          incr nclasses;
+          Hashtbl.add table key ci;
+          reprs := u :: !reprs;
+          class_of.(i) <- ci)
+    binaries;
+  let repr = Array.of_list (List.rev !reprs) in
+  let size = Array.make (max 1 !nclasses) 0 in
+  Array.iter (fun ci -> size.(ci) <- size.(ci) + 1) class_of;
+  (class_of, repr, size)
 
 (* oracles created without an explicit session still route linking and
    execution through the engine, just without caching *)
@@ -146,11 +135,11 @@ let private_session () = Engine.Session.create ~cache_mb:0 ()
 
 let create ?session ?(profiles = Profiles.all) ?(normalize = Normalize.identity)
     ?(fuel = 200_000) ?(max_fuel = 3_200_000) ?(compare_status = true)
-    ?(jobs = Cdutil.Pool.default_jobs ()) ?(dedup = true)
+    ?(jobs = Cdutil.Pool.default_jobs ())
     ?(counters = counters ()) (tp : Minic.Tast.tprogram) : t =
   let session = match session with Some s -> s | None -> private_session () in
   let binaries = Engine.Session.compile_profiles ~jobs session profiles tp in
-  let class_of, class_repr, class_size = build_classes session ~dedup binaries in
+  let class_of, class_repr, class_size = build_classes session binaries in
   (* link each class representative once through the session; every
      execution of the class runs the image (the reference interpreter
      stays on [observe_naive]) *)
@@ -165,7 +154,6 @@ let create ?session ?(profiles = Profiles.all) ?(normalize = Normalize.identity)
     max_fuel;
     compare_status;
     jobs;
-    dedup;
     nbinaries = List.length binaries;
     class_of;
     class_repr;
@@ -192,8 +180,7 @@ let with_program t ?names (tp : Minic.Tast.tprogram) : t =
           names
   in
   create ~session:t.session ~profiles ~normalize:t.normalize ~fuel:t.base_fuel
-    ~max_fuel:t.max_fuel ~compare_status:t.compare_status ~jobs:t.jobs
-    ~dedup:t.dedup tp
+    ~max_fuel:t.max_fuel ~compare_status:t.compare_status ~jobs:t.jobs tp
 
 let names t = List.map fst t.binaries
 let binaries t = t.binaries
@@ -202,7 +189,6 @@ let program t = t.program
 let session t = t.session
 let jobs t = t.jobs
 let base_fuel t = t.base_fuel
-let fuel_limit t = t.max_fuel
 let normalize t = t.normalize
 
 (* The budget needed to replay a set of observations faithfully: a

@@ -70,7 +70,6 @@ val create :
   ?max_fuel:int ->
   ?compare_status:bool ->
   ?jobs:int ->
-  ?dedup:bool ->
   ?counters:counters ->
   Minic.Tast.tprogram ->
   t
@@ -85,16 +84,15 @@ val create :
     partial timeout. [compare_status:false] restricts the oracle to
     stdout only (the ablation of DESIGN.md). [jobs] (default
     {!Cdutil.Pool.default_jobs}) enables pooled compilation and
-    execution when [> 1]; [dedup:false] disables equivalence-class
-    grouping.  The oracle counts into [counters] (default: a fresh set);
-    oracles given one set count into it together, so its {!counted}
-    outlives any one of them. *)
+    execution when [> 1].  The oracle counts into [counters] (default: a
+    fresh set); oracles given one set count into it together, so its
+    {!counted} outlives any one of them. *)
 
 val with_program : t -> ?names:string list -> Minic.Tast.tprogram -> t
 (** [with_program t tp] is {!create} of [tp] with [t]'s session,
-    normalize, base fuel, fuel cap, [compare_status], jobs and dedup,
-    over [t]'s profiles or, given [names], over those of them, in the
-    order named.  Compiles go through the session, so units shared with
+    normalize, base fuel, fuel cap, [compare_status] and jobs, over
+    [t]'s profiles or, given [names], over those of them, in the order
+    named.  Compiles go through the session, so units shared with
     earlier oracles come from its cache.  Raises [Invalid_argument] on a
     name that is not one of [t]'s profiles. *)
 
@@ -123,9 +121,6 @@ val jobs : t -> int
 val base_fuel : t -> int
 (** The base execution budget this oracle was created with. *)
 
-val fuel_limit : t -> int
-(** The escalation cap ([max_fuel] of {!create}). *)
-
 val normalize : t -> Normalize.filter
 
 val verdict_fuel : t -> (string * observation) list -> int
@@ -138,8 +133,7 @@ val verdict_fuel : t -> (string * observation) list -> int
     spurious hang. *)
 
 val class_count : t -> int
-(** Number of behavioral equivalence classes among the binaries
-    (equals the binary count when [~dedup:false]). *)
+(** Number of behavioral equivalence classes among the binaries. *)
 
 val classes : t -> int array
 (** Class index per binary, in implementation order. *)
@@ -159,7 +153,7 @@ val sum_stats : stats list -> stats
 
 val stats_json : stats -> Cdutil.Json.t
 (** The execution counters as one JSON object: the ["oracle"] member of
-    the [--stats-json] object and of the serve daemon's stats. *)
+    the [--stats] object and of the serve daemon's stats. *)
 
 val checksum : t -> observation -> int32
 (** The MurmurHash3 checksum CompDiff compares (paper §3.2, "Output

@@ -77,7 +77,7 @@ type summary = {
 val summarize : stats list -> summary
 
 val summary_json : summary -> Cdutil.Json.t
-(** The ["reduce"] member of the [--stats-json] object. *)
+(** The ["reduce"] member of the [--stats] object. *)
 
 val count_stmts : Minic.Ast.program -> int
 (** Statements in pre-order, nested blocks included (the program-size

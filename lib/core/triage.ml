@@ -71,15 +71,6 @@ let attach_reduced t ~(input : string) (r : reduced) : unit =
 let reduced_count t =
   List.length (List.filter (fun e -> e.reduced <> None) t.entries)
 
-(* total (raw, reduced) input bytes over the entries that were reduced *)
-let reduction_bytes t : int * int =
-  List.fold_left
-    (fun (raw, red) e ->
-      match e.reduced with
-      | Some r -> (raw + String.length e.input, red + String.length r.red_input)
-      | None -> (raw, red))
-    (0, 0) t.entries
-
 (* one representative entry per signature *)
 let representatives t : diff_entry list =
   let seen = Hashtbl.create 16 in
@@ -216,9 +207,6 @@ let report_buckets t (oracle : Oracle.t) ?program () :
     (fun (k, es) ->
       (k, List.stable_sort (fun a b -> compare (size a) (size b)) (List.rev es)))
     !buckets
-
-let report_representatives t oracle ?program () : diff_entry list =
-  List.map (fun (_, es) -> List.hd es) (report_buckets t oracle ?program ())
 
 let root_cause_to_string (rc : root_cause) : string =
   let f = rc.rc_finding in

@@ -48,10 +48,6 @@ val attach_reduced : t -> input:string -> reduced -> unit
 
 val reduced_count : t -> int
 
-val reduction_bytes : t -> int * int
-(** Total (raw, reduced) input bytes over the reduced entries — the
-    campaign-level reduction ratio is [1 - reduced/raw]. *)
-
 (** {2 Report-level dedup}
 
     The partition signature is the cheap online dedup; reports group
@@ -70,11 +66,6 @@ val report_buckets :
   (report_key * diff_entry list) list
 (** One bucket per key over {!representatives}, first-seen order;
     inside a bucket the smallest reproducer leads. *)
-
-val report_representatives :
-  t -> Oracle.t -> ?program:Minic.Ast.program -> unit -> diff_entry list
-(** The lead entry of every {!report_buckets} bucket: what a human
-    should actually read. *)
 
 val entry_deep : Oracle.t -> ?limit:int -> diff_entry -> Localize.t option
 (** Instruction-level localization of one entry

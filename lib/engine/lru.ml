@@ -222,12 +222,3 @@ let reset_stats t =
   Atomic.set t.hits 0;
   Atomic.set t.misses 0;
   Atomic.set t.evictions 0
-
-let clear t =
-  Array.iter
-    (fun s ->
-      locked s (fun () ->
-          Buckets.reset s.table;
-          s.bytes <- 0;
-          s.entries <- 0))
-    t.stripes

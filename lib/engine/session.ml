@@ -303,8 +303,6 @@ let source_of (tp : Minic.Tast.tprogram) : source =
     sources;
   }
 
-let prog_key (tp : Minic.Tast.tprogram) : key = (source_of tp).pkey
-
 (* the smallest weight of a stored observation (see [obs_weight]) *)
 let obs_overhead_bytes = 64
 
@@ -759,17 +757,6 @@ let probe t (l : linked) ~(inputs : string array) ~(fuel : int) :
 
 let count_hits t n = Lru.count_hits t.obs_cache n
 
-(* Observed execution: an observer makes the run more than a function of
-   (image, input, fuel), so it must bypass the observation store — it
-   always executes, whatever the caching mode.  The VM picks the memory:
-   [Steps]-level runs build a fresh one, everything else runs on the
-   calling domain's arena like [run_batch]. *)
-let run_traced (_t : t) (l : linked) ~(observer : Cdvm.Observer.t)
-    ~(input : string) ~(fuel : int) : Cdvm.Exec.result =
-  Cdvm.Exec.run_linked
-    ~config:{ Cdvm.Exec.default_config with Cdvm.Exec.input; fuel; observer }
-    l.image
-
 (* --- stats --- *)
 
 let stats t =
@@ -809,46 +796,8 @@ let hit_rate (c : cache_stats) =
   let total = c.hits + c.misses in
   if total = 0 then 0. else float_of_int c.hits /. float_of_int total
 
-let stats_to_string (s : stats) : string =
-  if not s.caching then "engine session: caching disabled (cache-mb 0)\n"
-  else
-    let line name (c : cache_stats) =
-      Printf.sprintf
-        "  %-12s %7d hits %7d misses (%5.1f%% hit rate) %6d evictions \
-         %6d entries %8.1f KiB\n"
-        name c.hits c.misses
-        (100. *. hit_rate c)
-        c.evictions c.entries
-        (float_of_int c.bytes /. 1024.)
-    in
-    let disk_line =
-      match s.disk with
-      | None -> ""
-      | Some d ->
-          Printf.sprintf
-            "  %-12s %7d hits %7d misses %6d stores %6d entries %8.1f KiB\n"
-            "disk" d.disk_hits d.disk_misses d.disk_stores d.disk_entries
-            (float_of_int d.disk_bytes /. 1024.)
-    in
-    let stages =
-      String.concat ""
-        (List.map
-           (fun (n, st) ->
-             Printf.sprintf "    %-10s %7d hits %7d misses\n" n st.stage_hits
-               st.stage_misses)
-           s.stages)
-    in
-    Printf.sprintf
-      "engine session caches (budget %d MiB):\n%s%s%s%s%s  %-12s %7d declined \
-       (executed once, not stored)\n%s  key time: %d keys in %.4fs\n"
-      (s.budget_bytes / (1024 * 1024))
-      (line "units" s.units) (line "func memo" s.funcs) stages (line "images" s.images)
-      (line "observations" s.observations)
-      "admission" s.declined disk_line s.key_calls s.key_seconds
-
-(* machine-readable stats, so fleet tooling (and the serve daemon's
-   stats endpoint) can scrape a session without parsing the human table
-   above *)
+(* the counters as JSON: the "session" member of the --stats object and
+   of the serve daemon's stats *)
 let cache_json (c : cache_stats) : Cdutil.Json.t =
   Obj
     [ ("hits", Int c.hits); ("misses", Int c.misses);

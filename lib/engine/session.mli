@@ -17,7 +17,7 @@
     - an {b observation store} keyed by (image key, fuel, input) that
       turns replayed executions (reduction re-validation, localization,
       escalation replays, triage) into lookups.  It admits an
-      observation on its key's second request (see {!lookup}), so
+      observation on its key's second request (see {!run_batch}), so
       one-shot executions do not occupy it.
 
     Content keys are (length, murmur3{_A}, murmur3{_B}) over the value's
@@ -32,7 +32,7 @@
     fuel, so a hit is observationally identical to a re-execution.
     Executions that differ in more than (image, input, fuel) — sanitizer
     hooks, coverage, print tracing — must bypass {!run_batch} and call
-    the VM directly on {!image} (or go through {!run_traced}).
+    the VM directly on {!image}.
 
     When [disk_dir] is given, a persistent {!Diskcache} layers behind
     the unit cache and the observation store: in-memory misses consult
@@ -81,7 +81,7 @@ type stats = {
   key_seconds : float;  (** wall time spent computing content keys *)
   declined : int;
       (** executed observations the admission filter kept out of the
-          in-memory store (their key's first request, see {!lookup}) *)
+          in-memory store (their key's first request, see {!run_batch}) *)
   disk : disk_stats option;  (** [None] without a disk directory *)
 }
 
@@ -103,11 +103,6 @@ val create : ?cache_mb:int -> ?disk_dir:string -> ?disk_mb:int -> unit -> t
 
 val caching : t -> bool
 val budget_bytes : t -> int
-
-val prog_key : Minic.Tast.tprogram -> int * int * int
-(** Content key of a typed program, the program half of its unit-store
-    key: (length, murmur3{_A}, murmur3{_B}) of the globals and each
-    typed function's exact bytes (exposed for diagnostics/tests). *)
 
 val compile : t -> Cdcompiler.Policy.profile -> Minic.Tast.tprogram ->
   Cdcompiler.Ir.unit_
@@ -159,47 +154,26 @@ val run_batch : t -> linked -> inputs:string array -> fuel:int ->
   Cdvm.Exec.result array
 (** [run_batch t l ~inputs ~fuel]: the observation-store-backed plain
     execution of a linked image, the session's one cached-execution
-    path (a single run is a one-input batch): {!lookup}, then
-    {!run_misses}.  Element [i] is the raw observation of [inputs.(i)]
-    at [fuel]; all store misses execute as one VM batch on the calling
-    domain's arena ({!Cdvm.Exec.run_batch}), amortizing the
-    per-execution reset.  Safe from any domain. *)
-
-type lookup = {
-  found : Cdvm.Exec.result option array;
-      (** element [i]: the stored observation of [inputs.(i)], [None]
-          where the stores miss *)
-  misses : int array;  (** the indices of the misses, ascending *)
-  admitted : bool array;
-      (** element [j]: whether miss [j]'s observation is stored in memory
-          once executed ([false] on a key's first request) *)
-}
-(** The first phase of {!run_batch}. *)
-
-val lookup : t -> linked -> inputs:string array -> fuel:int -> lookup
-(** Ask the stores (memory, then disk) for every input at [fuel],
-    executing nothing; each input counts as one hit or one miss.
+    path (a single run is a one-input batch).  Element [i] is the raw
+    observation of [inputs.(i)] at [fuel].  It asks the stores (memory,
+    then disk) for every input, counting each as one hit or one miss,
+    then executes the misses as one VM batch on the calling domain's
+    arena ({!Cdvm.Exec.run_batch}), amortizing the per-execution reset,
+    and writes them back.  Safe from any domain.
 
     The in-memory store admits a key on its second request: a
     doorkeeper bitmap of key fingerprints sits in front of it.  A key
     whose fingerprint is absent is recorded and counted as a miss
-    without consulting memory; its observation will not be stored.  A
-    key whose fingerprint is present is looked up, and stored on a
-    miss.  Fingerprints are cleared periodically, so a miss may be a
-    stored key whose fingerprint was cleared; that costs one execution,
-    never a different result.  The disk tier is consulted on every
-    memory miss.
+    without consulting memory; once executed, its observation is
+    returned but not stored (counted as [declined]).  A key whose
+    fingerprint is present is looked up, and stored on a miss.
+    Fingerprints are cleared periodically, so a miss may be a stored
+    key whose fingerprint was cleared; that costs one execution, never
+    a different result.  The disk tier is consulted on every memory
+    miss, and every execution is written through to it.
 
     On a caching-disabled session every input is a miss and no store is
     consulted. *)
-
-val run_misses : t -> linked -> inputs:string array -> fuel:int -> lookup ->
-  Cdvm.Exec.result array
-(** The second phase of {!run_batch}: execute the misses of a {!lookup}
-    made with the same [inputs] and [fuel], store the admitted ones in
-    memory (counting the others as [declined]), write every one through
-    to disk, and return the whole batch as {!run_batch} would.  Looks
-    nothing up again, so no input is counted twice. *)
 
 val probe : t -> linked -> inputs:string array -> fuel:int ->
   Cdvm.Exec.result array option
@@ -207,34 +181,25 @@ val probe : t -> linked -> inputs:string array -> fuel:int ->
     [fuel] from the in-memory store, or [None] if it lacks one.  Memory
     only: the disk tier is not consulted.  It executes nothing, counts
     nothing and records nothing in the doorkeeper, so a caller that
-    falls back to {!lookup} counts each input once, and a key's first
+    falls back to {!run_batch} counts each input once, and a key's first
     request is still declined.  A key the doorkeeper has not seen is a
-    miss, as {!lookup} would not consult memory for it.  [None] on a
+    miss, as {!run_batch} would not consult memory for it.  [None] on a
     caching-disabled session. *)
 
 val count_hits : t -> int -> unit
 (** [count_hits t n] counts [n] observation-store hits: the lookups a
     caller answered through {!probe} and kept. *)
 
-val run_traced : t -> linked -> observer:Cdvm.Observer.t -> input:string ->
-  fuel:int -> Cdvm.Exec.result
-(** Observed execution of a linked image.  The observer makes the run
-    more than a function of (image, input, fuel), so the observation
-    store is bypassed: [run_traced] {e always} executes.  Use it for
-    trace recording and print tracing; plain runs belong in
-    {!run_batch}. *)
-
 val stats : t -> stats
 val reset_stats : t -> unit
 (** Reset hit/miss/key-time counters (cache contents are kept). *)
 
 val hit_rate : cache_stats -> float
-val stats_to_string : stats -> string
 
 val cache_json : cache_stats -> Cdutil.Json.t
 (** One cache's counters as a JSON object, as {!stats_json} renders each
     of its caches. *)
 
 val stats_json : stats -> Cdutil.Json.t
-(** The same stats block as one JSON object: the ["session"] member of
-    the [--stats-json] object and of the serve daemon's stats. *)
+(** The session's counters as one JSON object: the ["session"] member
+    of the [--stats] object and of the serve daemon's stats. *)

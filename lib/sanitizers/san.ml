@@ -88,7 +88,3 @@ let first_report_built ?fuel (kind : kind) (b : build)
       | Cdvm.Trap.San_report msg -> Some msg
       | Cdvm.Trap.Exit _ | Cdvm.Trap.Trap _ | Cdvm.Trap.Hang -> None)
     inputs
-
-let first_report ?fuel (kind : kind) (tp : Minic.Tast.tprogram)
-    ~(inputs : string list) : string option =
-  first_report_built ?fuel kind (build tp) ~inputs

@@ -45,6 +45,3 @@ val first_report_built :
   ?fuel:int -> kind -> build -> inputs:string list -> string option
 (** First report message over the inputs on an existing build, [None]
     when the sanitizer stays silent. *)
-
-val first_report :
-  ?fuel:int -> kind -> Minic.Tast.tprogram -> inputs:string list -> string option

@@ -621,8 +621,8 @@ let sched_json (sc : Proto.sched_stats) (warm : Engine.Lru.stats) :
       ("warm", Engine.Session.cache_json warm);
       ("clients", List (List.map client sc.sr_clients)) ]
 
-(* The daemon's statistics: the CLI's --stats-json object with a
-   "scheduler" member.  [serve --stats-json] prints it at exit, and a
+(* The daemon's statistics: the CLI's --stats object with a
+   "scheduler" member.  [serve --stats] prints it at exit, and a
    [Get_stats] request gets it rendered. *)
 let stats_json t : Cdutil.Json.t =
   let warm = Engine.Lru.stats t.oracles in

@@ -1,7 +1,7 @@
 (** The repo's JSON output, in one place.
 
     Every JSON text CompDiff prints is built as a {!t} and rendered by
-    {!to_string}: the CLI's [--json] and [--stats-json] output, the
+    {!to_string}: the CLI's [--json] and [--stats] output, the
     serve daemon's stats reply, and the bench records.  This is a
     writer only; nothing in the repo reads JSON back.
 

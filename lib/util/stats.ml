@@ -42,7 +42,3 @@ let box_of xs =
     }
 
 let box_of_ints xs = box_of (List.map float_of_int xs)
-
-let pp_box ppf b =
-  Format.fprintf ppf "min=%.0f q1=%.1f med=%.1f q3=%.1f max=%.0f (n=%d)"
-    b.minimum b.q1 b.median b.q3 b.maximum b.count

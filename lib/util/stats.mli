@@ -24,5 +24,3 @@ val box_of : float list -> box
 (** Five-number summary of a non-empty sample. *)
 
 val box_of_ints : int list -> box
-
-val pp_box : Format.formatter -> box -> unit

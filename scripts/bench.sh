@@ -1,12 +1,14 @@
 #!/bin/sh
 # Bench sections that write a BENCH_<section>.json record in the repo
-# root: differential-oracle throughput (oracle), the linked-image
+# root: the cost of k implementations, Section 5 (overhead; its gate:
+# a k = 2 campaign runs more execs/s than a k = 10 one),
+# differential-oracle throughput (oracle), the linked-image
 # executor against the reference interpreter (vm), observer and trace
 # costs (trace), session caching (engine), the serve daemon under
 # concurrent clients (serve), metamorphic twin analysis (metacheck) and
 # the labeled-corpus generator (gen).
 #
-#   scripts/bench.sh            # the seven record sections
+#   scripts/bench.sh            # the eight record sections
 #   scripts/bench.sh all        # every bench section (tables + figures)
 #
 # bench/main.exe prints each section's rows and one "ok   gate:" or
@@ -24,6 +26,6 @@ dune build
 if [ "${1:-}" = "all" ]; then
   set --
 else
-  set -- oracle vm trace engine serve metacheck gen
+  set -- overhead oracle vm trace engine serve metacheck gen
 fi
 exec ./_build/default/bench/main.exe "$@"

@@ -19,8 +19,47 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-echo "== static smoke test over examples/*.c"
 status=0
+# Every JSON text the CLI prints must parse (python3 -m json.tool), raw
+# input bytes above 0x7f included.  Python reads stdin as strict UTF-8,
+# as a JSON reader must: by default it lets undecodable bytes through.
+PYTHONIOENCODING=utf-8:strict
+export PYTHONIOENCODING
+# json_ok NAME TEXT: TEXT is one JSON value
+json_ok() {
+  if printf '%s\n' "$2" | python3 -m json.tool > /dev/null 2>&1; then
+    echo "ok   $1 is valid JSON"
+  else
+    echo "FAIL $1 is not valid JSON: $(printf '%s\n' "$2" | head -c 200)"
+    status=1
+  fi
+}
+# stats_ok NAME OUTPUT MEMBERS: --stats printed one JSON line, OUTPUT's
+# last, an object whose members are MEMBERS (comma-separated, in order)
+stats_ok() {
+  got_members=$(printf '%s\n' "$2" | tail -n 1 | python3 -c \
+    'import json, sys; print(",".join(json.loads(sys.stdin.read())))' 2>/dev/null \
+    || true)
+  objects=$(printf '%s\n' "$2" | grep -c '^{' || true)
+  if [ "$got_members" != "$3" ] || [ "$objects" -ne 1 ]; then
+    echo "FAIL $1: want one {$3} line, got $objects object line(s), members {$got_members}"
+    status=1
+  else
+    echo "ok   $1 prints one stats line {$3}"
+  fi
+}
+# stat_at OUTPUT PATH: the member at the dotted PATH (session.units.hits)
+# of the stats object on OUTPUT's last line; empty when it has none
+stat_at() {
+  printf '%s\n' "$1" | tail -n 1 | python3 -c '
+import json, sys
+v = json.loads(sys.stdin.read())
+for k in sys.argv[1].split("."):
+    v = v[k]
+print(v)' "$2" 2>/dev/null || true
+}
+
+echo "== static smoke test over examples/*.c"
 for f in examples/*.c; do
   [ -e "$f" ] || continue
   case "$(basename "$f")" in
@@ -93,8 +132,8 @@ for f in examples/unstable_uninit.c examples/stable_guarded.c; do
   fi
 done
 juliet_stats=$(dune exec bin/compdiff_cli.exe -- juliet --per-cwe 1 --stats 2>&1)
-hits=$(printf '%s\n' "$juliet_stats" \
-  | sed -n 's/^ *units *\([0-9]*\) hits.*/\1/p')
+stats_ok "juliet --stats" "$juliet_stats" "oracle,session,localize"
+hits=$(stat_at "$juliet_stats" session.units.hits)
 if [ -z "$hits" ] || [ "$hits" -eq 0 ]; then
   echo "FAIL juliet --stats: expected a nonzero unit-cache hit count"
   printf '%s\n' "$juliet_stats" | tail -5
@@ -147,8 +186,7 @@ disk3=$(dune exec bin/compdiff_cli.exe -- juliet --per-cwe 1 \
   --disk-cache "$diskdir" --stats 2>&1)
 set -e
 rm -rf "$diskdir"
-dhits=$(printf '%s\n' "$disk3" \
-  | sed -n 's/^ *disk *\([0-9]*\) hits.*/\1/p')
+dhits=$(stat_at "$disk3" session.disk.hits)
 if [ "$dgot1" -ne "$dgot2" ] || [ "$disk1" != "$disk2" ]; then
   echo "FAIL disk cache: restarted process disagrees (exit $dgot1 vs $dgot2)"
   status=1
@@ -230,13 +268,12 @@ else
       status=1
     else
       # the acceptance bar: median input reduction of at least 50%
-      median=$(printf '%s\n' "$reduce_out" \
-        | sed -n 's/.*median input reduction \([0-9]*\)%.*/\1/p')
-      if [ -z "$median" ] || [ "$median" -lt 50 ]; then
-        echo "FAIL reduce: median input reduction ${median:-?}% < 50%"
+      median=$(stat_at "$reduce_out" reduce.median_ratio)
+      if [ -z "$median" ] || ! awk -v m="$median" 'BEGIN { exit !(m >= 0.5) }'; then
+        echo "FAIL reduce: median input reduction ${median:-?} < 0.5"
         status=1
       else
-        echo "ok   reduce ($raw_size -> $red_size bytes, median ${median}%, still diverges)"
+        echo "ok   reduce ($raw_size -> $red_size bytes, median reduction $median, still diverges)"
       fi
     fi
   fi
@@ -406,35 +443,8 @@ else
 fi
 
 echo "== JSON output smoke test"
-# Every JSON text the CLI prints must parse (python3 -m json.tool), raw
-# input bytes above 0x7f included, and --stats-json must print its
-# statistics as one object on the output's last line, with a member per
-# counter set the command has.  Python reads stdin as strict UTF-8, as
-# a JSON reader must: by default it lets undecodable bytes through.
-PYTHONIOENCODING=utf-8:strict
-export PYTHONIOENCODING
-# json_ok NAME TEXT: TEXT is one JSON value
-json_ok() {
-  if printf '%s\n' "$2" | python3 -m json.tool > /dev/null 2>&1; then
-    echo "ok   $1 is valid JSON"
-  else
-    echo "FAIL $1 is not valid JSON: $(printf '%s\n' "$2" | head -c 200)"
-    status=1
-  fi
-}
-# stats_ok NAME OUTPUT MEMBERS: OUTPUT holds one JSON line, its last,
-# an object whose members are MEMBERS (comma-separated, in order)
-stats_ok() {
-  got_members=$(printf '%s\n' "$2" | tail -n 1 | python3 -c \
-    'import json, sys; print(",".join(json.loads(sys.stdin.read())))' 2>/dev/null)
-  objects=$(printf '%s\n' "$2" | grep -c '^{' || true)
-  if [ "$got_members" != "$3" ] || [ "$objects" -ne 1 ]; then
-    echo "FAIL $1: want one {$3} line, got $objects object line(s), members {$got_members}"
-    status=1
-  else
-    echo "ok   $1 prints one stats line {$3}"
-  fi
-}
+# --stats prints its statistics as one object on the output's last
+# line, with a member per counter set the command has.
 set +e
 CLI="dune exec bin/compdiff_cli.exe --"
 json_ok "explore --json (pair)" "$lines_out"
@@ -443,11 +453,11 @@ json_ok "explore --json (one profile, input bytes 0xff 0xc0)" \
     --profiles gccx-O2 --json 2>&1)"
 json_ok "static --json" "$($CLI static examples/unstable_uninit.c --json --warnings 2>&1)"
 json_ok "metacheck --json" "$($CLI metacheck examples/unstable_uninit.c --json 2>&1)"
-stats_ok "diff --stats-json" \
-  "$($CLI diff examples/unstable_uninit.c --input XYZQRS --stats-json 2>&1)" \
+stats_ok "diff --stats" \
+  "$($CLI diff examples/unstable_uninit.c --input XYZQRS --stats 2>&1)" \
   "oracle,session,localize"
-stats_ok "reduce --stats-json" \
-  "$($CLI reduce examples/unstable_uninit.c --input XYZQRS --stats-json 2>&1)" \
+stats_ok "reduce --stats" \
+  "$($CLI reduce examples/unstable_uninit.c --input XYZQRS --stats 2>&1)" \
   "reduce,oracle,session,localize"
 set -e
 
@@ -541,13 +551,15 @@ fi
 echo "== serve daemon smoke test"
 # A daemon on a Unix socket must serve concurrent clients verdicts that
 # are byte-identical to the direct (in-process) diff path, then exit on
-# its own via the idle timeout, removing its socket.  The daemon and
+# its own via the idle timeout, removing its socket, and print its
+# --stats object as it exits.  The daemon and
 # its clients run the built binary directly: `dune exec` holds the
 # build-directory lock for the program's whole lifetime, which would
 # serialize the concurrent clients behind the daemon.
 BIN=_build/default/bin/compdiff_cli.exe
 sock="$(mktemp -u -t compdiff_check_XXXXXX).sock"
-"$BIN" serve --socket "$sock" --idle-timeout 10 --quiet &
+serve_log=$(mktemp)
+"$BIN" serve --socket "$sock" --idle-timeout 10 --quiet --stats > "$serve_log" &
 serve_pid=$!
 i=0
 while [ ! -S "$sock" ] && [ $i -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
@@ -680,5 +692,7 @@ elif [ -e "$sock" ]; then
 else
   echo "ok   serve (idle timeout shutdown, socket removed)"
 fi
+stats_ok "serve --stats" "$(cat "$serve_log")" "oracle,session,localize,scheduler"
+rm -f "$serve_log"
 
 exit $status

@@ -304,9 +304,7 @@ let escalation_src =
 
 let test_oracle_dedup_classes () =
   let deduped = Oracle.create ~jobs:2 (frontend stable_src) in
-  let naive = Oracle.create ~dedup:false (frontend stable_src) in
   check_bool "dedup merges some of the 10 binaries" true (Oracle.class_count deduped < 10);
-  check_int "dedup:false keeps 10 classes" 10 (Oracle.class_count naive);
   check_int "one class index per binary" 10 (Array.length (Oracle.classes deduped));
   Array.iter
     (fun c -> check_bool "class index in range" true (c >= 0 && c < Oracle.class_count deduped))

@@ -306,62 +306,45 @@ let test_admission_clear_keeps_verdicts () =
     (Compdiff.Oracle.stats o).Compdiff.Oracle.vm_execs
     (c.Engine.Session.hits + c.Engine.Session.misses)
 
-(* The two phases of [run_batch] on a batch that mixes stored and
-   fresh inputs, duplicates included: the lookup finds exactly the
-   stored ones and counts each input once, the second phase counts
-   nothing again, and the result is what [run_batch] gives on a session
-   warmed the same way and on a caching-disabled one.  Warming runs the
-   stored inputs twice: the store admits a key on its second request. *)
-let test_two_phase_matches_run_batch () =
+(* [run_batch] on a batch that mixes stored and fresh inputs,
+   duplicates included: each input counts once, as a hit exactly when
+   it is stored; a fresh key is declined on its first request and
+   stored on its second (so the duplicate "" is stored at once); the
+   misses are written back; and the results are those of a
+   caching-disabled session, which stores and counts nothing.  Warming
+   runs the stored inputs twice: the store admits a key on its second
+   request. *)
+let test_run_batch_counts_once () =
   let tp = frontend unstable_src in
   let fuel = 100_000 in
   let warm = [| "A"; "q" |] and batch = [| "A"; ""; "q"; "Z"; ""; "A" |] in
-  let warmed () =
-    let s = Engine.Session.create ~cache_mb:16 () in
-    let l = Engine.Session.link s (Engine.Session.compile s profile0 tp) in
-    ignore (Engine.Session.run_batch s l ~inputs:warm ~fuel);
-    ignore (Engine.Session.run_batch s l ~inputs:warm ~fuel);
-    (s, l)
+  let counts s =
+    let st = Engine.Session.stats s in
+    let o = st.Engine.Session.observations in
+    (o.Engine.Session.hits, o.Engine.Session.misses, st.Engine.Session.declined,
+     o.Engine.Session.entries)
   in
-  let lookups s =
-    let o = (Engine.Session.stats s).Engine.Session.observations in
-    (o.Engine.Session.hits, o.Engine.Session.misses)
-  in
-  let s, l = warmed () in
-  let h0, m0 = lookups s in
-  let lk = Engine.Session.lookup s l ~inputs:batch ~fuel in
-  let h1, m1 = lookups s in
-  check_bool "the misses are the unstored inputs" true
-    (lk.Engine.Session.misses = [| 1; 3; 4 |]);
-  Array.iteri
-    (fun i o ->
-      check_bool
-        (Printf.sprintf "input %d found iff stored" i)
-        (Array.mem batch.(i) warm) (Option.is_some o))
-    lk.Engine.Session.found;
-  check_int "three hits" 3 (h1 - h0);
-  check_int "three misses" 3 (m1 - m0);
-  let two = Engine.Session.run_misses s l ~inputs:batch ~fuel lk in
-  check_bool "the second phase looks nothing up" true (lookups s = (h1, m1));
-  let s', l' = warmed () in
-  check_bool "two phases = run_batch" true
-    (two = Engine.Session.run_batch s' l' ~inputs:batch ~fuel);
+  let s = Engine.Session.create ~cache_mb:16 () in
+  let l = Engine.Session.link s (Engine.Session.compile s profile0 tp) in
+  ignore (Engine.Session.run_batch s l ~inputs:warm ~fuel);
+  ignore (Engine.Session.run_batch s l ~inputs:warm ~fuel);
+  check_bool "warming stores both inputs" true (counts s = (0, 4, 2, 2));
+  let first = Engine.Session.run_batch s l ~inputs:batch ~fuel in
+  check_bool "three hits, three misses, two declined, one stored" true
+    (counts s = (3, 7, 4, 3));
+  ignore (Engine.Session.run_batch s l ~inputs:batch ~fuel);
+  check_bool "the second request stores \"Z\"" true (counts s = (8, 8, 4, 4));
+  check_bool "the misses were written back" true
+    (Engine.Session.run_batch s l ~inputs:batch ~fuel = first
+    && counts s = (14, 8, 4, 4));
   let d = Engine.Session.create ~cache_mb:0 () in
   let ld = Engine.Session.link d (Engine.Session.compile d profile0 tp) in
-  check_bool "two phases = caching-disabled run_batch" true
-    (two = Engine.Session.run_batch d ld ~inputs:batch ~fuel);
-  (* the batch's fresh inputs were seen once (the duplicate "" twice):
-     one more run admits them all *)
-  ignore (Engine.Session.run_batch s l ~inputs:batch ~fuel);
-  check_bool "the misses were written back" true
-    ((Engine.Session.lookup s l ~inputs:batch ~fuel).Engine.Session.misses
-    = [||]);
-  let lkd = Engine.Session.lookup d ld ~inputs:batch ~fuel in
-  check_bool "caching disabled: every input misses" true
-    (lkd.Engine.Session.misses = Array.init (Array.length batch) Fun.id
-    && Array.for_all Option.is_none lkd.Engine.Session.found);
-  check_bool "caching disabled: two phases = run_batch" true
-    (Engine.Session.run_misses d ld ~inputs:batch ~fuel lkd = two)
+  check_bool "caching disabled: the same results" true
+    (Engine.Session.run_batch d ld ~inputs:batch ~fuel = first);
+  check_bool "caching disabled: the same results again" true
+    (Engine.Session.run_batch d ld ~inputs:batch ~fuel = first);
+  check_bool "caching disabled: nothing counted or stored" true
+    (counts d = (0, 0, 0, 0))
 
 (* The memory-only probe: [None] unless memory holds every input, and
    either way it counts nothing and records nothing in the doorkeeper,
@@ -390,11 +373,11 @@ let test_probe_is_memory_only () =
   check_bool "probes still counted nothing" true (counts () = (0, 2, 1, 1));
   Engine.Session.count_hits s 1;
   check_bool "count_hits counts hits" true (counts () = (1, 2, 1, 1));
+  ignore (Engine.Session.run_batch s l ~inputs:[| "B" |] ~fuel);
   check_bool "the mixed batch left \"B\" unseen" true
-    ((Engine.Session.lookup s l ~inputs:[| "B" |] ~fuel).Engine.Session.admitted
-    = [| false |]);
+    (counts () = (1, 3, 1, 2));
   (* memory only: a fresh session over the same directory is served "A"
-     from disk by a lookup, never by a probe *)
+     from disk by run_batch, never by a probe *)
   let dir = Filename.temp_file "cds_probe" "" in
   Sys.remove dir;
   let on_disk () =
@@ -1096,7 +1079,7 @@ let suites =
         tc "disabled = passthrough" test_disabled_session_is_passthrough;
         tc "oracles share compiles" test_oracle_shares_session_compiles;
         tc "oracle replay hits the store" test_oracle_replay_hits_obs_store;
-        tc "lookup + run_misses = run_batch" test_two_phase_matches_run_batch;
+        tc "run_batch counts each input once" test_run_batch_counts_once;
         tc "admission: stored on the second request" test_admission_rule;
         tc "probe: memory only, counts nothing" test_probe_is_memory_only;
         tc "admission: clearing keeps verdicts"
