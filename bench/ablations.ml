@@ -15,7 +15,9 @@ let a1_status_comparison () =
          (fun (t : Juliet.Testcase.t) ->
            let tp = Juliet.Testcase.frontend_bad t in
            let o = Compdiff.Oracle.create ~compare_status ~fuel:100_000 tp in
-           Compdiff.Oracle.detects o ~inputs:t.Juliet.Testcase.inputs)
+           Array.exists Compdiff.Oracle.is_divergence
+             (Compdiff.Oracle.check_batch o
+                ~inputs:(Array.of_list t.Juliet.Testcase.inputs)))
          tests)
   in
   let with_status = count true in
@@ -67,8 +69,9 @@ let a4_subset_choice () =
   let tests = sample_tests () in
   let detect profiles (t : Juliet.Testcase.t) =
     let tp = Juliet.Testcase.frontend_bad t in
-    let o = Compdiff.Oracle.create ~profiles ~fuel:100_000 tp in
-    Compdiff.Oracle.detects o ~inputs:t.Juliet.Testcase.inputs
+    Compdiff.Tools.diverges
+      (Compdiff.Tools.check ~profiles ~fuel:100_000 tp
+         ~inputs:t.Juliet.Testcase.inputs)
   in
   let count profiles = List.length (List.filter (detect profiles) tests) in
   let recommended = [ Cdcompiler.Profiles.gccx "O0"; Cdcompiler.Profiles.clangx "O3" ] in

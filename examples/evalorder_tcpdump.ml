@@ -35,18 +35,18 @@ let check title source input =
       by_out
   | Compdiff.Oracle.Agree _ -> Printf.printf "  (stable)\n");
   (* sanitizer check *)
+  let b = Sanitizers.San.build tp in
+  let reporting =
+    List.filter
+      (fun kind ->
+        List.exists Option.is_some
+          (Sanitizers.San.reports kind b ~inputs:[ input ]))
+      Sanitizers.San.all
+  in
   List.iter
-    (fun kind ->
-      let detected = Sanitizers.San.detects kind tp ~inputs:[ input ] in
-      if detected then
-        Printf.printf "  %s: reports\n" (Sanitizers.San.name kind))
-    Sanitizers.San.all;
-  if
-    not
-      (List.exists
-         (fun k -> Sanitizers.San.detects k tp ~inputs:[ input ])
-         Sanitizers.San.all)
-  then Printf.printf "  (no sanitizer detects this)\n";
+    (fun kind -> Printf.printf "  %s: reports\n" (Sanitizers.San.name kind))
+    reporting;
+  if reporting = [] then Printf.printf "  (no sanitizer detects this)\n";
   print_newline ()
 
 let listing2 =

@@ -439,6 +439,14 @@ let check_batch t ~(inputs : string array) : verdict array =
   let c = observe_classes t ~inputs in
   Array.init (Array.length inputs) (verdict_of_classes t c)
 
+(* The cross-validation of the fast path: the first input whose batched
+   verdict differs from the sequential reference's. *)
+let naive_mismatch t ~(inputs : string list) : string option =
+  let fast = check_batch t ~inputs:(Array.of_list inputs) in
+  List.find_mapi
+    (fun i input -> if fast.(i) <> check_naive t ~input then Some input else None)
+    inputs
+
 (* a single input is the one-input batch: one escalation loop *)
 let observe t ~(input : string) : (string * observation) list =
   (observe_batch t ~inputs:[| input |]).(0)
@@ -447,23 +455,6 @@ let check t ~(input : string) : verdict =
   (check_batch t ~inputs:[| input |]).(0)
 
 let is_divergence = function Diverge _ -> true | Agree _ -> false
-
-(* Scan an input set; return the first bug-triggering input, like the
-   "save to diffs/" step of Algorithm 1. *)
-let find_bug t ~(inputs : string list) : (string * (string * observation) list) option
-    =
-  List.find_map
-    (fun input ->
-      match check t ~input with
-      | Diverge obs -> Some (input, obs)
-      | Agree _ -> None)
-    inputs
-
-(* Detection only needs the boolean, so the whole input set goes through
-   one batched observation per class instead of a check per input.
-   (Worth it because the common answer during fuzzing is "no".) *)
-let detects t ~(inputs : string list) : bool =
-  Array.exists is_divergence (check_batch t ~inputs:(Array.of_list inputs))
 
 (* Group implementations by observed behaviour: the equivalence classes
    that drive the subset studies of Figures 1 and 2. Returns a class id

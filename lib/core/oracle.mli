@@ -188,6 +188,12 @@ val check_batch : t -> inputs:string array -> verdict array
     equals [check_naive t ~input:inputs.(k)].  The checksums are taken
     once per class, in the class's task, and compared across classes. *)
 
+val naive_mismatch : t -> inputs:string list -> string option
+(** The first of [inputs] whose {!check_batch} verdict differs from its
+    {!check_naive} one, [None] when all agree: the cross-validation of
+    dedup, pooling, batching and incremental escalation against the
+    sequential reference.  Counts the batch in {!stats}. *)
+
 val check_stored : t -> inputs:string array -> verdict array option
 (** [check_stored t ~inputs]: {!check_batch}'s verdicts when its first
     round needs no execution and no second round follows — the
@@ -199,15 +205,6 @@ val check_stored : t -> inputs:string array -> verdict array option
     {!check_batch} counts every lookup once.  Executes nothing. *)
 
 val is_divergence : verdict -> bool
-
-val find_bug :
-  t -> inputs:string list -> (string * (string * observation) list) option
-(** First bug-triggering input of the set, with its observations — the
-    "save to diffs/" step of Algorithm 1. *)
-
-val detects : t -> inputs:string list -> bool
-(** Whether any input of the set triggers a divergence (batched: the
-    whole set is observed per class in one VM batch per fuel level). *)
 
 val partition : t -> (string * observation) list -> int array
 (** Behaviour classes per implementation (same class = same checksum),

@@ -1,8 +1,8 @@
 (* Labeled-corpus driver: the honest version of Table 3.
 
    Sweeps N generated clean/injected pairs through the oracle, the three
-   sanitizer models and the four static tools, and scores every tool
-   against the injector's ground truth. Because the clean twin is UB-free
+   sanitizer models and the four static tools (one {!Compdiff.Tools.run}
+   per twin), and scores every tool against the injector's ground truth. Because the clean twin is UB-free
    by construction and the injected twin contains exactly one labeled
    defect, true/false positives and false negatives are *measured*, not
    assumed:
@@ -19,8 +19,7 @@
 
 module Rng = Cdutil.Rng
 module Oracle = Compdiff.Oracle
-module San = Sanitizers.San
-module Tools = Staticcheck.Static_tools
+module Tools = Compdiff.Tools
 
 type pair = {
   seed : int;
@@ -78,39 +77,21 @@ type pair_eval = {
   pair : pair;
   clean_diverged : bool; (* generator-soundness violation if true *)
   oracle_hit : bool;
-  (* per tool: flagged the injected twin, flagged the clean twin *)
-  sanitizers : (San.kind * (bool * bool)) list;
-  statics : (Tools.tool * (bool * bool)) list;
+  clean_reports : Tools.report list;
+  inj_reports : Tools.report list;
 }
 
 let evaluate_pair ?session ?(fuel = 100_000) (p : pair) : pair_eval =
   let inputs = inputs_for p in
-  let oracle_clean = Oracle.create ?session ~fuel p.clean_tp in
-  let clean_diverged = Oracle.detects oracle_clean ~inputs in
-  let oracle_inj = Oracle.create ?session ~fuel p.inj_tp in
-  let oracle_hit = Oracle.detects oracle_inj ~inputs in
-  let inj_build = San.build ?session p.inj_tp in
-  let clean_build = San.build ?session p.clean_tp in
-  let sanitizers =
-    List.map
-      (fun k ->
-        ( k,
-          ( San.detects_built ~fuel k inj_build ~inputs,
-            San.detects_built ~fuel k clean_build ~inputs ) ))
-      San.all
-  in
-  let kinds = Inject.finding_kinds p.cls in
-  let inj_ast = Minic.Tast.erase_program p.inj_tp in
-  let clean_ast = Minic.Tast.erase_program p.clean_tp in
-  let statics =
-    List.map
-      (fun t ->
-        ( t,
-          ( Tools.flags_kinds t inj_ast kinds,
-            Tools.flags_kinds t clean_ast kinds ) ))
-      Tools.all
-  in
-  { pair = p; clean_diverged; oracle_hit; sanitizers; statics }
+  let clean = Tools.run ?session ~fuel p.clean_tp ~inputs in
+  let inj = Tools.run ?session ~fuel p.inj_tp ~inputs in
+  {
+    pair = p;
+    clean_diverged = Tools.diverges clean;
+    oracle_hit = Tools.diverges inj;
+    clean_reports = clean.Tools.reports;
+    inj_reports = inj.Tools.reports;
+  }
 
 let evaluate ?session ?(jobs = 1) ?fuel (pairs : pair list) : pair_eval list =
   let eval p = evaluate_pair ?session ?fuel p in
@@ -121,13 +102,9 @@ let evaluate ?session ?(jobs = 1) ?fuel (pairs : pair list) : pair_eval list =
    on both twins (the bench gate's naive-vs-session equality) *)
 let naive_agrees ?session ?(fuel = 100_000) (p : pair) : bool =
   let inputs = inputs_for p in
-  let agree tp =
-    let o = Oracle.create ?session ~fuel tp in
-    List.for_all
-      (fun input -> Oracle.check o ~input = Oracle.check_naive o ~input)
-      inputs
-  in
-  agree p.clean_tp && agree p.inj_tp
+  List.for_all
+    (fun tp -> Oracle.naive_mismatch (Oracle.create ?session ~fuel tp) ~inputs = None)
+    [ p.clean_tp; p.inj_tp ]
 
 (* generated programs as structured fuzzer seeds: a CompDiff-AFL++
    campaign on the injected twin, seeded with the pair's inputs *)
@@ -160,11 +137,22 @@ let tally (hit, fp) (c : counts) =
   if hit then c.tp <- c.tp + 1 else c.fn <- c.fn + 1;
   if fp then c.fp <- c.fp + 1
 
+(* the report's tool rows after CompDiff's: sanitizers, then static tools *)
+let tools =
+  List.map (fun k -> Tools.Sanitizer k) Sanitizers.San.all
+  @ List.map (fun t -> Tools.Static t) Staticcheck.Static_tools.all
+
+(* A sanitizer counts on any report; a static tool on a finding of the
+   injected class. *)
+let flagged cls tool reports =
+  match tool with
+  | Tools.Sanitizer _ -> Tools.flags tool reports
+  | Tools.Static _ -> Tools.flags ~kinds:(Inject.finding_kinds cls) tool reports
+
 let report ?(gen_failures = 0) (evals : pair_eval list) : report =
   let fresh () = { tp = 0; fp = 0; fn = 0 } in
   let oracle = fresh () in
-  let san_rows = List.map (fun k -> (k, fresh ())) San.all in
-  let static_rows = List.map (fun t -> (t, fresh ())) Tools.all in
+  let tool_rows = List.map (fun t -> (t, fresh ())) tools in
   let per_class = List.map (fun c -> (c, fresh ())) Inject.all_classes in
   let clean_divergences = ref 0 in
   List.iter
@@ -172,17 +160,18 @@ let report ?(gen_failures = 0) (evals : pair_eval list) : report =
       if e.clean_diverged then incr clean_divergences;
       tally (e.oracle_hit, e.clean_diverged) oracle;
       tally (e.oracle_hit, e.clean_diverged) (List.assoc e.pair.cls per_class);
-      List.iter (fun (k, r) -> tally r (List.assoc k san_rows)) e.sanitizers;
-      List.iter (fun (t, r) -> tally r (List.assoc t static_rows)) e.statics)
+      let flagged t = flagged e.pair.cls t in
+      List.iter
+        (fun (t, c) -> tally (flagged t e.inj_reports, flagged t e.clean_reports) c)
+        tool_rows)
     evals;
   {
     pairs = List.length evals;
     gen_failures;
     clean_divergences = !clean_divergences;
     rows =
-      ("CompDiff", oracle)
-      :: List.map (fun (k, c) -> (San.name k, c)) san_rows
-      @ List.map (fun (t, c) -> (Tools.name t, c)) static_rows;
+      (Tools.oracle_name, oracle)
+      :: List.map (fun (t, c) -> (Tools.tool_name t, c)) tool_rows;
     per_class;
   }
 
@@ -212,7 +201,7 @@ let report_to_string (r : report) : string =
 (* measured oracle miss rate on the injected corpus (the bench gate's
    reported FN rate) *)
 let oracle_fn_rate (r : report) : float =
-  match List.assoc_opt "CompDiff" r.rows with
+  match List.assoc_opt Tools.oracle_name r.rows with
   | Some c when c.tp + c.fn > 0 ->
     float_of_int c.fn /. float_of_int (c.tp + c.fn)
   | _ -> 0.

@@ -28,91 +28,109 @@ type test_eval = {
 
 let nimpls = List.length Cdcompiler.Profiles.all
 
+module Tools = Compdiff.Tools
+
+(* Every column is a projection of one {!Compdiff.Tools.run} per variant
+   ([evaluate]).  [eval_static], [eval_sanitizer] and [eval_compdiff]
+   are the same projections for one tool each: the benchmark's traced
+   rebuild of [evaluate] (benchmark/w_juliet.ml) calls them to time the
+   tools apart, and goes with them once the library records its own
+   spans (ROADMAP item 2b). *)
+
+let static_flags tool kinds = Tools.flags ~kinds (Tools.Static tool)
+
+(** One static tool on both variants: (detected, false positive).
+    Called by the benchmark's traced rebuild (ROADMAP item 2b). *)
 let eval_static (tool : Staticcheck.Static_tools.tool) (t : Testcase.t)
     (category : Cwe.category) : bool * bool =
-  let kinds = Cwe.matching_kinds category in
-  ( Staticcheck.Static_tools.flags_kinds tool t.Testcase.bad kinds,
-    Staticcheck.Static_tools.flags_kinds tool t.Testcase.good kinds )
+  let flags p = static_flags tool (Cwe.matching_kinds category) (Tools.static tool p) in
+  (flags t.Testcase.bad, flags t.Testcase.good)
 
-(* one sanitizer build per variant serves all three kinds: the hook set
-   is per-run, so ASan/UBSan/MSan share the compiled+linked binary *)
+(** One sanitizer on both variants' builds: (detected, reported on
+    good).  Called by the benchmark's traced rebuild (ROADMAP item
+    2b). *)
 let eval_sanitizer ?fuel (kind : Sanitizers.San.kind)
     ~(bad_build : Sanitizers.San.build) ~(good_build : Sanitizers.San.build)
     ~(inputs : string list) : bool * bool =
-  ( Sanitizers.San.detects_built ?fuel kind bad_build ~inputs,
-    Sanitizers.San.detects_built ?fuel kind good_build ~inputs )
+  let flags b = Tools.sanitizer ?fuel kind b ~inputs <> [] in
+  (flags bad_build, flags good_build)
 
-(* Cross-validation (acceptance gate of the parallel oracle): on every
-   input, the deduped/pooled verdict must be structurally identical to
-   the sequential naive one. *)
-let validate_oracle (oracle : Compdiff.Oracle.t) ~(inputs : string list) : unit =
-  List.iter
-    (fun input ->
-      let fast = Compdiff.Oracle.check oracle ~input in
-      let naive = Compdiff.Oracle.check_naive oracle ~input in
-      if fast <> naive then
-        failwith
-          (Printf.sprintf
-             "Oracle cross-validation failed on input %S: deduped/parallel \
-              verdict differs from the naive oracle"
-             input))
-    inputs
-
-let eval_compdiff ?session ?(fuel = 100_000) ?(validate = false)
-    ?(reduce = true) ~(bad : Minic.Tast.tprogram)
-    ~(good : Minic.Tast.tprogram) ~(inputs : string list) () :
-    (bool * bool) * int array * Compdiff.Reduce.stats option
-    * Compdiff.Oracle.stats =
-  let oracle_bad = Compdiff.Oracle.create ?session ~fuel bad in
+(* CompDiff's columns: detection, partition and reduction from the bad
+   variant's first divergent input, the false positive from any
+   divergence of the good one, which [run_good] evaluates after the
+   reduction, so the reducer's candidates and the good variant's oracle
+   are never live at once.  [validate] cross-validates both oracles
+   against the naive reference and raises on a mismatch. *)
+let compdiff_of ~validate ~reduce ~inputs (bad : Tools.t) run_good =
+  let oracle = bad.Tools.oracle in
   let detected, partition, reduction =
-    match Compdiff.Oracle.find_bug oracle_bad ~inputs with
+    match Tools.first_divergence bad ~inputs with
     | Some (input, obs) ->
       let reduction =
         if reduce then
           Option.map
             (fun (r : Compdiff.Reduce.result) -> r.Compdiff.Reduce.red_stats)
-            (Compdiff.Reduce.reduce ~max_checks:200 oracle_bad ~input obs)
+            (Compdiff.Reduce.reduce ~max_checks:200 oracle ~input obs)
         else None
       in
-      (true, Compdiff.Oracle.partition oracle_bad obs, reduction)
+      (true, Compdiff.Oracle.partition oracle obs, reduction)
     | None -> (false, Array.make nimpls 0, None)
   in
-  let oracle_good = Compdiff.Oracle.create ?session ~fuel good in
-  let fp = Compdiff.Oracle.detects oracle_good ~inputs in
-  if validate then begin
-    validate_oracle oracle_bad ~inputs;
-    validate_oracle oracle_good ~inputs
-  end;
+  let good : Tools.t = run_good () in
+  if validate then
+    List.iter
+      (fun (r : Tools.t) ->
+        Option.iter
+          (fun input ->
+            failwith
+              (Printf.sprintf
+                 "Oracle cross-validation failed on input %S: deduped/parallel \
+                  verdict differs from the naive oracle"
+                 input))
+          (Compdiff.Oracle.naive_mismatch r.Tools.oracle ~inputs))
+      [ bad; good ];
   let ostats =
     Compdiff.Oracle.sum_stats
-      [ Compdiff.Oracle.stats oracle_bad; Compdiff.Oracle.stats oracle_good ]
+      [ Compdiff.Oracle.stats oracle; Compdiff.Oracle.stats good.Tools.oracle ]
   in
-  ((detected, fp), partition, reduction, ostats)
+  (good, ((detected, Tools.diverges good), partition, reduction, ostats))
 
-let evaluate ?session ?(fuel = 100_000) ?validate ?reduce (t : Testcase.t) :
-    test_eval =
+(** CompDiff alone on both variants: (detected, diverged on good), the
+    partition, the reduction and the oracles' counters.  Called by the
+    benchmark's traced rebuild (ROADMAP item 2b). *)
+let eval_compdiff ?session ?(fuel = 100_000) ?(validate = false)
+    ?(reduce = true) ~(bad : Minic.Tast.tprogram)
+    ~(good : Minic.Tast.tprogram) ~(inputs : string list) () :
+    (bool * bool) * int array * Compdiff.Reduce.stats option
+    * Compdiff.Oracle.stats =
+  let check tp = Tools.check ?session ~fuel tp ~inputs in
+  snd (compdiff_of ~validate ~reduce ~inputs (check bad) (fun () -> check good))
+
+(** Every tool on one test: one {!Compdiff.Tools.run} per variant.  The
+    benchmark's juliet workload times it per test; it stays when the
+    traced rebuild goes (ROADMAP item 2b). *)
+let evaluate ?session ?(fuel = 100_000) ?(validate = false) ?(reduce = true)
+    (t : Testcase.t) : test_eval =
   let category = (Cwe.info t.Testcase.cwe).Cwe.category in
-  let bad = Testcase.frontend_bad t in
-  let good = Testcase.frontend_good t in
   let inputs = t.Testcase.inputs in
-  let compdiff, partition, reduction, oracle_stats =
-    eval_compdiff ?session ~fuel ?validate ?reduce ~bad ~good ~inputs ()
+  let bad = Tools.run ?session ~fuel (Testcase.frontend_bad t) ~inputs in
+  let good, (compdiff, partition, reduction, oracle_stats) =
+    compdiff_of ~validate ~reduce ~inputs bad (fun () ->
+        Tools.run ?session ~fuel (Testcase.frontend_good t) ~inputs)
   in
-  (* the sanitizer builds reuse the session's unit/image caches (the
-     bad/good programs were just compiled for the oracles under the
-     same gccx-O0 profile) *)
-  let bad_build = Sanitizers.San.build ?session bad in
-  let good_build = Sanitizers.San.build ?session good in
+  let pair flags = (flags bad.Tools.reports, flags good.Tools.reports) in
+  let static tool = pair (static_flags tool (Cwe.matching_kinds category)) in
+  let san kind = pair (Tools.flags (Tools.Sanitizer kind)) in
   {
     test = t;
     category;
-    coverity = eval_static Staticcheck.Static_tools.Coverity t category;
-    cppcheck = eval_static Staticcheck.Static_tools.Cppcheck t category;
-    infer = eval_static Staticcheck.Static_tools.Infer t category;
-    unstable = eval_static Staticcheck.Static_tools.Unstable t category;
-    asan = eval_sanitizer ~fuel Sanitizers.San.Asan ~bad_build ~good_build ~inputs;
-    ubsan = eval_sanitizer ~fuel Sanitizers.San.Ubsan ~bad_build ~good_build ~inputs;
-    msan = eval_sanitizer ~fuel Sanitizers.San.Msan ~bad_build ~good_build ~inputs;
+    coverity = static Staticcheck.Static_tools.Coverity;
+    cppcheck = static Staticcheck.Static_tools.Cppcheck;
+    infer = static Staticcheck.Static_tools.Infer;
+    unstable = static Staticcheck.Static_tools.Unstable;
+    asan = san Sanitizers.San.Asan;
+    ubsan = san Sanitizers.San.Ubsan;
+    msan = san Sanitizers.San.Msan;
     compdiff;
     partition;
     reduction;

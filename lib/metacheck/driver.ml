@@ -20,6 +20,7 @@
 
 module Oracle = Compdiff.Oracle
 module Triage = Compdiff.Triage
+module Tools = Compdiff.Tools
 
 type what = Fn_instability | Fp | Xval_fn | Drift
 
@@ -38,8 +39,8 @@ type flag = {
 }
 
 type verdicts = {
-  v_static : Report.t list;
-  v_san : Report.t list;
+  v_static : Tools.report list;
+  v_san : Tools.report list;
   v_oracle : (string * int) list;
       (* diverging input -> partition signature *)
 }
@@ -54,34 +55,26 @@ type result = {
   mc_flags : flag list;
 }
 
-(* --- per-program verdict extraction --- *)
+(* --- per-program verdicts: one {!Tools.run}, one oracle batch --- *)
 
 let verdicts_of ?session ?profiles ?fuel (tp : Minic.Tast.tprogram)
     ~(inputs : string list) : verdicts =
-  let p = Minic.Tast.erase_program tp in
-  let v_static =
-    List.concat_map
-      (fun t -> Report.of_static t p)
-      Staticcheck.Static_tools.all
+  let r = Tools.run ?session ?profiles ~jobs:1 ?fuel tp ~inputs in
+  let v_san, v_static =
+    List.partition
+      (fun (rp : Tools.report) ->
+        match rp.Tools.tool with Tools.Sanitizer _ -> true | Tools.Static _ -> false)
+      r.Tools.reports
   in
-  let b = Sanitizers.San.build ?session tp in
-  let v_san =
-    List.concat_map
-      (fun k -> Report.of_sanitizer ?fuel k b ~inputs)
-      Sanitizers.San.all
-  in
-  let o = Oracle.create ?session ?profiles ?fuel ~jobs:1 tp in
   let v_oracle =
-    (* one batched oracle pass over the whole input set *)
-    let inputs_arr = Array.of_list inputs in
-    let verdicts = Oracle.check_batch o ~inputs:inputs_arr in
     List.concat
       (List.mapi
          (fun i input ->
-           match verdicts.(i) with
+           match r.Tools.verdicts.(i) with
            | Oracle.Agree _ -> []
            | Oracle.Diverge obs ->
-             [ (input, Triage.signature_of_partition (Oracle.partition o obs)) ])
+             [ (input,
+                Triage.signature_of_partition (Oracle.partition r.Tools.oracle obs)) ])
          inputs)
   in
   { v_static; v_san; v_oracle }
@@ -96,33 +89,33 @@ let retype (tp : Minic.Tast.tprogram) :
 
 let flags_of_preserving ~(base : verdicts) ~(rule : string) (tw : verdicts) :
     flag list =
-  let vanished = Report.diff base.v_static tw.v_static in
-  let appeared = Report.diff tw.v_static base.v_static in
-  let san_vanished = Report.diff base.v_san tw.v_san in
-  let san_appeared = Report.diff tw.v_san base.v_san in
+  let vanished = Tools.diff base.v_static tw.v_static in
+  let appeared = Tools.diff tw.v_static base.v_static in
+  let san_vanished = Tools.diff base.v_san tw.v_san in
+  let san_appeared = Tools.diff tw.v_san base.v_san in
   let static_flags =
     List.map
-      (fun (r : Report.t) ->
+      (fun (r : Tools.report) ->
         {
-          fl_tool = r.Report.r_tool;
+          fl_tool = Tools.tool_name r.Tools.tool;
           fl_rule = rule;
           fl_what = Fn_instability;
-          fl_kind = Some r.Report.r_kind;
+          fl_kind = Some r.Tools.kind;
           fl_detail =
-            Printf.sprintf "%s vanished under %s" (Report.to_string r) rule;
+            Printf.sprintf "%s vanished under %s" (Tools.to_string r) rule;
         })
       (vanished @ san_vanished)
   in
   let drift_flags =
     List.map
-      (fun (r : Report.t) ->
+      (fun (r : Tools.report) ->
         {
-          fl_tool = r.Report.r_tool;
+          fl_tool = Tools.tool_name r.Tools.tool;
           fl_rule = rule;
           fl_what = Drift;
-          fl_kind = Some r.Report.r_kind;
+          fl_kind = Some r.Tools.kind;
           fl_detail =
-            Printf.sprintf "%s appeared under %s" (Report.to_string r) rule;
+            Printf.sprintf "%s appeared under %s" (Tools.to_string r) rule;
         })
       (appeared @ san_appeared)
   in
@@ -134,7 +127,7 @@ let flags_of_preserving ~(base : verdicts) ~(rule : string) (tw : verdicts) :
         | Some _ ->
           Some
             {
-              fl_tool = Report.compdiff_tool;
+              fl_tool = Tools.oracle_name;
               fl_rule = rule;
               fl_what = Drift;
               fl_kind = None;
@@ -145,7 +138,7 @@ let flags_of_preserving ~(base : verdicts) ~(rule : string) (tw : verdicts) :
         | None ->
           Some
             {
-              fl_tool = Report.compdiff_tool;
+              fl_tool = Tools.oracle_name;
               fl_rule = rule;
               fl_what = Fn_instability;
               fl_kind = None;
@@ -162,7 +155,7 @@ let flags_of_preserving ~(base : verdicts) ~(rule : string) (tw : verdicts) :
         else
           Some
             {
-              fl_tool = Report.compdiff_tool;
+              fl_tool = Tools.oracle_name;
               fl_rule = rule;
               fl_what = Drift;
               fl_kind = None;
@@ -179,22 +172,22 @@ let flags_of_eliminating ~(el : Transform.elim) (tw : verdicts) : flag list =
   let kinds = el.Transform.el_kinds in
   let static_fp =
     List.filter_map
-      (fun (r : Report.t) ->
+      (fun (r : Tools.report) ->
         let line_hit =
-          match r.Report.r_line with
+          match r.Tools.line with
           | Some l -> List.mem l el.Transform.el_lines
           | None -> false
         in
-        if List.mem r.Report.r_kind kinds && line_hit then
+        if List.mem r.Tools.kind kinds && line_hit then
           Some
             {
-              fl_tool = r.Report.r_tool;
+              fl_tool = Tools.tool_name r.Tools.tool;
               fl_rule = rule;
               fl_what = Fp;
-              fl_kind = Some r.Report.r_kind;
+              fl_kind = Some r.Tools.kind;
               fl_detail =
                 Printf.sprintf "%s survives %s at a rewritten site"
-                  (Report.to_string r) rule;
+                  (Tools.to_string r) rule;
             }
         else None)
       tw.v_static
@@ -204,17 +197,17 @@ let flags_of_eliminating ~(el : Transform.elim) (tw : verdicts) : flag list =
       (* partial elimination: surviving dynamic reports are inconclusive *)
     else
       List.filter_map
-        (fun (r : Report.t) ->
-          if List.mem r.Report.r_kind kinds then
+        (fun (r : Tools.report) ->
+          if List.mem r.Tools.kind kinds then
             Some
               {
-                fl_tool = r.Report.r_tool;
+                fl_tool = Tools.tool_name r.Tools.tool;
                 fl_rule = rule;
                 fl_what = Fp;
-                fl_kind = Some r.Report.r_kind;
+                fl_kind = Some r.Tools.kind;
                 fl_detail =
                   Printf.sprintf "%s survives complete %s"
-                    (Report.to_string r) rule;
+                    (Tools.to_string r) rule;
               }
           else None)
         tw.v_san

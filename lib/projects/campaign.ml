@@ -175,8 +175,9 @@ type t6_row = {
    build on the bug's witness and found inputs *)
 let sanitizer_covers (b : Sanitizers.San.build) (kind : Sanitizers.San.kind)
     (f : found_bug) : bool =
-  Sanitizers.San.detects_built ~fuel:60_000 kind b
-    ~inputs:[ f.bug.Project.witness; f.found_input ]
+  List.exists Option.is_some
+    (Sanitizers.San.reports ~fuel:60_000 kind b
+       ~inputs:[ f.bug.Project.witness; f.found_input ])
 
 let table6 ?session (results : project_result list) : t6_row list * int =
   (* one instrumented build per project, shared by every (category, kind,

@@ -37,27 +37,12 @@ let build ?session (tp : Minic.Tast.tprogram) : build =
       Engine.Session.image (Engine.Session.link s (Engine.Session.compile s build_profile tp))
   | None -> Cdvm.Image.link (Pipeline.compile build_profile tp)
 
-let run_built ?(fuel = 200_000) (kind : kind) (b : build) ~(input : string) :
-    Cdvm.Exec.result =
-  Cdvm.Exec.run_linked
-    ~config:
-      {
-        Cdvm.Exec.default_config with
-        Cdvm.Exec.input;
-        fuel;
-        observer = Cdvm.Observer.sanitize (hooks kind);
-      }
-    b
-
-let run ?fuel (kind : kind) (tp : Minic.Tast.tprogram) ~(input : string) :
-    Cdvm.Exec.result =
-  run_built ?fuel kind (build tp) ~input
-
-(* Did this sanitizer report anything on any of the inputs?  The whole
-   set runs as one VM batch on the domain's arena (hooks are per-run
-   config, so batching never touches an observation store). *)
-let detects_built ?(fuel = 200_000) (kind : kind) (b : build)
-    ~(inputs : string list) : bool =
+(* The report of each input, in input order: [Some msg] when the
+   sanitizer reported on it.  The whole set runs as one VM batch on the
+   domain's arena (hooks are per-run config, so batching never touches
+   an observation store). *)
+let reports ?(fuel = 200_000) (kind : kind) (b : build)
+    ~(inputs : string list) : string option list =
   let config =
     {
       Cdvm.Exec.default_config with
@@ -65,26 +50,10 @@ let detects_built ?(fuel = 200_000) (kind : kind) (b : build)
       observer = Cdvm.Observer.sanitize (hooks kind);
     }
   in
-  let results =
-    Cdvm.Exec.run_batch ~config b ~inputs:(Array.of_list inputs)
-  in
-  Array.exists
-    (fun r ->
-      match r.Cdvm.Exec.status with
-      | Cdvm.Trap.San_report _ -> true
-      | Cdvm.Trap.Exit _ | Cdvm.Trap.Trap _ | Cdvm.Trap.Hang -> false)
-    results
-
-let detects ?fuel (kind : kind) (tp : Minic.Tast.tprogram) ~(inputs : string list) :
-    bool =
-  detects_built ?fuel kind (build tp) ~inputs
-
-(* First report message, for diagnostics. *)
-let first_report_built ?fuel (kind : kind) (b : build)
-    ~(inputs : string list) : string option =
-  List.find_map
-    (fun input ->
-      match (run_built ?fuel kind b ~input).Cdvm.Exec.status with
-      | Cdvm.Trap.San_report msg -> Some msg
-      | Cdvm.Trap.Exit _ | Cdvm.Trap.Trap _ | Cdvm.Trap.Hang -> None)
-    inputs
+  Array.to_list
+    (Array.map
+       (fun r ->
+         match r.Cdvm.Exec.status with
+         | Cdvm.Trap.San_report msg -> Some msg
+         | Cdvm.Trap.Exit _ | Cdvm.Trap.Trap _ | Cdvm.Trap.Hang -> None)
+       (Cdvm.Exec.run_batch ~config b ~inputs:(Array.of_list inputs)))

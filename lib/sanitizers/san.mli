@@ -30,18 +30,10 @@ val build : ?session:Engine.Session.t -> Minic.Tast.tprogram -> build
     by its unit/image caches; the sanitized executions themselves always
     run directly (hooked runs must bypass the observation store). *)
 
-val run_built : ?fuel:int -> kind -> build -> input:string -> Cdvm.Exec.result
-
-val detects_built : ?fuel:int -> kind -> build -> inputs:string list -> bool
-
-val run :
-  ?fuel:int -> kind -> Minic.Tast.tprogram -> input:string -> Cdvm.Exec.result
-(** One-shot [build] + [run_built]. *)
-
-val detects : ?fuel:int -> kind -> Minic.Tast.tprogram -> inputs:string list -> bool
-(** Did the sanitizer report anything on any of the inputs? *)
-
-val first_report_built :
-  ?fuel:int -> kind -> build -> inputs:string list -> string option
-(** First report message over the inputs on an existing build, [None]
-    when the sanitizer stays silent. *)
+val reports :
+  ?fuel:int -> kind -> build -> inputs:string list -> string option list
+(** [reports kind b ~inputs]: per input, in order, the sanitizer's report
+    message ([None] when the run ended without one).  The inputs run as
+    one VM batch ({!Cdvm.Exec.run_batch}) with [kind]'s hooks, each as
+    {!Cdvm.Exec.run_linked} would run it alone.  [fuel] defaults to
+    200k instructions. *)

@@ -75,10 +75,3 @@ let cross_to_string (c : cross) : string =
   Printf.sprintf "%s  [agreed by: %s]"
     (Format.asprintf "%a" Finding.pp c.cx_finding)
     (String.concat ", " (List.map name c.cx_tools))
-
-(* does it report an [Error]-severity finding of one of the given kinds? *)
-let flags_kinds (t : tool) (p : Minic.Ast.program) (kinds : Finding.kind list) : bool =
-  List.exists
-    (fun f ->
-      f.Finding.severity = Finding.Error && List.mem f.Finding.kind kinds)
-    (check t p)

@@ -12,9 +12,11 @@
 #   scripts/bench.sh all        # every bench section (tables + figures)
 #
 # bench/main.exe prints each section's rows and one "ok   gate:" or
-# "FAIL gate:" line per floor the section declares (see bench/record.ml);
-# this script exits with its status: 1 if any gate failed.  A section
-# whose optimized path disagrees with its naive reference aborts the run.
+# "FAIL gate:" line per floor the section declares (see bench/record.ml).
+# Each section runs in its own process, so no section runs beside the
+# pool domains or threads an earlier one left (oracle sets 4 jobs).
+# This script exits 1 if any gate failed; a section whose optimized path
+# disagrees with its naive reference aborts the run at once.
 
 set -eu
 
@@ -24,8 +26,19 @@ echo "== dune build"
 dune build
 
 if [ "${1:-}" = "all" ]; then
-  set --
+  sections="table2 table3 figure1 table4 table5 table6 figure2 overhead oracle
+    engine serve metacheck vm trace gen ablations"
 else
-  set -- overhead oracle vm trace engine serve metacheck gen
+  sections="overhead oracle vm trace engine serve metacheck gen"
 fi
-exec ./_build/default/bench/main.exe "$@"
+status=0
+for section in $sections; do
+  code=0
+  ./_build/default/bench/main.exe "$section" || code=$?
+  case $code in
+    0) ;;
+    1) status=1 ;;
+    *) exit "$code" ;;
+  esac
+done
+exit $status

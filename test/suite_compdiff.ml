@@ -37,8 +37,9 @@ let test_oracle_diverge () =
     (Oracle.is_divergence (Oracle.check o ~input:"Z"))
 
 let test_oracle_find_bug () =
-  let o = Oracle.create (frontend unstable_src) in
-  match Oracle.find_bug o ~inputs:[ "Z"; "Y"; ""; "X" ] with
+  let inputs = [ "Z"; "Y"; ""; "X" ] in
+  let r = Compdiff.Tools.check (frontend unstable_src) ~inputs in
+  match Compdiff.Tools.first_divergence r ~inputs with
   | Some (input, _) -> Alcotest.(check string) "bug input" "" input
   | None -> Alcotest.fail "expected to find the bug-triggering input"
 

@@ -61,8 +61,8 @@ let clean_under_naive (p : Gen.Corpus.pair) =
     (Gen.Corpus.inputs_for p)
 
 let injected_flagged (p : Gen.Corpus.pair) =
-  let o = Compdiff.Oracle.create p.Gen.Corpus.inj_tp in
-  Compdiff.Oracle.detects o ~inputs:(Gen.Corpus.inputs_for p)
+  Compdiff.Tools.diverges
+    (Compdiff.Tools.check p.Gen.Corpus.inj_tp ~inputs:(Gen.Corpus.inputs_for p))
 
 let test_class cls () =
   (* several seeds per class: site choice and surrounding program vary *)
@@ -82,8 +82,9 @@ let test_class cls () =
    see: per-operation arithmetic (UBSan), branch-on-uninit (MSan),
    redzone access (ASan) *)
 let san_detects kind (p : Gen.Corpus.pair) =
-  Sanitizers.San.detects kind p.Gen.Corpus.inj_tp
-    ~inputs:(Gen.Corpus.inputs_for p)
+  List.exists Option.is_some
+    (Sanitizers.San.reports kind (Sanitizers.San.build p.Gen.Corpus.inj_tp)
+       ~inputs:(Gen.Corpus.inputs_for p))
 
 let test_sanitizer_ground_truth () =
   let p cls = make_exn ~cls 41 in

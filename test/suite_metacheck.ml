@@ -152,6 +152,10 @@ let test_preserving_keeps_behaviour_on_clean () =
 
 (* --- eliminating twins --- *)
 
+let san_detects kind tp ~inputs =
+  List.exists Option.is_some
+    (Sanitizers.San.reports kind (Sanitizers.San.build tp) ~inputs)
+
 let div_src =
   "int main() {\n\
    \  int a = getchar();\n\
@@ -163,7 +167,7 @@ let div_src =
 let test_guard_div_silences_ubsan () =
   let tp = fe div_src in
   Alcotest.(check bool) "baseline UBSan fires" true
-    (Sanitizers.San.detects Sanitizers.San.Ubsan tp ~inputs:[ "AB" ]);
+    (san_detects Sanitizers.San.Ubsan tp ~inputs:[ "AB" ]);
   let elims = Metacheck.Transform.eliminating tp in
   let guard =
     List.find_opt
@@ -183,7 +187,7 @@ let test_guard_div_silences_ubsan () =
       | Error msg -> Alcotest.failf "twin rejected: %s" msg
     in
     Alcotest.(check bool) "UBSan silent on guarded twin" false
-      (Sanitizers.San.detects Sanitizers.San.Ubsan tp' ~inputs:[ "AB" ])
+      (san_detects Sanitizers.San.Ubsan tp' ~inputs:[ "AB" ])
 
 let uninit_src =
   "int main() {\n\
@@ -197,7 +201,7 @@ let uninit_src =
 let test_init_decl_silences_msan () =
   let tp = fe uninit_src in
   Alcotest.(check bool) "baseline MSan fires" true
-    (Sanitizers.San.detects Sanitizers.San.Msan tp ~inputs:[ "" ]);
+    (san_detects Sanitizers.San.Msan tp ~inputs:[ "" ]);
   let elims = Metacheck.Transform.eliminating tp in
   match
     List.find_opt (fun e -> e.Metacheck.Transform.el_rule = "init-decl") elims
@@ -213,7 +217,7 @@ let test_init_decl_silences_msan () =
       | Error msg -> Alcotest.failf "twin rejected: %s" msg
     in
     Alcotest.(check bool) "MSan silent on initialized twin" false
-      (Sanitizers.San.detects Sanitizers.San.Msan tp' ~inputs:[ "" ])
+      (san_detects Sanitizers.San.Msan tp' ~inputs:[ "" ])
 
 (* --- driver --- *)
 

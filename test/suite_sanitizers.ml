@@ -8,7 +8,8 @@ let frontend src =
   | Ok tp -> tp
   | Error msg -> Alcotest.failf "front end: %s" msg
 
-let detects kind src inputs = San.detects kind (frontend src) ~inputs
+let detects kind src inputs =
+  List.exists Option.is_some (San.reports kind (San.build (frontend src)) ~inputs)
 
 let check_detect name kind src inputs =
   Alcotest.(check bool) name true (detects kind src inputs)
@@ -187,10 +188,10 @@ let test_msan_overwrite_clears_taint () =
   check_silent "write clears the taint" San.Msan
     "int main() { int x; x = 3; if (x > 1) { print(\"y\\n\"); } return 0; }" [ "" ]
 
-let test_first_report_built_edges () =
+let test_reports_edges () =
   let b = San.build (frontend shift32_src) in
-  (match San.first_report_built San.Ubsan b ~inputs:[ "\x20" ] with
-  | Some msg ->
+  (match San.reports San.Ubsan b ~inputs:[ "\x20" ] with
+  | [ Some msg ] ->
     Alcotest.(check bool) "out-of-range message mentions the exponent" true
       (let has sub =
          let n = String.length msg and m = String.length sub in
@@ -198,9 +199,60 @@ let test_first_report_built_edges () =
          go 0
        in
        has "shift")
-  | None -> Alcotest.fail "expected a UBSan report for 1 << 32");
+  | _ -> Alcotest.fail "expected a UBSan report for 1 << 32");
   Alcotest.(check bool) "silent run yields no report" true
-    (San.first_report_built San.Ubsan b ~inputs:[ "\x1e" ] = None)
+    (San.reports San.Ubsan b ~inputs:[ "\x1e" ] = [ None ]);
+  Alcotest.(check bool) "one entry per input, in input order" true
+    (match San.reports San.Ubsan b ~inputs:[ "\x1e"; "\x20"; "\x1e" ] with
+     | [ None; Some _; None ] -> true
+     | _ -> false)
+
+(* [San.reports] runs an input set as one batch: each input's report
+   must be the one a run of it alone gives, here a hand-built
+   [Exec.run_linked] with the same hooks on the same unoptimized image,
+   over the Juliet quick suite (bad and good variants) and the 23
+   targets' seeds, under every sanitizer *)
+let test_reports_equal_single_runs () =
+  let alone kind img ~fuel input =
+    match
+      (Cdvm.Exec.run_linked
+         ~config:
+           {
+             Cdvm.Exec.default_config with
+             Cdvm.Exec.input;
+             fuel;
+             observer = Cdvm.Observer.sanitize (San.hooks kind);
+           }
+         img)
+        .Cdvm.Exec.status
+    with
+    | Cdvm.Trap.San_report msg -> Some msg
+    | Cdvm.Trap.Exit _ | Cdvm.Trap.Trap _ | Cdvm.Trap.Hang -> None
+  in
+  let check name ~fuel tp inputs =
+    let img = Cdvm.Image.link (Cdcompiler.Pipeline.compile San.build_profile tp) in
+    let b = San.build tp in
+    List.iter
+      (fun kind ->
+        Alcotest.(check (list (option string)))
+          (Printf.sprintf "%s under %s" name (San.name kind))
+          (List.map (alone kind img ~fuel) inputs)
+          (San.reports ~fuel kind b ~inputs))
+      San.all
+  in
+  List.iter
+    (fun (t : Juliet.Testcase.t) ->
+      let inputs = t.Juliet.Testcase.inputs in
+      check (t.Juliet.Testcase.name ^ " bad") ~fuel:100_000
+        (Juliet.Testcase.frontend_bad t) inputs;
+      check (t.Juliet.Testcase.name ^ " good") ~fuel:100_000
+        (Juliet.Testcase.frontend_good t) inputs)
+    (Juliet.Suite.quick ());
+  List.iter
+    (fun (p : Projects.Project.t) ->
+      check p.Projects.Project.pname ~fuel:60_000 (Projects.Project.frontend p)
+        p.Projects.Project.seeds)
+    Projects.Registry.all
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -249,6 +301,7 @@ let suites =
         tc "ubsan shift width (long)" test_ubsan_shift_long_edges;
         tc "msan partial array init" test_msan_partial_array_init;
         tc "msan overwrite clears taint" test_msan_overwrite_clears_taint;
-        tc "first_report_built" test_first_report_built_edges;
+        tc "reports" test_reports_edges;
+        tc "reports = single runs" test_reports_equal_single_runs;
       ] );
   ]

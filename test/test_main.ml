@@ -10,4 +10,5 @@ let () =
    @ Suite_metacheck.suites @ Suite_serve.suites @ Suite_gen.suites
    @ Suite_trace.suites @ Suite_wire.suites @ Suite_golden.suites
    @ Suite_golden_localize.suites @ Suite_golden_reduce.suites
+   @ Suite_golden_tools.suites
    @ Suite_locate.suites)
